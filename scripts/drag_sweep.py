@@ -21,8 +21,8 @@ from gapflow.quadrature import QuadratureSpec
 DEFAULT_SWEEP = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
-def report(regime, name, h_list, spec, threads):
-    curve = drag_curve(regime, h_list, spec=spec, threads=threads)
+def report(regime, name, h_list, spec):
+    curve = drag_curve(regime, h_list, spec=spec)
     hs = curve.column("h")
     scaled = (
         curve.column("energy") / np.abs(np.log(hs))
@@ -54,7 +54,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--h-list", default=None, help="comma-separated gaps")
     ap.add_argument("--rel-tol", type=float, default=1e-8)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--csv", default=None, help="also write the rows here")
     args = ap.parse_args()
 
@@ -67,9 +66,9 @@ def main():
 
     curves = [
         report(SlipRegime.slip(1.0, 1.0), "slip (beta_S = beta_Omega = 1)",
-               h_list, spec, args.threads),
+               h_list, spec),
         report(SlipRegime.mixed(1.0), "mixed (no-slip sphere, slip wall)",
-               h_list, spec, args.threads),
+               h_list, spec),
     ]
 
     if args.csv:

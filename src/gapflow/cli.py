@@ -19,8 +19,9 @@ row carries the analysis anchor label it validates (the "anchor" field),
 so reports are traceable row by row.
 
 Reports are deterministic: no timestamps unless --stamp is given, keys
-are sorted, and parallel sections are assembled in a fixed order, so a
-given config produces bit-identical artifacts at any --threads value.
+are sorted, and every computation runs serially in a fixed order, so a
+given config produces bit-identical artifacts.  The --threads key is
+still accepted and validated (at least 1) but has no effect.
 Artifacts are written atomically (temp file in the target directory,
 then rename).  The output directory is --out if given, else the
 GAPFLOW_OUTPUT_DIR environment variable, else the working directory.
@@ -37,7 +38,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from importlib import metadata
@@ -111,8 +111,9 @@ class RunConfig:
     """Flat run configuration; one key set shared by every subcommand.
 
     ``threads``, ``out_dir``, and ``stamp`` are execution knobs that do
-    not affect computed values; they are excluded from the config echo
-    so reports stay bit-identical across thread counts.
+    not affect computed values; they are excluded from the config echo.
+    ``threads`` is accepted and validated but ignored: every run is
+    serial.
     """
 
     regime: str = "slip"
@@ -515,7 +516,6 @@ def _curve(cfg):
         cfg.h_list,
         r_max=cfg.delta,
         spec=_spec(cfg),
-        threads=cfg.threads,
         exterior=cfg.exterior,
     )
 
@@ -718,7 +718,6 @@ def cmd_fall_scan(cfg, out):
         t_max=cfg.t_max,
         rtol=cfg.ode_rtol,
         atol=cfg.ode_atol,
-        threads=cfg.threads,
     )
     write_csv(
         out / "fall_scan.csv",
@@ -734,19 +733,13 @@ def cmd_fall_scan(cfg, out):
 
 
 def cmd_verify_all(cfg, out):
-    sections = (
-        lambda: _profile_rows(cfg),
-        _limit_rows,
-        lambda: _field_rows(cfg),
-        lambda: _envelope_rows(cfg),
-        lambda: _integral_rows(cfg),
-    )
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(lambda section: section(), sections))
-    else:
-        parts = [section() for section in sections]
-    checks = [row for part in parts for row in part]
+    checks = [
+        *_profile_rows(cfg),
+        *_limit_rows(),
+        *_field_rows(cfg),
+        *_envelope_rows(cfg),
+        *_integral_rows(cfg),
+    ]
     report = envelope(cfg, "verify all", checks)
     write_json(out / "verify_all.json", report)
     return report["passed"]
@@ -774,7 +767,8 @@ def _common_parser():
     add("--out", dest="out_dir", default=None, help="output directory")
     add("--stamp", action="store_const", const=True, default=None,
         help="embed a UTC timestamp (breaks bit-identical reruns)")
-    add("--threads", type=int, default=None)
+    add("--threads", type=int, default=None,
+        help="accepted for compatibility (at least 1); runs are serial")
     add("--seed", type=int, default=None)
     add("--regime", choices=("slip", "mixed"), default=None)
     add("--beta-s", dest="beta_S", type=float, default=None)

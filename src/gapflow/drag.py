@@ -23,7 +23,6 @@ exterior_constant for the estimator's region.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -337,7 +336,6 @@ def drag_curve(
     h_list,
     r_max=R_MAX_DEFAULT,
     spec=None,
-    threads=1,
     exterior="included",
 ):
     """Drag rows for a decreasing h sweep.
@@ -347,9 +345,7 @@ def drag_curve(
     regime : SlipRegime
     h_list : sequence of float
         Gap widths; accepted in any order, stored strictly decreasing.
-    threads : int
-        Rows are independent; >1 dispatches them to a thread pool with
-        index-ordered assembly, so results are identical for any count.
+        Rows are computed one after another in that order.
     exterior : "included" | "excluded"
         Whether totals carry the cutoff-ring constant; it is recorded in
         the provenance either way.  gradient_part and boundary_part are
@@ -360,13 +356,7 @@ def drag_curve(
     ring = exterior_constant(regime)
     _exterior_shift(regime, exterior)  # validate the mode up front
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(lambda h: _drag_row(regime, h, r_max, spec, exterior), hs)
-            )
-    else:
-        rows = [_drag_row(regime, h, r_max, spec, exterior) for h in hs]
+    rows = [_drag_row(regime, h, r_max, spec, exterior) for h in hs]
 
     provenance = {
         "r_max": r_max,

@@ -25,7 +25,6 @@ that floor is reported as a time-limited run, not an error.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,16 +45,14 @@ ATOL_DEFAULT = 1e-12
 class FallParameters:
     """Densities, gravity, and the drag prefactor of the reduced fall.
 
-    The viscosity scale is carried for bookkeeping only; its effect is
-    absorbed into the drag prefactor kappa.  The effective gravity
-    G = (rho_S - rho_F) g / rho_S is positive exactly when the sphere is
-    heavier than the fluid.
+    The viscosity enters only through the drag prefactor kappa.  The
+    effective gravity G = (rho_S - rho_F) g / rho_S is positive exactly
+    when the sphere is heavier than the fluid.
     """
 
     rho_S: float = 2.0
     rho_F: float = 1.0
     g: float = 2.0
-    mu_F: float = 1.0
     kappa: float = 1.0
 
     def __post_init__(self):
@@ -65,8 +62,6 @@ class FallParameters:
             raise ValueError("rho_F must be nonnegative")
         if self.g <= 0.0:
             raise ValueError("g must be positive")
-        if self.mu_F <= 0.0:
-            raise ValueError("mu_F must be positive")
         if self.kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
 
@@ -405,20 +400,16 @@ def touchdown_scan(
     t_max=50.0,
     rtol=RTOL_DEFAULT,
     atol=ATOL_DEFAULT,
-    threads=1,
 ):
     """Simulate every (kappa, G, h0) cell and tabulate the outcomes.
 
     Effective gravity G is realized through g = 2 G at the default
-    densities.  Cells are independent; failures become Error rows and
-    the scan continues.  Assembly order is the input grid order, so the
-    table is identical for any thread count.
+    densities.  Cells run one after another in the input grid order;
+    failures become Error rows and the scan continues.
     """
-    cells = [(k, G, h0) for k in kappas for G in Gs for h0 in h0s]
-    run = lambda cell: _scan_cell(regime, *cell, t_max, rtol, atol)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, cells))
-    else:
-        rows = [run(cell) for cell in cells]
-    return tuple(rows)
+    return tuple(
+        _scan_cell(regime, k, G, h0, t_max, rtol, atol)
+        for k in kappas
+        for G in Gs
+        for h0 in h0s
+    )

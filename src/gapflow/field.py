@@ -28,10 +28,9 @@ from .profile import (
     RegimeKind,
     _engine,
     psi_h_column,
-    psi_h_derivs,
     psi_partials,
 )
-from .quadrature import QuadratureSpec, _gl_rule, integrate_gap, integrate_surface
+from .quadrature import _gl_rule, integrate_gap, integrate_surface
 
 CYLINDRICAL = "cylindrical"
 CARTESIAN = "cartesian"
@@ -282,14 +281,25 @@ def _g3_tail(regime, h, H_values):
     return out
 
 
-def pressure(regime, h, r, z, spec=None):
+def _pressure_gradient(regime, p, r):
+    """(d_r q, d_z q) in closed form from the Psi partials p at radius r."""
+    if regime.kind is RegimeKind.SLIP:
+        dq_r = -0.5 * (3.0 * p.drz + r * p.drrz + r * p.dzzz)
+        dq_z = -0.5 * (r * p.drzz + 2.0 * p.dzz)
+    else:
+        dq_r = 0.5 * (3.0 * p.drz + r * p.drrz - r * p.dzzz)
+        dq_z = 0.5 * (r * p.drzz + 2.0 * p.dzz)
+    return dq_r, dq_z
+
+
+def pressure(regime, h, r, z):
     """Companion pressure sample(s) with closed-form gradient.
 
     The value integrates d_zzz Psi radially (sign convention depends on the
-    regime); the gradient needs no quadrature at all.  Scalars in, scalar
-    sample out; arrays in, array-valued sample out.
+    regime) with a fixed octave rule that resolves it below 1e-10 relative;
+    the gradient needs no quadrature at all.  Scalars in, scalar sample
+    out; arrays in, array-valued sample out.
     """
-    del spec  # the fixed octave rule already resolves below 1e-10 relative
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     z_arr = np.broadcast_to(np.asarray(z, dtype=float), r_arr.shape)
     p = psi_partials(regime, h, r_arr, z_arr)
@@ -297,12 +307,9 @@ def pressure(regime, h, r, z, spec=None):
 
     if regime.kind is RegimeKind.SLIP:
         q = -0.5 * (r_arr * p.drz + 2.0 * p.dz + J)
-        dq_r = -0.5 * (3.0 * p.drz + r_arr * p.drrz + r_arr * p.dzzz)
-        dq_z = -0.5 * (r_arr * p.drzz + 2.0 * p.dzz)
     else:
         q = 0.5 * (r_arr * p.drz + 2.0 * p.dz - J)
-        dq_r = 0.5 * (3.0 * p.drz + r_arr * p.drrz - r_arr * p.dzzz)
-        dq_z = 0.5 * (r_arr * p.drzz + 2.0 * p.dzz)
+    dq_r, dq_z = _pressure_gradient(regime, p, r_arr)
 
     if np.ndim(r) == 0 and np.ndim(z) == 0:
         return PressureSample(
@@ -336,13 +343,7 @@ def stokes_residual(regime, h, r, z):
         + p.dzz
         + 0.5 * r_arr * p.drzz
     )
-    if regime.kind is RegimeKind.SLIP:
-        dq_r = -0.5 * (3.0 * p.drz + r_arr * p.drrz + r_arr * p.dzzz)
-        dq_z = -0.5 * (r_arr * p.drzz + 2.0 * p.dzz)
-    else:
-        dq_r = 0.5 * (3.0 * p.drz + r_arr * p.drrz - r_arr * p.dzzz)
-        dq_z = 0.5 * (r_arr * p.drzz + 2.0 * p.dzz)
-
+    dq_r, dq_z = _pressure_gradient(regime, p, r_arr)
     f_r = lap_r - dq_r
     f_z = lap_z - dq_z
     if np.ndim(r) == 0 and np.ndim(z) == 0:

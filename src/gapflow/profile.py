@@ -274,6 +274,103 @@ def _check_gap_point(h, r, z):
     return r, z, H
 
 
+def _z_powers(z):
+    z2 = z * z
+    return z, z2, z2 * z
+
+
+def _z_poly(g, b, zp):
+    """d_z^b of g1 z + g2 z^2 + g3 z^3 at zp = (z, z^2, z^3).
+
+    b = -1 gives the antiderivative that vanishes at z = 0.
+    """
+    g1, g2, g3 = g
+    z, z2, z3 = zp
+    if b == -1:
+        return g1 * z2 / 2.0 + g2 * z2 * z / 3.0 + g3 * z2 * z2 / 4.0
+    if b == 0:
+        return g1 * z + g2 * z2 + g3 * z3
+    if b == 1:
+        return g1 + 2.0 * g2 * z + 3.0 * g3 * z2
+    if b == 2:
+        return 2.0 * g2 + 6.0 * g3 * z
+    return 6.0 * g3 * np.ones_like(z)
+
+
+class _Kernel:
+    """Psi(r, z) = F(H(r), z) at checked gap points, the one derivative engine.
+
+    ``g[a]`` holds the a-th H-derivatives of (G1, G2, G3) and ``f[a, b]``
+    the partial d_H^a d_z^b F for a + b <= 3.  Every r-derivative follows
+    from the chain rule through H(r) = h + gamma_s(r), whose derivatives
+    are h1 = r/s, h2 = s^-3 and h3 = 3 r s^-5 with s = sqrt(1 - r^2); the
+    h-derivative at fixed (r, z) is d_H, one step up the same table.
+    """
+
+    __slots__ = ("H", "s", "h1", "h2", "h3", "g", "zp", "f")
+
+    def __init__(self, regime, h, r, z):
+        r, z, self.H = _check_gap_point(h, r, z)
+        s = np.sqrt(1.0 - r * r)
+        self.s = s
+        self.h1 = r / s
+        self.h2 = s ** -3.0
+        self.h3 = 3.0 * r * s ** -5.0
+        self.g = tuple(zip(*_g_derivs(regime, self.H)))
+        self.zp = _z_powers(z)
+        self.f = {
+            (a, b): _z_poly(self.g[a], b, self.zp) for a in range(4) for b in range(4 - a)
+        }
+
+    def d_r(self, f1, f2=None, f3=None):
+        """First, second or third r-derivative of a function of H(r), given
+        its H-derivatives f1, f2, f3 up to that order."""
+        if f2 is None:
+            return f1 * self.h1
+        if f3 is None:
+            return f2 * self.h1 * self.h1 + f1 * self.h2
+        return f3 * self.h1 ** 3 + 3.0 * f2 * self.h1 * self.h2 + f1 * self.h3
+
+    def d_r_by_r(self, f1):
+        """(d_r of a function of H(r)) / r, finite on the axis."""
+        return f1 / self.s
+
+
+def _partials(k):
+    f = k.f
+    return PsiPartials(
+        value=f[0, 0],
+        dr=k.d_r(f[1, 0]),
+        dz=f[0, 1],
+        drr=k.d_r(f[1, 0], f[2, 0]),
+        drz=k.d_r(f[1, 1]),
+        dzz=f[0, 2],
+        drrr=k.d_r(f[1, 0], f[2, 0], f[3, 0]),
+        drrz=k.d_r(f[1, 1], f[2, 1]),
+        drzz=k.d_r(f[1, 2]),
+        dzzz=f[0, 3],
+        dr_by_r=k.d_r_by_r(f[1, 0]),
+        drz_by_r=k.d_r_by_r(f[1, 1]),
+        drzz_by_r=k.d_r_by_r(f[1, 2]),
+        rad2=f[2, 0] / (k.s * k.s) + f[1, 0] / (k.s ** 3.0),
+        H=k.H,
+    )
+
+
+def _h_partials(k):
+    f = k.f
+    return PsiHPartials(
+        dh=f[1, 0],
+        drh=k.d_r(f[2, 0]),
+        dzh=f[1, 1],
+        drrh=k.d_r(f[2, 0], f[3, 0]),
+        dzzh=f[1, 2],
+        drzh=k.d_r(f[2, 1]),
+        drh_by_r=k.d_r_by_r(f[2, 0]),
+        H=k.H,
+    )
+
+
 def psi_partials(regime, h, r, z):
     """Closed-form partial derivatives of Psi(r, z) up to total order three.
 
@@ -288,46 +385,7 @@ def psi_partials(regime, h, r, z):
     -------
     PsiPartials
     """
-    r, z, H = _check_gap_point(h, r, z)
-    s = np.sqrt(1.0 - r * r)
-    h1 = r / s
-    h2 = s ** -3.0
-    h3 = 3.0 * r * s ** -5.0
-
-    (g1, g1h, g1hh, g1hhh), (g2, g2h, g2hh, g2hhh), (g3, g3h, g3hh, g3hhh) = _g_derivs(
-        regime, H
-    )
-
-    z2 = z * z
-    z3 = z2 * z
-    f = g1 * z + g2 * z2 + g3 * z3
-    fz = g1 + 2.0 * g2 * z + 3.0 * g3 * z2
-    fzz = 2.0 * g2 + 6.0 * g3 * z
-    fzzz = 6.0 * g3 * np.ones_like(z)
-    fh = g1h * z + g2h * z2 + g3h * z3
-    fhz = g1h + 2.0 * g2h * z + 3.0 * g3h * z2
-    fhzz = 2.0 * g2h + 6.0 * g3h * z
-    fhh = g1hh * z + g2hh * z2 + g3hh * z3
-    fhhz = g1hh + 2.0 * g2hh * z + 3.0 * g3hh * z2
-    fhhh = g1hhh * z + g2hhh * z2 + g3hhh * z3
-
-    return PsiPartials(
-        value=f,
-        dr=fh * h1,
-        dz=fz,
-        drr=fhh * h1 * h1 + fh * h2,
-        drz=fhz * h1,
-        dzz=fzz,
-        drrr=fhhh * h1 ** 3 + 3.0 * fhh * h1 * h2 + fh * h3,
-        drrz=fhhz * h1 * h1 + fhz * h2,
-        drzz=fhzz * h1,
-        dzzz=fzzz,
-        dr_by_r=fh / s,
-        drz_by_r=fhz / s,
-        drzz_by_r=fhzz / s,
-        rad2=fhh / (s * s) + fh / (s ** 3.0),
-        H=H,
-    )
+    return _partials(_Kernel(regime, h, r, z))
 
 
 def psi(regime, h, r, z):
@@ -378,33 +436,7 @@ def psi_h_derivs(regime, h, r, z):
     fixed (r, z) is the H-derivative of F, and the mixed partials follow
     from the same chain rule as the r-derivatives.
     """
-    r, z, H = _check_gap_point(h, r, z)
-    s = np.sqrt(1.0 - r * r)
-    h1 = r / s
-    h2 = s ** -3.0
-
-    (g1, g1h, g1hh, g1hhh), (g2, g2h, g2hh, g2hhh), (g3, g3h, g3hh, g3hhh) = _g_derivs(
-        regime, H
-    )
-    z2 = z * z
-    z3 = z2 * z
-    fh = g1h * z + g2h * z2 + g3h * z3
-    fhz = g1h + 2.0 * g2h * z + 3.0 * g3h * z2
-    fhzz = 2.0 * g2h + 6.0 * g3h * z
-    fhh = g1hh * z + g2hh * z2 + g3hh * z3
-    fhhz = g1hh + 2.0 * g2hh * z + 3.0 * g3hh * z2
-    fhhh = g1hhh * z + g2hhh * z2 + g3hhh * z3
-
-    return PsiHPartials(
-        dh=fh,
-        drh=fhh * h1,
-        dzh=fhz,
-        drrh=fhhh * h1 * h1 + fhh * h2,
-        dzzh=fhzz,
-        drzh=fhhz * h1,
-        drh_by_r=fhh / s,
-        H=H,
-    )
+    return _h_partials(_Kernel(regime, h, r, z))
 
 
 def psi_h_column(regime, h, r, z):
@@ -417,25 +449,11 @@ def psi_h_column(regime, h, r, z):
     The first telescopes to ``d_h Psi(r, H) - d_h Psi(r, z)``; the other two
     use the polynomial antiderivative of F_H and F_HH in z.
     """
-    r, z, H = _check_gap_point(h, r, z)
-    s = np.sqrt(1.0 - r * r)
-    h1 = r / s
-    (g1, g1h, g1hh, _), (g2, g2h, g2hh, _), (g3, g3h, g3hh, _) = _g_derivs(regime, H)
-
-    def fh(w):
-        return g1h * w + g2h * w * w + g3h * w * w * w
-
-    def anti_fh(w):
-        w2 = w * w
-        return g1h * w2 / 2.0 + g2h * w2 * w / 3.0 + g3h * w2 * w2 / 4.0
-
-    def anti_fhh(w):
-        w2 = w * w
-        return g1hh * w2 / 2.0 + g2hh * w2 * w / 3.0 + g3hh * w2 * w2 / 4.0
-
-    col_zh = fh(H) - fh(z)
-    col_h = anti_fh(H) - anti_fh(z)
-    col_rh = h1 * (anti_fhh(H) - anti_fhh(z))
+    k = _Kernel(regime, h, r, z)
+    top = _z_powers(k.H)
+    col_zh = _z_poly(k.g[1], 0, top) - k.f[1, 0]
+    col_h = _z_poly(k.g[1], -1, top) - _z_poly(k.g[1], -1, k.zp)
+    col_rh = k.d_r(_z_poly(k.g[2], -1, top) - _z_poly(k.g[2], -1, k.zp))
     return col_zh, col_h, col_rh
 
 
@@ -529,8 +547,8 @@ def weighted_sups(regime, h, delta=0.2, n_r=64, n_z=64):
     t = np.linspace(1.0 / n_z, 1.0, n_z)[None, :]
     H = h + _gamma(r)
     z = t * H
-    p = psi_partials(regime, h, r, z)
-    q = psi_h_derivs(regime, h, r, z)
+    k = _Kernel(regime, h, r, z)
+    p, q = _partials(k), _h_partials(k)
     out = {}
     for label, (extract, weight) in rows.items():
         out[label] = float(np.max(extract(p, q) * weight(r, H)))

@@ -7,8 +7,7 @@ factors.  Initial cells are graded geometrically toward r = 0, where the
 integrands peak on the lubrication scale sqrt(h).
 
 Cell contributions are accumulated with math.fsum, so results do not
-depend on evaluation or summation order; parallel callers get bit-identical
-values.
+depend on evaluation or summation order.
 """
 
 import math
@@ -17,7 +16,6 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .geometry import PLANE, SPHERE_CAP, gamma_s, surface_measure
 
@@ -68,8 +66,7 @@ class IntegralResult:
 
 @lru_cache(maxsize=None)
 def _gl_rule(order):
-    x, w = roots_legendre(order)
-    return np.asarray(x), np.asarray(w)
+    return np.polynomial.legendre.leggauss(order)
 
 
 def graded_cuts(r_max, scale, ratio=2.0):

@@ -262,6 +262,22 @@ def test_flags_override_config_file(tmp_path):
     assert echo["h"] == 1e-4  # flag wins
 
 
+def test_threads_in_config_file_is_accepted_and_ignored(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"threads": 4}))
+    blobs = []
+    for name, extra in (("plain", ()), ("config", ("--config", str(cfg_file)))):
+        out = tmp_path / name
+        code = run(["drag", "scan", "--regime", "slip", "--h-list", "1e-2,1e-3,1e-4",
+                    *extra, "--out", str(out)])
+        assert code == 0
+        blobs.append((out / "drag_scan.csv").read_bytes()
+                     + (out / "drag_scan.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    cfg_file.write_text(json.dumps({"threads": 0}))
+    assert run(["profile", "check", "--config", str(cfg_file)]) == 2
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("GAPFLOW_OUTPUT_DIR", str(tmp_path / "envdir"))
     code = run(["profile", "check", *FAST])
@@ -294,6 +310,7 @@ def test_run_config_defaults_are_valid():
         ["drag", "fit", "--h-list", "1e-2,1e-3"],
         ["verify", "all", "--delta", "0.3"],
         ["profile", "check", "--draws", "0"],
+        ["profile", "check", "--threads", "0"],
     ],
 )
 def test_invalid_config_exits_2(argv, tmp_path, capsys):

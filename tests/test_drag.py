@@ -177,11 +177,6 @@ def test_drag_curve_provenance_records_the_run(slip_curve):
     assert prov["exterior_constant"] > 0.0
 
 
-def test_drag_curve_threads_are_bit_identical(slip_curve):
-    threaded = drag_curve(SLIP, H_SWEEP, spec=SWEEP_SPEC, threads=4)
-    assert threaded.rows == slip_curve.rows
-
-
 def test_exterior_mode_shifts_totals_by_the_recorded_constant(slip_curve):
     bare = drag_curve(SLIP, H_SWEEP, spec=SWEEP_SPEC, exterior="excluded")
     ring = slip_curve.provenance["exterior_constant"]
