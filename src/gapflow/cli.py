@@ -57,7 +57,7 @@ from .dynamics import (
     touchdown_scan,
 )
 from .field import aperture_frame, navier_residuals, sphere_slip_l2
-from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, H_MAX_DEFAULT, gamma_s
+from .geometry import DELTA_DEFAULT, H_MAX_DEFAULT, gamma_s
 from .profile import (
     RegimeKind,
     SlipRegime,
@@ -120,7 +120,6 @@ class RunConfig:
     beta_S: float = 1.0
     beta_Omega: float = 1.0
     delta: float = DELTA_DEFAULT
-    d_delta: float = D_DELTA_DEFAULT
     h_max: float = H_MAX_DEFAULT
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
@@ -215,8 +214,6 @@ def validate(cfg):
     FallParameters(rho_S=cfg.rho_S, rho_F=cfg.rho_F, g=cfg.g, kappa=cfg.kappa)
     if not 0.0 < cfg.delta < 0.25:
         raise ConfigError("delta must lie in (0, 1/4)")
-    if cfg.d_delta <= 0.0:
-        raise ConfigError("d_delta must be positive")
     if cfg.h_max <= 0.0:
         raise ConfigError("h_max must be positive")
     if not 0.0 < cfg.h < cfg.h_max:
@@ -472,15 +469,20 @@ def _envelope_rows(cfg):
     return [check_row("envelope_uniformity", anchor, ratio, ENVELOPE_FACTOR)]
 
 
+def _oracle_row(case, delta):
+    """Worst relative error of the logarithmic case against its closed form."""
+    rel = 0.0
+    for hh, value in case.values:
+        oracle = log_case_oracle(hh, delta)
+        rel = max(rel, abs(value - oracle) / oracle)
+    return check_row("log_case_oracle", "lem:int", rel, ORACLE_RTOL)
+
+
 def _integral_rows(cfg):
     """The logarithmic showcase case against its closed form."""
     case = classify_singular(1.0, 1.0, cfg.delta, spec=_spec(cfg))
-    rel = 0.0
-    for hh, value in case.values:
-        oracle = log_case_oracle(hh, cfg.delta)
-        rel = max(rel, abs(value - oracle) / oracle)
-    rows = [check_row("log_case_oracle", "lem:int", rel, ORACLE_RTOL)]
-    rows.append(
+    return [
+        _oracle_row(case, cfg.delta),
         check_row(
             "log_case_classified",
             "lem:int",
@@ -488,9 +490,8 @@ def _integral_rows(cfg):
             R2_FLOOR,
             passed=case.classification is Classification.LOGARITHMIC
             and case.selected.r_squared >= R2_FLOOR,
-        )
-    )
-    return rows
+        ),
+    ]
 
 
 # ------------------------------------------------------------- commands
@@ -643,11 +644,7 @@ def cmd_integral_classify(cfg, out):
         )
     ]
     if (cfg.p, cfg.q) == (1.0, 1.0):
-        rel = 0.0
-        for hh, value in case.values:
-            oracle = log_case_oracle(hh, cfg.delta)
-            rel = max(rel, abs(value - oracle) / oracle)
-        checks.append(check_row("log_case_oracle", "lem:int", rel, ORACLE_RTOL))
+        checks.append(_oracle_row(case, cfg.delta))
     extra = {
         "case": {
             "p": case.p,
@@ -774,7 +771,6 @@ def _common_parser():
     add("--beta-s", dest="beta_S", type=float, default=None)
     add("--beta-omega", dest="beta_Omega", type=float, default=None)
     add("--delta", type=float, default=None)
-    add("--d-delta", dest="d_delta", type=float, default=None)
     add("--h-max", dest="h_max", type=float, default=None)
     add("--rel-tol", dest="rel_tol", type=float, default=None)
     add("--abs-tol", dest="abs_tol", type=float, default=None)

@@ -6,19 +6,22 @@ Two drag measures are computed for the test field at each gap width h:
   E_h = int |grad u|^2 + (1/beta_S + 1) int_{sphere} |(u - e3) x n|^2
         + (1/beta_Omega) int_{wall} |u x n|^2,
   with the sphere term omitted in the mixed regime (no-slip trace there).
-* ``surface_drag``: the surface pairing n(h), expanded into a volume
-  pairing with the momentum residual, the viscous dissipation, and wall
-  and sphere traction integrals.  The sphere traction term carries a
-  single D (not 2D); the identity is implemented exactly as derived.
+* ``surface_drag``: the surface pairing
+  n(h) = int_gap (lap u - grad q) . u + 2 int_gap |D(u)|^2
+       - int_wall (2D - qI)n . u + int_sphere (D - qI)n . (e3 - u),
+  whose sphere term carries a single D (not 2D), exactly as derived.
+  The boundary conditions null the factor of q in both surface terms:
+  on the wall u_z = 0 exactly (Phi has no constant term), on the sphere
+  n . (e3 - u) = 0 (normal trace n . u = sqrt(1 - r^2)).
 
 Both blow up as h -> 0: like |ln h| with slip, like 1/h in the mixed
 regime, and fit_scaling discriminates the two laws by least squares.
 
 Totals are aperture integrals (r < r_max) plus an h-independent O(1)
 exterior correction: the cutoff-transition ring outside the aperture does
-not see the gap, so its contribution is estimated once on a coarse grid
-at a reference gap and reused across the sweep.  Pass
-``exterior="excluded"`` for the bare aperture numbers.  See
+not see the gap, so its contribution is estimated once per regime and
+aperture radius on a coarse grid at a reference gap and reused across the
+sweep.  Pass ``exterior="excluded"`` for the bare aperture numbers.  See
 exterior_constant for the estimator's region.
 """
 
@@ -29,14 +32,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import DELTA_DEFAULT, GapGeometry, gamma_s
+from .geometry import DELTA_DEFAULT, GapGeometry, gamma_s, sphere_normal
 from .field import (
     aperture_frame,
     global_velocity,
     l2_d2phi2_sq,
     l2_gradient_sq,
     l2_sym_gradient_sq,
-    pressure,
     stokes_residual,
 )
 from .profile import RegimeKind, SlipRegime
@@ -90,19 +92,17 @@ class SurfaceDrag:
     exterior: float = 0.0
 
 
-def _exterior_shift(regime, exterior):
+def _ring(regime, r_max):
+    """exterior_constant at r_max; the default shares the (regime,) key."""
+    if r_max == DELTA_DEFAULT:
+        return exterior_constant(regime)
+    return exterior_constant(regime, r_max)
+
+
+def _exterior_shift(regime, exterior, r_max):
     if exterior not in ("included", "excluded"):
         raise ValueError("exterior must be 'included' or 'excluded'")
-    return exterior_constant(regime) if exterior == "included" else 0.0
-
-
-def _wall_quantities(regime, h, r):
-    """u_r, D_rz, D_zz, q on the wall trace z = 0, vectorized in r."""
-    r = np.asarray(r, dtype=float)
-    z = np.zeros_like(r)
-    frame = aperture_frame(regime, h, r, z)
-    q = pressure(regime, h, r, z).q
-    return frame, q
+    return _ring(regime, r_max) if exterior == "included" else 0.0
 
 
 def energy(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included"):
@@ -121,7 +121,7 @@ def energy(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included"):
     """
     if regime.kind not in (RegimeKind.SLIP, RegimeKind.MIXED):
         raise ValueError("energy is defined for the slip and mixed regimes")
-    ext = _exterior_shift(regime, exterior)
+    ext = _exterior_shift(regime, exterior, r_max)
     grad = float(l2_gradient_sq(regime, h, r_max, spec))
 
     if regime.kind is RegimeKind.SLIP:
@@ -149,7 +149,7 @@ def _sphere_mismatch_sq(regime, h, r):
     r = np.asarray(r, dtype=float)
     H = h + gamma_s(r)
     frame = aperture_frame(regime, h, r, H)
-    n_r, n_z = -r, np.sqrt(1.0 - r * r)
+    n_r, n_z = sphere_normal(r)
     v_r = frame.u_r
     v_z = frame.u_z - 1.0
     return (v_z * n_r - v_r * n_z) ** 2
@@ -172,10 +172,12 @@ def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included")
 
     with n the outward-from-fluid normal on each surface, plus the
     h-independent exterior constant unless ``exterior="excluded"``.
+    q is never evaluated: on the wall it multiplies u_z = 0 exactly,
+    on the sphere n . (e3 - u) = 0 by the normal trace identity.
     """
     if regime.kind not in (RegimeKind.SLIP, RegimeKind.MIXED):
         raise ValueError("surface_drag is defined for the slip and mixed regimes")
-    ext = _exterior_shift(regime, exterior)
+    ext = _exterior_shift(regime, exterior, r_max)
 
     def volume_pair(r, z):
         frame = aperture_frame(regime, h, r, z)
@@ -187,9 +189,9 @@ def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included")
     diss = IntegralResult(2.0 * diss_sq.value, 2.0 * diss_sq.error, diss_sq.cells)
 
     def wall_traction(r):
-        # -(2D - qI)n . u with n = -e3: +[2 D_rz u_r + (2 D_zz - q) u_z]
-        frame, q = _wall_quantities(regime, h, r)
-        return 2.0 * frame.d_rz * frame.u_r + (2.0 * frame.du_z_dz - q) * frame.u_z
+        # -(2D - qI)n . u with n = -e3 and u_z = 0 on the wall
+        frame = aperture_frame(regime, h, r, np.zeros_like(r))
+        return 2.0 * frame.d_rz * frame.u_r
 
     wall = integrate_surface(wall_traction, "plane", r_max, spec, scale=math.sqrt(h))
 
@@ -199,13 +201,11 @@ def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included")
             r = np.asarray(r, dtype=float)
             H = h + gamma_s(r)
             frame = aperture_frame(regime, h, r, H)
-            q = pressure(regime, h, r, H).q
-            n_r, n_z = -r, np.sqrt(1.0 - r * r)
+            n_r, n_z = sphere_normal(r)
             dn_r = frame.du_r_dr * n_r + frame.d_rz * n_z
             dn_z = frame.d_rz * n_r + frame.du_z_dz * n_z
-            return (dn_r - q * n_r) * (-frame.u_r) + (dn_z - q * n_z) * (
-                1.0 - frame.u_z
-            )
+            # (D - qI)n . (e3 - u) with n . (e3 - u) = 0
+            return dn_r * (-frame.u_r) + dn_z * (1.0 - frame.u_z)
 
         sphere = integrate_surface(
             sphere_traction, "sphere-cap", r_max, spec, scale=math.sqrt(h)
@@ -229,19 +229,19 @@ def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included")
 
 
 @lru_cache(maxsize=8)
-def exterior_constant(regime, delta=DELTA_DEFAULT, d_delta=0.1):
+def exterior_constant(regime, delta=DELTA_DEFAULT):
     """Coarse one-off estimate of the cutoff-ring gradient energy.
 
     Midpoint rule over the blend-cutoff box (-2 delta, 2 delta)^2 x
     (0, 2 delta) minus the aperture (already in the totals), the solid,
     and the bump-transition shell (far-field material whose size is set
-    by d_delta, not by the gap).  Evaluated at the reference gap
-    EXTERIOR_H_REF: the remaining region does not see the gap, so a
-    single h-independent constant serves the whole sweep.  Deterministic
-    by construction.
+    by the default cutoff width, not by the gap), delta being the aperture
+    radius.  Evaluated at the reference gap EXTERIOR_H_REF: the remaining
+    region does not see the gap, so a single h-independent constant
+    serves the whole sweep.  Deterministic by construction.
     """
     h = EXTERIOR_H_REF
-    geo = GapGeometry(h=h, delta=delta, d_delta=d_delta)
+    geo = GapGeometry(h=h, delta=delta)
     n = EXTERIOR_GRID_N
     lo, hi = -2.0 * delta, 2.0 * delta
     xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
@@ -257,7 +257,7 @@ def exterior_constant(regime, delta=DELTA_DEFAULT, d_delta=0.1):
                 y = math.sqrt(r * r + (x3 - 1.0 - h) ** 2)
                 if y < 1.0:
                     continue  # solid
-                if 1.0 + 0.5 * d_delta < y < 1.0 + d_delta:
+                if 1.0 + 0.5 * geo.d_delta < y < 1.0 + geo.d_delta:
                     # bump-transition shell: its size is set by the cutoff
                     # width, not by the gap, so it belongs to the far field
                     # and stays out of drag totals
@@ -353,8 +353,8 @@ def drag_curve(
     """
     spec = spec or QuadratureSpec()
     hs = sorted(set(float(x) for x in h_list), reverse=True)
-    ring = exterior_constant(regime)
-    _exterior_shift(regime, exterior)  # validate the mode up front
+    ring = _ring(regime, r_max)
+    _exterior_shift(regime, exterior, r_max)  # validate the mode up front
 
     rows = [_drag_row(regime, h, r_max, spec, exterior) for h in hs]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import GapGeometry, cutoffs, gamma_s
+from .geometry import GapGeometry, cutoffs, gamma_s, sphere_normal
 from .profile import (
     RegimeKind,
     _engine,
@@ -379,8 +379,7 @@ def navier_residuals(regime, h, r):
 
     H = h + gamma_s(r_arr)
     top = aperture_frame(regime, h, r_arr, H)
-    n_r = -r_arr
-    n_z = np.sqrt(1.0 - r_arr * r_arr)
+    n_r, n_z = sphere_normal(r_arr)
     sphere_norm = top.u_r * n_r + (top.u_z - 1.0) * n_z
 
     dn_r = top.du_r_dr * n_r + top.d_rz * n_z
@@ -464,7 +463,9 @@ def dhpsi_norms(regime, h, r_max, spec=None):
         disc) norm of int_0^H d_h u^i ds and `gap_sq[i]` the squared
         L2(aperture) norm of int_z^H d_h u^i ds, for cartesian components
         i in {"x1", "x3"} (x2 matches x1 by symmetry).  The wall norms grow
-        at most like |ln h|; the gap norms stay bounded.
+        at most like |ln h|; the gap norms stay bounded.  In the mixed
+        regime the wall x1 norm is pure roundoff: the no-slip sphere gives
+        F_H(H, H) = 0, so its exact value is 0.
     """
 
     def horizontal_sq(r, z):

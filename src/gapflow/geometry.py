@@ -81,16 +81,13 @@ def gamma_s(r):
     return out if out.ndim else float(out)
 
 
-def sphere_normal(r, h=None):
+def sphere_normal(r):
     """Unit normal of the lower sphere surface, outward from the fluid.
 
     Parameters
     ----------
     r : float or ndarray
         Cylindrical radius of the surface point, ``0 <= r < 1``.
-    h : float, optional
-        Gap width; accepted for signature symmetry, the normal does not
-        depend on it.
 
     Returns
     -------

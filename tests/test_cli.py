@@ -4,11 +4,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import gapflow.cli as cli
 from gapflow.cli import RunConfig, run
+from gapflow.drag import exterior_constant
+from gapflow.profile import SlipRegime
 
 # keep the random-draw sections small; the full-size battery is exercised
 # by the acceptance suite
@@ -296,6 +299,22 @@ def test_run_config_defaults_are_valid():
     cli.validate(RunConfig())
 
 
+def test_flags_and_config_keys_are_one_set():
+    dests = {action.dest for action in cli._common_parser()._actions}
+    assert dests - {"config"} == {f.name for f in fields(RunConfig)}
+
+
+def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
+    code = run(["drag", "scan", "--regime", "slip", "--h-list", "1e-2,1e-3",
+                "--delta", "0.15", "--out", str(tmp_path)])
+    assert code == 0
+    prov = _read(tmp_path / "drag_scan.json")["provenance"]
+    assert prov["r_max"] == 0.15
+    assert prov["exterior_constant"] == exterior_constant(
+        SlipRegime.slip(1.0, 1.0), 0.15
+    )
+
+
 # ------------------------------------------------------------- exit codes
 
 
@@ -323,6 +342,13 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg_file.write_text(json.dumps({"regime": "slip", "bogus": 1}))
     assert run(["profile", "check", "--config", str(cfg_file)]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_d_delta_config_key_exits_2(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"regime": "slip", "d_delta": 0.1}))
+    assert run(["profile", "check", "--config", str(cfg_file)]) == 2
+    assert "d_delta" in capsys.readouterr().err
 
 
 def test_malformed_config_file_exits_2(tmp_path, capsys):

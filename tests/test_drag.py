@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gapflow import field as fld
 from gapflow.drag import (
     DragCurve,
     DragRow,
@@ -17,8 +18,10 @@ from gapflow.drag import (
     lower_bound_witness,
     surface_drag,
 )
+from gapflow.field import aperture_frame, pressure
+from gapflow.geometry import gamma_s
 from gapflow.profile import SlipRegime
-from gapflow.quadrature import QuadratureSpec
+from gapflow.quadrature import QuadratureSpec, integrate_surface
 
 SLIP = SlipRegime.slip(1.0, 1.0)
 SLIP_B = SlipRegime.slip(0.5, 2.0)
@@ -29,6 +32,7 @@ SWEEP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
 
 SYNTH_FIT_TOL = 1e-9
 WALL_XCHECK_RTOL = 1e-9
+SPHERE_XCHECK_RTOL = 1e-10
 AGREEMENT_WINDOW = 0.3
 ENVELOPE_FACTOR = 10.0
 
@@ -204,6 +208,24 @@ def test_exterior_constant_is_cached_and_positive():
     assert exterior_constant(MIXED) > 0.0
 
 
+def test_default_aperture_reuses_the_warm_exterior_entry():
+    # warm-up code fills exterior_constant(regime); a default-aperture drag
+    # row must hit that entry, not a second key for the same number
+    exterior_constant.cache_clear()
+    exterior_constant(SLIP)
+    misses = exterior_constant.cache_info().misses
+    energy(SLIP, 1e-2, spec=SWEEP_SPEC)
+    surface_drag(SLIP, 1e-2, spec=SWEEP_SPEC)
+    drag_curve(SLIP, (1e-2,), spec=SWEEP_SPEC)
+    assert exterior_constant.cache_info().misses == misses
+
+
+def test_exterior_constant_follows_the_aperture_radius():
+    e = energy(SLIP, 1e-2, r_max=0.15, spec=SWEEP_SPEC)
+    assert e.exterior == exterior_constant(SLIP, 0.15)
+    assert e.exterior != exterior_constant(SLIP)
+
+
 def test_column_returns_aligned_arrays(slip_curve):
     hs = slip_curve.column("h")
     es = slip_curve.column("energy")
@@ -264,6 +286,48 @@ def test_wall_traction_term_matches_wall_energy_term():
             e = energy(regime, h, spec=SWEEP_SPEC)
             n = surface_drag(regime, h, spec=SWEEP_SPEC)
             assert n.wall == pytest.approx(e.wall, rel=WALL_XCHECK_RTOL)
+
+
+def test_wall_normal_velocity_is_exactly_zero():
+    # Phi carries no constant term, so u_z vanishes bit for bit on the wall
+    # and the q u_z part of the wall traction is identically 0
+    r = np.linspace(0.0, 0.2, 101)
+    for regime in (SLIP, SLIP_B, MIXED):
+        for h in (1e-2, 1e-4, 1e-6):
+            frame = aperture_frame(regime, h, r, np.zeros_like(r))
+            assert np.all(frame.u_z == 0.0)
+
+
+def _sphere_traction_with_q(regime, h, r):
+    """The full integrand (D - qI)n . (e3 - u), pressure value included."""
+    H = h + gamma_s(r)
+    frame = aperture_frame(regime, h, r, H)
+    q = pressure(regime, h, r, H).q
+    n_r, n_z = -r, np.sqrt(1.0 - r * r)
+    dn_r = frame.du_r_dr * n_r + frame.d_rz * n_z
+    dn_z = frame.d_rz * n_r + frame.du_z_dz * n_z
+    return (dn_r - q * n_r) * (-frame.u_r) + (dn_z - q * n_z) * (1.0 - frame.u_z)
+
+
+def test_sphere_traction_matches_the_integrand_with_the_pressure():
+    for regime in (SLIP, SLIP_B):
+        for h in (1e-2, 1e-4, 1e-6):
+            reference = integrate_surface(
+                lambda r: _sphere_traction_with_q(regime, h, r),
+                "sphere-cap", 0.2, SWEEP_SPEC, scale=math.sqrt(h),
+            ).value
+            n = surface_drag(regime, h, spec=SWEEP_SPEC, exterior="excluded")
+            assert n.sphere == pytest.approx(reference, rel=SPHERE_XCHECK_RTOL)
+
+
+def test_surface_drag_never_evaluates_the_pressure_value(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("surface_drag evaluated the pressure value")
+
+    monkeypatch.setattr(fld, "_g3_tail", refuse)
+    for regime in (SLIP, MIXED):
+        n = surface_drag(regime, 1e-3, spec=SWEEP_SPEC, exterior="excluded")
+        assert n.value > 0.0
 
 
 # ---------------------------------------------------------------- scaling
