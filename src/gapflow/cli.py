@@ -209,6 +209,11 @@ def _spec(cfg):
 
 def validate(cfg):
     """Run the underlying type invariants before any computation starts."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        values = value if f.name in LIST_KEYS else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{f.name} must be finite")
     _regime(cfg)
     _spec(cfg)
     FallParameters(rho_S=cfg.rho_S, rho_F=cfg.rho_F, g=cfg.g, kappa=cfg.kappa)
@@ -226,8 +231,6 @@ def validate(cfg):
         raise ConfigError("draws must be at least 1")
     if not 0.0 < cfg.h0 < cfg.h_max:
         raise ConfigError("h0 must lie in (0, h_max)")
-    if not math.isfinite(cfg.v0):
-        raise ConfigError("v0 must be finite")
     if cfg.t_max <= 0.0:
         raise ConfigError("t_max must be positive")
     if cfg.ode_rtol <= 0.0 or cfg.ode_atol <= 0.0:
@@ -236,6 +239,8 @@ def validate(cfg):
         raise ConfigError("classification needs p >= 0 and q > 0")
     if any(k < 0.0 for k in cfg.kappa_list):
         raise ConfigError("kappa_list entries must be nonnegative")
+    if any(G <= 0.0 for G in cfg.G_list):
+        raise ConfigError("G_list entries must be positive")
     if any(not 0.0 < x < cfg.h_max for x in cfg.h0_list):
         raise ConfigError("h0_list entries must lie in (0, h_max)")
     if cfg.threads < 1:

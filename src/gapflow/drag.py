@@ -69,9 +69,6 @@ class EnergyBreakdown:
     wall: float
     exterior: float = 0.0
 
-    def __iter__(self):
-        return iter((self.total, self.gradient, self.sphere, self.wall))
-
 
 @dataclass(frozen=True)
 class SurfaceDrag:
@@ -238,7 +235,9 @@ def exterior_constant(regime, delta=DELTA_DEFAULT):
     by the default cutoff width, not by the gap), delta being the aperture
     radius.  Evaluated at the reference gap EXTERIOR_H_REF: the remaining
     region does not see the gap, so a single h-independent constant
-    serves the whole sweep.  Deterministic by construction.
+    serves the whole sweep.  The grid is one array of points: the three
+    exclusions are masks, and global_velocity evaluates every kept point
+    in one call.  Deterministic by construction.
     """
     h = EXTERIOR_H_REF
     geo = GapGeometry(h=h, delta=delta)
@@ -247,25 +246,21 @@ def exterior_constant(regime, delta=DELTA_DEFAULT):
     xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
     zs = 2.0 * delta * (np.arange(n) + 0.5) / n
     cell = ((hi - lo) / n) ** 2 * (2.0 * delta / n)
+    x = np.stack(np.meshgrid(xs, xs, zs, indexing="ij"), axis=-1).reshape(-1, 3)
+    r = np.hypot(x[:, 0], x[:, 1])
+    y = np.sqrt(r * r + (x[:, 2] - 1.0 - h) ** 2)
+    aperture = (r < delta) & (x[:, 2] <= h + gamma_s(r))  # already in the totals
+    solid = y < 1.0
+    # bump-transition shell: its size is set by the cutoff width, not by
+    # the gap, so it belongs to the far field and stays out of drag totals
+    shell = (1.0 + 0.5 * geo.d_delta < y) & (y < 1.0 + geo.d_delta)
+    sample = global_velocity(
+        regime, h, x[~(aperture | solid | shell)], with_gradient=True, geometry=geo
+    )
     total = 0.0
-    for x1 in xs:
-        for x2 in xs:
-            r = math.hypot(x1, x2)
-            for x3 in zs:
-                if r < delta and x3 <= h + gamma_s(r):
-                    continue  # aperture region, already in the totals
-                y = math.sqrt(r * r + (x3 - 1.0 - h) ** 2)
-                if y < 1.0:
-                    continue  # solid
-                if 1.0 + 0.5 * geo.d_delta < y < 1.0 + geo.d_delta:
-                    # bump-transition shell: its size is set by the cutoff
-                    # width, not by the gap, so it belongs to the far field
-                    # and stays out of drag totals
-                    continue
-                sample = global_velocity(
-                    regime, h, (x1, x2, x3), with_gradient=True, geometry=geo
-                )
-                total += float(np.sum(sample.grad**2)) * cell
+    # one point at a time in grid order, the order the constant is pinned in
+    for g_sq in np.sum(sample.grad**2, axis=(1, 2)).tolist():
+        total += g_sq * cell
     return total
 
 

@@ -14,7 +14,9 @@ are evaluated in closed form, except for the radial integral in the
 pressure value itself, which is computed by composite Gauss-Legendre in an
 octave-graded substitution.
 
-Everything here is pure and broadcasts over numpy arrays.
+Everything here is pure and broadcasts over numpy arrays: the gap
+functions take arrays of (r, z), and global_velocity takes one cartesian
+point or an (n, 3) array of them.
 """
 
 import math
@@ -36,11 +38,13 @@ CYLINDRICAL = "cylindrical"
 CARTESIAN = "cartesian"
 
 _J_SEGMENT_ORDER = 12
+_E3 = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Velocity (and optional gradient) of the test field at one point.
+    """Velocity (and optional gradient) of the test field at one point,
+    or at n points with a leading axis of length n on every array.
 
     For cylindrical samples the velocity components are (u_r, u_theta,
     u_z) with u_theta identically 0; for cartesian samples they are
@@ -53,12 +57,12 @@ class FieldSample:
     frame: str
     velocity: np.ndarray
     grad: np.ndarray = None
-    pressure: float = None
 
     def divergence(self):
         if self.grad is None:
             raise ValueError("sample carries no gradient")
-        return float(np.trace(self.grad))
+        div = np.trace(self.grad, axis1=-2, axis2=-1)
+        return div if div.ndim else float(div)
 
 
 @dataclass(frozen=True)
@@ -153,27 +157,67 @@ def aperture_velocity(regime, h, r, z, with_gradient=False):
     return FieldSample(position=(r, z), frame=CYLINDRICAL, velocity=velocity, grad=grad)
 
 
-def _psi_cartesian(regime, h, x1, x2, x3):
-    """Value, gradient, and Hessian of Psi as a function of cartesian x."""
-    r = math.hypot(x1, x2)
-    p = psi_partials(regime, h, r, x3)
-    val = float(p.value)
-    g = np.array(
-        [float(p.dr_by_r) * x1, float(p.dr_by_r) * x2, float(p.dz)]
+def _blended_field(regime, h, x, geometry):
+    """Velocity (m, 3) and gradient (m, 3, 3) at fluid points x (m, 3).
+
+    The stream construction applied to g = phi_bump + chi (Psi - phi_bump).
+    """
+    x1, x2 = x[:, 0:1], x[:, 1:2]
+    pair = cutoffs(x, geometry)
+
+    # the blend needs Psi only where chi is active, and every fluid point
+    # there lies under the sphere
+    m = len(x)
+    val, g_psi, h_psi = np.zeros(m), np.zeros((m, 3)), np.zeros((m, 3, 3))
+    at = (pair.chi != 0.0) | np.any(pair.chi_grad != 0.0, axis=-1)
+    if np.any(at):
+        # Psi(r, x3) with r = |xh|, xh the horizontal part of x: its
+        # cartesian gradient and Hessian
+        xh = x[at] * (1.0, 1.0, 0.0)
+        p = psi_partials(regime, h, np.hypot(xh[:, 0], xh[:, 1]), x[at, 2])
+        xe = xh[:, :, None] * _E3
+        val[at] = p.value
+        g_psi[at] = p.dr_by_r[:, None] * xh + p.dz[:, None] * _E3
+        h_psi[at] = (
+            p.rad2[:, None, None] * xh[:, :, None] * xh[:, None, :]
+            + p.dr_by_r[:, None, None] * np.diag((1.0, 1.0, 0.0))
+            + p.drz_by_r[:, None, None] * (xe + xe.transpose(0, 2, 1))
+            + p.dzz[:, None, None] * np.outer(_E3, _E3)
+        )
+
+    chi = pair.chi[:, None]
+    diff = (val - pair.phi_bump)[:, None]
+    diff_g = g_psi - pair.phi_grad
+    g_val = pair.phi_bump[:, None] + chi * diff
+    g_grad = pair.phi_grad + pair.chi_grad * diff + chi * diff_g
+    gz = g_grad[:, 2:3]
+    u = np.concatenate(
+        [-0.5 * x1 * gz, -0.5 * x2 * gz, g_val + 0.5 * (x1 * g_grad[:, 0:1] + x2 * g_grad[:, 1:2])],
+        axis=1,
     )
-    rad2 = float(p.rad2)
-    hess = np.array(
+    g_hess = (
+        pair.phi_hess
+        + pair.chi_hess * diff[:, :, None]
+        + pair.chi_grad[:, :, None] * diff_g[:, None, :]
+        + diff_g[:, :, None] * pair.chi_grad[:, None, :]
+        + chi[:, :, None] * (h_psi - pair.phi_hess)
+    )
+    e1, e2 = np.eye(3)[:2]
+    grad = np.stack(
         [
-            [rad2 * x1 * x1 + float(p.dr_by_r), rad2 * x1 * x2, float(p.drz_by_r) * x1],
-            [rad2 * x1 * x2, rad2 * x2 * x2 + float(p.dr_by_r), float(p.drz_by_r) * x2],
-            [float(p.drz_by_r) * x1, float(p.drz_by_r) * x2, float(p.dzz)],
-        ]
+            -0.5 * (e1 * gz + x1 * g_hess[:, 2]),
+            -0.5 * (e2 * gz + x2 * g_hess[:, 2]),
+            g_grad
+            + 0.5 * (e1 * g_grad[:, 0:1] + x1 * g_hess[:, 0])
+            + 0.5 * (e2 * g_grad[:, 1:2] + x2 * g_hess[:, 1]),
+        ],
+        axis=1,
     )
-    return val, g, hess
+    return u, grad
 
 
 def global_velocity(regime, h, x, with_gradient=False, geometry=None):
-    """Globally extended test field at a cartesian point.
+    """Globally extended test field at cartesian points.
 
     Equals e3 on the solid sphere, blends the aperture construction into a
     bump field near the solid, and vanishes outside both cutoff supports.
@@ -182,66 +226,35 @@ def global_velocity(regime, h, x, with_gradient=False, geometry=None):
     ----------
     regime : SlipRegime
     h : float
-    x : sequence of 3 floats
-        Point with x3 >= 0 (the wall is {x3 = 0}).
+    x : array_like, shape (3,) or (n, 3)
+        One point or n points, each with x3 >= 0 (the wall is {x3 = 0}).
     with_gradient : bool
     geometry : GapGeometry, optional
 
     Returns
     -------
     FieldSample (cartesian frame)
+        One point in, velocity (3,) and gradient (3, 3) out; n points in,
+        velocity (n, 3) and gradient (n, 3, 3) out.
     """
     x = np.asarray(x, dtype=float)
-    if x[2] < 0.0:
+    pts = np.atleast_2d(x)
+    if np.any(pts[:, 2] < 0.0):
         raise ValueError("global field is defined on the half space x3 >= 0")
     geo = geometry if geometry is not None else GapGeometry(h=h)
 
-    y = x - np.array([0.0, 0.0, 1.0 + h])
-    if float(y @ y) < 1.0:
-        velocity = np.array([0.0, 0.0, 1.0])
-        grad = np.zeros((3, 3)) if with_gradient else None
-        return FieldSample(position=tuple(x), frame=CARTESIAN, velocity=velocity, grad=grad)
+    y = pts - np.array([0.0, 0.0, 1.0 + h])
+    fluid = ~(np.vecdot(y, y) < 1.0)  # not solid: a NaN point stays NaN
+    u, grad = np.zeros(pts.shape), np.zeros(pts.shape + (3,))
+    u[:, 2] = 1.0  # e3 on the solid, with a zero gradient
+    if np.any(fluid):
+        u[fluid], grad[fluid] = _blended_field(regime, h, pts[fluid], geo)
 
-    pair = cutoffs(x, geo)
-    # g = phi_bump + chi * (Psi - phi_bump); the blend needs Psi only where
-    # chi is active, and every fluid point there lies under the sphere
-    if pair.chi != 0.0 or np.any(pair.chi_grad != 0.0):
-        val, g_psi, h_psi = _psi_cartesian(regime, h, x[0], x[1], x[2])
-    else:
-        val, g_psi, h_psi = 0.0, np.zeros(3), np.zeros((3, 3))
-
-    diff = val - pair.phi_bump
-    diff_g = g_psi - pair.phi_grad
-    g_val = pair.phi_bump + pair.chi * diff
-    g_grad = pair.phi_grad + pair.chi_grad * diff + pair.chi * diff_g
-
-    u = np.array(
-        [
-            -0.5 * x[0] * g_grad[2],
-            -0.5 * x[1] * g_grad[2],
-            g_val + 0.5 * (x[0] * g_grad[0] + x[1] * g_grad[1]),
-        ]
+    if x.ndim == 1:
+        x, u, grad = tuple(x), u[0], grad[0]
+    return FieldSample(
+        position=x, frame=CARTESIAN, velocity=u, grad=grad if with_gradient else None
     )
-    grad = None
-    if with_gradient:
-        diff_h = h_psi - pair.phi_hess
-        g_hess = (
-            pair.phi_hess
-            + pair.chi_hess * diff
-            + np.outer(pair.chi_grad, diff_g)
-            + np.outer(diff_g, pair.chi_grad)
-            + pair.chi * diff_h
-        )
-        grad = np.empty((3, 3))
-        for j in range(3):
-            grad[0, j] = -0.5 * ((1.0 if j == 0 else 0.0) * g_grad[2] + x[0] * g_hess[2, j])
-            grad[1, j] = -0.5 * ((1.0 if j == 1 else 0.0) * g_grad[2] + x[1] * g_hess[2, j])
-            grad[2, j] = (
-                g_grad[j]
-                + 0.5 * ((1.0 if j == 0 else 0.0) * g_grad[0] + x[0] * g_hess[0, j])
-                + 0.5 * ((1.0 if j == 1 else 0.0) * g_grad[1] + x[1] * g_hess[1, j])
-            )
-    return FieldSample(position=tuple(x), frame=CARTESIAN, velocity=u, grad=grad)
 
 
 def _g3_tail(regime, h, H_values):

@@ -159,37 +159,23 @@ def _coordinate_window(t, delta):
 
     Returns value and first/second derivatives with respect to t.
     """
-    a = abs(t)
-    if a <= delta:
-        return 1.0, 0.0, 0.0
-    if a >= 2.0 * delta:
-        return 0.0, 0.0, 0.0
-    s = (2.0 * delta - a) / delta
-    val, d1, d2 = smoothstep(s)
-    sign = 1.0 if t >= 0.0 else -1.0
-    # d/dt = d/ds * ds/dt with ds/dt = -sign/delta
-    return val, -sign * d1 / delta, d2 / (delta * delta)
+    val, d1, d2 = smoothstep((2.0 * delta - np.abs(t)) / delta)
+    # d/dt = d/ds * ds/dt with ds/dt = -sign(t)/delta
+    return val, np.where(t >= 0.0, -d1, d1) / delta, d2 / (delta * delta)
 
 
 def _radial_bump(rho, d_delta):
     """Radial profile of the far cutoff: 1 inside 1 + d_delta/2, 0 outside
     1 + d_delta, quintic in between.  Returns value, f', f'' in rho.
     """
-    inner = 1.0 + 0.5 * d_delta
-    outer = 1.0 + d_delta
-    if rho <= inner:
-        return 1.0, 0.0, 0.0
-    if rho >= outer:
-        return 0.0, 0.0, 0.0
     half = 0.5 * d_delta
-    s = (outer - rho) / half
-    val, d1, d2 = smoothstep(s)
+    val, d1, d2 = smoothstep((1.0 + d_delta - rho) / half)
     return val, -d1 / half, d2 / (half * half)
 
 
 @dataclass(frozen=True)
 class CutoffPair:
-    """Values and derivatives of the two cutoffs at a point.
+    """Values and derivatives of the two cutoffs at one point or at n points.
 
     ``chi`` is the tensor-product window equal to 1 on the cube
     ``(-delta, delta)^3`` and 0 outside ``(-2 delta, 2 delta)^3``.
@@ -198,15 +184,24 @@ class CutoffPair:
     neighborhood; it is evaluated at ``x - (1 + h) e3``, i.e. relative to
     the current sphere center.
 
-    Gradients and Hessians are with respect to the cartesian point x.
+    Gradients and Hessians are with respect to the cartesian point x.  For
+    one point the values are floats and the derivatives (3,) and (3, 3)
+    arrays; for n points every field gains a leading axis of length n.
     """
 
-    chi: float
-    phi_bump: float
+    chi: object
+    phi_bump: object
     chi_grad: np.ndarray
     phi_grad: np.ndarray
     chi_hess: np.ndarray
     phi_hess: np.ndarray
+
+
+# Derivative order of the window factor w_k in each product of chi's
+# derivatives, indexed [k] for chi, [i, k] for d_i chi, [i, j, k] for
+# d_i d_j chi: one order per differentiation in the factor's coordinate.
+_EYE = np.eye(3, dtype=int)
+_CHI_ORDERS = (np.zeros(3, dtype=int), _EYE, _EYE[:, None, :] + _EYE[None, :, :])
 
 
 def cutoffs(x, geometry):
@@ -214,55 +209,38 @@ def cutoffs(x, geometry):
 
     Parameters
     ----------
-    x : sequence of 3 floats
-        Cartesian point.
+    x : array_like, shape (3,) or (n, 3)
+        One cartesian point, or n of them.
     geometry : GapGeometry
 
     Returns
     -------
     CutoffPair
+        Scalar fields for one point, arrays with a leading n axis for n.
     """
     x = np.asarray(x, dtype=float)
-    delta = geometry.delta
+    pts = np.atleast_2d(x)
 
-    w = np.empty(3)
-    dw = np.empty(3)
-    ddw = np.empty(3)
-    for i in range(3):
-        w[i], dw[i], ddw[i] = _coordinate_window(x[i], delta)
-
-    chi = w[0] * w[1] * w[2]
-    chi_grad = np.array(
-        [dw[0] * w[1] * w[2], w[0] * dw[1] * w[2], w[0] * w[1] * dw[2]]
+    w, dw, ddw = _coordinate_window(pts, geometry.delta)
+    table = np.stack([w, dw, ddw], axis=-1)  # [point, coordinate k, order]
+    k = np.arange(3)
+    chi, chi_grad, chi_hess = (
+        np.prod(table[:, k, order], axis=-1) for order in _CHI_ORDERS
     )
-    chi_hess = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                parts = [ddw[k] if k == i else w[k] for k in range(3)]
-            else:
-                parts = [
-                    dw[k] if k in (i, j) else w[k] for k in range(3)
-                ]
-            chi_hess[i, j] = parts[0] * parts[1] * parts[2]
 
-    y = x - np.array([0.0, 0.0, 1.0 + geometry.h])
-    rho = float(np.sqrt(y @ y))
+    y = pts - np.array([0.0, 0.0, 1.0 + geometry.h])
+    rho = np.sqrt(np.vecdot(y, y))
     f, f1, f2 = _radial_bump(rho, geometry.d_delta)
-    if f1 == 0.0 and f2 == 0.0:
-        phi_grad = np.zeros(3)
-        phi_hess = np.zeros((3, 3))
-    else:
-        # in the transition shell rho > 1, so unit vector is safe
-        e = y / rho
-        phi_grad = f1 * e
-        phi_hess = f2 * np.outer(e, e) + (f1 / rho) * (np.eye(3) - np.outer(e, e))
+    # f varies only in the shell rho > 1, so the clamp changes nothing
+    # there and keeps the unit vector finite at the sphere center
+    rho = np.maximum(rho, 1.0)[:, None]
+    e = y / rho
+    ee = e[:, :, None] * e[:, None, :]
+    phi_grad = f1[:, None] * e
+    phi_hess = f2[:, None, None] * ee + (f1[:, None] / rho)[:, :, None] * (np.eye(3) - ee)
 
-    return CutoffPair(
-        chi=float(chi),
-        phi_bump=float(f),
-        chi_grad=chi_grad,
-        phi_grad=phi_grad,
-        chi_hess=chi_hess,
-        phi_hess=phi_hess,
-    )
+    if x.ndim == 1:
+        return CutoffPair(
+            float(chi[0]), float(f[0]), chi_grad[0], phi_grad[0], chi_hess[0], phi_hess[0]
+        )
+    return CutoffPair(chi, f, chi_grad, phi_grad, chi_hess, phi_hess)

@@ -531,10 +531,13 @@ ENVELOPE_ROWS = {
 }
 
 
-def weighted_sups(regime, h, delta=0.2, n_r=64, n_z=64):
+SUP_GRID_N = 64
+
+
+def weighted_sups(regime, h, delta=0.2):
     """Weighted derivative sups over the aperture for the envelope table.
 
-    Samples an (n_r, n_z) grid with r log-spaced down to below the
+    Samples a square SUP_GRID_N grid with r log-spaced down to below the
     lubrication scale sqrt(h) and z proportional to the local gap height,
     and returns, for each envelope row of the regime, the sup of
     |derivative| * weight(r, H).  Uniform boundedness of these sups across
@@ -543,8 +546,8 @@ def weighted_sups(regime, h, delta=0.2, n_r=64, n_z=64):
     """
     rows = ENVELOPE_ROWS[regime.kind]
     r_lo = max(1e-8, math.sqrt(h) / 100.0)
-    r = np.geomspace(r_lo, delta, n_r)[:, None]
-    t = np.linspace(1.0 / n_z, 1.0, n_z)[None, :]
+    r = np.geomspace(r_lo, delta, SUP_GRID_N)[:, None]
+    t = np.linspace(1.0 / SUP_GRID_N, 1.0, SUP_GRID_N)[None, :]
     H = h + _gamma(r)
     z = t * H
     k = _Kernel(regime, h, r, z)

@@ -330,6 +330,15 @@ def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
         ["verify", "all", "--delta", "0.3"],
         ["profile", "check", "--draws", "0"],
         ["profile", "check", "--threads", "0"],
+        ["drag", "scan", "--abs-tol", "nan"],
+        ["drag", "scan", "--abs-tol", "inf"],
+        ["drag", "scan", "--rel-tol", "nan"],
+        ["drag", "scan", "--h-list", "nan"],
+        ["drag", "scan", "--h-list", "1e-2,inf"],
+        ["fall", "scan", "--kappa-list", "nan"],
+        ["fall", "scan", "--kappa-list", "inf"],
+        ["fall", "scan", "--g-list", "-1"],
+        ["fall", "simulate", "--t-max", "inf"],
     ],
 )
 def test_invalid_config_exits_2(argv, tmp_path, capsys):

@@ -20,7 +20,7 @@ from gapflow.drag import (
 )
 from gapflow.field import aperture_frame, pressure
 from gapflow.geometry import gamma_s
-from gapflow.profile import SlipRegime
+from gapflow.profile import SlipRegime, psi_partials
 from gapflow.quadrature import QuadratureSpec, integrate_surface
 
 SLIP = SlipRegime.slip(1.0, 1.0)
@@ -224,6 +224,36 @@ def test_exterior_constant_follows_the_aperture_radius():
     e = energy(SLIP, 1e-2, r_max=0.15, spec=SWEEP_SPEC)
     assert e.exterior == exterior_constant(SLIP, 0.15)
     assert e.exterior != exterior_constant(SLIP)
+
+
+@pytest.mark.parametrize(
+    "args, pinned",
+    [
+        ((SLIP,), 20.26464445685791),
+        ((MIXED,), 183.9246598233552),
+        ((SLIP_B,), 20.006308860684513),
+        ((SLIP, 0.15), 20.53678748389864),
+    ],
+    ids=["slip", "mixed", "slip_b", "slip-r0.15"],
+)
+def test_exterior_constant_is_pinned(args, pinned):
+    # exact: the grid sum adds one point at a time in grid order, so any
+    # reordering of its arithmetic shows here
+    assert exterior_constant(*args) == pinned
+
+
+def test_cold_exterior_constant_evaluates_psi_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return psi_partials(*args)
+
+    # the kept grid points go through global_velocity as one array
+    monkeypatch.setattr(fld, "psi_partials", counted)
+    exterior_constant.cache_clear()
+    exterior_constant(SLIP)
+    assert len(calls) == 1
 
 
 def test_column_returns_aligned_arrays(slip_curve):

@@ -1,5 +1,6 @@
 """Tests for the velocity ansatz, global extension, pressure, residuals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from gapflow import field as fld
-from gapflow.geometry import GapGeometry, gamma_s
+from gapflow.geometry import CutoffPair, GapGeometry, cutoffs, gamma_s
 from gapflow.profile import RegimeKind, SlipRegime, psi_partials
 from gapflow.quadrature import QuadratureSpec
 
@@ -169,6 +170,40 @@ def test_global_vanishes_outside_supports():
         assert np.all(sample.grad == 0.0)
     with pytest.raises(ValueError):
         fld.global_velocity(SLIP, h, (0.1, 0.0, -0.01))
+
+
+def test_global_batch_matches_single_points():
+    h = 0.05
+    geo = GapGeometry(h=h)
+    x = np.array(
+        [
+            [0.0, 0.05, h + 0.3],  # solid
+            [0.1, 0.05, 0.02],  # chi plateau
+            [0.1, 0.0, 0.0],  # chi plateau, on the wall
+            [0.3, 0.0, 0.02],  # chi transition
+            [0.0, 0.0, 2.0 + h + 0.075],  # bump shell
+            [0.35, 0.0, 0.05],  # chi transition inside the bump shell
+            [0.9, 0.9, 0.9],  # far field
+        ]
+    )
+    pair = cutoffs(x, geo)
+    assert pair.chi[1] == 1.0 and 0.0 < pair.chi[3] < 1.0
+    assert 0.0 < pair.phi_bump[4] < 1.0 and 0.0 < pair.phi_bump[5] < 1.0
+    assert pair.chi[6] == pair.phi_bump[6] == 0.0
+    for k, point in enumerate(x):
+        single = cutoffs(point, geo)
+        for f in dataclasses.fields(CutoffPair):
+            assert np.array_equal(getattr(pair, f.name)[k], getattr(single, f.name))
+    for regime in (SLIP, MIXED):
+        batch = fld.global_velocity(regime, h, x, with_gradient=True)
+        assert np.array_equal(batch.velocity[0], [0.0, 0.0, 1.0])
+        for k, point in enumerate(x):
+            single = fld.global_velocity(regime, h, point, with_gradient=True)
+            assert np.array_equal(batch.velocity[k], single.velocity)
+            assert np.array_equal(batch.grad[k], single.grad)
+            assert batch.divergence()[k] == single.divergence()
+    with pytest.raises(ValueError):
+        fld.global_velocity(SLIP, h, np.vstack([x, [0.1, 0.0, -0.01]]))
 
 
 def test_global_wall_trace_vanishes_in_aperture(rng):

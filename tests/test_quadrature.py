@@ -36,7 +36,15 @@ class TestSpec:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(rel_tol=0.0), dict(abs_tol=-1.0), dict(max_depth=0), dict(order=1)],
+        [
+            dict(rel_tol=0.0),
+            dict(abs_tol=-1.0),
+            dict(max_depth=0),
+            dict(rel_tol=math.nan),
+            dict(abs_tol=math.nan),
+            dict(rel_tol=math.inf),
+            dict(abs_tol=math.inf),
+        ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
