@@ -17,6 +17,10 @@ Two drag measures are computed for the test field at each gap width h:
 Both blow up as h -> 0: like |ln h| with slip, like 1/h in the mixed
 regime, and fit_scaling discriminates the two laws by least squares.
 
+``energy`` and ``surface_drag`` are the two halves of one drag row: one
+adaptive pass per region (gap, wall, and with slip the sphere), each over
+a stacked integrand of that region's terms.
+
 Totals are aperture integrals (r < r_max) plus an h-independent O(1)
 exterior correction: the cutoff-transition ring outside the aperture does
 not see the gap, so its contribution is estimated once per regime and
@@ -34,14 +38,13 @@ import numpy as np
 
 from .geometry import DELTA_DEFAULT, GapGeometry, gamma_s, sphere_normal
 from .field import (
+    _frame,
+    _residual,
     aperture_frame,
     global_velocity,
     l2_d2phi2_sq,
-    l2_gradient_sq,
-    l2_sym_gradient_sq,
-    stokes_residual,
 )
-from .profile import RegimeKind, SlipRegime
+from .profile import RegimeKind, SlipRegime, psi_partials
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -102,8 +105,72 @@ def _exterior_shift(regime, exterior, r_max):
     return _ring(regime, r_max) if exterior == "included" else 0.0
 
 
+def _row(regime, h, r_max, spec, exterior):
+    """(EnergyBreakdown, SurfaceDrag) of one drag row; the gap pass
+    evaluates Psi once per node for all three of its terms."""
+    if regime.kind not in (RegimeKind.SLIP, RegimeKind.MIXED):
+        raise ValueError("drag rows are defined for the slip and mixed regimes")
+    ext = _exterior_shift(regime, exterior, r_max)
+
+    def gap(r, z):
+        p = psi_partials(regime, h, r, z)
+        frame = _frame(p, r)
+        f_r, f_z = _residual(regime, p, r)
+        return np.stack(
+            [frame.grad_sq, frame.sym_grad_sq, f_r * frame.u_r + f_z * frame.u_z]
+        )
+
+    def wall(r):
+        # u_r^2 = |u x n|^2, and 2 D_rz u_r = -(2D - qI)n . u with n = -e3
+        # and u_z = 0 on the wall
+        frame = aperture_frame(regime, h, r, np.zeros_like(r))
+        return np.stack([frame.u_r**2, 2.0 * frame.d_rz * frame.u_r])
+
+    def sphere(r):
+        H = h + gamma_s(r)
+        frame = aperture_frame(regime, h, r, H)
+        n_r, n_z = sphere_normal(r)
+        dn_r = frame.du_r_dr * n_r + frame.d_rz * n_z
+        dn_z = frame.d_rz * n_r + frame.du_z_dz * n_z
+        # |(u - e3) x n|^2 is the theta component squared, and
+        # (D - qI)n . (e3 - u) loses q since n . (e3 - u) = 0
+        return np.stack(
+            [
+                ((frame.u_z - 1.0) * n_r - frame.u_r * n_z) ** 2,
+                dn_r * (-frame.u_r) + dn_z * (1.0 - frame.u_z),
+            ]
+        )
+
+    grad, sym, vol = integrate_gap(gap, h, r_max, spec)
+    slip_sq, wall_t = integrate_surface(wall, "plane", r_max, spec, scale=math.sqrt(h))
+    if regime.kind is RegimeKind.SLIP:
+        mismatch_sq, sphere_t = integrate_surface(
+            sphere, "sphere-cap", r_max, spec, scale=math.sqrt(h)
+        )
+        e_sphere = (1.0 / regime.beta_S + 1.0) * mismatch_sq.value
+    else:
+        # mixed: e3 - u = 0 on the sphere (no-slip trace), both terms drop
+        e_sphere, sphere_t = 0.0, IntegralResult(0.0, 0.0, 0)
+
+    e_wall = (1.0 / regime.beta_Omega) * slip_sq.value
+    e = EnergyBreakdown(
+        grad.value + e_sphere + e_wall + ext, grad.value, e_sphere, e_wall, ext
+    )
+    diss, diss_error = 2.0 * sym.value, 2.0 * sym.error
+    n = SurfaceDrag(
+        value=vol.value + diss + wall_t.value + sphere_t.value + ext,
+        volume=vol.value,
+        dissipation=diss,
+        wall=wall_t.value,
+        sphere=sphere_t.value,
+        error=vol.error + diss_error + wall_t.error + sphere_t.error,
+        exterior=ext,
+    )
+    return e, n
+
+
 def energy(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included"):
-    """Energy functional of the test field.
+    """Energy functional of the test field: the first half of a drag row.
 
     The aperture integrals are exact to quadrature tolerance; the region
     outside the aperture adds the h-independent exterior constant unless
@@ -116,51 +183,11 @@ def energy(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included"):
         carries its (1/beta_S + 1) weight and is absent (0.0) in the
         mixed regime.
     """
-    if regime.kind not in (RegimeKind.SLIP, RegimeKind.MIXED):
-        raise ValueError("energy is defined for the slip and mixed regimes")
-    ext = _exterior_shift(regime, exterior, r_max)
-    grad = float(l2_gradient_sq(regime, h, r_max, spec))
-
-    if regime.kind is RegimeKind.SLIP:
-        slip_sq = integrate_surface(
-            lambda r: _sphere_mismatch_sq(regime, h, r),
-            "sphere-cap",
-            r_max,
-            spec,
-            scale=math.sqrt(h),
-        )
-        sphere = (1.0 / regime.beta_S + 1.0) * float(slip_sq)
-    else:
-        sphere = 0.0
-
-    wall_sq = integrate_surface(
-        lambda r: _wall_slip_sq(regime, h, r), "plane", r_max, spec,
-        scale=math.sqrt(h),
-    )
-    wall = (1.0 / regime.beta_Omega) * float(wall_sq)
-    return EnergyBreakdown(grad + sphere + wall + ext, grad, sphere, wall, ext)
-
-
-def _sphere_mismatch_sq(regime, h, r):
-    """|(u - e3) x n|^2 on the sphere: the theta component squared."""
-    r = np.asarray(r, dtype=float)
-    H = h + gamma_s(r)
-    frame = aperture_frame(regime, h, r, H)
-    n_r, n_z = sphere_normal(r)
-    v_r = frame.u_r
-    v_z = frame.u_z - 1.0
-    return (v_z * n_r - v_r * n_z) ** 2
-
-
-def _wall_slip_sq(regime, h, r):
-    """|u x n|^2 on the wall: u_r squared."""
-    r = np.asarray(r, dtype=float)
-    frame = aperture_frame(regime, h, r, np.zeros_like(r))
-    return frame.u_r**2
+    return _row(regime, h, r_max, spec, exterior)[0]
 
 
 def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included"):
-    """Surface pairing n(h), term by term over the aperture.
+    """Surface pairing n(h) over the aperture: the second half of a row.
 
     n(h) = int_gap (lap u - grad q) . u
          + 2 int_gap |D(u)|^2
@@ -172,57 +199,7 @@ def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included")
     q is never evaluated: on the wall it multiplies u_z = 0 exactly,
     on the sphere n . (e3 - u) = 0 by the normal trace identity.
     """
-    if regime.kind not in (RegimeKind.SLIP, RegimeKind.MIXED):
-        raise ValueError("surface_drag is defined for the slip and mixed regimes")
-    ext = _exterior_shift(regime, exterior, r_max)
-
-    def volume_pair(r, z):
-        frame = aperture_frame(regime, h, r, z)
-        f_r, f_z = stokes_residual(regime, h, r, z)
-        return f_r * frame.u_r + f_z * frame.u_z
-
-    vol = integrate_gap(volume_pair, h, r_max, spec)
-    diss_sq = l2_sym_gradient_sq(regime, h, r_max, spec)
-    diss = IntegralResult(2.0 * diss_sq.value, 2.0 * diss_sq.error, diss_sq.cells)
-
-    def wall_traction(r):
-        # -(2D - qI)n . u with n = -e3 and u_z = 0 on the wall
-        frame = aperture_frame(regime, h, r, np.zeros_like(r))
-        return 2.0 * frame.d_rz * frame.u_r
-
-    wall = integrate_surface(wall_traction, "plane", r_max, spec, scale=math.sqrt(h))
-
-    if regime.kind is RegimeKind.SLIP:
-
-        def sphere_traction(r):
-            r = np.asarray(r, dtype=float)
-            H = h + gamma_s(r)
-            frame = aperture_frame(regime, h, r, H)
-            n_r, n_z = sphere_normal(r)
-            dn_r = frame.du_r_dr * n_r + frame.d_rz * n_z
-            dn_z = frame.d_rz * n_r + frame.du_z_dz * n_z
-            # (D - qI)n . (e3 - u) with n . (e3 - u) = 0
-            return dn_r * (-frame.u_r) + dn_z * (1.0 - frame.u_z)
-
-        sphere = integrate_surface(
-            sphere_traction, "sphere-cap", r_max, spec, scale=math.sqrt(h)
-        )
-        sphere_value, sphere_error = sphere.value, sphere.error
-    else:
-        # mixed: e3 - u = 0 on the sphere (no-slip trace), the term drops
-        sphere_value, sphere_error = 0.0, 0.0
-
-    value = vol.value + diss.value + wall.value + sphere_value + ext
-    err = vol.error + diss.error + wall.error + sphere_error
-    return SurfaceDrag(
-        value=value,
-        volume=vol.value,
-        dissipation=diss.value,
-        wall=wall.value,
-        sphere=sphere_value,
-        error=err,
-        exterior=ext,
-    )
+    return _row(regime, h, r_max, spec, exterior)[1]
 
 
 @lru_cache(maxsize=8)
@@ -314,8 +291,7 @@ class DragCurve:
 
 
 def _drag_row(regime, h, r_max, spec, exterior):
-    e = energy(regime, h, r_max, spec, exterior=exterior)
-    n = surface_drag(regime, h, r_max, spec, exterior=exterior)
+    e, n = _row(regime, h, r_max, spec, exterior)
     return DragRow(
         h=h,
         energy=e.total,

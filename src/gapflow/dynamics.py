@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import H_MAX_DEFAULT
 from .profile import RegimeKind, UnsupportedRegimeError
@@ -255,6 +254,10 @@ def simulate(
         TimeLimit; inverse-law runs continue in u = ln h below the
         switch gap and report TimeLimit, never Touchdown.
     """
+    # imported here, not at module level: scipy.integrate is most of the
+    # package's import time, and only a fall needs it
+    from scipy.integrate import solve_ivp
+
     if not (TOUCHDOWN_H < h0 < h_max):
         raise ValueError(f"h0 must lie in ({TOUCHDOWN_H}, {h_max})")
     if not math.isfinite(v0):

@@ -114,7 +114,11 @@ class ApertureFrame:
 
 def aperture_frame(regime, h, r, z):
     """Velocity components and first derivatives at (r, z), vectorized."""
-    p = psi_partials(regime, h, r, z)
+    return _frame(psi_partials(regime, h, r, z), r)
+
+
+def _frame(p, r):
+    """The ApertureFrame of the Psi partials p taken at radius r."""
     r = np.asarray(r, dtype=float)
     return ApertureFrame(
         u_r=-0.5 * r * p.dz,
@@ -346,22 +350,24 @@ def stokes_residual(regime, h, r, z):
     (f_r, f_z) : floats or ndarrays
     """
     r_arr = np.asarray(r, dtype=float)
-    p = psi_partials(regime, h, r_arr, z)
-
-    lap_r = -0.5 * (3.0 * p.drz + r_arr * p.drrz + r_arr * p.dzzz)
-    lap_z = (
-        2.5 * p.drr
-        + 0.5 * r_arr * p.drrr
-        + 1.5 * p.dr_by_r
-        + p.dzz
-        + 0.5 * r_arr * p.drzz
-    )
-    dq_r, dq_z = _pressure_gradient(regime, p, r_arr)
-    f_r = lap_r - dq_r
-    f_z = lap_z - dq_z
+    f_r, f_z = _residual(regime, psi_partials(regime, h, r_arr, z), r_arr)
     if np.ndim(r) == 0 and np.ndim(z) == 0:
         return float(f_r), float(f_z)
     return f_r, f_z
+
+
+def _residual(regime, p, r):
+    """(f_r, f_z) of stokes_residual from the Psi partials p at radius r."""
+    lap_r = -0.5 * (3.0 * p.drz + r * p.drrz + r * p.dzzz)
+    lap_z = (
+        2.5 * p.drr
+        + 0.5 * r * p.drrr
+        + 1.5 * p.dr_by_r
+        + p.dzz
+        + 0.5 * r * p.drzz
+    )
+    dq_r, dq_z = _pressure_gradient(regime, p, r)
+    return lap_r - dq_r, lap_z - dq_z
 
 
 @dataclass(frozen=True)
@@ -481,29 +487,19 @@ def dhpsi_norms(regime, h, r_max, spec=None):
         F_H(H, H) = 0, so its exact value is 0.
     """
 
-    def horizontal_sq(r, z):
-        col_zh, _, _ = psi_h_column(regime, h, r, z)
-        # |-(x1/2) col|^2 averaged over theta: (pi/4) r^2 col^2 against
-        # r dr dz, folded into the 2 pi r measure of integrate_gap
-        return r * r * col_zh**2 / 8.0
-
-    def vertical_sq(r, z):
+    def column_sq(r, z):
         col_zh, col_h, col_rh = psi_h_column(regime, h, r, z)
+        # x1: |-(x1/2) col|^2 averaged over theta, (pi/4) r^2 col^2 against
+        # r dr dz, folded into the 2 pi r measure; x3: the vertical column
         m = col_h + 0.5 * r * col_rh
-        return m * m
+        return np.stack(np.broadcast_arrays(r * r * col_zh**2 / 8.0, m * m))
 
-    gap_sq = {
-        "x1": integrate_gap(horizontal_sq, h, r_max, spec).value,
-        "x3": integrate_gap(vertical_sq, h, r_max, spec).value,
-    }
-    wall_sq = {
-        "x1": integrate_surface(
-            lambda r: horizontal_sq(r, np.zeros_like(r)), "plane", r_max, spec,
-            scale=math.sqrt(h),
-        ).value,
-        "x3": integrate_surface(
-            lambda r: vertical_sq(r, np.zeros_like(r)), "plane", r_max, spec,
-            scale=math.sqrt(h),
-        ).value,
-    }
-    return wall_sq, gap_sq
+    gap_x1, gap_x3 = integrate_gap(column_sq, h, r_max, spec)
+    wall_x1, wall_x3 = integrate_surface(
+        lambda r: column_sq(r, np.zeros_like(r)), "plane", r_max, spec,
+        scale=math.sqrt(h),
+    )
+    return (
+        {"x1": wall_x1.value, "x3": wall_x3.value},
+        {"x1": gap_x1.value, "x3": gap_x3.value},
+    )

@@ -6,8 +6,10 @@ because every integrand of interest is polynomial in z up to smooth
 factors.  Initial cells are graded geometrically toward r = 0, where the
 integrands peak on the lubrication scale sqrt(h).
 
-Cell contributions are accumulated with math.fsum, so results do not
-depend on evaluation or summation order.
+An integrand may stack several components along a leading axis; they
+share one mesh, and each is held to its own tolerance.  Cell
+contributions are accumulated with math.fsum, so results do not depend on
+evaluation or summation order.
 """
 
 import math
@@ -86,39 +88,45 @@ def graded_cuts(r_max, scale):
 def _adaptive_1d(g, cuts, spec):
     """Adaptive composite Gauss-Legendre integration of a vectorized g.
 
-    g maps an ndarray of abscissas to integrand values (any measure and
-    angular factor already included).  `cuts` are initial breakpoints in
-    ascending order.  Returns an IntegralResult; raises QuadratureError if
-    some cell cannot meet its share of the tolerance at max depth.
+    g maps an ndarray of n abscissas to n integrand values (any measure and
+    angular factor already included), or to a (k, n) array of k stacked
+    components integrated on one shared mesh.  Each component keeps its
+    own tolerance, rel_tol times its own magnitude with the abs_tol floor,
+    and a cell is accepted only once every component meets its share.
+    `cuts` are initial breakpoints in ascending order.  Returns an
+    IntegralResult, or for a stacked g a tuple of k of them (one cell count
+    for all); raises QuadratureError if some cell cannot meet its share of
+    the tolerance at max depth.
     """
     x, w = _gl_rule(RULE_ORDER)
 
     def rule(a, b):
         half = 0.5 * (b - a)
         pts = a + half * (x + 1.0)
-        return half * float(np.sum(w * g(pts)))
+        return half * np.sum(w * g(pts), axis=-1)
 
     total_width = cuts[-1] - cuts[0]
     coarse = [rule(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    scale = max(abs(math.fsum(coarse)), spec.abs_tol / spec.rel_tol)
-    tol_global = max(spec.abs_tol, spec.rel_tol * scale)
+    stacked = coarse[0].ndim == 1
+    coarse = [np.atleast_1d(c) for c in coarse]
+    scale = np.array(
+        [max(abs(math.fsum(col)), spec.abs_tol / spec.rel_tol) for col in zip(*coarse)]
+    )
+    tol_global = np.maximum(spec.abs_tol, spec.rel_tol * scale)
 
     values = []
     errors = []
     failures = []
-    cell_count = 0
 
     def recurse(a, b, parent, tol, depth):
-        nonlocal cell_count
         m = 0.5 * (a + b)
-        left = rule(a, m)
-        right = rule(m, b)
-        err = abs(parent - left - right)
-        if err <= tol or depth >= spec.max_depth:
+        left = np.atleast_1d(rule(a, m))
+        right = np.atleast_1d(rule(m, b))
+        err = np.abs(parent - left - right)
+        if np.all(err <= tol) or depth >= spec.max_depth:
             values.append(left + right)
             errors.append(err)
-            cell_count += 1
-            if err > tol:
+            if np.any(err > tol):
                 failures.append((a, b, err, tol))
             return
         recurse(a, m, left, 0.5 * tol, depth + 1)
@@ -127,18 +135,23 @@ def _adaptive_1d(g, cuts, spec):
     for (a, b), parent in zip(zip(cuts[:-1], cuts[1:]), coarse):
         recurse(a, b, parent, tol_global * (b - a) / total_width, 1)
 
-    value = math.fsum(values)
-    error = math.fsum(errors)
+    value = [math.fsum(col) for col in zip(*values)]
+    error = [math.fsum(col) for col in zip(*errors)]
+    cells = len(values)
     if failures:
+        a, b, err, tol = failures[0]
+        j = int(np.argmax(err > tol))
+        bad = np.flatnonzero(np.any([e > t for *_, e, t in failures], axis=0))
+        where = f" in component {', '.join(map(str, bad))}" if stacked else ""
         raise QuadratureError(
-            f"quadrature did not converge on {len(failures)} cells "
-            f"(first: [{failures[0][0]:.3e}, {failures[0][1]:.3e}] "
-            f"err {failures[0][2]:.3e} > tol {failures[0][3]:.3e})",
-            value=value,
-            error=error,
-            cells=cell_count,
+            f"quadrature did not converge on {len(failures)} cells{where} "
+            f"(first: [{a:.3e}, {b:.3e}] err {err[j]:.3e} > tol {tol[j]:.3e})",
+            value=tuple(value) if stacked else value[0],
+            error=tuple(error) if stacked else error[0],
+            cells=cells,
         )
-    return IntegralResult(value=value, error=error, cells=cell_count)
+    results = tuple(IntegralResult(v, e, cells) for v, e in zip(value, error))
+    return results if stacked else results[0]
 
 
 def integrate_gap(f, h, r_max, spec=None):
@@ -147,7 +160,8 @@ def integrate_gap(f, h, r_max, spec=None):
     Parameters
     ----------
     f : callable
-        Vectorized integrand f(r, z); receives broadcastable arrays.
+        Vectorized integrand f(r, z); receives broadcastable arrays.  It
+        may return k stacked components along a leading axis.
     h : float
         Gap width, > 0.
     r_max : float
@@ -156,7 +170,7 @@ def integrate_gap(f, h, r_max, spec=None):
 
     Returns
     -------
-    IntegralResult
+    IntegralResult, or a tuple of k of them for a stacked f
     """
     if h <= 0.0:
         raise ValueError("integrate_gap requires h > 0")
@@ -167,7 +181,7 @@ def integrate_gap(f, h, r_max, spec=None):
         H = h + gamma_s(r)
         Z = 0.5 * H[:, None] * (zx[None, :] + 1.0)
         W = 0.5 * H[:, None] * zw[None, :]
-        inner = np.sum(np.broadcast_to(f(r[:, None], Z), W.shape) * W, axis=1)
+        inner = np.sum(np.asarray(f(r[:, None], Z)) * W, axis=-1)
         return 2.0 * math.pi * r * inner
 
     cuts = graded_cuts(r_max, math.sqrt(h))
@@ -179,7 +193,8 @@ def integrate_surface(f, surface, r_max, spec=None, scale=None):
 
     `surface` is "plane" or "sphere-cap"; the measure is r on the plane and
     r / sqrt(1 - r^2) on the cap.  `scale` optionally sets the grading
-    length of the initial cells (defaults to r_max / 2^16).
+    length of the initial cells (defaults to r_max / 2^16).  f may stack
+    components, as in integrate_gap.
     """
     if surface not in (PLANE, SPHERE_CAP):
         raise ValueError(f"unknown surface {surface!r}")

@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -399,3 +401,19 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "profile_check.json").exists()
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # solve_ivp is imported by dynamics.simulate on first use, so commands
+    # that never fall do not pay for scipy.integrate at start-up
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gapflow.cli; print('scipy.integrate' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

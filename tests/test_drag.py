@@ -1,13 +1,16 @@
 """Tests for gap drag: energy, surface pairing, exterior policy, fits."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gapflow import drag as drg
 from gapflow import field as fld
 from gapflow.drag import (
+    R_MAX_DEFAULT,
     DragCurve,
     DragRow,
     ScalingModel,
@@ -18,10 +21,16 @@ from gapflow.drag import (
     lower_bound_witness,
     surface_drag,
 )
-from gapflow.field import aperture_frame, pressure
+from gapflow.field import (
+    aperture_frame,
+    l2_gradient_sq,
+    l2_sym_gradient_sq,
+    pressure,
+    stokes_residual,
+)
 from gapflow.geometry import gamma_s
 from gapflow.profile import SlipRegime, psi_partials
-from gapflow.quadrature import QuadratureSpec, integrate_surface
+from gapflow.quadrature import QuadratureSpec, integrate_gap, integrate_surface
 
 SLIP = SlipRegime.slip(1.0, 1.0)
 SLIP_B = SlipRegime.slip(0.5, 2.0)
@@ -35,6 +44,7 @@ WALL_XCHECK_RTOL = 1e-9
 SPHERE_XCHECK_RTOL = 1e-10
 AGREEMENT_WINDOW = 0.3
 ENVELOPE_FACTOR = 10.0
+FUSED_RTOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +368,103 @@ def test_surface_drag_never_evaluates_the_pressure_value(monkeypatch):
     for regime in (SLIP, MIXED):
         n = surface_drag(regime, 1e-3, spec=SWEEP_SPEC, exterior="excluded")
         assert n.value > 0.0
+
+
+# ---------------------------------------------------------------- one row
+
+
+def test_a_drag_row_is_one_adaptive_pass_per_region(monkeypatch):
+    # counted through gapflow.drag's namespace: a slip row integrates the
+    # gap, the wall and the sphere once each, a mixed row the gap and the
+    # wall, and every gap integrand evaluation costs one Psi evaluation
+    calls = Counter()
+
+    def counted_psi(*args):
+        calls["psi_partials"] += 1
+        return psi_partials(*args)
+
+    def counted_gap(f, *args, **kwargs):
+        calls["integrate_gap"] += 1
+
+        def g(r, z):
+            before = calls["psi_partials"]
+            out = f(r, z)
+            calls["gap_evals"] += 1
+            calls["gap_psi"] += calls["psi_partials"] - before
+            return out
+
+        return integrate_gap(g, *args, **kwargs)
+
+    def counted_surface(*args, **kwargs):
+        calls["integrate_surface"] += 1
+        return integrate_surface(*args, **kwargs)
+
+    monkeypatch.setattr(drg, "psi_partials", counted_psi)
+    monkeypatch.setattr(drg, "integrate_gap", counted_gap)
+    monkeypatch.setattr(drg, "integrate_surface", counted_surface)
+    for regime, surfaces in ((SLIP, 2), (MIXED, 1)):
+        for row in (
+            lambda: energy(regime, 1e-4, spec=SWEEP_SPEC),
+            lambda: surface_drag(regime, 1e-4, spec=SWEEP_SPEC),
+            lambda: drag_curve(regime, (1e-4,), spec=SWEEP_SPEC),
+        ):
+            calls.clear()
+            row()
+            assert calls["integrate_gap"] == 1
+            assert calls["integrate_surface"] == surfaces
+            assert calls["gap_evals"] > 0
+            assert calls["gap_psi"] == calls["gap_evals"]
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_fused_row_matches_the_single_norm_references(regime, h):
+    def pairing(r, z):
+        frame = aperture_frame(regime, h, r, z)
+        f_r, f_z = stokes_residual(regime, h, r, z)
+        return f_r * frame.u_r + f_z * frame.u_z
+
+    e = energy(regime, h, spec=SWEEP_SPEC)
+    n = surface_drag(regime, h, spec=SWEEP_SPEC)
+    gradient = l2_gradient_sq(regime, h, R_MAX_DEFAULT, SWEEP_SPEC).value
+    sym = l2_sym_gradient_sq(regime, h, R_MAX_DEFAULT, SWEEP_SPEC).value
+    volume = integrate_gap(pairing, h, R_MAX_DEFAULT, SWEEP_SPEC).value
+    assert e.gradient == pytest.approx(gradient, rel=FUSED_RTOL)
+    assert n.dissipation == pytest.approx(2.0 * sym, rel=FUSED_RTOL)
+    assert n.volume == pytest.approx(volume, rel=FUSED_RTOL)
+
+
+# (h, energy, gradient_part, sphere_part, wall_part, surface) of the default
+# `drag scan` rows, computed when every norm was its own adaptive pass
+DEFAULT_SCAN_ROWS = {
+    "slip": (
+        (0.01, 29.283828657823886, 4.967751090726637, 2.693815502299925, 1.357617607939416, 33.430918579160746),
+        (0.001, 49.923565014218596, 9.943112708624442, 13.167749666783171, 6.54805818195307, 52.69095911791416),
+        (0.0001, 77.63970428487468, 16.76860698708275, 27.110647513100393, 13.495805327833626, 77.03401973424789),
+        (1e-05, 106.4451956218835, 23.956772336083407, 41.525453220369336, 20.698325608572844, 102.24315256181578),
+        (1e-06, 135.36711217427774, 31.185769189642418, 55.98789817878526, 27.92880034899215, 127.54978153769541),
+    ),
+    "mixed": (
+        (0.01, 407.22588269677954, 220.2979662053396, 0.0, 3.0032566680847226, 403.0782059889551),
+        (0.001, 4502.046656444039, 4303.486703470317, 0.0, 14.635293150368044, 4461.834017426666),
+        (0.0001, 46919.18941195503, 46705.011753737774, 0.0, 30.252998393893964, 46829.04685348866),
+        (1e-05, 471066.8014955093, 470836.420832474, 0.0, 46.456003211932185, 470924.8027440066),
+        (1e-06, 4712252.3695786465, 4712005.720735799, 0.0, 62.72418302504731, 4712058.31083162),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, regime", [("slip", SLIP), ("mixed", MIXED)], ids=["slip", "mixed"]
+)
+def test_default_drag_scan_rows_are_pinned(name, regime):
+    rows = DEFAULT_SCAN_ROWS[name]
+    curve = drag_curve(regime, [row[0] for row in rows], spec=SWEEP_SPEC)
+    got = tuple(
+        (r.h, r.energy, r.gradient_part, r.sphere_part, r.wall_part, r.surface)
+        for r in curve.rows
+    )
+    assert got == rows
 
 
 # ---------------------------------------------------------------- scaling

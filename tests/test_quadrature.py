@@ -171,6 +171,62 @@ class TestIntegrateSurface:
             integrate_surface(lambda r: r, "cone", 0.2)
 
 
+class TestStackedIntegrand:
+    """k components on one mesh, each against its own tolerance."""
+
+    EPS = 1e-6  # the peaked component lives on the scale sqrt(EPS)
+    R = 0.2
+    SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+
+    def peaked(self, r):
+        return 1.0 / (self.EPS + r * r)
+
+    def stacked(self, r):
+        return np.stack([np.ones_like(r), self.peaked(r)])
+
+    def surface(self, f, spec=None):
+        return integrate_surface(
+            f, "plane", self.R, spec or self.SPEC, scale=math.sqrt(self.EPS)
+        )
+
+    def test_each_component_meets_its_own_tolerance(self):
+        disk, peak = self.surface(self.stacked)
+        exact = (
+            math.pi * self.R**2,
+            math.pi * math.log((self.EPS + self.R**2) / self.EPS),
+        )
+        for res, value in zip((disk, peak), exact):
+            assert isinstance(res, IntegralResult)
+            bound = max(self.SPEC.abs_tol, self.SPEC.rel_tol * value)
+            assert abs(res.value - value) <= bound
+        assert disk.cells == peak.cells
+
+    def test_mesh_is_at_least_the_peaked_components_own(self):
+        disk, _ = self.surface(self.stacked)
+        assert disk.cells >= self.surface(self.peaked).cells
+
+    def test_one_component_is_the_scalar_path(self):
+        h, r_max = 1e-4, 0.2
+
+        def f(r, z):
+            return r * z / (h + r * r)
+
+        (stacked,) = integrate_gap(lambda r, z: f(r, z)[None], h, r_max)
+        assert stacked == integrate_gap(f, h, r_max)
+        (stacked,) = self.surface(lambda r: self.peaked(r)[None])
+        assert stacked == self.surface(self.peaked)
+
+    def test_nonconvergence_names_the_component(self):
+        def f(r):
+            return np.stack([np.ones_like(r), np.abs(np.sin(1.0 / (r + 1e-12)))])
+
+        spec = QuadratureSpec(max_depth=3, rel_tol=1e-12)
+        with pytest.raises(QuadratureError, match="in component 1 ") as err:
+            self.surface(f, spec)
+        assert len(err.value.value) == len(err.value.error) == 2
+        assert all(math.isfinite(v) for v in err.value.value)
+
+
 class TestClassifySingular:
     def test_log_case_matches_closed_form(self):
         case = classify_singular(1, 1, 0.25)
