@@ -20,8 +20,7 @@ so reports are traceable row by row.
 
 Reports are deterministic: no timestamps unless --stamp is given, keys
 are sorted, and every computation runs serially in a fixed order, so a
-given config produces bit-identical artifacts.  The --threads key is
-still accepted and validated (at least 1) but has no effect.
+given config produces bit-identical artifacts.
 Artifacts are written atomically (temp file in the target directory,
 then rename).  The output directory is --out if given, else the
 GAPFLOW_OUTPUT_DIR environment variable, else the working directory.
@@ -110,10 +109,8 @@ class ConfigError(ValueError):
 class RunConfig:
     """Flat run configuration; one key set shared by every subcommand.
 
-    ``threads``, ``out_dir``, and ``stamp`` are execution knobs that do
-    not affect computed values; they are excluded from the config echo.
-    ``threads`` is accepted and validated but ignored: every run is
-    serial.
+    ``out_dir`` and ``stamp`` are execution knobs that do not affect
+    computed values; they are excluded from the config echo.
     """
 
     regime: str = "slip"
@@ -142,12 +139,11 @@ class RunConfig:
     kappa_list: tuple = (0.5, 1.0, 2.0)
     G_list: tuple = (1.0,)
     h0_list: tuple = (0.25,)
-    threads: int = 1
     out_dir: str = None
     stamp: bool = False
 
 
-ECHO_EXCLUDE = ("threads", "out_dir", "stamp")
+ECHO_EXCLUDE = ("out_dir", "stamp")
 LIST_KEYS = ("h_list", "kappa_list", "G_list", "h0_list")
 
 
@@ -243,8 +239,6 @@ def validate(cfg):
         raise ConfigError("G_list entries must be positive")
     if any(not 0.0 < x < cfg.h_max for x in cfg.h0_list):
         raise ConfigError("h0_list entries must lie in (0, h_max)")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be at least 1")
 
 
 # ---------------------------------------------------------------- reports
@@ -769,8 +763,6 @@ def _common_parser():
     add("--out", dest="out_dir", default=None, help="output directory")
     add("--stamp", action="store_const", const=True, default=None,
         help="embed a UTC timestamp (breaks bit-identical reruns)")
-    add("--threads", type=int, default=None,
-        help="accepted for compatibility (at least 1); runs are serial")
     add("--seed", type=int, default=None)
     add("--regime", choices=("slip", "mixed"), default=None)
     add("--beta-s", dest="beta_S", type=float, default=None)

@@ -1,10 +1,11 @@
 """Adaptive quadrature over the gap and its boundary surfaces.
 
-A composite Gauss-Legendre rule drives a depth-first adaptive bisection in
-the radial variable; the axial direction uses a fixed-order rule per cell
-because every integrand of interest is polynomial in z up to smooth
-factors.  Initial cells are graded geometrically toward r = 0, where the
-integrands peak on the lubrication scale sqrt(h).
+A composite Gauss-Legendre rule drives a global adaptive bisection in the
+radial variable (batched rounds, bounded by a roundoff floor and a cell
+budget); the axial direction uses a fixed-order rule per cell because every
+integrand of interest is polynomial in z up to smooth factors.  Initial
+cells are graded geometrically toward r = 0, where the integrands peak on
+the lubrication scale sqrt(h).
 
 An integrand may stack several components along a leading axis; they
 share one mesh, and each is held to its own tolerance.  Cell
@@ -24,9 +25,15 @@ from .geometry import PLANE, SPHERE_CAP, gamma_s, surface_measure
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-13
 DEFAULT_MAX_DEPTH = 28
-# Gauss-Legendre orders: per adaptive cell, and across the gap height
+# Gauss-Legendre orders: per adaptive cell, and across the gap height.
+# Psi is cubic in z, so gap integrands have z-degree <= 8 (dhpsi_norms
+# squares z-antiderivatives): 5 points are exact, but no faster than 12.
 RULE_ORDER = 16
 Z_ORDER = 12
+# Refinement bounds of _adaptive_1d: cells, batch selection, roundoff
+MAX_CELLS = 2000
+BATCH_FACTOR = 8.0
+ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 
 FIT_R2_FLOOR = 0.99
 
@@ -86,72 +93,76 @@ def graded_cuts(r_max, scale):
 
 
 def _adaptive_1d(g, cuts, spec):
-    """Adaptive composite Gauss-Legendre integration of a vectorized g.
+    """Global adaptive composite Gauss-Legendre integration of a vectorized g.
 
-    g maps an ndarray of n abscissas to n integrand values (any measure and
-    angular factor already included), or to a (k, n) array of k stacked
-    components integrated on one shared mesh.  Each component keeps its
-    own tolerance, rel_tol times its own magnitude with the abs_tol floor,
-    and a cell is accepted only once every component meets its share.
-    `cuts` are initial breakpoints in ascending order.  Returns an
-    IntegralResult, or for a stacked g a tuple of k of them (one cell count
-    for all); raises QuadratureError if some cell cannot meet its share of
-    the tolerance at max depth.
+    g maps an ndarray of n abscissas to n integrand values (measure and
+    angular factor included), or to a (k, n) stack of k components on one
+    mesh, each held to rel_tol times its own magnitude (abs_tol floor).  A
+    leaf cell's error is its coarse estimate less its two halves'; each
+    round bisects, with one g call, every leaf below max_depth within
+    BATCH_FACTOR of the worst error/tolerance ratio, until each component's
+    fsum of cell errors meets its tolerance.  Returns an IntegralResult, or
+    a tuple of k for a stacked g.  QuadratureError names the failing
+    components and the reason: a non-finite estimate, a tolerance below
+    ROUNDOFF_FLOOR times sum |cell values|, max_depth, or MAX_CELLS cells.
     """
     x, w = _gl_rule(RULE_ORDER)
+    spec = spec or QuadratureSpec()
 
-    def rule(a, b):
-        half = 0.5 * (b - a)
-        pts = a + half * (x + 1.0)
-        return half * np.sum(w * g(pts), axis=-1)
+    def rule(lo, hi, parts):
+        # the rule on every cell [lo_i, hi_i] from one g call: (k, parts, n)
+        half = 0.5 * (hi - lo)
+        vals = np.asarray(g((lo[:, None] + half[:, None] * (x + 1.0)).ravel()))
+        est = half * np.sum(w * vals.reshape(-1, lo.size, x.size), axis=-1)
+        return est.reshape(len(est), parts, -1), vals.ndim == 2
 
-    total_width = cuts[-1] - cuts[0]
-    coarse = [rule(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
-    stacked = coarse[0].ndim == 1
-    coarse = [np.atleast_1d(c) for c in coarse]
-    scale = np.array(
-        [max(abs(math.fsum(col)), spec.abs_tol / spec.rel_tol) for col in zip(*coarse)]
+    a, b = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
+    m = 0.5 * (a + b)
+    est, stacked = rule(np.r_[a, a, m], np.r_[b, m, b], 3)  # coarse, left, right
+    depth = np.ones(a.size, dtype=int)
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(np.sum(est[:, 0], axis=-1)))
+
+    while True:
+        value, err = est[:, 1] + est[:, 2], np.abs(est[:, 0] - est[:, 1] - est[:, 2])
+        bad, reason = ~np.isfinite(np.sum(np.abs(est), axis=(1, 2))), "non-finite estimate"
+        if not bad.any():
+            bad = tol < ROUNDOFF_FLOOR * np.sum(np.abs(value), axis=-1)
+            reason = "tolerance below the roundoff floor"
+        if bad.any():
+            break
+        error = [math.fsum(e) for e in err]
+        bad = np.array(error) > tol
+        if not bad.any():
+            results = tuple(IntegralResult(math.fsum(v), e, a.size) for v, e in zip(value, error))
+            return results if stacked else results[0]
+        ratio = np.where(depth < spec.max_depth, np.max(err[bad] / tol[bad, None], axis=0), -1.0)
+        if ratio.max() <= 0.0:
+            reason = f"max_depth {spec.max_depth} reached"
+            break
+        sel = ratio >= ratio.max() / BATCH_FACTOR
+        if a.size + np.count_nonzero(sel) > MAX_CELLS:
+            reason = f"cell budget {MAX_CELLS} reached"
+            break
+        # bisect the selected leaves; their halves are the children's coarse
+        # estimates, and one g call gives the children's own halves
+        m = 0.5 * (a[sel] + b[sel])
+        lo, hi = np.r_[a[sel], m], np.r_[m, b[sel]]
+        mid = 0.5 * (lo + hi)
+        halves, _ = rule(np.r_[lo, mid], np.r_[mid, hi], 2)
+        kids = np.concatenate([est[:, 1:, sel].reshape(len(est), 1, -1), halves], axis=1)
+        est = np.concatenate([est[:, :, ~sel], kids], axis=2)
+        a, b = np.r_[a[~sel], lo], np.r_[b[~sel], hi]
+        depth = np.r_[depth[~sel], depth[sel] + 1, depth[sel] + 1]
+
+    where = f" in component {', '.join(map(str, np.flatnonzero(bad)))}" if stacked else ""
+    value, error, j = np.sum(value, axis=-1).tolist(), np.sum(err, axis=-1).tolist(), np.argmax(bad)
+    raise QuadratureError(
+        f"quadrature did not converge{where} ({reason}): error {error[j]:.3e} "
+        f"against tol {tol[j]:.3e} on {a.size} cells",
+        value=tuple(value) if stacked else value[0],
+        error=tuple(error) if stacked else error[0],
+        cells=a.size,
     )
-    tol_global = np.maximum(spec.abs_tol, spec.rel_tol * scale)
-
-    values = []
-    errors = []
-    failures = []
-
-    def recurse(a, b, parent, tol, depth):
-        m = 0.5 * (a + b)
-        left = np.atleast_1d(rule(a, m))
-        right = np.atleast_1d(rule(m, b))
-        err = np.abs(parent - left - right)
-        if np.all(err <= tol) or depth >= spec.max_depth:
-            values.append(left + right)
-            errors.append(err)
-            if np.any(err > tol):
-                failures.append((a, b, err, tol))
-            return
-        recurse(a, m, left, 0.5 * tol, depth + 1)
-        recurse(m, b, right, 0.5 * tol, depth + 1)
-
-    for (a, b), parent in zip(zip(cuts[:-1], cuts[1:]), coarse):
-        recurse(a, b, parent, tol_global * (b - a) / total_width, 1)
-
-    value = [math.fsum(col) for col in zip(*values)]
-    error = [math.fsum(col) for col in zip(*errors)]
-    cells = len(values)
-    if failures:
-        a, b, err, tol = failures[0]
-        j = int(np.argmax(err > tol))
-        bad = np.flatnonzero(np.any([e > t for *_, e, t in failures], axis=0))
-        where = f" in component {', '.join(map(str, bad))}" if stacked else ""
-        raise QuadratureError(
-            f"quadrature did not converge on {len(failures)} cells{where} "
-            f"(first: [{a:.3e}, {b:.3e}] err {err[j]:.3e} > tol {tol[j]:.3e})",
-            value=tuple(value) if stacked else value[0],
-            error=tuple(error) if stacked else error[0],
-            cells=cells,
-        )
-    results = tuple(IntegralResult(v, e, cells) for v, e in zip(value, error))
-    return results if stacked else results[0]
 
 
 def integrate_gap(f, h, r_max, spec=None):
@@ -174,7 +185,6 @@ def integrate_gap(f, h, r_max, spec=None):
     """
     if h <= 0.0:
         raise ValueError("integrate_gap requires h > 0")
-    spec = spec or QuadratureSpec()
     zx, zw = _gl_rule(Z_ORDER)
 
     def g(r):
@@ -198,7 +208,6 @@ def integrate_surface(f, surface, r_max, spec=None, scale=None):
     """
     if surface not in (PLANE, SPHERE_CAP):
         raise ValueError(f"unknown surface {surface!r}")
-    spec = spec or QuadratureSpec()
 
     def g(r):
         return 2.0 * math.pi * np.asarray(f(r)) * surface_measure(surface, r)
@@ -306,15 +315,13 @@ def classify_singular(p, q, delta, h_list=None, spec=None):
     h_list = tuple(h_list) if h_list is not None else DEFAULT_H_LIST
     if min(h_list) < 1e-8:
         raise ValueError("h_list entries must be >= 1e-8")
-    spec = spec or QuadratureSpec()
 
     values = []
     for h in h_list:
         def g(r):
             return r**p / (h + r * r) ** q
 
-        cuts = graded_cuts(delta, math.sqrt(h))
-        values.append(_adaptive_1d(g, cuts, spec).value)
+        values.append(_adaptive_1d(g, graded_cuts(delta, math.sqrt(h)), spec).value)
 
     hs = np.asarray(h_list, dtype=float)
     ys = np.asarray(values)

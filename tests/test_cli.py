@@ -198,23 +198,23 @@ def test_fall_scan_grid_shape(tmp_path):
 # ---------------------------------------------------------- determinism
 
 
-def test_verify_all_bit_identical_across_threads(tmp_path):
+def test_verify_all_reruns_are_bit_identical(tmp_path):
     blobs = []
-    for threads in ("1", "4", "8", "1"):
-        out = tmp_path / f"t{threads}_{len(blobs)}"
+    for k in range(4):
+        out = tmp_path / f"run{k}"
         code = run(["verify", "all", "--regime", "slip", "--h", "1e-4",
-                    "--threads", threads, "--out", str(out), *FAST])
+                    "--out", str(out), *FAST])
         assert code == 0
         blobs.append((out / "verify_all.json").read_bytes())
     assert len(set(blobs)) == 1
 
 
-def test_drag_scan_bit_identical_across_threads(tmp_path):
+def test_drag_scan_reruns_are_bit_identical(tmp_path):
     blobs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"t{threads}"
+    for k in range(2):
+        out = tmp_path / f"run{k}"
         run(["drag", "scan", "--regime", "slip", "--h-list", "1e-2,1e-3,1e-4",
-             "--threads", threads, "--out", str(out)])
+             "--out", str(out)])
         blobs.append((out / "drag_scan.csv").read_bytes()
                      + (out / "drag_scan.json").read_bytes())
     assert blobs[0] == blobs[1]
@@ -239,7 +239,7 @@ def test_config_echo_round_trips(tmp_path):
 
 
 def test_echo_excludes_execution_knobs(tmp_path):
-    run(["profile", "check", "--threads", "2", "--out", str(tmp_path), *FAST])
+    run(["profile", "check", "--out", str(tmp_path), *FAST])
     echo = _read(tmp_path / "profile_check.json")["config"]
     assert "threads" not in echo
     assert "out_dir" not in echo
@@ -267,20 +267,12 @@ def test_flags_override_config_file(tmp_path):
     assert echo["h"] == 1e-4  # flag wins
 
 
-def test_threads_in_config_file_is_accepted_and_ignored(tmp_path):
+def test_threads_config_key_exits_2(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"threads": 4}))
-    blobs = []
-    for name, extra in (("plain", ()), ("config", ("--config", str(cfg_file)))):
-        out = tmp_path / name
-        code = run(["drag", "scan", "--regime", "slip", "--h-list", "1e-2,1e-3,1e-4",
-                    *extra, "--out", str(out)])
-        assert code == 0
-        blobs.append((out / "drag_scan.csv").read_bytes()
-                     + (out / "drag_scan.json").read_bytes())
-    assert blobs[0] == blobs[1]
-    cfg_file.write_text(json.dumps({"threads": 0}))
     assert run(["profile", "check", "--config", str(cfg_file)]) == 2
+    assert "unknown config keys: threads" in capsys.readouterr().err
+    assert run(["profile", "check", "--threads", "4"]) == 2
 
 
 def test_output_dir_from_environment(tmp_path, monkeypatch):
@@ -331,7 +323,7 @@ def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
         ["drag", "fit", "--h-list", "1e-2,1e-3"],
         ["verify", "all", "--delta", "0.3"],
         ["profile", "check", "--draws", "0"],
-        ["profile", "check", "--threads", "0"],
+        ["fall", "scan", "--h0-list", "0.9"],
         ["drag", "scan", "--abs-tol", "nan"],
         ["drag", "scan", "--abs-tol", "inf"],
         ["drag", "scan", "--rel-tol", "nan"],
@@ -379,6 +371,14 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
                 "--out", str(tmp_path)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+def test_drag_scan_below_the_validated_sweep_ends(tmp_path):
+    # h = 1e-8 converges within the global budget; at h = 1e-300 the
+    # integrands overflow and the non-finite estimate is a numerical failure
+    assert run(["drag", "scan", "--h-list", "1e-2,1e-8", "--out", str(tmp_path)]) == 0
+    assert run(["drag", "scan", "--h-list", "1e-300", "--out", str(tmp_path)]) == 3
 
 
 def test_failed_check_exits_1(tmp_path, monkeypatch):

@@ -30,7 +30,14 @@ from gapflow.field import (
 )
 from gapflow.geometry import gamma_s
 from gapflow.profile import SlipRegime, psi_partials
-from gapflow.quadrature import QuadratureSpec, integrate_gap, integrate_surface
+from gapflow.quadrature import (
+    MAX_CELLS,
+    IntegralResult,
+    QuadratureError,
+    QuadratureSpec,
+    integrate_gap,
+    integrate_surface,
+)
 
 SLIP = SlipRegime.slip(1.0, 1.0)
 SLIP_B = SlipRegime.slip(0.5, 2.0)
@@ -465,6 +472,69 @@ def test_default_drag_scan_rows_are_pinned(name, regime):
         for r in curve.rows
     )
     assert got == rows
+
+
+def _record_regions(monkeypatch):
+    """Patch gapflow.drag's integrators to log, per region, its integrand
+    calls and cells; a QuadratureError is logged with its cells and its
+    estimate stands in for the result, so every region of the row runs."""
+    log = []
+
+    def recorded(integrate):
+        def run(f, *args, **kwargs):
+            calls = Counter()
+
+            def counted(*xs):
+                calls["f"] += 1
+                return f(*xs)
+
+            try:
+                res = integrate(counted, *args, **kwargs)
+                log.append((calls["f"], res[0].cells, None))
+            except QuadratureError as exc:
+                log.append((calls["f"], exc.cells, exc))
+                res = tuple(IntegralResult(v, e, exc.cells) for v, e in zip(exc.value, exc.error))
+            return res
+
+        return run
+
+    monkeypatch.setattr(drg, "integrate_gap", recorded(integrate_gap))
+    monkeypatch.setattr(drg, "integrate_surface", recorded(integrate_surface))
+    return log
+
+
+@pytest.mark.parametrize(
+    "name, regime", [("slip", SLIP), ("mixed", MIXED)], ids=["slip", "mixed"]
+)
+def test_a_default_drag_row_region_makes_at_most_two_integrand_calls(
+    name, regime, monkeypatch
+):
+    # at the `drag scan` defaults no cell refines past its first bisection,
+    # so a region is the initial call plus at most one refinement round
+    log = _record_regions(monkeypatch)
+    rows = DEFAULT_SCAN_ROWS[name]
+    drag_curve(regime, [row[0] for row in rows], spec=SWEEP_SPEC)
+    assert len(log) == len(rows) * (3 if regime is SLIP else 2)
+    assert all(error is None and calls <= 2 for calls, _, error in log)
+
+
+DEEP_CALLS = 100  # refinement rounds per integral; a few dozen at most here
+
+
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("h", [1e-8, 1e-10])
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_deep_gap_integrals_finish_or_raise_within_the_cell_budget(
+    regime, h, rel_tol, monkeypatch
+):
+    # below the validated sweep every integral ends in bounded work: it
+    # converges or raises QuadratureError, within MAX_CELLS cells
+    log = _record_regions(monkeypatch)
+    energy(regime, h, spec=QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12))
+    assert len(log) == (3 if regime is SLIP else 2)
+    for calls, cells, _ in log:
+        assert 1 <= calls <= DEEP_CALLS
+        assert cells <= MAX_CELLS
 
 
 # ---------------------------------------------------------------- scaling

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gapflow.quadrature import (
+    MAX_CELLS,
     Classification,
     ClassificationError,
     IntegralResult,
@@ -225,6 +226,49 @@ class TestStackedIntegrand:
             self.surface(f, spec)
         assert len(err.value.value) == len(err.value.error) == 2
         assert all(math.isfinite(v) for v in err.value.value)
+
+
+def _nasty(r):
+    return np.abs(np.sin(1.0 / (r + 1e-12)))  # unresolvable oscillation
+
+
+class TestGlobalRefinement:
+    """Each way the refinement loop gives up ends in bounded work."""
+
+    @pytest.mark.parametrize(
+        "f, spec, reason",
+        [
+            (lambda r: np.where(r < 0.1, 1.0, np.inf), QuadratureSpec(), "non-finite"),
+            (np.ones_like, QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18), "roundoff floor"),
+            (_nasty, QuadratureSpec(max_depth=3, rel_tol=1e-12), "max_depth 3"),
+            (_nasty, QuadratureSpec(rel_tol=1e-12), f"cell budget {MAX_CELLS}"),
+        ],
+        ids=["non-finite", "roundoff", "max-depth", "budget"],
+    )
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_each_stop_raises_with_its_reason(self, f, spec, reason):
+        calls = []
+
+        def counted(r):
+            calls.append(r.size)
+            return f(r)
+
+        with pytest.raises(QuadratureError, match=reason) as err:
+            integrate_surface(counted, "plane", 0.2, spec)
+        assert err.value.cells <= MAX_CELLS
+        assert len(calls) <= MAX_CELLS
+
+    def test_a_smooth_integrand_is_one_call(self):
+        calls = []
+
+        def f(r):
+            calls.append(r.size)
+            return np.exp(r)
+
+        res = integrate_surface(f, "plane", 0.2)
+        assert len(calls) == 1
+        exact = 2.0 * math.pi * (1.0 - 0.8 * math.exp(0.2))  # int 2 pi r e^r dr
+        assert res.value == pytest.approx(exact, rel=1e-14)
 
 
 class TestClassifySingular:
