@@ -49,8 +49,10 @@ def main():
         print(f"slip,  D ~ |ln h|: {slip.event.kind} at t = {slip.event.t:.3f}")
 
     mixed = simulate(params, SlipRegime.mixed(1.0), args.h0, t_max=args.t_max)
+    # the local rate at the end; past h = 1e-6 the run ends in one
+    # closed-form row, over which ln h is affine in t
     y = np.abs(np.log(mixed.h))
-    slope = np.polyfit(mixed.t, y, 1)[0]
+    slope = (y[-1] - y[-2]) / (mixed.t[-1] - mixed.t[-2])
     print(f"mixed, D ~ 1/h  : {mixed.event.kind} at t = {mixed.event.t:.1f}"
           f"  h(end) = {mixed.event.h:.3e}"
           f"  |ln h| grows ~ {slope:.4f} * t  (no contact)")

@@ -48,6 +48,7 @@ from .drag import ScalingModel, drag_curve, fit_scaling
 from .dynamics import (
     ATOL_DEFAULT,
     RTOL_DEFAULT,
+    TOUCHDOWN_H,
     EventKind,
     FallParameters,
     StiffnessError,
@@ -225,8 +226,8 @@ def validate(cfg):
         raise ConfigError("exterior must be 'included' or 'excluded'")
     if cfg.draws < 1:
         raise ConfigError("draws must be at least 1")
-    if not 0.0 < cfg.h0 < cfg.h_max:
-        raise ConfigError("h0 must lie in (0, h_max)")
+    if not TOUCHDOWN_H < cfg.h0 < cfg.h_max:
+        raise ConfigError(f"h0 must lie in ({TOUCHDOWN_H}, h_max)")
     if cfg.t_max <= 0.0:
         raise ConfigError("t_max must be positive")
     if cfg.ode_rtol <= 0.0 or cfg.ode_atol <= 0.0:
@@ -235,10 +236,12 @@ def validate(cfg):
         raise ConfigError("classification needs p >= 0 and q > 0")
     if any(k < 0.0 for k in cfg.kappa_list):
         raise ConfigError("kappa_list entries must be nonnegative")
+    if cfg.regime == "mixed" and min(cfg.kappa, *cfg.kappa_list) <= 0.0:
+        raise ConfigError("the mixed regime needs kappa and kappa_list entries > 0")
     if any(G <= 0.0 for G in cfg.G_list):
         raise ConfigError("G_list entries must be positive")
-    if any(not 0.0 < x < cfg.h_max for x in cfg.h0_list):
-        raise ConfigError("h0_list entries must lie in (0, h_max)")
+    if any(not TOUCHDOWN_H < x < cfg.h_max for x in cfg.h0_list):
+        raise ConfigError(f"h0_list entries must lie in ({TOUCHDOWN_H}, h_max)")
 
 
 # ---------------------------------------------------------------- reports

@@ -1,27 +1,37 @@
 """Reduced contact dynamics: h'' = -D(h) h' - G down to touchdown.
 
 The gap width h(t) of a heavy sphere settling onto a wall obeys a damped
-fall with gap-dependent drag.  The two drag laws produced by the gap
-analysis behave very differently as h -> 0:
+fall with gap-dependent drag.  Since D(h) h' = -d/dt Phi(h) with
+Phi(h) = int_h^h0 D(s) ds, the fall from (h0, v0) has the first integral
 
-* slip: D(h) = kappa |ln h|, integrable at 0; the sphere reaches the wall
-  in finite time with strictly positive impact speed.
-* mixed: D(h) = kappa / h, non-integrable; the gap shrinks like
-  exp(-c t) and contact never happens.
+    h' = v0 + Phi(h) - G t,
+
+so contact in finite time needs Phi(0) < inf.  The two drag laws produced
+by the gap analysis fall on either side:
+
+* slip: D(h) = kappa |ln h|, Phi(0) finite; the sphere reaches the wall
+  in finite time with impact speed G t* - v0 - Phi(0) > 0.
+* mixed: D(h) = kappa / h, Phi(0) = inf; ln h falls linearly in t and
+  contact never happens.
 
 ``drag_law`` builds D either analytically from a regime or by log-log
 interpolation of a computed DragCurve; ``simulate`` integrates the ODE
-with an embedded 4(5) Runge-Kutta pair and event detection for touchdown
-(h = 1e-12) and escape (h = h_max).  The inverse-gap law is stiff once h
-is tiny, so below a switch gap the integration continues in
-u = ln h with the stiff quasi-steady balance removed symbolically:
+(embedded 4(5) Runge-Kutta pair, Radau for inverse laws) with events for
+touchdown (h = 1e-12) and escape (h = h_max).  An inverse law
+D ~ a/h + b is stiff once h is tiny, so its fall leaves the integrator at
+the first state with h <= SWITCH_H and h' <= 0, or starts there.  From
+that state h' stays <= 0 (at h' = 0, h'' = -G), and the first integral
+from the entry state (t_s, h_s, h'_s) is closed form:
 
-    u' = delta - G/a,
-    delta' = -a e^{-u} delta - b (delta - G/a) - (delta - G/a)^2,
+    ln h = ln h_s + (h'_s + b (h_s - h) - h' - G (t - t_s)) / a,
 
-where delta = h' e^{-u} + G/a and D = a/h + b.  The substitution keeps
-full relative accuracy down to u = -700 (gaps around 1e-304); reaching
-that floor is reported as a time-limited run, not an error.
+with h' slaved to gravity, h' = -G h / (a + b h).  ln h is then affine in
+t and reaches the floor ln h = -700 (gaps around 1e-304) at
+
+    t_floor = t_s + (h'_s + b h_s + a (ln h_s + 700)) / G;
+
+reaching it is reported as a time-limited run, not an error.  An entry
+state so fast that t_floor <= t_s coasts through the floor at once.
 """
 
 import math
@@ -88,7 +98,7 @@ class TerminalEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integrator output rows (t, h, h') plus the terminal event."""
+    """Rows (t, h, h') of the integrator and of the tail, plus the terminal event."""
 
     t: np.ndarray
     h: np.ndarray
@@ -117,7 +127,7 @@ class DragLaw:
 
     ``deep`` is ("log", a, b) or ("inverse", a, b) describing
     D ~ a |ln h| + b or D ~ a/h + b as h -> 0; the inverse form is what
-    routes simulate into the log-gap phase.
+    sends simulate into Radau and the closed-form tail.
     """
 
     kind: str  # "analytic" | "table" | "surrogate"
@@ -210,13 +220,26 @@ def calibrate_kappa(curve):
     return fit.a, fit
 
 
-def _finish(sol, context):
-    if sol.status == -1:
-        t, h, v = sol.t[-1], sol.y[0, -1], sol.y[1, -1]
-        raise StiffnessError(
-            f"integrator stalled at t={t:.6g} (h={h:.3e}, h'={v:.3e}) "
-            f"during {context}: {sol.message}"
-        )
+def _tail(t_s, h_s, v_s, a, b, G, t_max):
+    """The terminal event of an inverse-law fall, in closed form from its
+    entry state; its (t, h, speed) is the one row the tail adds."""
+    conserved = v_s + b * h_s + a * math.log(h_s)  # a ln h + b h + h' + G (t - t_s)
+    t_floor = t_s + (conserved - a * U_FLOOR) / G
+    floor = f"gap fell below the representable range (ln h = {U_FLOOR:g})"
+    if t_floor <= t_s:
+        # too fast to be slaved: it coasts through the floor at about h'_s
+        note = f"{floor} within h/|h'| = {h_s / abs(v_s):.3g} after t; no contact"
+        return TerminalEvent(EventKind.TIME_LIMIT, t_s, h_s, v_s, note)
+    if t_floor < t_max:
+        t_end, h, note = t_floor, math.exp(U_FLOOR), f"{floor}; no contact"
+    else:
+        t_end, h, note = t_max, h_s, ""
+        # fixed point in h; each pass shrinks the error by about G h / a^2
+        for _ in range(2):
+            v = -G * h / (a + b * h)
+            h = math.exp((conserved - b * h - v - G * (t_max - t_s)) / a)
+    v = -G * h / (a + b * h)
+    return TerminalEvent(EventKind.TIME_LIMIT, t_end, h, v, note)
 
 
 def simulate(
@@ -245,14 +268,15 @@ def simulate(
     law : DragLaw or callable, optional
         Custom drag; a bare callable is integrated in h-space only.
     rtol, atol, max_step, first_step
-        Step control, passed to the embedded 4(5) integrator.
+        Step control, passed to the integrator.
 
     Returns
     -------
     Trajectory
         Terminal event Touchdown (with impact speed), Escaped, or
-        TimeLimit; inverse-law runs continue in u = ln h below the
-        switch gap and report TimeLimit, never Touchdown.
+        TimeLimit.  Inverse-law runs end in the closed-form tail once
+        h <= SWITCH_H with h' <= 0: it adds one row, at t_max or at the
+        ln h = U_FLOOR floor, and reports TimeLimit, never Touchdown.
     """
     # imported here, not at module level: scipy.integrate is most of the
     # package's import time, and only a fall needs it
@@ -285,25 +309,29 @@ def simulate(
     touchdown.terminal, touchdown.direction = True, -1.0
     escape = lambda t, y: y[0] - h_max
     escape.terminal, escape.direction = True, 1.0
-    events = [touchdown, escape]
-    switch = lambda t, y: y[0] - SWITCH_H
-    switch.terminal, switch.direction = True, -1.0
-    if stiff and h0 > SWITCH_H:
-        events.append(switch)
+    # the tail starts at the first state with h <= SWITCH_H and h' <= 0
+    tail = lambda t, y: max(y[0] - SWITCH_H, y[1])
+    tail.terminal, tail.direction = True, -1.0
 
-    t_parts, h_parts, v_parts = [], [], []
     event = None
-    if not stiff or h0 > SWITCH_H:
-        method = "Radau" if stiff else "RK45"
+    if stiff and tail(0.0, (h0, v0)) <= 0.0:
+        t, h, v = np.array([0.0]), np.array([h0]), np.array([v0])
+    else:
         sol = solve_ivp(
-            rhs, (0.0, t_max), (h0, v0), method=method, events=events, **options
+            rhs,
+            (0.0, t_max),
+            (h0, v0),
+            method="Radau" if stiff else "RK45",
+            events=[touchdown, escape, tail] if stiff else [touchdown, escape],
+            **options,
         )
-        _finish(sol, "the gap-variable phase")
-        t_parts.append(sol.t)
-        h_parts.append(sol.y[0])
-        v_parts.append(sol.y[1])
-        t_end = sol.t[-1]
-        h_end, v_end = float(sol.y[0, -1]), float(sol.y[1, -1])
+        t, (h, v) = sol.t, sol.y
+        h_end, v_end = float(h[-1]), float(v[-1])
+        if sol.status == -1:
+            raise StiffnessError(
+                f"integrator stalled at t={t[-1]:.6g} (h={h_end:.3e}, "
+                f"h'={v_end:.3e}): {sol.message}"
+            )
         if sol.t_events[0].size:
             event = TerminalEvent(
                 EventKind.TOUCHDOWN, float(sol.t_events[0][0]), h_end, abs(v_end)
@@ -313,54 +341,16 @@ def simulate(
                 EventKind.ESCAPED, float(sol.t_events[1][0]), h_end, v_end
             )
         elif sol.status == 0:
-            event = TerminalEvent(EventKind.TIME_LIMIT, float(t_end), h_end, v_end)
-        # otherwise the switch event fired and the log-gap phase takes over
-    else:
-        t_end, h_end, v_end = 0.0, h0, v0
+            event = TerminalEvent(EventKind.TIME_LIMIT, float(t[-1]), h_end, v_end)
 
     if event is None:
-        a, b = deep[1], deep[2]
-
-        def rhs_log(t, y):
-            u, delta = y
-            drift = delta - G / a
-            # trial stages can overshoot far past the u floor; cap the
-            # amplifier so exp stays finite (delta is slaved to ~e^u there)
-            ez = math.exp(min(-u, 705.0))
-            return (drift, -a * ez * delta - b * drift - drift * drift)
-
-        floor = lambda t, y: y[0] - U_FLOOR
-        floor.terminal, floor.direction = True, -1.0
-        sol = solve_ivp(
-            rhs_log,
-            (t_end, t_max),
-            (math.log(h_end), v_end / h_end + G / a),
-            method="Radau",
-            events=[floor],
-            **options,
+        event = _tail(
+            float(t[-1]), float(h[-1]), float(v[-1]), deep[1], deep[2], G, t_max
         )
-        _finish(sol, "the log-gap phase")
-        u, delta = sol.y
-        h_log = np.exp(u)
-        v_log = (delta - G / a) * h_log
-        skip = 1 if t_parts and sol.t.size and sol.t[0] == t_end else 0
-        t_parts.append(sol.t[skip:])
-        h_parts.append(h_log[skip:])
-        v_parts.append(v_log[skip:])
-        note = ""
-        if sol.t_events[0].size:
-            note = "gap fell below the representable range (ln h = -700); no contact"
-        event = TerminalEvent(
-            EventKind.TIME_LIMIT, float(sol.t[-1]), float(h_log[-1]),
-            float(v_log[-1]), note,
-        )
-
-    return Trajectory(
-        t=np.concatenate(t_parts),
-        h=np.concatenate(h_parts),
-        v=np.concatenate(v_parts),
-        event=event,
-    )
+        if event.t > t[-1]:
+            t, h, v = (np.append(t, event.t), np.append(h, event.h),
+                       np.append(v, event.speed))
+    return Trajectory(t=t, h=h, v=v, event=event)
 
 
 @dataclass(frozen=True)

@@ -333,11 +333,36 @@ def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
         ["fall", "scan", "--kappa-list", "inf"],
         ["fall", "scan", "--g-list", "-1"],
         ["fall", "simulate", "--t-max", "inf"],
+        ["fall", "simulate", "--h0", "1e-13"],
+        ["fall", "scan", "--h0-list", "1e-13"],
+        ["fall", "simulate", "--regime", "mixed", "--kappa", "0"],
+        ["fall", "scan", "--regime", "mixed", "--kappa-list", "1,0"],
     ],
 )
 def test_invalid_config_exits_2(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+# `drag fit` exits 1 on purpose: its energy_ratio_window check reads
+# E/|ln h| = 1.541 against RATIO_WINDOW = 1.5 over the default sweep
+# (ROADMAP item 2); the fix of that check flips this pin.
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["profile", "check"], 0),
+        (["field", "verify"], 0),
+        (["drag", "scan"], 0),
+        (["drag", "fit"], 1),
+        (["integral", "classify"], 0),
+        (["fall", "simulate"], 0),
+        (["fall", "scan"], 0),
+        (["verify", "all"], 0),
+    ],
+    ids=lambda x: "-".join(x) if isinstance(x, list) else None,
+)
+def test_default_run_exit_code(argv, code, tmp_path):
+    assert run(argv + ["--out", str(tmp_path)]) == code
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gapflow.drag import DragCurve, DragRow
+import scipy.integrate
+
 from gapflow.dynamics import (
+    SWITCH_H,
     EventKind,
     FallParameters,
     StiffnessError,
@@ -261,7 +264,7 @@ def test_mixed_log_gap_grows_linearly_in_time():
 def test_mixed_fall_crosses_into_the_log_phase():
     traj = simulate(_params(), MIXED, h0=0.25, t_max=50.0)
     assert float(traj.h[-1]) < 1e-20  # far below the switch gap, no underflow
-    assert np.all(np.diff(traj.t) > 0.0)  # the phase stitch keeps t ordered
+    assert np.all(np.diff(traj.t) > 0.0)  # the tail row keeps t ordered
 
 
 def test_mixed_fall_reports_the_representable_floor():
@@ -270,6 +273,98 @@ def test_mixed_fall_reports_the_representable_floor():
     assert traj.event.t < 800.0
     assert "no contact" in traj.event.note
     assert float(traj.h[-1]) > 0.0
+
+
+# end times and gaps of the mixed fall (kappa = G = 1, h0 = 0.25) when the
+# deep fall ran as a second Radau solve in ln h; the closed-form tail keeps
+# them (the floor time is (v0 + kappa (ln h0 + 700)) / G)
+@pytest.mark.parametrize(
+    "t_max, t_end, h_end",
+    [(13.0, 13.0, 5.650827233775512e-07), (50.0, 50.0, 4.82187506630529e-23),
+     (800.0, 698.613705731457, 9.85967654375977e-305)],
+)
+def test_mixed_tail_keeps_the_end_of_the_fall(t_max, t_end, h_end):
+    traj = simulate(_params(), MIXED, h0=0.25, t_max=t_max)
+    assert traj.event.t == pytest.approx(t_end, rel=1e-10)
+    assert traj.event.h == pytest.approx(h_end, rel=1e-10)
+    assert (traj.t[-1], traj.h[-1]) == (traj.event.t, traj.event.h)
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 1e-2])
+def test_weak_mixed_drag_reaches_the_floor(kappa):
+    traj = simulate(_params(kappa=kappa), MIXED, h0=0.25, t_max=50.0)
+    assert traj.event.kind == EventKind.TIME_LIMIT
+    assert "ln h = -700" in traj.event.note and "no contact" in traj.event.note
+    row = touchdown_scan(MIXED, (kappa,), (1.0,), (0.25,), t_max=50.0)[0]
+    assert row.outcome == "NoContact"
+
+
+def test_a_fast_entry_coasts_through_the_floor_at_the_entry_time():
+    # kappa = 1e-4: a (ln h_s + 700) is far below the entry speed, so the
+    # closed-form floor time lies before the entry; the event stays there
+    traj = simulate(_params(kappa=1e-4), MIXED, h0=0.25, t_max=50.0)
+    ev = traj.event
+    assert (ev.t, ev.h, ev.speed) == (traj.t[-1], traj.h[-1], traj.v[-1])
+    assert ev.h == pytest.approx(SWITCH_H, rel=1e-6) and ev.speed < 0.0
+    assert f"within h/|h'| = {ev.h / abs(ev.speed):.3g}" in ev.note
+
+
+def test_upward_launch_below_the_switch_gap_escapes():
+    traj = simulate(_params(), MIXED, h0=1e-7, v0=20.0, t_max=50.0)
+    assert traj.event.kind == EventKind.ESCAPED
+    assert traj.event.h == pytest.approx(0.5, abs=1e-9)
+
+
+def test_apex_below_the_switch_gap_enters_the_tail():
+    # the apex, about h0 e^{v0 / kappa} = 2.7e-7, stays below SWITCH_H
+    traj = simulate(_params(), MIXED, h0=1e-7, v0=1.0, t_max=50.0)
+    assert float(traj.h.max()) == pytest.approx(1e-7 * math.e, rel=1e-4)
+    assert traj.event.h == pytest.approx(5.242885663353309e-29, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "regime, h0, v0, t_max, solves",
+    [(SLIP, 0.25, 0.0, 10.0, 1), (MIXED, 0.25, 0.0, 800.0, 1),
+     (MIXED, 1e-7, 0.0, 50.0, 0), (MIXED, SWITCH_H, -0.1, 50.0, 0)],
+    ids=["slip", "mixed-to-floor", "mixed-deep-at-rest", "mixed-deep-falling"],
+)
+def test_a_fall_is_at_most_one_solve(monkeypatch, regime, h0, v0, t_max, solves):
+    calls = []
+    solve_ivp = scipy.integrate.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
+    simulate(_params(), regime, h0=h0, v0=v0, t_max=t_max)
+    assert len(calls) == solves
+
+
+# ------------------------------------------------------ momentum integral
+# With Phi(h) = int_h^h0 D, every fall keeps h' - Phi(h) + G t = v0.
+
+INVARIANT_TOL = 1e-6
+
+
+def _phi_slip(kappa, h0, h):
+    antiderivative = lambda s: s - s * np.log(s)  # of |ln s| for s < 1
+    return kappa * (antiderivative(h0) - antiderivative(h))
+
+
+@pytest.mark.parametrize(
+    "regime, t_max", [(SLIP, 10.0), (MIXED, 13.0), (MIXED, 50.0), (MIXED, 800.0)]
+)
+def test_every_row_keeps_the_momentum_integral(regime, t_max):
+    kappa, G, h0, v0 = 1.0, 1.0, 0.25, 0.0
+    traj = simulate(_params(G=G, kappa=kappa), regime, h0=h0, v0=v0, t_max=t_max)
+    if regime is SLIP:
+        assert traj.event.kind == EventKind.TOUCHDOWN
+        phi = _phi_slip(kappa, h0, traj.h)
+    else:
+        phi = kappa * np.log(h0 / traj.h)
+    invariant = traj.v - phi + G * traj.t
+    assert np.max(np.abs(invariant - v0)) <= INVARIANT_TOL
 
 
 def test_mixed_accepts_a_table_law():
