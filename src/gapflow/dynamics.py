@@ -16,22 +16,20 @@ by the gap analysis fall on either side:
 
 ``drag_law`` builds D either analytically from a regime or by log-log
 interpolation of a computed DragCurve; ``simulate`` integrates the ODE
-(embedded 4(5) Runge-Kutta pair, Radau for inverse laws) with events for
-touchdown (h = 1e-12) and escape (h = h_max).  An inverse law
-D ~ a/h + b is stiff once h is tiny, so its fall leaves the integrator at
-the first state with h <= SWITCH_H and h' <= 0, or starts there.  From
-that state h' stays <= 0 (at h' = 0, h'' = -G), and the first integral
-from the entry state (t_s, h_s, h'_s) is closed form:
+on (h, h') by an embedded 4(5) Runge-Kutta pair, with events for
+touchdown (h = 1e-12) and escape (h = h_max).  An inverse law D ~ a/h + b
+has Phi in closed form, so its fall is one stiff ODE in u = ln h,
+u' = (v0 + Phi(h) - G t) / h, for variable-order BDF, which it leaves at
+the first state with h <= SWITCH_H and h' <= 0 (or starts there).  From
+that entry gap h_s, h' stays <= 0 (at h' = 0, h'' = -G), and with P' = D
+the first integral fixes
 
-    ln h = ln h_s + (h'_s + b (h_s - h) - h' - G (t - t_s)) / a,
+    a ln h + b h + h' + G t = v0 + P(h0) - P(h_s) + a ln h_s + b h_s,
 
-with h' slaved to gravity, h' = -G h / (a + b h).  ln h is then affine in
-t and reaches the floor ln h = -700 (gaps around 1e-304) at
-
-    t_floor = t_s + (h'_s + b h_s + a (ln h_s + 700)) / G;
-
-reaching it is reported as a time-limited run, not an error.  An entry
-state so fast that t_floor <= t_s coasts through the floor at once.
+that is v0 + a ln h0 + b h0 for an analytic law.  With h' slaved to
+gravity, h' = -G h / (a + b h), ln h is affine in t and reaches the floor
+ln h = -700 when G t is that constant plus 700 a: a time-limited run, not
+an error.  An entry so fast that this time precedes it coasts through.
 """
 
 import math
@@ -126,8 +124,8 @@ class DragLaw:
     """Callable drag law h -> D(h) with its deep-gap asymptotic model.
 
     ``deep`` is ("log", a, b) or ("inverse", a, b) describing
-    D ~ a |ln h| + b or D ~ a/h + b as h -> 0; the inverse form is what
-    sends simulate into Radau and the closed-form tail.
+    D ~ a |ln h| + b or D ~ a/h + b as h -> 0; the inverse form sends
+    simulate into its BDF solve in ln h and the closed-form tail.
     """
 
     kind: str  # "analytic" | "table" | "surrogate"
@@ -137,6 +135,12 @@ class DragLaw:
 
     def __call__(self, h):
         return self._fn(h)
+
+    def antiderivative(self, h):
+        """P with P' = D, through which simulate integrates an inverse law: a
+        table's own closed form, else a ln h + b h, exact if D = a/h + b."""
+        _, a, b = self.deep
+        return getattr(self._fn, "antiderivative", lambda h: a * np.log(h) + b * h)(h)
 
 
 def drag_law(regime, source="analytic", kappa=1.0, surrogate=False):
@@ -206,6 +210,28 @@ def _table_law(regime, curve):
         out = np.where(h < h_min, extrapolate(np.maximum(h, 1e-300)), inside)
         return out if out.ndim else float(out)
 
+    if deep[0] == "inverse":
+        # log-log segment j is a power law e_k (h / h_k)^p_j: P(h) - P(h_k)
+        # = e_k h_k dx expm1(z) / z, dx = ln(h / h_k), z = (p_j + 1) dx; the
+        # a/h model below the nodes is p = -1, np.interp's clamp above p = 0
+        p = np.concatenate(([-1.0], np.diff(log_e) / np.diff(log_h), [0.0]))
+
+        def segment(k, j, dx):
+            z = (p[j] + 1.0) * dx
+            return es[k] * hs[k] * dx * np.divide(
+                np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+
+        k = np.arange(len(hs) - 1)
+        at_nodes = np.r_[0.0, np.cumsum(segment(k, k + 1, np.diff(log_h)))]
+
+        def antiderivative(h):
+            x = np.log(h)
+            j = np.searchsorted(log_h, x, side="right")
+            k = np.maximum(j - 1, 0)
+            return at_nodes[k] + segment(k, j, x - log_h[k])
+
+        fn.antiderivative = antiderivative
+
     return DragLaw("table", regime.kind, deep, fn)
 
 
@@ -220,11 +246,11 @@ def calibrate_kappa(curve):
     return fit.a, fit
 
 
-def _tail(t_s, h_s, v_s, a, b, G, t_max):
+def _tail(t_s, h_s, v_s, conserved, a, b, G, t_max):
     """The terminal event of an inverse-law fall, in closed form from its
-    entry state; its (t, h, speed) is the one row the tail adds."""
-    conserved = v_s + b * h_s + a * math.log(h_s)  # a ln h + b h + h' + G (t - t_s)
-    t_floor = t_s + (conserved - a * U_FLOOR) / G
+    entry state and the conserved a ln h + b h + h' + G t; its
+    (t, h, speed) is the one row the tail adds."""
+    t_floor = (conserved - a * U_FLOOR) / G
     floor = f"gap fell below the representable range (ln h = {U_FLOOR:g})"
     if t_floor <= t_s:
         # too fast to be slaved: it coasts through the floor at about h'_s
@@ -237,7 +263,7 @@ def _tail(t_s, h_s, v_s, a, b, G, t_max):
         # fixed point in h; each pass shrinks the error by about G h / a^2
         for _ in range(2):
             v = -G * h / (a + b * h)
-            h = math.exp((conserved - b * h - v - G * (t_max - t_s)) / a)
+            h = math.exp((conserved - b * h - v - G * t_max) / a)
     v = -G * h / (a + b * h)
     return TerminalEvent(EventKind.TIME_LIMIT, t_end, h, v, note)
 
@@ -268,7 +294,10 @@ def simulate(
     law : DragLaw or callable, optional
         Custom drag; a bare callable is integrated in h-space only.
     rtol, atol, max_step, first_step
-        Step control, passed to the integrator.
+        Step control, passed to the integrator.  An inverse law runs in
+        u = ln h, so rtol and atol bound the relative error of h; its h'
+        rows come from h' = v0 + Phi(h) - G t, off by D(h) h times the
+        error of ln h: about 1e-8 for kappa / h at the defaults.
 
     Returns
     -------
@@ -299,40 +328,49 @@ def simulate(
     if first_step is not None:
         options["first_step"] = first_step
 
-    def rhs(t, y):
-        # trial stages of the step that brackets touchdown may probe
-        # h <= 0; continue the law evenly through zero so they stay finite
-        gap = abs(float(y[0])) or TOUCHDOWN_H
-        return (y[1], -law(gap) * y[1] - G)
+    if stiff:
+        _, a, b = deep
+        P = law.antiderivative
+        top = v0 + float(P(h0))  # h' + P(h) + G t along the fall
+        speed = lambda t, h: top - P(h) - G * t
 
-    touchdown = lambda t, y: y[0] - TOUCHDOWN_H
-    touchdown.terminal, touchdown.direction = True, -1.0
-    escape = lambda t, y: y[0] - h_max
+        def rhs(t, u):
+            h = math.exp(u[0])
+            return (speed(t, h) / h,)
+
+        # d/du of u' = speed / h is -u' - D(h)
+        options["jac"] = lambda t, u: ((-rhs(t, u)[0] - law(math.exp(u[0])),),)
+        # the tail starts at the first state with h <= SWITCH_H and h' <= 0
+        tail = lambda t, u: max(u[0] - math.log(SWITCH_H), speed(t, math.exp(u[0])))
+        escape = lambda t, u: u[0] - math.log(h_max)
+        y0, method, events = (math.log(h0),), "BDF", [tail, escape]
+    else:
+        def rhs(t, y):
+            # trial stages of the step that brackets touchdown may probe
+            # h <= 0; continue the law evenly through zero so they stay finite
+            gap = abs(float(y[0])) or TOUCHDOWN_H
+            return (y[1], -law(gap) * y[1] - G)
+
+        touchdown = lambda t, y: y[0] - TOUCHDOWN_H
+        escape = lambda t, y: y[0] - h_max
+        y0, method, events = (h0, v0), "RK45", [touchdown, escape]
+    events[0].terminal, events[0].direction = True, -1.0
     escape.terminal, escape.direction = True, 1.0
-    # the tail starts at the first state with h <= SWITCH_H and h' <= 0
-    tail = lambda t, y: max(y[0] - SWITCH_H, y[1])
-    tail.terminal, tail.direction = True, -1.0
 
     event = None
-    if stiff and tail(0.0, (h0, v0)) <= 0.0:
+    if stiff and max(h0 - SWITCH_H, v0) <= 0.0:
         t, h, v = np.array([0.0]), np.array([h0]), np.array([v0])
     else:
-        sol = solve_ivp(
-            rhs,
-            (0.0, t_max),
-            (h0, v0),
-            method="Radau" if stiff else "RK45",
-            events=[touchdown, escape, tail] if stiff else [touchdown, escape],
-            **options,
-        )
-        t, (h, v) = sol.t, sol.y
+        sol = solve_ivp(rhs, (0.0, t_max), y0, method=method, events=events, **options)
+        t, h = sol.t, np.exp(sol.y[0]) if stiff else sol.y[0]
+        v = speed(t, h) if stiff else sol.y[1]
         h_end, v_end = float(h[-1]), float(v[-1])
         if sol.status == -1:
             raise StiffnessError(
                 f"integrator stalled at t={t[-1]:.6g} (h={h_end:.3e}, "
                 f"h'={v_end:.3e}): {sol.message}"
             )
-        if sol.t_events[0].size:
+        if not stiff and sol.t_events[0].size:
             event = TerminalEvent(
                 EventKind.TOUCHDOWN, float(sol.t_events[0][0]), h_end, abs(v_end)
             )
@@ -344,9 +382,10 @@ def simulate(
             event = TerminalEvent(EventKind.TIME_LIMIT, float(t[-1]), h_end, v_end)
 
     if event is None:
-        event = _tail(
-            float(t[-1]), float(h[-1]), float(v[-1]), deep[1], deep[2], G, t_max
-        )
+        h_s = float(h[-1])
+        # exactly v0 + a ln h0 + b h0 when P is a ln h + b h
+        conserved = top - float(P(h_s) - (a * np.log(h_s) + b * h_s))
+        event = _tail(float(t[-1]), h_s, float(v[-1]), conserved, a, b, G, t_max)
         if event.t > t[-1]:
             t, h, v = (np.append(t, event.t), np.append(h, event.h),
                        np.append(v, event.speed))

@@ -11,6 +11,7 @@ import scipy.integrate
 
 from gapflow.dynamics import (
     SWITCH_H,
+    DragLaw,
     EventKind,
     FallParameters,
     StiffnessError,
@@ -126,6 +127,29 @@ def test_table_law_rejects_non_monotone_energies():
     )
     with pytest.raises(ValueError, match="monotone"):
         drag_law(SLIP, source=DragCurve(regime=SLIP, rows=rows))
+
+
+@pytest.mark.parametrize(
+    "exact", [lambda h: 3.0 / h, lambda h: 3.0 / h + 2.0, lambda h: h**-1.3],
+    ids=["3/h", "3/h+2", "h^-1.3"],
+)
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(1e-9, 3e-7), (3e-7, 2e-5), (2e-6, 5e-3), (1e-8, 0.25), (0.02, 0.3)],
+    ids=["below-first-node", "across-first-node", "across-nodes",
+         "below-to-above", "above-last-node"],
+)
+def test_table_antiderivative_matches_quadrature(exact, lo, hi):
+    law = drag_law(MIXED, source=_synthetic_table(MIXED, exact))
+    # integrate D(h) dh as D(e^x) e^x dx, broken at the log nodes
+    nodes = [x for x in np.log([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+             if math.log(lo) < x < math.log(hi)]
+    ref, _ = scipy.integrate.quad(
+        lambda x: law(math.exp(x)) * math.exp(x), math.log(lo), math.log(hi),
+        points=nodes or None, epsabs=0.0, epsrel=1e-13, limit=200,
+    )
+    got = law.antiderivative(hi) - law.antiderivative(lo)
+    assert got == pytest.approx(ref, abs=0.0, rel=1e-12)
 
 
 def test_calibrate_kappa_recovers_synthetic_prefactors():
@@ -275,18 +299,28 @@ def test_mixed_fall_reports_the_representable_floor():
     assert float(traj.h[-1]) > 0.0
 
 
-# end times and gaps of the mixed fall (kappa = G = 1, h0 = 0.25) when the
-# deep fall ran as a second Radau solve in ln h; the closed-form tail keeps
-# them (the floor time is (v0 + kappa (ln h0 + 700)) / G)
-@pytest.mark.parametrize(
-    "t_max, t_end, h_end",
-    [(13.0, 13.0, 5.650827233775512e-07), (50.0, 50.0, 4.82187506630529e-23),
-     (800.0, 698.613705731457, 9.85967654375977e-305)],
-)
-def test_mixed_tail_keeps_the_end_of_the_fall(t_max, t_end, h_end):
+def _slaved_gap(h0, v0, kappa, G, t):
+    """The gap of D = kappa / h at time t on the slaved tail, from the
+    momentum integral: the fixed point h = h0 e^{(v0 - G t)/kappa} e^{G h/kappa^2}."""
+    scale, h = h0 * math.exp((v0 - G * t) / kappa), 0.0
+    for _ in range(4):
+        h = scale * math.exp(G * h / kappa**2)
+    return h
+
+
+# end times and gaps of the mixed fall (kappa = G = 1, h0 = 0.25) from the
+# momentum integral: the slaved gap at t_max, or the floor ln h = -700,
+# reached at t = (v0 + kappa (ln h0 + 700)) / G = 698.61370563888...
+@pytest.mark.parametrize("t_max", [13.0, 50.0, 800.0])
+def test_mixed_tail_keeps_the_end_of_the_fall(t_max):
+    t_floor = math.log(0.25) + 700.0
+    if t_max < t_floor:
+        t_end, h_end = t_max, _slaved_gap(0.25, 0.0, 1.0, 1.0, t_max)
+    else:
+        t_end, h_end = t_floor, math.exp(-700.0)
     traj = simulate(_params(), MIXED, h0=0.25, t_max=t_max)
-    assert traj.event.t == pytest.approx(t_end, rel=1e-10)
-    assert traj.event.h == pytest.approx(h_end, rel=1e-10)
+    assert traj.event.t == pytest.approx(t_end, abs=0.0, rel=1e-11)
+    assert traj.event.h == pytest.approx(h_end, abs=0.0, rel=1e-11)
     assert (traj.t[-1], traj.h[-1]) == (traj.event.t, traj.event.h)
 
 
@@ -319,26 +353,44 @@ def test_apex_below_the_switch_gap_enters_the_tail():
     # the apex, about h0 e^{v0 / kappa} = 2.7e-7, stays below SWITCH_H
     traj = simulate(_params(), MIXED, h0=1e-7, v0=1.0, t_max=50.0)
     assert float(traj.h.max()) == pytest.approx(1e-7 * math.e, rel=1e-4)
-    assert traj.event.h == pytest.approx(5.242885663353309e-29, rel=1e-10)
+    h_end = _slaved_gap(1e-7, 1.0, 1.0, 1.0, 50.0)
+    assert traj.event.h == pytest.approx(h_end, abs=0.0, rel=1e-11)
 
 
+# a fall makes at most one solve_ivp call, with a bounded evaluation count
+# (a deterministic work counter)
 @pytest.mark.parametrize(
-    "regime, h0, v0, t_max, solves",
-    [(SLIP, 0.25, 0.0, 10.0, 1), (MIXED, 0.25, 0.0, 800.0, 1),
-     (MIXED, 1e-7, 0.0, 50.0, 0), (MIXED, SWITCH_H, -0.1, 50.0, 0)],
-    ids=["slip", "mixed-to-floor", "mixed-deep-at-rest", "mixed-deep-falling"],
+    "regime, G, h0, v0, t_max, solves, max_nfev",
+    [(SLIP, 1.0, 0.25, 0.0, 10.0, 1, 1000), (MIXED, 1.0, 0.25, 0.0, 800.0, 1, 1000),
+     (MIXED, 1.0, 1e-7, 0.0, 50.0, 0, 0), (MIXED, 1.0, SWITCH_H, -0.1, 50.0, 0, 0),
+     (MIXED, 1.0, 0.25, 0.0, 50.0, 1, 1000), (MIXED, 1e-3, 1e-5, 0.0, 50.0, 1, 500)],
+    ids=["slip", "mixed-to-floor", "mixed-deep-at-rest", "mixed-deep-falling",
+         "mixed-default", "mixed-slow-gravity"],
 )
-def test_a_fall_is_at_most_one_solve(monkeypatch, regime, h0, v0, t_max, solves):
-    calls = []
+def test_a_fall_is_at_most_one_solve(
+    monkeypatch, regime, G, h0, v0, t_max, solves, max_nfev
+):
+    results = []
     solve_ivp = scipy.integrate.solve_ivp
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("method"))
-        return solve_ivp(*args, **kwargs)
+        results.append(solve_ivp(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
-    simulate(_params(), regime, h0=h0, v0=v0, t_max=t_max)
-    assert len(calls) == solves
+    simulate(_params(G=G), regime, h0=h0, v0=v0, t_max=t_max)
+    assert len(results) == solves
+    assert sum(r.nfev for r in results) <= max_nfev
+
+
+def test_a_drag_law_from_four_fields_falls_the_same():
+    law = drag_law(MIXED, kappa=1.0)
+    rebuilt = DragLaw(law.kind, law.regime_kind, law.deep, law._fn)
+    a = simulate(_params(), MIXED, h0=0.25, t_max=50.0, law=law)
+    b = simulate(_params(), MIXED, h0=0.25, t_max=50.0, law=rebuilt)
+    assert a.event == b.event
+    for x, y in ((a.t, b.t), (a.h, b.h), (a.v, b.v)):
+        assert np.array_equal(x, y)
 
 
 # ------------------------------------------------------ momentum integral
@@ -365,6 +417,26 @@ def test_every_row_keeps_the_momentum_integral(regime, t_max):
         phi = kappa * np.log(h0 / traj.h)
     invariant = traj.v - phi + G * traj.t
     assert np.max(np.abs(invariant - v0)) <= INVARIANT_TOL
+
+
+@pytest.mark.parametrize(
+    "kappa, G, h0, table",
+    [(1.0, 1.0, 0.25, False), (0.5, 2.0, 0.25, False), (1.0, 1.0, 1e-2, True)],
+    ids=["kappa=G=1", "kappa=0.5,G=2", "table-3/h"],
+)
+def test_every_h_phase_row_matches_a_radau_reference(kappa, G, h0, table):
+    law = (drag_law(MIXED, source=_synthetic_table(MIXED, lambda h: 3.0 / h))
+           if table else drag_law(MIXED, kappa=kappa))
+    traj = simulate(_params(G=G, kappa=kappa), MIXED, h0=h0, t_max=50.0, law=law)
+    rows = len(traj) - 1  # the last row is the closed-form tail's
+    assert traj.h[-1] < SWITCH_H
+    ref = scipy.integrate.solve_ivp(
+        lambda t, y: (y[1], -law(y[0]) * y[1] - G), (0.0, traj.t[rows - 1]),
+        (h0, 0.0), method="Radau", rtol=1e-12, atol=1e-20, dense_output=True,
+    )
+    h, v = ref.sol(traj.t[:rows])
+    assert np.max(np.abs(traj.h[:rows] / h - 1.0)) <= 1e-7
+    assert np.max(np.abs(traj.v[:rows] - v)) <= 1e-7
 
 
 def test_mixed_accepts_a_table_law():
