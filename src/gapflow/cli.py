@@ -12,8 +12,9 @@ fall scan          outcome grid over (kappa, G, h0) -> CSV
 verify all         fast battery over the profile/field/integral checks
 
 Configuration is a flat key set (see RunConfig): values come from an
-optional JSON file passed with --config, and any flag given on the
-command line overrides the file.  Every JSON report embeds a config echo
+optional JSON file passed with --config, overridden by the key's flag:
+--key lower-cased with "-" for "_" (out_dir is --out).  validate checks
+values from either source alike.  Every JSON report embeds a config echo
 that reproduces the run when fed back through --config, and every check
 row carries the analysis anchor label it validates (the "anchor" field),
 so reports are traceable row by row.
@@ -37,7 +38,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from importlib import metadata
 from pathlib import Path
@@ -52,7 +53,6 @@ from .dynamics import (
     EventKind,
     FallParameters,
     StiffnessError,
-    calibrate_kappa,
     simulate,
     touchdown_scan,
 )
@@ -67,6 +67,7 @@ from .profile import (
     weighted_sups,
 )
 from .quadrature import (
+    DEFAULT_H_LIST,
     Classification,
     ClassificationError,
     QuadratureError,
@@ -122,7 +123,9 @@ class RunConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     h: float = 1e-4
-    h_list: tuple = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    h_list: tuple = field(
+        default=DEFAULT_H_LIST, metadata={"help": "comma-separated gaps"}
+    )
     exterior: str = "included"
     draws: int = 10000
     seed: int = 20260814
@@ -140,12 +143,17 @@ class RunConfig:
     kappa_list: tuple = (0.5, 1.0, 2.0)
     G_list: tuple = (1.0,)
     h0_list: tuple = (0.25,)
-    out_dir: str = None
-    stamp: bool = False
+    out_dir: str = field(
+        default=None, metadata={"flag": "--out", "help": "output directory"}
+    )
+    stamp: bool = field(
+        default=False,
+        metadata={"help": "embed a UTC timestamp (breaks bit-identical reruns)"},
+    )
 
 
 ECHO_EXCLUDE = ("out_dir", "stamp")
-LIST_KEYS = ("h_list", "kappa_list", "G_list", "h0_list")
+LIST_KEYS = tuple(f.name for f in fields(RunConfig) if f.type is tuple)
 
 
 # ---------------------------------------------------------------- config
@@ -399,26 +407,18 @@ def _field_rows(cfg):
     )
     div_max = float(np.max(np.abs(frame.div) / term_scale))
 
-    fd_worst = 0.0
-    for _ in range(FD_POINTS):
-        rr = float(rng.uniform(0.05, 0.5))
-        H = h + gamma_s(rr)
-        zz = float(rng.uniform(0.3, 0.7)) * H
-        e = FD_SCALE * H
-
-        def u_r(r_):
-            return float(aperture_frame(regime, h, r_, zz).u_r)
-
-        def u_z(z_):
-            return float(aperture_frame(regime, h, rr, z_).u_z)
-
-        dur_dr = (
-            u_r(rr - 2 * e) - 8 * u_r(rr - e) + 8 * u_r(rr + e) - u_r(rr + 2 * e)
-        ) / (12 * e)
-        duz_dz = (
-            u_z(zz - 2 * e) - 8 * u_z(zz - e) + 8 * u_z(zz + e) - u_z(zz + 2 * e)
-        ) / (12 * e)
-        fd_worst = max(fd_worst, abs(dur_dr + u_r(rr) / rr + duz_dz))
+    # FD_POINTS (r, z/H) pairs, each r drawn just before its z/H
+    rr, z_frac = rng.uniform((0.05, 0.3), (0.5, 0.7), size=(FD_POINTS, 2)).T
+    H = h + gamma_s(rr)
+    zz = z_frac * H
+    e = FD_SCALE * H
+    steps = np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * e
+    u_r = aperture_frame(regime, h, rr + steps, zz).u_r
+    u_z = aperture_frame(regime, h, rr, zz + steps).u_z
+    dur_dr = (u_r[0] - 8 * u_r[1] + 8 * u_r[2] - u_r[3]) / (12 * e)
+    duz_dz = (u_z[0] - 8 * u_z[1] + 8 * u_z[2] - u_z[3]) / (12 * e)
+    centre = aperture_frame(regime, h, rr, zz).u_r
+    fd_worst = float(np.max(np.abs(dur_dr + centre / rr + duz_dz)))
 
     # column flux int_0^H u_r dz = -r/2; Gauss-Legendre resolves the cubic
     x, w = np.polynomial.legendre.leggauss(24)
@@ -531,14 +531,12 @@ def _scaling_anchors(kind):
 
 def cmd_drag_scan(cfg, out):
     curve = _curve(cfg)
-    write_csv(
-        out / "drag_scan.csv",
-        ("h", "E_total", "E_grad", "E_sphere", "E_wall", "n"),
-        [
-            (r.h, r.energy, r.gradient_part, r.sphere_part, r.wall_part, r.surface)
-            for r in curve.rows
-        ],
-    )
+    header = ("h", "E_total", "E_grad", "E_sphere", "E_wall", "n")
+    rows = [
+        (r.h, r.energy, r.gradient_part, r.sphere_part, r.wall_part, r.surface)
+        for r in curve.rows
+    ]
+    write_csv(out / "drag_scan.csv", header, rows)
     energies = curve.column("energy")
     # rows are ordered by decreasing h, so drag must increase row by row
     increments = np.diff(energies)
@@ -556,17 +554,7 @@ def cmd_drag_scan(cfg, out):
     ]
     extra = {
         "provenance": dict(curve.provenance),
-        "rows": [
-            {
-                "h": r.h,
-                "E_total": r.energy,
-                "E_grad": r.gradient_part,
-                "E_sphere": r.sphere_part,
-                "E_wall": r.wall_part,
-                "n": r.surface,
-            }
-            for r in curve.rows
-        ],
+        "rows": [dict(zip(header, row)) for row in rows],
     }
     report = envelope(cfg, "drag scan", checks, extra)
     write_json(out / "drag_scan.json", report)
@@ -596,7 +584,6 @@ def cmd_drag_fit(cfg, out):
     other = "inverse" if expected == "log" else "log"
     r2 = fits["energy"][expected].r_squared
     r2_other = fits["energy"][other].r_squared
-    kappa_fit, _ = calibrate_kappa(curve)
 
     energy_anchor, surface_anchor = _scaling_anchors(kind)
     checks = [
@@ -624,7 +611,7 @@ def cmd_drag_fit(cfg, out):
             for quantity, by_model in fits.items()
         },
         "selected_model": expected,
-        "kappa_calibrated": kappa_fit,
+        "kappa_calibrated": fits["energy"][expected].a,
         "provenance": dict(curve.provenance),
     }
     report = envelope(cfg, "drag fit", checks, extra)
@@ -760,38 +747,16 @@ COMMANDS = {
 
 
 def _common_parser():
+    """--config, then each RunConfig key's flag, typed by its annotation."""
     common = argparse.ArgumentParser(add_help=False)
     add = common.add_argument
     add("--config", default=None, help="flat JSON config file")
-    add("--out", dest="out_dir", default=None, help="output directory")
-    add("--stamp", action="store_const", const=True, default=None,
-        help="embed a UTC timestamp (breaks bit-identical reruns)")
-    add("--seed", type=int, default=None)
-    add("--regime", choices=("slip", "mixed"), default=None)
-    add("--beta-s", dest="beta_S", type=float, default=None)
-    add("--beta-omega", dest="beta_Omega", type=float, default=None)
-    add("--delta", type=float, default=None)
-    add("--h-max", dest="h_max", type=float, default=None)
-    add("--rel-tol", dest="rel_tol", type=float, default=None)
-    add("--abs-tol", dest="abs_tol", type=float, default=None)
-    add("--exterior", choices=("included", "excluded"), default=None)
-    add("--h", type=float, default=None)
-    add("--h-list", dest="h_list", default=None, help="comma-separated gaps")
-    add("--draws", type=int, default=None)
-    add("--rho-s", dest="rho_S", type=float, default=None)
-    add("--rho-f", dest="rho_F", type=float, default=None)
-    add("--g", type=float, default=None)
-    add("--kappa", type=float, default=None)
-    add("--h0", type=float, default=None)
-    add("--v0", type=float, default=None)
-    add("--t-max", dest="t_max", type=float, default=None)
-    add("--ode-rtol", dest="ode_rtol", type=float, default=None)
-    add("--ode-atol", dest="ode_atol", type=float, default=None)
-    add("--p", type=float, default=None)
-    add("--q", type=float, default=None)
-    add("--kappa-list", dest="kappa_list", default=None)
-    add("--g-list", dest="G_list", default=None)
-    add("--h0-list", dest="h0_list", default=None)
+    for f in fields(RunConfig):
+        flag = f.metadata.get("flag", "--" + f.name.lower().replace("_", "-"))
+        kind = {"type": f.type} if f.type in (float, int) else {}
+        if f.type is bool:
+            kind = {"action": "store_const", "const": True}
+        add(flag, dest=f.name, default=None, help=f.metadata.get("help"), **kind)
     return common
 
 
@@ -802,16 +767,9 @@ def build_parser():
         description="checks, drag scans, and fall runs for the gap-flow model",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-    for group, actions in (
-        ("profile", ("check",)),
-        ("field", ("verify",)),
-        ("drag", ("scan", "fit")),
-        ("integral", ("classify",)),
-        ("fall", ("simulate", "scan")),
-        ("verify", ("all",)),
-    ):
+    for group in dict.fromkeys(g for g, _ in COMMANDS):
         sub = groups.add_parser(group).add_subparsers(dest="action", required=True)
-        for action in actions:
+        for action in (a for g, a in COMMANDS if g == group):
             sub.add_parser(action, parents=[common])
     return parser
 

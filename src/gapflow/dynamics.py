@@ -153,7 +153,8 @@ def drag_law(regime, source="analytic", kappa=1.0, surrogate=False):
         Analytic laws are kappa |ln h| (slip) and kappa / h (mixed).  A
         DragCurve is interpolated log-log through its energy column and
         extrapolated below its smallest h by the regime's asymptotic
-        model anchored at that node.
+        model anchored at that node, and above its largest h by its last
+        log-log segment.
     kappa : float
         Prefactor for the analytic laws.
     surrogate : bool
@@ -204,17 +205,24 @@ def _table_law(regime, curve):
         def extrapolate(h):
             return e_min * h_min / h
 
+    # log-log slopes of the segments; above the largest node the last one
+    # continues as a power law (a one-row table stays constant there)
+    slopes = np.diff(log_e) / np.diff(log_h)
+    p_top = slopes[-1] if len(slopes) else 0.0
+
     def fn(h):
         h = np.asarray(h, dtype=float)
-        inside = np.exp(np.interp(np.log(h), log_h, log_e))
+        x = np.log(h)
+        above = p_top * np.maximum(x - log_h[-1], 0.0)
+        inside = np.exp(np.interp(x, log_h, log_e) + above)
         out = np.where(h < h_min, extrapolate(np.maximum(h, 1e-300)), inside)
         return out if out.ndim else float(out)
 
     if deep[0] == "inverse":
         # log-log segment j is a power law e_k (h / h_k)^p_j: P(h) - P(h_k)
         # = e_k h_k dx expm1(z) / z, dx = ln(h / h_k), z = (p_j + 1) dx; the
-        # a/h model below the nodes is p = -1, np.interp's clamp above p = 0
-        p = np.concatenate(([-1.0], np.diff(log_e) / np.diff(log_h), [0.0]))
+        # a/h model below the nodes is p = -1
+        p = np.concatenate(([-1.0], slopes, [p_top]))
 
         def segment(k, j, dx):
             z = (p[j] + 1.0) * dx

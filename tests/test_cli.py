@@ -298,6 +298,70 @@ def test_flags_and_config_keys_are_one_set():
     assert dests - {"config"} == {f.name for f in fields(RunConfig)}
 
 
+# the CLI's flags, listed literally so that deriving them from RunConfig
+# cannot rename one: (flag, argument, dest, parsed value)
+FLAGS = [
+    ("--config", "c.json", "config", "c.json"),
+    ("--out", "d", "out_dir", "d"),
+    ("--stamp", None, "stamp", True),
+    ("--seed", "7", "seed", 7),
+    ("--regime", "mixed", "regime", "mixed"),
+    ("--beta-s", "0.5", "beta_S", 0.5),
+    ("--beta-omega", "0.5", "beta_Omega", 0.5),
+    ("--delta", "0.1", "delta", 0.1),
+    ("--h-max", "0.4", "h_max", 0.4),
+    ("--rel-tol", "1e-9", "rel_tol", 1e-9),
+    ("--abs-tol", "1e-13", "abs_tol", 1e-13),
+    ("--exterior", "excluded", "exterior", "excluded"),
+    ("--h", "1e-3", "h", 1e-3),
+    ("--h-list", "1e-2,1e-3", "h_list", "1e-2,1e-3"),
+    ("--draws", "50", "draws", 50),
+    ("--rho-s", "3", "rho_S", 3.0),
+    ("--rho-f", "0.5", "rho_F", 0.5),
+    ("--g", "9.8", "g", 9.8),
+    ("--kappa", "2", "kappa", 2.0),
+    ("--h0", "0.2", "h0", 0.2),
+    ("--v0", "-0.1", "v0", -0.1),
+    ("--t-max", "5", "t_max", 5.0),
+    ("--ode-rtol", "1e-9", "ode_rtol", 1e-9),
+    ("--ode-atol", "1e-12", "ode_atol", 1e-12),
+    ("--p", "0", "p", 0.0),
+    ("--q", "2", "q", 2.0),
+    ("--kappa-list", "1,2", "kappa_list", "1,2"),
+    ("--g-list", "1", "G_list", "1"),
+    ("--h0-list", "0.1", "h0_list", "0.1"),
+]
+
+
+@pytest.mark.parametrize("flag, arg, dest, value", FLAGS, ids=[f[0] for f in FLAGS])
+def test_each_flag_keeps_its_dest_and_type(flag, arg, dest, value):
+    argv = ["drag", "scan", flag] + ([arg] if arg is not None else [])
+    parsed = getattr(cli.build_parser().parse_args(argv), dest)
+    assert parsed == value
+    assert type(parsed) is type(value)
+
+
+@pytest.mark.parametrize("key", ["regime", "exterior"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_unknown_regime_or_exterior_exits_2(key, source, tmp_path, capsys):
+    # the values are checked by validate, so flags and config files agree
+    if source == "flag":
+        argv = [f"--{key}", "foo"]
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: "foo"}))
+        argv = ["--config", str(cfg_file)]
+    assert run(["drag", "scan", *argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and key in err
+
+
+@pytest.mark.parametrize("group, action", list(cli.COMMANDS), ids=" ".join)
+def test_every_subcommand_has_help(group, action, capsys):
+    assert run([group, action, "--help"]) == 0
+    assert f"gapflow {group} {action}" in capsys.readouterr().out
+
+
 def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
     code = run(["drag", "scan", "--regime", "slip", "--h-list", "1e-2,1e-3",
                 "--delta", "0.15", "--out", str(tmp_path)])

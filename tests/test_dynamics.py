@@ -428,6 +428,25 @@ def test_every_h_phase_row_matches_a_radau_reference(kappa, G, h0, table):
     law = (drag_law(MIXED, source=_synthetic_table(MIXED, lambda h: 3.0 / h))
            if table else drag_law(MIXED, kappa=kappa))
     traj = simulate(_params(G=G, kappa=kappa), MIXED, h0=h0, t_max=50.0, law=law)
+    _assert_rows_match_radau(traj, law, G, h0)
+
+
+def test_table_law_continues_its_last_segment_above_the_nodes():
+    # the synthetic nodes span 1e-6..1e-2, so a 3/h table must stay 3/h
+    # above them for a fall from h0 = 0.25 to be the analytic 3/h fall
+    law = drag_law(MIXED, source=_synthetic_table(MIXED, lambda h: 3.0 / h))
+    assert law(0.05) == pytest.approx(60.0, rel=1e-12)
+    assert law(0.25) == pytest.approx(12.0, rel=1e-12)
+    traj = simulate(_params(), MIXED, h0=0.25, t_max=50.0, law=law)
+    _assert_rows_match_radau(traj, drag_law(MIXED, kappa=3.0), 1.0, 0.25)
+    # one node has no segment to continue: the law stays constant above it
+    one = drag_law(MIXED, source=_synthetic_table(MIXED, lambda h: 3.0 / h, (1e-2,)))
+    assert one(0.25) == one(1e-2)
+
+
+def _assert_rows_match_radau(traj, law, G, h0):
+    """Every h-phase row of a fall from rest against a Radau rtol 1e-12
+    dense output under law: h within 1e-7 relative, h' within 1e-7."""
     rows = len(traj) - 1  # the last row is the closed-form tail's
     assert traj.h[-1] < SWITCH_H
     ref = scipy.integrate.solve_ivp(
