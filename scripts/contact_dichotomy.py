@@ -13,6 +13,7 @@ Usage:
 
 import argparse
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,9 +35,8 @@ def main():
                             kappa=args.kappa)
     print(f"h0 = {args.h0}, G = {params.G}, kappa = {params.kappa}")
 
-    free = simulate(params, SlipRegime.slip(1.0, 1.0), args.h0,
-                    law=lambda h: 0.0, t_max=2.0 * args.t_max,
-                    rtol=1e-12, atol=1e-14)
+    free = simulate(replace(params, kappa=0.0), SlipRegime.slip(1.0, 1.0),
+                    args.h0, t_max=2.0 * args.t_max, rtol=1e-12, atol=1e-14)
     print(f"\nfree fall      : touchdown at t* = {free.event.t:.8f}"
           f"  (analytic {math.sqrt(2.0 * args.h0 / params.G):.8f})")
 

@@ -15,14 +15,15 @@ by the gap analysis fall on either side:
   contact never happens.
 
 ``drag_law`` builds D either analytically from a regime or by log-log
-interpolation of a computed DragCurve; ``simulate`` integrates the ODE
-on (h, h') by an embedded 4(5) Runge-Kutta pair, with events for
-touchdown (h = 1e-12) and escape (h = h_max).  An inverse law D ~ a/h + b
-has Phi in closed form, so its fall is one stiff ODE in u = ln h,
-u' = (v0 + Phi(h) - G t) / h, for variable-order BDF, which it leaves at
-the first state with h <= SWITCH_H and h' <= 0 (or starts there).  From
-that entry gap h_s, h' stays <= 0 (at h' = 0, h'' = -G), and with P' = D
-the first integral fixes
+interpolation of a computed DragCurve; every DragLaw carries P with
+P' = D in closed form, so Phi(h) = P(h0) - P(h) and ``simulate``
+integrates the first integral, one scalar ODE, never (h, h').  A log law
+D ~ a |ln h| + b runs it in h by an embedded 4(5) Runge-Kutta pair, with
+events for touchdown (h = 1e-12) and escape (h = h_max).  An inverse law
+D ~ a/h + b runs it in u = ln h, u' = (v0 + Phi(h) - G t) / h, for
+variable-order BDF, which it leaves at the first state with h <= SWITCH_H
+and h' <= 0 (or starts there).  From that entry gap h_s, h' stays <= 0
+(at h' = 0, h'' = -G), and the first integral fixes
 
     a ln h + b h + h' + G t = v0 + P(h0) - P(h_s) + a ln h_s + b h_s,
 
@@ -137,10 +138,26 @@ class DragLaw:
         return self._fn(h)
 
     def antiderivative(self, h):
-        """P with P' = D, through which simulate integrates an inverse law: a
-        table's own closed form, else a ln h + b h, exact if D = a/h + b."""
-        _, a, b = self.deep
-        return getattr(self._fn, "antiderivative", lambda h: a * np.log(h) + b * h)(h)
+        """P with P' = D, through which simulate integrates every fall: a
+        table's own closed form, else the deep model's, exact if D is it."""
+        P = getattr(self._fn, "antiderivative", None)
+        return P(h) if P else _model_antiderivative(self.deep, h)
+
+
+def _model_drag(deep, h):
+    """The deep model a |ln h| + b or a/h + b at h."""
+    form, a, b = deep
+    h = np.asarray(h, dtype=float)
+    return (a * np.abs(np.log(h)) if form == "log" else a / h) + b
+
+
+def _model_antiderivative(deep, h):
+    """P with P' = _model_drag(deep, h); the log form is continuous at h = 1."""
+    form, a, b = deep
+    x = np.log(h)
+    if form == "inverse":
+        return a * x + b * h
+    return a * np.where(x < 0.0, h * (1.0 - x), h * x - h + 2.0) + b * h
 
 
 def drag_law(regime, source="analytic", kappa=1.0, surrogate=False):
@@ -176,12 +193,9 @@ def drag_law(regime, source="analytic", kappa=1.0, surrogate=False):
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
 
-    if regime.kind is RegimeKind.SLIP:
-        fn = lambda h: kappa * np.abs(np.log(h))
-        return DragLaw("analytic", regime.kind, ("log", kappa, 0.0), fn)
+    deep = ("log" if regime.kind is RegimeKind.SLIP else "inverse", kappa, 0.0)
     kind = "surrogate" if regime.kind is RegimeKind.NO_SLIP else "analytic"
-    fn = lambda h: kappa / np.asarray(h, dtype=float)
-    return DragLaw(kind, regime.kind, ("inverse", kappa, 0.0), fn)
+    return DragLaw(kind, regime.kind, deep, lambda h: _model_drag(deep, h))
 
 
 def _table_law(regime, curve):
@@ -192,66 +206,45 @@ def _table_law(regime, curve):
     log_h, log_e = np.log(hs), np.log(es)
     h_min, e_min = float(hs[0]), float(es[0])
 
+    # the regime's model, anchored at the smallest node, continues below it
     if regime.kind is RegimeKind.SLIP:
         slope = fit_scaling(curve, ScalingModel.LOG).a
         deep = ("log", slope, e_min - slope * abs(math.log(h_min)))
-
-        def extrapolate(h):
-            return e_min + slope * (np.abs(np.log(h)) - abs(math.log(h_min)))
-
     else:
         deep = ("inverse", e_min * h_min, 0.0)
 
-        def extrapolate(h):
-            return e_min * h_min / h
-
-    # log-log slopes of the segments; above the largest node the last one
-    # continues as a power law (a one-row table stays constant there)
-    slopes = np.diff(log_e) / np.diff(log_h)
-    p_top = slopes[-1] if len(slopes) else 0.0
+    # log-log slopes of the segments above each node; above the largest one
+    # the last continues as a power law (a one-row table stays constant there)
+    p = np.diff(log_e) / np.diff(log_h)
+    p = np.r_[p, p[-1] if len(p) else 0.0]
 
     def fn(h):
         h = np.asarray(h, dtype=float)
         x = np.log(h)
-        above = p_top * np.maximum(x - log_h[-1], 0.0)
+        above = p[-1] * np.maximum(x - log_h[-1], 0.0)
         inside = np.exp(np.interp(x, log_h, log_e) + above)
-        out = np.where(h < h_min, extrapolate(np.maximum(h, 1e-300)), inside)
+        out = np.where(h < h_min, _model_drag(deep, np.maximum(h, 1e-300)), inside)
         return out if out.ndim else float(out)
 
-    if deep[0] == "inverse":
-        # log-log segment j is a power law e_k (h / h_k)^p_j: P(h) - P(h_k)
-        # = e_k h_k dx expm1(z) / z, dx = ln(h / h_k), z = (p_j + 1) dx; the
-        # a/h model below the nodes is p = -1
-        p = np.concatenate(([-1.0], slopes, [p_top]))
+    # segment k is the power law e_k (h / h_k)^p_k: P(h) - P(h_k)
+    # = e_k h_k dx expm1(z) / z with dx = ln(h / h_k), z = (p_k + 1) dx
+    def segment(k, dx):
+        z = (p[k] + 1.0) * dx
+        return es[k] * hs[k] * dx * np.divide(
+            np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
 
-        def segment(k, j, dx):
-            z = (p[j] + 1.0) * dx
-            return es[k] * hs[k] * dx * np.divide(
-                np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+    k = np.arange(len(hs) - 1)
+    at_nodes = _model_antiderivative(deep, h_min) + np.r_[
+        0.0, np.cumsum(segment(k, np.diff(log_h)))]
 
-        k = np.arange(len(hs) - 1)
-        at_nodes = np.r_[0.0, np.cumsum(segment(k, k + 1, np.diff(log_h)))]
+    def antiderivative(h):
+        x = np.log(h)
+        k = np.maximum(np.searchsorted(log_h, x, side="right") - 1, 0)
+        inside = at_nodes[k] + segment(k, x - log_h[k])
+        return np.where(x < log_h[0], _model_antiderivative(deep, h), inside)
 
-        def antiderivative(h):
-            x = np.log(h)
-            j = np.searchsorted(log_h, x, side="right")
-            k = np.maximum(j - 1, 0)
-            return at_nodes[k] + segment(k, j, x - log_h[k])
-
-        fn.antiderivative = antiderivative
-
+    fn.antiderivative = antiderivative
     return DragLaw("table", regime.kind, deep, fn)
-
-
-def calibrate_kappa(curve):
-    """Least-squares drag prefactor from a DragCurve (slope of its law)."""
-    model = (
-        ScalingModel.LOG
-        if curve.regime.kind is RegimeKind.SLIP
-        else ScalingModel.INVERSE
-    )
-    fit = fit_scaling(curve, model)
-    return fit.a, fit
 
 
 def _tail(t_s, h_s, v_s, conserved, a, b, G, t_max):
@@ -299,13 +292,14 @@ def simulate(
     h0, v0 : float
         Initial gap (must lie in (touchdown, h_max)) and velocity.
     t_max : float
-    law : DragLaw or callable, optional
-        Custom drag; a bare callable is integrated in h-space only.
+    law : DragLaw, optional
+        Custom drag; anything else raises TypeError.
     rtol, atol, max_step, first_step
-        Step control, passed to the integrator.  An inverse law runs in
-        u = ln h, so rtol and atol bound the relative error of h; its h'
-        rows come from h' = v0 + Phi(h) - G t, off by D(h) h times the
-        error of ln h: about 1e-8 for kappa / h at the defaults.
+        Step control, passed to the integrator, which integrates h (log
+        law) or u = ln h (inverse law, so rtol and atol bound the relative
+        error of h).  Every h' row, and the impact speed, comes from
+        h' = v0 + Phi(h) - G t, off by D(h) times the error of h: about
+        1e-8 for kappa / h at the defaults.
 
     Returns
     -------
@@ -327,21 +321,21 @@ def simulate(
         raise ValueError("t_max must be positive")
     if law is None:
         law = drag_law(regime, "analytic", params.kappa)
-    deep = getattr(law, "deep", None)
-    stiff = deep is not None and deep[0] == "inverse"
-    if stiff and deep[1] <= 0.0:
+    if not isinstance(law, DragLaw):
+        raise TypeError(f"law must be a DragLaw, not {type(law).__name__}")
+    form, a, b = law.deep
+    stiff = form == "inverse"
+    if stiff and a <= 0.0:
         raise ValueError("inverse drag law needs a positive leading coefficient")
     G = params.G
+    P = law.antiderivative
+    top = v0 + float(P(h0))  # h' + P(h) + G t along the fall
+    speed = lambda t, h: top - P(h) - G * t
     options = dict(rtol=rtol, atol=atol, max_step=max_step)
     if first_step is not None:
         options["first_step"] = first_step
 
     if stiff:
-        _, a, b = deep
-        P = law.antiderivative
-        top = v0 + float(P(h0))  # h' + P(h) + G t along the fall
-        speed = lambda t, h: top - P(h) - G * t
-
         def rhs(t, u):
             h = math.exp(u[0])
             return (speed(t, h) / h,)
@@ -353,15 +347,11 @@ def simulate(
         escape = lambda t, u: u[0] - math.log(h_max)
         y0, method, events = (math.log(h0),), "BDF", [tail, escape]
     else:
-        def rhs(t, y):
-            # trial stages of the step that brackets touchdown may probe
-            # h <= 0; continue the law evenly through zero so they stay finite
-            gap = abs(float(y[0])) or TOUCHDOWN_H
-            return (y[1], -law(gap) * y[1] - G)
-
+        # trial stages of the step that brackets touchdown may probe h <= 0
+        rhs = lambda t, y: (speed(t, max(y[0], TOUCHDOWN_H)),)
         touchdown = lambda t, y: y[0] - TOUCHDOWN_H
         escape = lambda t, y: y[0] - h_max
-        y0, method, events = (h0, v0), "RK45", [touchdown, escape]
+        y0, method, events = (h0,), "RK45", [touchdown, escape]
     events[0].terminal, events[0].direction = True, -1.0
     escape.terminal, escape.direction = True, 1.0
 
@@ -371,7 +361,7 @@ def simulate(
     else:
         sol = solve_ivp(rhs, (0.0, t_max), y0, method=method, events=events, **options)
         t, h = sol.t, np.exp(sol.y[0]) if stiff else sol.y[0]
-        v = speed(t, h) if stiff else sol.y[1]
+        v = speed(t, h)
         h_end, v_end = float(h[-1]), float(v[-1])
         if sol.status == -1:
             raise StiffnessError(
@@ -391,8 +381,8 @@ def simulate(
 
     if event is None:
         h_s = float(h[-1])
-        # exactly v0 + a ln h0 + b h0 when P is a ln h + b h
-        conserved = top - float(P(h_s) - (a * np.log(h_s) + b * h_s))
+        # exactly v0 + a ln h0 + b h0 when P is the deep model's
+        conserved = top - float(P(h_s) - _model_antiderivative(law.deep, h_s))
         event = _tail(float(t[-1]), h_s, float(v[-1]), conserved, a, b, G, t_max)
         if event.t > t[-1]:
             t, h, v = (np.append(t, event.t), np.append(h, event.h),

@@ -283,9 +283,8 @@ def test_criterion_8_contact_dichotomy():
     assert 1.0 - ss_res / ss_tot >= R2_FLOOR
 
     # free-fall oracle: t* = sqrt(2 h0 / G)
-    free = simulate(
-        params, SLIP, h0, law=lambda h: 0.0, t_max=2.0, rtol=1e-12, atol=1e-14
-    )
+    free_params = FallParameters(rho_S=2.0, rho_F=1.0, g=2.0, kappa=0.0)
+    free = simulate(free_params, SLIP, h0, t_max=2.0, rtol=1e-12, atol=1e-14)
     assert free.event.kind == EventKind.TOUCHDOWN
     assert abs(free.event.t - math.sqrt(2.0 * h0 / params.G)) < FREE_FALL_TOL
     elapsed = time.perf_counter() - start
