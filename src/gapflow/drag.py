@@ -37,13 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import DELTA_DEFAULT, GapGeometry, gamma_s, sphere_normal
-from .field import (
-    _frame,
-    _residual,
-    aperture_frame,
-    global_velocity,
-    l2_d2phi2_sq,
-)
+from .field import _frame, _residual, aperture_frame, global_velocity
 from .profile import RegimeKind, SlipRegime, psi_partials
 from .quadrature import (
     IntegralResult,
@@ -231,9 +225,7 @@ def exterior_constant(regime, delta=DELTA_DEFAULT):
     # bump-transition shell: its size is set by the cutoff width, not by
     # the gap, so it belongs to the far field and stays out of drag totals
     shell = (1.0 + 0.5 * geo.d_delta < y) & (y < 1.0 + geo.d_delta)
-    sample = global_velocity(
-        regime, h, x[~(aperture | solid | shell)], with_gradient=True, geometry=geo
-    )
+    sample = global_velocity(regime, h, x[~(aperture | solid | shell)], geometry=geo)
     total = 0.0
     # one point at a time in grid order, the order the constant is pinned in
     for g_sq in np.sum(sample.grad**2, axis=(1, 2)).tolist():
@@ -372,13 +364,3 @@ def fit_scaling(curve, model, quantity="energy"):
         raise ValueError("degenerate regressor: all h identical")
     a, b, r2 = _ols(x, y)
     return ScalingFit(model=model, a=a, b=b, r_squared=r2)
-
-
-def lower_bound_witness(regime, h, r_max=R_MAX_DEFAULT, spec=None):
-    """The single-component gradient contribution driving the lower bound.
-
-    The x2-derivative of the second velocity component alone grows like
-    |ln h| (slip), which pins the dissipation from below without the other
-    seventeen entries.
-    """
-    return float(l2_d2phi2_sq(regime, h, r_max, spec))

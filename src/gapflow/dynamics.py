@@ -14,23 +14,25 @@ by the gap analysis fall on either side:
 * mixed: D(h) = kappa / h, Phi(0) = inf; ln h falls linearly in t and
   contact never happens.
 
-``drag_law`` builds D either analytically from a regime or by log-log
-interpolation of a computed DragCurve; every DragLaw carries P with
-P' = D in closed form, so Phi(h) = P(h0) - P(h) and ``simulate``
+``drag_law`` builds D analytically from a regime; every DragLaw carries
+P with P' = D in closed form, so Phi(h) = P(h0) - P(h) and ``simulate``
 integrates the first integral, one scalar ODE, never (h, h').  A log law
 D ~ a |ln h| + b runs it in h by an embedded 4(5) Runge-Kutta pair, with
 events for touchdown (h = 1e-12) and escape (h = h_max).  An inverse law
 D ~ a/h + b runs it in u = ln h, u' = (v0 + Phi(h) - G t) / h, for
 variable-order BDF, which it leaves at the first state with h <= SWITCH_H
-and h' <= 0 (or starts there).  From that entry gap h_s, h' stays <= 0
-(at h' = 0, h'' = -G), and the first integral fixes
+and h' <= 0 where h' is slaved to gravity: within a factor 4 of
+-G h / (a + b h), or so fast that the rest of its coast, h / |h'|, is
+shorter than the integrator resolves in t (eps t / rtol).  It starts
+there when (h0, v0) is such a state.  From that entry gap h_s, h' stays
+<= 0 (at h' = 0, h'' = -G), and the first integral fixes
 
-    a ln h + b h + h' + G t = v0 + P(h0) - P(h_s) + a ln h_s + b h_s,
+    a ln h + b h + h' + G t = v0 + a ln h0 + b h0.
 
-that is v0 + a ln h0 + b h0 for an analytic law.  With h' slaved to
-gravity, h' = -G h / (a + b h), ln h is affine in t and reaches the floor
-ln h = -700 when G t is that constant plus 700 a: a time-limited run, not
-an error.  An entry so fast that this time precedes it coasts through.
+With h' slaved to gravity, h' = -G h / (a + b h), ln h is affine in t and
+reaches the floor ln h = -700 when G t is that constant plus 700 a: a
+time-limited run, not an error.  An entry so fast that this time precedes
+it coasts through the floor within h / |h'| of the entry.
 """
 
 import math
@@ -40,7 +42,6 @@ import numpy as np
 
 from .geometry import H_MAX_DEFAULT
 from .profile import RegimeKind, UnsupportedRegimeError
-from .drag import DragCurve, ScalingModel, fit_scaling
 
 TOUCHDOWN_H = 1e-12
 SWITCH_H = 1e-6
@@ -129,7 +130,7 @@ class DragLaw:
     simulate into its BDF solve in ln h and the closed-form tail.
     """
 
-    kind: str  # "analytic" | "table" | "surrogate"
+    kind: str  # "analytic"
     regime_kind: RegimeKind
     deep: tuple
     _fn: callable = field(repr=False)
@@ -138,10 +139,9 @@ class DragLaw:
         return self._fn(h)
 
     def antiderivative(self, h):
-        """P with P' = D, through which simulate integrates every fall: a
-        table's own closed form, else the deep model's, exact if D is it."""
-        P = getattr(self._fn, "antiderivative", None)
-        return P(h) if P else _model_antiderivative(self.deep, h)
+        """P with P' = D, through which simulate integrates every fall: the
+        deep model's, exact if D is it."""
+        return _model_antiderivative(self.deep, h)
 
 
 def _model_drag(deep, h):
@@ -160,91 +160,32 @@ def _model_antiderivative(deep, h):
     return a * np.where(x < 0.0, h * (1.0 - x), h * x - h + 2.0) + b * h
 
 
-def drag_law(regime, source="analytic", kappa=1.0, surrogate=False):
-    """Build the drag law D(h) for a regime.
+def drag_law(regime, source="analytic", kappa=1.0):
+    """Build the analytic drag law D(h) for a regime.
 
     Parameters
     ----------
     regime : SlipRegime
-    source : "analytic" or DragCurve
-        Analytic laws are kappa |ln h| (slip) and kappa / h (mixed).  A
-        DragCurve is interpolated log-log through its energy column and
-        extrapolated below its smallest h by the regime's asymptotic
-        model anchored at that node, and above its largest h by its last
-        log-log segment.
+        Slip gives kappa |ln h|, mixed kappa / h; the no-slip regime is
+        outside the gap analysis and raises UnsupportedRegimeError.
+    source : "analytic"
+        The only source.
     kappa : float
-        Prefactor for the analytic laws.
-    surrogate : bool
-        The no-slip regime is outside the gap analysis; its classical
-        kappa / h law is served only when this flag says so.
+        Prefactor of the law.
 
     Returns
     -------
     DragLaw
     """
-    if regime.kind is RegimeKind.NO_SLIP and not surrogate:
-        raise UnsupportedRegimeError(
-            "no-slip drag is a classical surrogate; pass surrogate=True to use it"
-        )
-    if isinstance(source, DragCurve):
-        return _table_law(regime, source)
+    if regime.kind is RegimeKind.NO_SLIP:
+        raise UnsupportedRegimeError("no drag law for the no-slip regime")
     if source != "analytic":
-        raise ValueError("source must be 'analytic' or a DragCurve")
+        raise ValueError("source must be 'analytic'")
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
 
     deep = ("log" if regime.kind is RegimeKind.SLIP else "inverse", kappa, 0.0)
-    kind = "surrogate" if regime.kind is RegimeKind.NO_SLIP else "analytic"
-    return DragLaw(kind, regime.kind, deep, lambda h: _model_drag(deep, h))
-
-
-def _table_law(regime, curve):
-    hs = curve.column("h")[::-1]  # ascending for interpolation
-    es = curve.column("energy")[::-1]
-    if np.any(np.diff(es) >= 0.0):
-        raise ValueError("table drag law needs strictly monotone energies")
-    log_h, log_e = np.log(hs), np.log(es)
-    h_min, e_min = float(hs[0]), float(es[0])
-
-    # the regime's model, anchored at the smallest node, continues below it
-    if regime.kind is RegimeKind.SLIP:
-        slope = fit_scaling(curve, ScalingModel.LOG).a
-        deep = ("log", slope, e_min - slope * abs(math.log(h_min)))
-    else:
-        deep = ("inverse", e_min * h_min, 0.0)
-
-    # log-log slopes of the segments above each node; above the largest one
-    # the last continues as a power law (a one-row table stays constant there)
-    p = np.diff(log_e) / np.diff(log_h)
-    p = np.r_[p, p[-1] if len(p) else 0.0]
-
-    def fn(h):
-        h = np.asarray(h, dtype=float)
-        x = np.log(h)
-        above = p[-1] * np.maximum(x - log_h[-1], 0.0)
-        inside = np.exp(np.interp(x, log_h, log_e) + above)
-        out = np.where(h < h_min, _model_drag(deep, np.maximum(h, 1e-300)), inside)
-        return out if out.ndim else float(out)
-
-    # segment k is the power law e_k (h / h_k)^p_k: P(h) - P(h_k)
-    # = e_k h_k dx expm1(z) / z with dx = ln(h / h_k), z = (p_k + 1) dx
-    def segment(k, dx):
-        z = (p[k] + 1.0) * dx
-        return es[k] * hs[k] * dx * np.divide(
-            np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
-
-    k = np.arange(len(hs) - 1)
-    at_nodes = _model_antiderivative(deep, h_min) + np.r_[
-        0.0, np.cumsum(segment(k, np.diff(log_h)))]
-
-    def antiderivative(h):
-        x = np.log(h)
-        k = np.maximum(np.searchsorted(log_h, x, side="right") - 1, 0)
-        inside = at_nodes[k] + segment(k, x - log_h[k])
-        return np.where(x < log_h[0], _model_antiderivative(deep, h), inside)
-
-    fn.antiderivative = antiderivative
-    return DragLaw("table", regime.kind, deep, fn)
+    return DragLaw("analytic", regime.kind, deep, lambda h: _model_drag(deep, h))
 
 
 def _tail(t_s, h_s, v_s, conserved, a, b, G, t_max):
@@ -254,7 +195,7 @@ def _tail(t_s, h_s, v_s, conserved, a, b, G, t_max):
     t_floor = (conserved - a * U_FLOOR) / G
     floor = f"gap fell below the representable range (ln h = {U_FLOOR:g})"
     if t_floor <= t_s:
-        # too fast to be slaved: it coasts through the floor at about h'_s
+        # a coast too short to resolve in t passes the floor at about h'_s
         note = f"{floor} within h/|h'| = {h_s / abs(v_s):.3g} after t; no contact"
         return TerminalEvent(EventKind.TIME_LIMIT, t_s, h_s, v_s, note)
     if t_floor < t_max:
@@ -306,8 +247,9 @@ def simulate(
     Trajectory
         Terminal event Touchdown (with impact speed), Escaped, or
         TimeLimit.  Inverse-law runs end in the closed-form tail once
-        h <= SWITCH_H with h' <= 0: it adds one row, at t_max or at the
-        ln h = U_FLOOR floor, and reports TimeLimit, never Touchdown.
+        h <= SWITCH_H with h' <= 0 and slaved to gravity: it adds one row,
+        at t_max or at the ln h = U_FLOOR floor, and reports TimeLimit,
+        never Touchdown.
     """
     # imported here, not at module level: scipy.integrate is most of the
     # package's import time, and only a fall needs it
@@ -342,8 +284,18 @@ def simulate(
 
         # d/du of u' = speed / h is -u' - D(h)
         options["jac"] = lambda t, u: ((-rhs(t, u)[0] - law(math.exp(u[0])),),)
-        # the tail starts at the first state with h <= SWITCH_H and h' <= 0
-        tail = lambda t, u: max(u[0] - math.log(SWITCH_H), speed(t, math.exp(u[0])))
+        # a coast shorter than eps t / rtol is below what BDF resolves at t
+        resolution = np.finfo(float).eps / rtol
+
+        def tail(t, u):
+            # <= 0 where the tail may start: h <= SWITCH_H, h' <= 0 and h'
+            # slaved to gravity, or its coast too short to resolve in t
+            h = math.exp(u[0])
+            v = speed(t, h)
+            slaved = -v - 4.0 * G * h / (a + b * h)
+            unresolved = h + resolution * t * v
+            return max(u[0] - math.log(SWITCH_H), v, min(slaved, unresolved))
+
         escape = lambda t, u: u[0] - math.log(h_max)
         y0, method, events = (math.log(h0),), "BDF", [tail, escape]
     else:
@@ -356,7 +308,7 @@ def simulate(
     escape.terminal, escape.direction = True, 1.0
 
     event = None
-    if stiff and max(h0 - SWITCH_H, v0) <= 0.0:
+    if stiff and tail(0.0, y0) <= 0.0:
         t, h, v = np.array([0.0]), np.array([h0]), np.array([v0])
     else:
         sol = solve_ivp(rhs, (0.0, t_max), y0, method=method, events=events, **options)
@@ -380,10 +332,7 @@ def simulate(
             event = TerminalEvent(EventKind.TIME_LIMIT, float(t[-1]), h_end, v_end)
 
     if event is None:
-        h_s = float(h[-1])
-        # exactly v0 + a ln h0 + b h0 when P is the deep model's
-        conserved = top - float(P(h_s) - _model_antiderivative(law.deep, h_s))
-        event = _tail(float(t[-1]), h_s, float(v[-1]), conserved, a, b, G, t_max)
+        event = _tail(float(t[-1]), float(h[-1]), float(v[-1]), top, a, b, G, t_max)
         if event.t > t[-1]:
             t, h, v = (np.append(t, event.t), np.append(h, event.h),
                        np.append(v, event.speed))

@@ -15,8 +15,8 @@ pressure value itself, which is computed by composite Gauss-Legendre in an
 octave-graded substitution.
 
 Everything here is pure and broadcasts over numpy arrays: the gap
-functions take arrays of (r, z), and global_velocity takes one cartesian
-point or an (n, 3) array of them.
+functions take arrays of (r, z) and return cylindrical components, and
+global_velocity takes one cartesian point or an (n, 3) array of them.
 """
 
 import math
@@ -26,16 +26,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .geometry import GapGeometry, cutoffs, gamma_s, sphere_normal
-from .profile import (
-    RegimeKind,
-    _engine,
-    psi_h_column,
-    psi_partials,
-)
-from .quadrature import _gl_rule, integrate_gap, integrate_surface
-
-CYLINDRICAL = "cylindrical"
-CARTESIAN = "cartesian"
+from .profile import RegimeKind, _engine, psi_partials
+from .quadrature import _gl_rule, integrate_surface
 
 _J_SEGMENT_ORDER = 12
 _E3 = np.array([0.0, 0.0, 1.0])
@@ -43,24 +35,18 @@ _E3 = np.array([0.0, 0.0, 1.0])
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Velocity (and optional gradient) of the test field at one point,
-    or at n points with a leading axis of length n on every array.
+    """Velocity and gradient of the global test field at one cartesian
+    point, or at n points with a leading axis of length n on every array.
 
-    For cylindrical samples the velocity components are (u_r, u_theta,
-    u_z) with u_theta identically 0; for cartesian samples they are
-    (u_1, u_2, u_3).  The gradient, when present, is the 3 x 3 matrix
-    (grad u)_{ij} = d_j u_i in the matching frame, with the cylindrical
-    frame ordered (e_r, e_theta, e_z).
+    The velocity components are (u_1, u_2, u_3) and the gradient is the
+    3 x 3 matrix (grad u)_{ij} = d_j u_i.
     """
 
     position: tuple
-    frame: str
     velocity: np.ndarray
-    grad: np.ndarray = None
+    grad: np.ndarray
 
     def divergence(self):
-        if self.grad is None:
-            raise ValueError("sample carries no gradient")
         div = np.trace(self.grad, axis1=-2, axis2=-1)
         return div if div.ndim else float(div)
 
@@ -131,36 +117,6 @@ def _frame(p, r):
     )
 
 
-def aperture_velocity(regime, h, r, z, with_gradient=False):
-    """Test-field sample inside the aperture, cylindrical frame.
-
-    Parameters
-    ----------
-    regime : SlipRegime
-    h : float
-    r, z : float
-        Point in the gap: 0 <= r < 1, 0 <= z <= h + gamma_s(r).
-    with_gradient : bool
-        Attach the 3 x 3 velocity gradient.
-
-    Returns
-    -------
-    FieldSample
-    """
-    f = aperture_frame(regime, h, r, z)
-    velocity = np.array([float(f.u_r), 0.0, float(f.u_z)])
-    grad = None
-    if with_gradient:
-        grad = np.array(
-            [
-                [float(f.du_r_dr), 0.0, float(f.du_r_dz)],
-                [0.0, float(f.u_r_by_r), 0.0],
-                [float(f.du_z_dr), 0.0, float(f.du_z_dz)],
-            ]
-        )
-    return FieldSample(position=(r, z), frame=CYLINDRICAL, velocity=velocity, grad=grad)
-
-
 def _blended_field(regime, h, x, geometry):
     """Velocity (m, 3) and gradient (m, 3, 3) at fluid points x (m, 3).
 
@@ -220,7 +176,7 @@ def _blended_field(regime, h, x, geometry):
     return u, grad
 
 
-def global_velocity(regime, h, x, with_gradient=False, geometry=None):
+def global_velocity(regime, h, x, geometry=None):
     """Globally extended test field at cartesian points.
 
     Equals e3 on the solid sphere, blends the aperture construction into a
@@ -232,12 +188,11 @@ def global_velocity(regime, h, x, with_gradient=False, geometry=None):
     h : float
     x : array_like, shape (3,) or (n, 3)
         One point or n points, each with x3 >= 0 (the wall is {x3 = 0}).
-    with_gradient : bool
     geometry : GapGeometry, optional
 
     Returns
     -------
-    FieldSample (cartesian frame)
+    FieldSample
         One point in, velocity (3,) and gradient (3, 3) out; n points in,
         velocity (n, 3) and gradient (n, 3, 3) out.
     """
@@ -256,9 +211,7 @@ def global_velocity(regime, h, x, with_gradient=False, geometry=None):
 
     if x.ndim == 1:
         x, u, grad = tuple(x), u[0], grad[0]
-    return FieldSample(
-        position=x, frame=CARTESIAN, velocity=u, grad=grad if with_gradient else None
-    )
+    return FieldSample(position=x, velocity=u, grad=grad)
 
 
 def _g3_tail(regime, h, H_values):
@@ -414,53 +367,6 @@ def navier_residuals(regime, h, r):
     return NavierResiduals(wall_imp, wall_tan, sphere_norm, sphere_tan)
 
 
-# ---------------------------------------------------------------------------
-# Aperture norms feeding the estimate checks and the drag assembly.
-
-def l2_field_sq(regime, h, r_max, spec=None):
-    """Squared L2 norm of the aperture field (bounded uniformly in h)."""
-
-    def f(r, z):
-        fr = aperture_frame(regime, h, r, z)
-        return fr.u_r**2 + fr.u_z**2
-
-    return integrate_gap(f, h, r_max, spec)
-
-
-def l2_gradient_sq(regime, h, r_max, spec=None):
-    """Squared L2 norm of the full velocity gradient (grows like |ln h|)."""
-
-    def f(r, z):
-        return aperture_frame(regime, h, r, z).grad_sq
-
-    return integrate_gap(f, h, r_max, spec)
-
-
-def l2_sym_gradient_sq(regime, h, r_max, spec=None):
-    """Squared L2 norm of the symmetric gradient."""
-
-    def f(r, z):
-        return aperture_frame(regime, h, r, z).sym_grad_sq
-
-    return integrate_gap(f, h, r_max, spec)
-
-
-def l2_d2phi2_sq(regime, h, r_max, spec=None):
-    """Squared L2 norm of the x2-derivative of the second velocity
-    component, the single entry whose growth already forces the |ln h|
-    lower bound.  The theta integral is done in closed form:
-    the entry is -(1/2)(A + B sin^2 theta) with A = d_z Psi, B = r d_rz Psi.
-    """
-
-    def f(r, z):
-        p = psi_partials(regime, h, r, z)
-        A = p.dz
-        B = r * p.drz
-        return 0.25 * (A * A + A * B + 0.375 * B * B)
-
-    return integrate_gap(f, h, r_max, spec)
-
-
 def sphere_slip_l2(regime, h, r_max, spec=None):
     """L2 norm over the sphere cap of the tangential Navier residual."""
 
@@ -469,37 +375,4 @@ def sphere_slip_l2(regime, h, r_max, spec=None):
 
     return math.sqrt(
         max(0.0, integrate_surface(f, "sphere-cap", r_max, spec, scale=math.sqrt(h)).value)
-    )
-
-
-def dhpsi_norms(regime, h, r_max, spec=None):
-    """Norms of the column integrals of the h-derivative of the field.
-
-    Returns
-    -------
-    (wall_sq, gap_sq) : tuple of dicts
-        Component-wise squared norms: `wall_sq[i]` is the squared L2(wall
-        disc) norm of int_0^H d_h u^i ds and `gap_sq[i]` the squared
-        L2(aperture) norm of int_z^H d_h u^i ds, for cartesian components
-        i in {"x1", "x3"} (x2 matches x1 by symmetry).  The wall norms grow
-        at most like |ln h|; the gap norms stay bounded.  In the mixed
-        regime the wall x1 norm is pure roundoff: the no-slip sphere gives
-        F_H(H, H) = 0, so its exact value is 0.
-    """
-
-    def column_sq(r, z):
-        col_zh, col_h, col_rh = psi_h_column(regime, h, r, z)
-        # x1: |-(x1/2) col|^2 averaged over theta, (pi/4) r^2 col^2 against
-        # r dr dz, folded into the 2 pi r measure; x3: the vertical column
-        m = col_h + 0.5 * r * col_rh
-        return np.stack(np.broadcast_arrays(r * r * col_zh**2 / 8.0, m * m))
-
-    gap_x1, gap_x3 = integrate_gap(column_sq, h, r_max, spec)
-    wall_x1, wall_x3 = integrate_surface(
-        lambda r: column_sq(r, np.zeros_like(r)), "plane", r_max, spec,
-        scale=math.sqrt(h),
-    )
-    return (
-        {"x1": wall_x1.value, "x3": wall_x3.value},
-        {"x1": gap_x1.value, "x3": gap_x3.value},
     )

@@ -28,11 +28,7 @@ __all__ = [
     "UnsupportedRegimeError",
     "coefficients",
     "coefficients_from_alphas",
-    "psi",
     "psi_partials",
-    "psi_derivs",
-    "psi_h_derivs",
-    "psi_h_column",
     "weighted_sups",
     "ENVELOPE_ROWS",
 ]
@@ -280,14 +276,9 @@ def _z_powers(z):
 
 
 def _z_poly(g, b, zp):
-    """d_z^b of g1 z + g2 z^2 + g3 z^3 at zp = (z, z^2, z^3).
-
-    b = -1 gives the antiderivative that vanishes at z = 0.
-    """
+    """d_z^b of g1 z + g2 z^2 + g3 z^3 at zp = (z, z^2, z^3)."""
     g1, g2, g3 = g
     z, z2, z3 = zp
-    if b == -1:
-        return g1 * z2 / 2.0 + g2 * z2 * z / 3.0 + g3 * z2 * z2 / 4.0
     if b == 0:
         return g1 * z + g2 * z2 + g3 * z3
     if b == 1:
@@ -300,14 +291,14 @@ def _z_poly(g, b, zp):
 class _Kernel:
     """Psi(r, z) = F(H(r), z) at checked gap points, the one derivative engine.
 
-    ``g[a]`` holds the a-th H-derivatives of (G1, G2, G3) and ``f[a, b]``
-    the partial d_H^a d_z^b F for a + b <= 3.  Every r-derivative follows
+    ``f[a, b]`` holds the partial d_H^a d_z^b F for a + b <= 3, built from
+    the a-th H-derivatives of (G1, G2, G3).  Every r-derivative follows
     from the chain rule through H(r) = h + gamma_s(r), whose derivatives
     are h1 = r/s, h2 = s^-3 and h3 = 3 r s^-5 with s = sqrt(1 - r^2); the
     h-derivative at fixed (r, z) is d_H, one step up the same table.
     """
 
-    __slots__ = ("H", "s", "h1", "h2", "h3", "g", "zp", "f")
+    __slots__ = ("H", "s", "h1", "h2", "h3", "f")
 
     def __init__(self, regime, h, r, z):
         r, z, self.H = _check_gap_point(h, r, z)
@@ -316,11 +307,9 @@ class _Kernel:
         self.h1 = r / s
         self.h2 = s ** -3.0
         self.h3 = 3.0 * r * s ** -5.0
-        self.g = tuple(zip(*_g_derivs(regime, self.H)))
-        self.zp = _z_powers(z)
-        self.f = {
-            (a, b): _z_poly(self.g[a], b, self.zp) for a in range(4) for b in range(4 - a)
-        }
+        g = tuple(zip(*_g_derivs(regime, self.H)))
+        zp = _z_powers(z)
+        self.f = {(a, b): _z_poly(g[a], b, zp) for a in range(4) for b in range(4 - a)}
 
     def d_r(self, f1, f2=None, f3=None):
         """First, second or third r-derivative of a function of H(r), given
@@ -388,33 +377,6 @@ def psi_partials(regime, h, r, z):
     return _partials(_Kernel(regime, h, r, z))
 
 
-def psi(regime, h, r, z):
-    """Value of the rescaled profile Psi(r, z)."""
-    out = psi_partials(regime, h, r, z).value
-    out = np.asarray(out)
-    return out if out.ndim else float(out)
-
-
-def psi_derivs(regime, h, r, z, order=3):
-    """Dictionary of partials d_r^a d_z^b Psi for a + b <= order (<= 3)."""
-    if not 0 <= order <= 3:
-        raise ValueError("order must be between 0 and 3")
-    p = psi_partials(regime, h, r, z)
-    table = {
-        (0, 0): p.value,
-        (1, 0): p.dr,
-        (0, 1): p.dz,
-        (2, 0): p.drr,
-        (1, 1): p.drz,
-        (0, 2): p.dzz,
-        (3, 0): p.drrr,
-        (2, 1): p.drrz,
-        (1, 2): p.drzz,
-        (0, 3): p.dzzz,
-    }
-    return {k: v for k, v in table.items() if k[0] + k[1] <= order}
-
-
 @dataclass(frozen=True)
 class PsiHPartials:
     """h-derivative of Psi and its mixed partials with r and z."""
@@ -427,34 +389,6 @@ class PsiHPartials:
     drzh: object
     drh_by_r: object
     H: object
-
-
-def psi_h_derivs(regime, h, r, z):
-    """Closed-form h-derivatives of Psi.
-
-    Since Psi(r, z) = F(H, z) with H = h + gamma_s(r), the h-derivative at
-    fixed (r, z) is the H-derivative of F, and the mixed partials follow
-    from the same chain rule as the r-derivatives.
-    """
-    return _h_partials(_Kernel(regime, h, r, z))
-
-
-def psi_h_column(regime, h, r, z):
-    """Exact z-antiderivative data for the h-derivative of Psi.
-
-    Returns the three column integrals from z to the top of the gap H(r):
-
-    ``int_z^H d_zh Psi ds``, ``int_z^H d_h Psi ds``, ``int_z^H d_rh Psi ds``.
-
-    The first telescopes to ``d_h Psi(r, H) - d_h Psi(r, z)``; the other two
-    use the polynomial antiderivative of F_H and F_HH in z.
-    """
-    k = _Kernel(regime, h, r, z)
-    top = _z_powers(k.H)
-    col_zh = _z_poly(k.g[1], 0, top) - k.f[1, 0]
-    col_h = _z_poly(k.g[1], -1, top) - _z_poly(k.g[1], -1, k.zp)
-    col_rh = k.d_r(_z_poly(k.g[2], -1, top) - _z_poly(k.g[2], -1, k.zp))
-    return col_zh, col_h, col_rh
 
 
 def _sum_weights(*pairs):

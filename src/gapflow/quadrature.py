@@ -26,8 +26,9 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-13
 DEFAULT_MAX_DEPTH = 28
 # Gauss-Legendre orders: per adaptive cell, and across the gap height.
-# Psi is cubic in z, so gap integrands have z-degree <= 8 (dhpsi_norms
-# squares z-antiderivatives): 5 points are exact, but no faster than 12.
+# Psi is cubic in z, so the drag row's gap integrands (squared gradients
+# and the residual pairing) have z-degree <= 6: 4 points are exact, and
+# 12 is kept because the pinned drag rows were computed with it.
 RULE_ORDER = 16
 Z_ORDER = 12
 # Refinement bounds of _adaptive_1d: cells, batch selection, roundoff

@@ -8,9 +8,10 @@ import pytest
 from scipy.integrate import quad
 
 from gapflow import field as fld
+from gapflow.drag import energy, surface_drag
 from gapflow.geometry import CutoffPair, GapGeometry, cutoffs, gamma_s
 from gapflow.profile import RegimeKind, SlipRegime, psi_partials
-from gapflow.quadrature import QuadratureSpec
+from gapflow.quadrature import QuadratureSpec, integrate_gap
 
 SLIP = SlipRegime.slip(1.0, 1.0)
 SLIP_B = SlipRegime.slip(0.5, 2.0)
@@ -87,9 +88,7 @@ def test_wall_impermeability_is_exact(rng, regime):
         r = rng.uniform(0.0, 0.9, size=64)
         frame = fld.aperture_frame(regime, h, r, np.zeros_like(r))
         assert np.all(frame.u_z == 0.0)
-    sample = fld.aperture_velocity(regime, 0.1, 0.15, 0.0)
-    assert sample.velocity[2] == 0.0
-    assert sample.velocity[1] == 0.0  # u_theta
+    assert fld.aperture_frame(regime, 0.1, 0.15, 0.0).u_z == 0.0
 
 
 @pytest.mark.parametrize("regime", REGIMES, ids=["slip", "slip_b", "mixed"])
@@ -102,36 +101,31 @@ def test_sphere_normal_velocity_identity(rng, regime):
         assert np.max(np.abs(mismatch)) < 1e-12
 
 
-def test_aperture_velocity_gradient_and_divergence(rng):
+def test_aperture_frame_gradient_and_divergence():
     h, r, z = 0.08, 0.12, 0.05
-    sample = fld.aperture_velocity(SLIP, h, r, z, with_gradient=True)
-    assert abs(sample.divergence()) < 1e-12
-    assert sample.divergence() == np.trace(sample.grad)
+    frame = fld.aperture_frame(SLIP, h, r, z)
+    assert abs(float(frame.div)) < 1e-12
 
-    # FD check of the two nontrivial gradient columns
+    # FD check of the derivatives of (u_r, u_z) in r and in z
     eps = 1e-6
 
     def vel(rr, zz):
-        return fld.aperture_velocity(SLIP, h, rr, zz).velocity
+        f = fld.aperture_frame(SLIP, h, rr, zz)
+        return np.array([float(f.u_r), float(f.u_z)])
 
     d_dr = (vel(r + eps, z) - vel(r - eps, z)) / (2 * eps)
     d_dz = (vel(r, z + eps) - vel(r, z - eps)) / (2 * eps)
-    assert np.allclose(sample.grad[:, 0], d_dr, rtol=1e-5, atol=1e-7)
-    assert np.allclose(sample.grad[:, 2], d_dz, rtol=1e-5, atol=1e-7)
-
-    bare = fld.aperture_velocity(SLIP, h, r, z)
-    assert bare.grad is None
-    with pytest.raises(ValueError):
-        bare.divergence()
+    assert np.allclose([frame.du_r_dr, frame.du_z_dr], d_dr, rtol=1e-5, atol=1e-7)
+    assert np.allclose([frame.du_r_dz, frame.du_z_dz], d_dz, rtol=1e-5, atol=1e-7)
 
 
 def test_aperture_domain_errors():
     with pytest.raises(ValueError):
-        fld.aperture_velocity(SLIP, -0.1, 0.1, 0.0)
+        fld.aperture_frame(SLIP, -0.1, 0.1, 0.0)
     with pytest.raises(ValueError):
-        fld.aperture_velocity(SLIP, 0.1, 0.1, 0.5)  # z above the sphere
+        fld.aperture_frame(SLIP, 0.1, 0.1, 0.5)  # z above the sphere
     with pytest.raises(ValueError):
-        fld.aperture_velocity(SLIP, 0.1, 1.2, 0.0)
+        fld.aperture_frame(SLIP, 0.1, 1.2, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +137,9 @@ def test_global_matches_aperture_on_chi_plateau():
     r, theta, z = 0.15, 0.4, 0.02
     x = (r * math.cos(theta), r * math.sin(theta), z)
     cart = fld.global_velocity(SLIP, h, x)
-    cyl = fld.aperture_velocity(SLIP, h, r, z)
+    cyl = fld.aperture_frame(SLIP, h, r, z)
     expected = np.array(
-        [
-            cyl.velocity[0] * math.cos(theta),
-            cyl.velocity[0] * math.sin(theta),
-            cyl.velocity[2],
-        ]
+        [cyl.u_r * math.cos(theta), cyl.u_r * math.sin(theta), cyl.u_z]
     )
     assert np.max(np.abs(cart.velocity - expected)) < 1e-13
 
@@ -157,7 +147,7 @@ def test_global_matches_aperture_on_chi_plateau():
 def test_global_inside_solid_is_unit_vertical():
     h = 0.2
     for x in [(0.0, 0.0, 1.0 + h), (0.3, -0.2, 1.0 + h + 0.4), (0.0, 0.05, h + 0.3)]:
-        sample = fld.global_velocity(SLIP, h, x, with_gradient=True)
+        sample = fld.global_velocity(SLIP, h, x)
         assert np.array_equal(sample.velocity, np.array([0.0, 0.0, 1.0]))
         assert np.all(sample.grad == 0.0)
 
@@ -165,7 +155,7 @@ def test_global_inside_solid_is_unit_vertical():
 def test_global_vanishes_outside_supports():
     h = 0.1
     for x in [(0.9, 0.9, 0.9), (2.5, 0.0, 0.3), (0.0, 1.4, 2.6)]:
-        sample = fld.global_velocity(SLIP, h, x, with_gradient=True)
+        sample = fld.global_velocity(SLIP, h, x)
         assert np.array_equal(sample.velocity, np.zeros(3))
         assert np.all(sample.grad == 0.0)
     with pytest.raises(ValueError):
@@ -195,10 +185,10 @@ def test_global_batch_matches_single_points():
         for f in dataclasses.fields(CutoffPair):
             assert np.array_equal(getattr(pair, f.name)[k], getattr(single, f.name))
     for regime in (SLIP, MIXED):
-        batch = fld.global_velocity(regime, h, x, with_gradient=True)
+        batch = fld.global_velocity(regime, h, x)
         assert np.array_equal(batch.velocity[0], [0.0, 0.0, 1.0])
         for k, point in enumerate(x):
-            single = fld.global_velocity(regime, h, point, with_gradient=True)
+            single = fld.global_velocity(regime, h, point)
             assert np.array_equal(batch.velocity[k], single.velocity)
             assert np.array_equal(batch.grad[k], single.grad)
             assert batch.divergence()[k] == single.divergence()
@@ -277,7 +267,7 @@ def test_global_gradient_fd(rng):
         y = x - np.array([0.0, 0.0, 1.0 + h])
         if abs(float(np.linalg.norm(y)) - 1.0) < 1e-3:
             continue
-        sample = fld.global_velocity(SLIP, h, x, with_gradient=True)
+        sample = fld.global_velocity(SLIP, h, x)
         fd = np.empty((3, 3))
         for j in range(3):
             step = np.zeros(3)
@@ -476,14 +466,33 @@ def test_sphere_slip_l2_bounded_across_sweep():
 
 
 def test_field_l2_norm_bounded():
+    def field_sq(regime, h):
+        def f(r, z):
+            frame = fld.aperture_frame(regime, h, r, z)
+            return frame.u_r**2 + frame.u_z**2
+
+        return integrate_gap(f, h, 0.2, SWEEP_SPEC).value
+
     for regime in (SLIP, MIXED):
-        values = [float(fld.l2_field_sq(regime, h, 0.2, SWEEP_SPEC)) for h in H_SWEEP]
+        values = [field_sq(regime, h) for h in H_SWEEP]
         assert max(values) <= 10.0 * min(values)
 
 
+# the squared gradient norms over r < 0.2 are the gradient part of the
+# energy and half the dissipation of the surface pairing
+
+
+def _gradient_sq(regime, h):
+    return energy(regime, h, 0.2, SWEEP_SPEC, exterior="excluded").gradient
+
+
+def _sym_gradient_sq(regime, h):
+    return surface_drag(regime, h, 0.2, SWEEP_SPEC, exterior="excluded").dissipation / 2.0
+
+
 def test_slip_gradient_norms_log_growth():
-    grad = [float(fld.l2_gradient_sq(SLIP, h, 0.2, SWEEP_SPEC)) for h in H_SWEEP]
-    sym = [float(fld.l2_sym_gradient_sq(SLIP, h, 0.2, SWEEP_SPEC)) for h in H_SWEEP]
+    grad = [_gradient_sq(SLIP, h) for h in H_SWEEP]
+    sym = [_sym_gradient_sq(SLIP, h) for h in H_SWEEP]
     logs = [abs(math.log(h)) for h in H_SWEEP]
     upper = [g / L for g, L in zip(grad, logs)]
     lower = [s / L for s, L in zip(sym, logs)]
@@ -495,38 +504,8 @@ def test_slip_gradient_norms_log_growth():
 
 
 def test_mixed_gradient_norm_inverse_growth():
-    grad = [float(fld.l2_gradient_sq(MIXED, h, 0.2, SWEEP_SPEC)) for h in H_SWEEP]
+    grad = [_gradient_sq(MIXED, h) for h in H_SWEEP]
     scaled = [g * h for g, h in zip(grad, H_SWEEP)]
     assert max(scaled) <= 10.0 * min(scaled)
     # genuine blow-up: two orders of h buy about two orders of norm
     assert grad[-1] > 100.0 * grad[0]
-
-
-def test_second_component_witness_log_growth():
-    vals = [float(fld.l2_d2phi2_sq(SLIP, h, 0.2, SWEEP_SPEC)) for h in H_SWEEP]
-    scaled = [v / abs(math.log(h)) for v, h in zip(vals, H_SWEEP)]
-    assert max(scaled) <= 10.0 * min(scaled)
-
-
-def test_dhpsi_column_norms():
-    logs = [abs(math.log(h)) for h in H_SWEEP]
-    for regime in (SLIP, MIXED):
-        gap_x1, gap_x3, wall_x1, wall_x3 = [], [], [], []
-        for h in H_SWEEP:
-            wall_sq, gap_sq = fld.dhpsi_norms(regime, h, 0.2, SWEEP_SPEC)
-            gap_x1.append(gap_sq["x1"])
-            gap_x3.append(gap_sq["x3"])
-            wall_x1.append(wall_sq["x1"])
-            wall_x3.append(wall_sq["x3"])
-        # gap column integrals stay bounded
-        assert max(gap_x1) <= 10.0 * min(gap_x1)
-        assert max(gap_x3) <= 10.0 * min(gap_x3)
-        # wall traces grow at most logarithmically; with a no-slip sphere
-        # the wall x1 norm is exactly 0 (F_H(H, H) = 0): only roundoff
-        wall_series = (wall_x1, wall_x3)
-        if regime is MIXED:
-            assert all(x1 <= 1e-20 * x3 for x1, x3 in zip(wall_x1, wall_x3))
-            wall_series = (wall_x3,)
-        for series in wall_series:
-            scaled = [v / L for v, L in zip(series, logs)]
-            assert max(scaled) <= 10.0 * min(scaled)

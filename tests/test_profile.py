@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gapflow import profile
 from gapflow.profile import (
     ENVELOPE_ROWS,
     ProfileCoefficients,
@@ -13,10 +14,6 @@ from gapflow.profile import (
     UnsupportedRegimeError,
     coefficients,
     coefficients_from_alphas,
-    psi,
-    psi_derivs,
-    psi_h_column,
-    psi_h_derivs,
     psi_partials,
     weighted_sups,
 )
@@ -161,17 +158,25 @@ class TestCoefficients:
             assert abs(c.p1 + 2.0 * c.p2 + 3.0 * c.p3) < TOL_IDENTITY
 
 
+def _psi(regime, h, r, z):
+    return psi_partials(regime, h, r, z).value
+
+
+def _h_partials(regime, h, r, z):
+    return profile._h_partials(profile._Kernel(regime, h, r, z))
+
+
 class TestPsi:
     @pytest.mark.parametrize("regime", [SLIP, MIXED])
     def test_bottom_value_exact_zero(self, regime, rng):
         r = rng.uniform(0.0, 0.2, size=50)
-        assert np.all(psi(regime, 0.1, r, np.zeros_like(r)) == 0.0)
+        assert np.all(_psi(regime, 0.1, r, np.zeros_like(r)) == 0.0)
 
     @pytest.mark.parametrize("regime", [SLIP, MIXED])
     def test_top_value_one(self, regime, rng):
         r = rng.uniform(0.0, 0.2, size=50)
         H = 0.1 + 1.0 - np.sqrt(1.0 - r * r)
-        assert np.max(np.abs(psi(regime, 0.1, r, H) - 1.0)) < TOL_IDENTITY
+        assert np.max(np.abs(_psi(regime, 0.1, r, H) - 1.0)) < TOL_IDENTITY
 
     @pytest.mark.parametrize("regime", [SLIP, MIXED])
     def test_matches_rescaled_cubic(self, regime, rng):
@@ -182,27 +187,19 @@ class TestPsi:
             H = h + 1.0 - math.sqrt(1.0 - r * r)
             z = float(rng.uniform(0.0, H))
             c = coefficients(regime, h, r)
-            assert psi(regime, h, r, z) == pytest.approx(
+            assert _psi(regime, h, r, z) == pytest.approx(
                 float(c.phi(z / H)), rel=1e-12, abs=1e-13
             )
 
     def test_z_domain_error(self):
         with pytest.raises(ValueError):
-            psi(SLIP, 0.1, 0.0, 0.11)
+            _psi(SLIP, 0.1, 0.0, 0.11)
         with pytest.raises(ValueError):
-            psi(SLIP, 0.1, 0.0, -0.001)
+            _psi(SLIP, 0.1, 0.0, -0.001)
 
     def test_r_domain_error(self):
         with pytest.raises(ValueError):
-            psi(SLIP, 0.1, 1.0, 0.05)
-
-    def test_derivs_order_filter(self):
-        d1 = psi_derivs(SLIP, 0.1, 0.05, 0.02, order=1)
-        assert set(d1) == {(0, 0), (1, 0), (0, 1)}
-        d3 = psi_derivs(SLIP, 0.1, 0.05, 0.02)
-        assert len(d3) == 10
-        with pytest.raises(ValueError):
-            psi_derivs(SLIP, 0.1, 0.05, 0.02, order=4)
+            _psi(SLIP, 0.1, 1.0, 0.05)
 
 
 def _fd_ladder_points(rng, n):
@@ -227,10 +224,10 @@ class TestDerivativeLadder:
         for h, r, z, H in _fd_ladder_points(rng, 40):
             p = psi_partials(regime, h, r, z)
             er = 1e-5 * H
-            fd_r = (psi(regime, h, r + er, z) - psi(regime, h, r - er, z)) / (2 * er)
+            fd_r = (_psi(regime, h, r + er, z) - _psi(regime, h, r - er, z)) / (2 * er)
             assert fd_r == pytest.approx(float(p.dr), rel=1e-6, abs=1e-9 / H)
             ez = 1e-5 * H
-            fd_z = (psi(regime, h, r, z + ez) - psi(regime, h, r, z - ez)) / (2 * ez)
+            fd_z = (_psi(regime, h, r, z + ez) - _psi(regime, h, r, z - ez)) / (2 * ez)
             assert fd_z == pytest.approx(float(p.dz), rel=1e-6, abs=1e-9 / H)
 
     @pytest.mark.parametrize("regime", [SLIP, MIXED])
@@ -288,7 +285,7 @@ class TestDerivativeLadder:
 class TestHDerivatives:
     @pytest.mark.parametrize("regime", [SLIP, MIXED])
     def test_dh_at_bottom_is_zero(self, regime):
-        q = psi_h_derivs(regime, 0.1, 0.05, 0.0)
+        q = _h_partials(regime, 0.1, 0.05, 0.0)
         assert float(q.dh) == 0.0
 
     @pytest.mark.parametrize("regime", [SLIP, MIXED])
@@ -298,7 +295,7 @@ class TestHDerivatives:
             h = float(10.0 ** rng.uniform(-4, math.log10(0.4)))
             r = float(rng.uniform(0.0, 0.19))
             H = h + 1.0 - math.sqrt(1.0 - r * r)
-            q = psi_h_derivs(regime, h, r, H)
+            q = _h_partials(regime, h, r, H)
             p = psi_partials(regime, h, r, H)
             scale = abs(float(p.dz)) + 1.0 / H
             assert abs(float(q.dh) + float(p.dz)) < 1e-12 * scale
@@ -307,12 +304,12 @@ class TestHDerivatives:
     def test_fd_in_h(self, regime, rng):
         for h, r, z, H in _fd_ladder_points(rng, 40):
             eh = 1e-6 * max(h, 1e-2)
-            q = psi_h_derivs(regime, h, r, z)
+            q = _h_partials(regime, h, r, z)
 
             def at(hh):
                 return psi_partials(regime, hh, r, z)
 
-            fd = (psi(regime, h + eh, r, z) - psi(regime, h - eh, r, z)) / (2 * eh)
+            fd = (_psi(regime, h + eh, r, z) - _psi(regime, h - eh, r, z)) / (2 * eh)
             assert fd == pytest.approx(float(q.dh), rel=1e-6, abs=1e-8 / H)
             fd = (float(at(h + eh).dr) - float(at(h - eh).dr)) / (2 * eh)
             assert fd == pytest.approx(float(q.drh), rel=1e-5, abs=1e-7 / H)
@@ -324,26 +321,6 @@ class TestHDerivatives:
             assert fd == pytest.approx(float(q.dzzh), rel=1e-5, abs=1e-6 / H**2)
             fd = (float(at(h + eh).drz) - float(at(h - eh).drz)) / (2 * eh)
             assert fd == pytest.approx(float(q.drzh), rel=1e-5, abs=1e-6 / H**2)
-
-    @pytest.mark.parametrize("regime", [SLIP, MIXED])
-    def test_column_integrals_vs_quadrature(self, regime, rng):
-        # Gauss-Legendre quadrature of the closed-form integrands
-        nodes, weights = np.polynomial.legendre.leggauss(24)
-        for _ in range(20):
-            h = float(10.0 ** rng.uniform(-4, math.log10(0.4)))
-            r = float(rng.uniform(0.01, 0.19))
-            H = h + 1.0 - math.sqrt(1.0 - r * r)
-            z = float(rng.uniform(0.0, 0.9)) * H
-            s = 0.5 * (z + H) + 0.5 * (H - z) * nodes
-            w = 0.5 * (H - z) * weights
-            q = psi_h_derivs(regime, h, r, s)
-            ref_zh = float(np.sum(w * q.dzh))
-            ref_h = float(np.sum(w * q.dh))
-            ref_rh = float(np.sum(w * q.drh))
-            col_zh, col_h, col_rh = psi_h_column(regime, h, r, z)
-            assert float(col_zh) == pytest.approx(ref_zh, rel=1e-10, abs=1e-12 / H)
-            assert float(col_h) == pytest.approx(ref_h, rel=1e-10, abs=1e-12)
-            assert float(col_rh) == pytest.approx(ref_rh, rel=1e-10, abs=1e-12)
 
 
 class TestBoundaryConditionsOnPsi:
