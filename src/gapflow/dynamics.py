@@ -16,11 +16,12 @@ by the gap analysis fall on either side:
 
 ``drag_law`` builds D analytically from a regime; every DragLaw carries
 P with P' = D in closed form, so Phi(h) = P(h0) - P(h) and ``simulate``
-integrates the first integral, one scalar ODE, never (h, h').  A log law
-D ~ a |ln h| + b runs it in h by an embedded 4(5) Runge-Kutta pair, with
-events for touchdown (h = 1e-12) and escape (h = h_max).  An inverse law
-D ~ a/h + b runs it in u = ln h, u' = (v0 + Phi(h) - G t) / h, for
-variable-order BDF, which it leaves at the first state with h <= SWITCH_H
+integrates the first integral, one scalar ODE, never (h, h'), with the
+float steppers of ``ode``.  A log law D ~ a |ln h| + b runs it in h by
+the embedded 4(5) Runge-Kutta pair, with events for touchdown
+(h = 1e-12) and escape (h = h_max).  An inverse law D ~ a/h + b runs it
+in u = ln h, u' = (v0 + Phi(h) - G t) / h, by variable-order BDF with the
+analytic Jacobian, which it leaves at the first state with h <= SWITCH_H
 and h' <= 0 where h' is slaved to gravity: within a factor 4 of
 -G h / (a + b h), or so fast that the rest of its coast, h / |h'|, is
 shorter than the integrator resolves in t (eps t / rtol).  It starts
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import H_MAX_DEFAULT
+from .ode import BDF, EPS, RK45, solve
 from .profile import RegimeKind, UnsupportedRegimeError
 
 TOUCHDOWN_H = 1e-12
@@ -98,12 +100,19 @@ class TerminalEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Rows (t, h, h') of the integrator and of the tail, plus the terminal event."""
+    """Rows (t, h, h') of the integrator and of the tail, the terminal
+    event, and the integrator's counters: accepted steps, right-hand side
+    and Jacobian evaluations, and Newton matrix factorizations (all 0 for
+    a fall that starts in the closed-form tail)."""
 
     t: np.ndarray
     h: np.ndarray
     v: np.ndarray
     event: TerminalEvent
+    steps: int = 0
+    nfev: int = 0
+    njev: int = 0
+    nlu: int = 0
 
     def __post_init__(self):
         if not (len(self.t) == len(self.h) == len(self.v)) or len(self.t) == 0:
@@ -139,8 +148,8 @@ class DragLaw:
         return self._fn(h)
 
     def antiderivative(self, h):
-        """P with P' = D, through which simulate integrates every fall: the
-        deep model's, exact if D is it."""
+        """P with P' = D at a float h, through which simulate integrates
+        every fall: the deep model's, exact if D is it."""
         return _model_antiderivative(self.deep, h)
 
 
@@ -152,12 +161,13 @@ def _model_drag(deep, h):
 
 
 def _model_antiderivative(deep, h):
-    """P with P' = _model_drag(deep, h); the log form is continuous at h = 1."""
+    """P with P' = _model_drag(deep, h) at a float h; the log form is
+    continuous at h = 1."""
     form, a, b = deep
-    x = np.log(h)
+    x = math.log(h)
     if form == "inverse":
         return a * x + b * h
-    return a * np.where(x < 0.0, h * (1.0 - x), h * x - h + 2.0) + b * h
+    return a * (h * (1.0 - x) if x < 0.0 else h * x - h + 2.0) + b * h
 
 
 def drag_law(regime, source="analytic", kappa=1.0):
@@ -210,6 +220,53 @@ def _tail(t_s, h_s, v_s, conserved, a, b, G, t_max):
     return TerminalEvent(EventKind.TIME_LIMIT, t_end, h, v, note)
 
 
+def _equation(law, G, top, h_max, rtol):
+    """The fall's scalar ODE as (rhs, jac, events, speed).
+
+    ``top`` is h' + P(h) + G t, constant along the fall, and speed(t, h)
+    the h' it gives.  A log law integrates y = h and has no jac; an
+    inverse law integrates y = u = ln h with the analytic Jacobian.
+    ``events`` are (g, direction) pairs, all terminal: touchdown (log) or
+    the tail entry (inverse) first, escape second.
+    """
+    form, a, b = law.deep
+    P = law.antiderivative
+
+    def speed(t, h):
+        return top - P(h) - G * t
+
+    if form == "log":
+        # trial stages of the step that brackets touchdown may probe h <= 0
+        rhs = lambda t, y: speed(t, max(y, TOUCHDOWN_H))
+        touchdown = lambda t, y: y - TOUCHDOWN_H
+        escape = lambda t, y: y - h_max
+        return rhs, None, ((touchdown, -1.0), (escape, 1.0)), speed
+
+    def rhs(t, u):
+        h = math.exp(u)
+        return speed(t, h) / h
+
+    def jac(t, u):
+        # d/du of u' = speed / h is -u' - D(h)
+        return -rhs(t, u) - float(law(math.exp(u)))
+
+    # a coast shorter than eps t / rtol is below what BDF resolves at t
+    resolution = EPS / rtol
+    u_switch, u_max = math.log(SWITCH_H), math.log(h_max)
+
+    def tail(t, u):
+        # <= 0 where the tail may start: h <= SWITCH_H, h' <= 0 and h'
+        # slaved to gravity, or its coast too short to resolve in t
+        h = math.exp(u)
+        v = speed(t, h)
+        slaved = -v - 4.0 * G * h / (a + b * h)
+        unresolved = h + resolution * t * v
+        return max(u - u_switch, v, min(slaved, unresolved))
+
+    escape = lambda t, u: u - u_max
+    return rhs, jac, ((tail, -1.0), (escape, 1.0)), speed
+
+
 def simulate(
     params,
     regime,
@@ -220,7 +277,7 @@ def simulate(
     rtol=RTOL_DEFAULT,
     atol=ATOL_DEFAULT,
     h_max=H_MAX_DEFAULT,
-    max_step=np.inf,
+    max_step=math.inf,
     first_step=None,
 ):
     """Integrate the damped fall from (h0, v0) until an event or t_max.
@@ -236,9 +293,9 @@ def simulate(
     law : DragLaw, optional
         Custom drag; anything else raises TypeError.
     rtol, atol, max_step, first_step
-        Step control, passed to the integrator, which integrates h (log
-        law) or u = ln h (inverse law, so rtol and atol bound the relative
-        error of h).  Every h' row, and the impact speed, comes from
+        Step control of the integrator, which integrates h (log law) or
+        u = ln h (inverse law, so rtol and atol bound the relative error of
+        h).  Every h' row, and the impact speed, comes from
         h' = v0 + Phi(h) - G t, off by D(h) times the error of h: about
         1e-8 for kappa / h at the defaults.
 
@@ -246,15 +303,17 @@ def simulate(
     -------
     Trajectory
         Terminal event Touchdown (with impact speed), Escaped, or
-        TimeLimit.  Inverse-law runs end in the closed-form tail once
-        h <= SWITCH_H with h' <= 0 and slaved to gravity: it adds one row,
-        at t_max or at the ln h = U_FLOOR floor, and reports TimeLimit,
-        never Touchdown.
-    """
-    # imported here, not at module level: scipy.integrate is most of the
-    # package's import time, and only a fall needs it
-    from scipy.integrate import solve_ivp
+        TimeLimit, and the integrator's counters.  Inverse-law runs end in
+        the closed-form tail once h <= SWITCH_H with h' <= 0 and slaved to
+        gravity: it adds one row, at t_max or at the ln h = U_FLOOR floor,
+        and reports TimeLimit, never Touchdown.
 
+    Raises
+    ------
+    StiffnessError
+        When a step fails: its size falls below the spacing of floats at
+        t, or the Newton matrix is singular or not finite.
+    """
     if not (TOUCHDOWN_H < h0 < h_max):
         raise ValueError(f"h0 must lie in ({TOUCHDOWN_H}, {h_max})")
     if not math.isfinite(v0):
@@ -266,77 +325,46 @@ def simulate(
     if not isinstance(law, DragLaw):
         raise TypeError(f"law must be a DragLaw, not {type(law).__name__}")
     form, a, b = law.deep
-    stiff = form == "inverse"
-    if stiff and a <= 0.0:
+    if form == "inverse" and a <= 0.0:
         raise ValueError("inverse drag law needs a positive leading coefficient")
     G = params.G
-    P = law.antiderivative
-    top = v0 + float(P(h0))  # h' + P(h) + G t along the fall
-    speed = lambda t, h: top - P(h) - G * t
-    options = dict(rtol=rtol, atol=atol, max_step=max_step)
-    if first_step is not None:
-        options["first_step"] = first_step
+    top = v0 + law.antiderivative(h0)
+    rhs, jac, events, speed = _equation(law, G, top, h_max, rtol)
+    stiff = jac is not None
+    y0 = math.log(h0) if stiff else h0
 
-    if stiff:
-        def rhs(t, u):
-            h = math.exp(u[0])
-            return (speed(t, h) / h,)
-
-        # d/du of u' = speed / h is -u' - D(h)
-        options["jac"] = lambda t, u: ((-rhs(t, u)[0] - law(math.exp(u[0])),),)
-        # a coast shorter than eps t / rtol is below what BDF resolves at t
-        resolution = np.finfo(float).eps / rtol
-
-        def tail(t, u):
-            # <= 0 where the tail may start: h <= SWITCH_H, h' <= 0 and h'
-            # slaved to gravity, or its coast too short to resolve in t
-            h = math.exp(u[0])
-            v = speed(t, h)
-            slaved = -v - 4.0 * G * h / (a + b * h)
-            unresolved = h + resolution * t * v
-            return max(u[0] - math.log(SWITCH_H), v, min(slaved, unresolved))
-
-        escape = lambda t, u: u[0] - math.log(h_max)
-        y0, method, events = (math.log(h0),), "BDF", [tail, escape]
+    event, counts = None, {}
+    if stiff and events[0][0](0.0, y0) <= 0.0:
+        t, h, v = [0.0], [h0], [v0]
     else:
-        # trial stages of the step that brackets touchdown may probe h <= 0
-        rhs = lambda t, y: (speed(t, max(y[0], TOUCHDOWN_H)),)
-        touchdown = lambda t, y: y[0] - TOUCHDOWN_H
-        escape = lambda t, y: y[0] - h_max
-        y0, method, events = (h0,), "RK45", [touchdown, escape]
-    events[0].terminal, events[0].direction = True, -1.0
-    escape.terminal, escape.direction = True, 1.0
-
-    event = None
-    if stiff and tail(0.0, y0) <= 0.0:
-        t, h, v = np.array([0.0]), np.array([h0]), np.array([v0])
-    else:
-        sol = solve_ivp(rhs, (0.0, t_max), y0, method=method, events=events, **options)
-        t, h = sol.t, np.exp(sol.y[0]) if stiff else sol.y[0]
-        v = speed(t, h)
-        h_end, v_end = float(h[-1]), float(v[-1])
+        if stiff:
+            stepper = BDF(rhs, jac, 0.0, y0, t_max, rtol, atol, max_step, first_step)
+        else:
+            stepper = RK45(rhs, 0.0, y0, t_max, rtol, atol, max_step, first_step)
+        sol = solve(stepper, events)
+        counts = dict(steps=sol.steps, nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu)
+        t, h = sol.t, [math.exp(u) for u in sol.y] if stiff else sol.y
+        v = [speed(ti, hi) for ti, hi in zip(t, h)]
+        t_end, h_end, v_end = t[-1], h[-1], v[-1]
         if sol.status == -1:
             raise StiffnessError(
-                f"integrator stalled at t={t[-1]:.6g} (h={h_end:.3e}, "
+                f"integrator stalled at t={t_end:.6g} (h={h_end:.3e}, "
                 f"h'={v_end:.3e}): {sol.message}"
             )
-        if not stiff and sol.t_events[0].size:
-            event = TerminalEvent(
-                EventKind.TOUCHDOWN, float(sol.t_events[0][0]), h_end, abs(v_end)
-            )
-        elif sol.t_events[1].size:
-            event = TerminalEvent(
-                EventKind.ESCAPED, float(sol.t_events[1][0]), h_end, v_end
-            )
+        if sol.event == 0 and not stiff:
+            event = TerminalEvent(EventKind.TOUCHDOWN, t_end, h_end, abs(v_end))
+        elif sol.event == 1:
+            event = TerminalEvent(EventKind.ESCAPED, t_end, h_end, v_end)
         elif sol.status == 0:
-            event = TerminalEvent(EventKind.TIME_LIMIT, float(t[-1]), h_end, v_end)
+            event = TerminalEvent(EventKind.TIME_LIMIT, t_end, h_end, v_end)
 
     if event is None:
-        event = _tail(float(t[-1]), float(h[-1]), float(v[-1]), top, a, b, G, t_max)
+        event = _tail(t[-1], h[-1], v[-1], top, a, b, G, t_max)
         if event.t > t[-1]:
-            t, h, v = (np.append(t, event.t), np.append(h, event.h),
-                       np.append(v, event.speed))
-    return Trajectory(t=t, h=h, v=v, event=event)
+            t, h, v = t + [event.t], h + [event.h], v + [event.speed]
+    return Trajectory(
+        t=np.array(t), h=np.array(h), v=np.array(v), event=event, **counts
+    )
 
 
 @dataclass(frozen=True)

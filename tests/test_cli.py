@@ -492,17 +492,27 @@ def test_console_script_entry_point(tmp_path):
     assert (tmp_path / "profile_check.json").exists()
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    # solve_ivp is imported by dynamics.simulate on first use, so commands
-    # that never fall do not pay for scipy.integrate at start-up
+def test_falls_run_without_scipy(tmp_path):
+    # a mixed fall scan and a slip fall simulate in one fresh interpreter:
+    # both steppers, the event location and the tail load no scipy module
     src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import sys\n"
+        "from gapflow.cli import run\n"
+        f"assert run(['fall', 'scan', '--regime', 'mixed', '--t-max', '50', "
+        f"'--out', {str(tmp_path / 'scan')!r}]) == 0\n"
+        f"assert run(['fall', 'simulate', '--regime', 'slip', "
+        f"'--out', {str(tmp_path / 'simulate')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, gapflow.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "scan" / "fall_scan.csv").exists()
+    assert (tmp_path / "simulate" / "fall_simulate_event.json").exists()

@@ -296,8 +296,8 @@ def test_apex_below_the_switch_gap_enters_the_tail():
     assert traj.event.h == pytest.approx(h_end, abs=0.0, rel=1e-11)
 
 
-# a fall makes at most one solve_ivp call, with a bounded evaluation count
-# (a deterministic work counter)
+# a fall makes at most one integrator run, with a bounded evaluation count
+# (deterministic work counters on the trajectory)
 @pytest.mark.parametrize(
     "regime, G, h0, v0, t_max, solves, max_nfev",
     [(SLIP, 1.0, 0.25, 0.0, 10.0, 1, 600), (MIXED, 1.0, 0.25, 0.0, 800.0, 1, 1000),
@@ -307,20 +307,34 @@ def test_apex_below_the_switch_gap_enters_the_tail():
     ids=["slip", "mixed-to-floor", "mixed-deep-at-rest", "mixed-deep-falling",
          "mixed-deep-fast", "mixed-default", "mixed-slow-gravity"],
 )
-def test_a_fall_is_at_most_one_solve(
-    monkeypatch, regime, G, h0, v0, t_max, solves, max_nfev
-):
-    results = []
-    solve_ivp = scipy.integrate.solve_ivp
+def test_a_fall_is_at_most_one_solve(regime, G, h0, v0, t_max, solves, max_nfev):
+    traj = simulate(_params(G=G), regime, h0=h0, v0=v0, t_max=t_max)
+    assert (traj.steps > 0) == (solves == 1)
+    assert traj.nfev <= max_nfev
+    if solves == 0:
+        assert (traj.steps, traj.nfev, traj.njev, traj.nlu) == (0, 0, 0, 0)
+        assert len(traj) == 2  # the start and the closed-form tail's row
+    elif regime is SLIP:
+        assert (traj.njev, traj.nlu) == (0, 0)
+    else:
+        assert traj.njev >= 1 and traj.nlu >= 1
 
-    def counted(*args, **kwargs):
-        results.append(solve_ivp(*args, **kwargs))
-        return results[-1]
 
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted)
-    simulate(_params(G=G), regime, h0=h0, v0=v0, t_max=t_max)
-    assert len(results) == solves
-    assert sum(r.nfev for r in results) <= max_nfev
+def test_a_nan_jacobian_raises_stiffness_error():
+    # the Newton matrix 1 - c J is nan at the first step
+    law = DragLaw("analytic", RegimeKind.MIXED, ("inverse", 1.0, 0.0), lambda h: math.nan)
+    with pytest.raises(StiffnessError, match="Newton matrix") as info:
+        simulate(_params(), MIXED, h0=0.25, t_max=50.0, law=law)
+    assert all(f"{name}=" in str(info.value) for name in ("t", "h", "h'"))
+
+
+def test_a_nan_drag_model_stalls_with_stiffness_error():
+    # a nan right-hand side makes the first step size nan: scipy's RK45
+    # kept retrying it for ever, the port fails the step
+    law = DragLaw("analytic", RegimeKind.SLIP, ("log", math.nan, 0.0), lambda h: math.nan)
+    with pytest.raises(StiffnessError, match="step size") as info:
+        simulate(_params(), SLIP, h0=0.25, law=law)
+    assert all(f"{name}=" in str(info.value) for name in ("t", "h", "h'"))
 
 
 def test_a_drag_law_from_four_fields_falls_the_same():
