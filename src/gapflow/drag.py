@@ -166,6 +166,10 @@ def _row(regime, h, r_max, spec, exterior):
 def energy(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included"):
     """Energy functional of the test field: the first half of a drag row.
 
+    Runs the whole row (gap, wall and sphere passes) and keeps this half;
+    a caller that needs both halves should use `drag_curve`, which runs
+    each row once.
+
     The aperture integrals are exact to quadrature tolerance; the region
     outside the aperture adds the h-independent exterior constant unless
     ``exterior="excluded"``.
@@ -192,6 +196,10 @@ def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included")
     h-independent exterior constant unless ``exterior="excluded"``.
     q is never evaluated: on the wall it multiplies u_z = 0 exactly,
     on the sphere n . (e3 - u) = 0 by the normal trace identity.
+
+    Runs the whole row (gap, wall and sphere passes) and keeps this half;
+    a caller that needs both halves should use `drag_curve`, which runs
+    each row once.
     """
     return _row(regime, h, r_max, spec, exterior)[1]
 

@@ -87,10 +87,11 @@ class SlipRegime:
 
 @dataclass(frozen=True)
 class ProfileCoefficients:
-    """Cubic coefficients and the dimensionless groups at one (h, r).
+    """Cubic coefficients and the dimensionless groups at (h, r).
 
     alpha_S = (1/beta_S + 2) H and alpha_P = H / beta_Omega with
-    H = h + gamma_s(r); alpha_S is +inf in the mixed regime.
+    H = h + gamma_s(r); alpha_S is +inf in the mixed regime.  Fields are
+    floats at one point and arrays over an array of points.
     """
 
     alpha_S: float
@@ -108,30 +109,39 @@ class ProfileCoefficients:
 
 def _gamma(r):
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r >= 1.0):
+    if ((r < 0.0) | (r >= 1.0)).any():
         raise ValueError("profile evaluation requires 0 <= r < 1")
     return 1.0 - np.sqrt(1.0 - r * r)
 
 
-def _family(regime):
+def _poly(*coefs):
+    """Stack polynomial coefficients, floats or broadcasting arrays, along
+    a new first axis, as polyval(..., tensor=False) reads them."""
+    if any(isinstance(c, np.ndarray) for c in coefs):
+        coefs = np.broadcast_arrays(*coefs)
+    return np.array(coefs)
+
+
+def _family(kind, beta_S, beta_Omega):
     """Polynomial families (Delta, N1, N2, N3) in H, low-to-high coefficients.
 
     Psi's z-monomial coefficients are G_i = N_i(H) / (Delta(H) H^i) and the
-    cubic coefficients are P_i = N_i(H) / Delta(H).
+    cubic coefficients are P_i = N_i(H) / Delta(H).  The slip lengths may
+    be broadcasting arrays; the coefficients then carry their shape.
     """
-    if regime.kind is RegimeKind.SLIP:
-        a = 1.0 / regime.beta_S + 2.0
-        b = 1.0 / regime.beta_Omega
-        delta = np.array([12.0, 4.0 * (a + b), a * b])
-        n1 = np.array([12.0, 6.0 * a])
-        n2 = np.array([0.0, 6.0 * b, 3.0 * a * b])
-        n3 = np.array([0.0, -2.0 * (a + b), -2.0 * a * b])
-    elif regime.kind is RegimeKind.MIXED:
-        b = 1.0 / regime.beta_Omega
-        delta = np.array([4.0, b])
-        n1 = np.array([6.0])
-        n2 = np.array([0.0, 3.0 * b])
-        n3 = np.array([-2.0, -2.0 * b])
+    if kind is RegimeKind.SLIP:
+        a = 1.0 / beta_S + 2.0
+        b = 1.0 / beta_Omega
+        delta = _poly(12.0, 4.0 * (a + b), a * b)
+        n1 = _poly(12.0, 6.0 * a)
+        n2 = _poly(0.0, 6.0 * b, 3.0 * a * b)
+        n3 = _poly(0.0, -2.0 * (a + b), -2.0 * a * b)
+    elif kind is RegimeKind.MIXED:
+        b = 1.0 / beta_Omega
+        delta = _poly(4.0, b)
+        n1 = _poly(6.0)
+        n2 = _poly(0.0, 3.0 * b)
+        n3 = _poly(-2.0, -2.0 * b)
     else:
         raise UnsupportedRegimeError(
             "no relaxed profile for the no-slip regime; it arises only as the "
@@ -146,29 +156,36 @@ def coefficients(regime, h, r):
     Parameters
     ----------
     regime : SlipRegime
-    h : float
-        Gap width, > 0.
-    r : float
-        Radius, 0 <= r < 1.
+    h : array_like
+        Gap widths, > 0.
+    r : array_like
+        Radii, 0 <= r < 1; broadcasts with h.
 
     Returns
     -------
     ProfileCoefficients
+        Floats for scalar h and r; arrays of their broadcast shape if
+        either is an array.
     """
-    if h <= 0.0:
+    return _coefficients(regime.kind, regime.beta_S, regime.beta_Omega, h, r)
+
+
+def _coefficients(kind, beta_S, beta_Omega, h, r):
+    """`coefficients` with slip lengths that broadcast with h and r: one
+    call covers many regimes of one kind."""
+    h = np.asarray(h, dtype=float)
+    if (h <= 0.0).any():
         raise ValueError("coefficients require h > 0")
-    H = float(h + _gamma(r))
-    delta, n1, n2, n3 = _family(regime)
-    den = npoly.polyval(H, delta)
-    p1 = npoly.polyval(H, n1) / den
-    p2 = npoly.polyval(H, n2) / den
-    p3 = npoly.polyval(H, n3) / den
-    if regime.kind is RegimeKind.MIXED:
-        alpha_S = math.inf
+    H = h + _gamma(r)
+    delta, n1, n2, n3 = _family(kind, beta_S, beta_Omega)
+    den = npoly.polyval(H, delta, tensor=False)
+    p1, p2, p3 = (npoly.polyval(H, n, tensor=False) / den for n in (n1, n2, n3))
+    if kind is RegimeKind.MIXED:
+        alpha_S = np.full(np.shape(p1), math.inf)
     else:
-        alpha_S = (1.0 / regime.beta_S + 2.0) * H
-    alpha_P = H / regime.beta_Omega
-    return ProfileCoefficients(alpha_S, alpha_P, float(p1), float(p2), float(p3))
+        alpha_S = (1.0 / beta_S + 2.0) * H
+    fields = (alpha_S, H / beta_Omega, p1, p2, p3)
+    return ProfileCoefficients(*(map(float, fields) if np.ndim(p1) == 0 else fields))
 
 
 def coefficients_from_alphas(kind, alpha_S, alpha_P):
@@ -204,7 +221,7 @@ def coefficients_from_alphas(kind, alpha_S, alpha_P):
 def _engine(regime):
     """Per-regime polynomial tables: for each i, the coefficient arrays of
     N_i and Delta * H^i together with their first three derivatives."""
-    delta, n1, n2, n3 = _family(regime)
+    delta, n1, n2, n3 = _family(regime.kind, regime.beta_S, regime.beta_Omega)
     tables = []
     for i, num in ((1, n1), (2, n2), (3, n3)):
         den = np.concatenate([np.zeros(i), delta])  # Delta(H) * H^i

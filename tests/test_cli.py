@@ -8,12 +8,15 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import gapflow
 import gapflow.cli as cli
 from gapflow.cli import RunConfig, run
 from gapflow.drag import exterior_constant
-from gapflow.profile import SlipRegime
+from gapflow import profile
+from gapflow.profile import SlipRegime, coefficients
 
 # keep the random-draw sections small; the full-size battery is exercised
 # by the acceptance suite
@@ -61,7 +64,7 @@ def test_report_envelope_shape(tmp_path):
     assert report["schema"] == "gapflow.report/1"
     assert report["command"] == "profile check"
     assert report["timestamp"] is None
-    assert isinstance(report["version"], str)
+    assert report["version"] == gapflow.__version__
     for row in report["checks"]:
         assert set(row) == {"name", "anchor", "measured", "threshold", "passed"}
         assert row["anchor"]  # every row names its anchor label
@@ -207,6 +210,65 @@ def test_verify_all_reruns_are_bit_identical(tmp_path):
         assert code == 0
         blobs.append((out / "verify_all.json").read_bytes())
     assert len(set(blobs)) == 1
+
+
+def _profile_maxima_reference(seed, draws):
+    """The scalar loop _profile_rows replaces: rng.uniform and one
+    coefficients call per draw; returns the three residual maxima."""
+    rng = np.random.default_rng(seed)
+    sphere_value = wall_navier = sphere_cond = 0.0
+    for _ in range(draws):
+        mixed = bool(rng.integers(2))
+        h = float(10.0 ** rng.uniform(-6.0, math.log10(0.45)))
+        r = float(rng.uniform(0.0, 0.9))
+        if mixed:
+            regime = SlipRegime.mixed(float(10.0 ** rng.uniform(-3.0, 3.0)))
+        else:
+            regime = SlipRegime.slip(
+                float(10.0 ** rng.uniform(-3.0, 3.0)),
+                float(10.0 ** rng.uniform(-3.0, 3.0)),
+            )
+        c = coefficients(regime, h, r)
+        sphere_value = max(sphere_value, abs(c.p1 + c.p2 + c.p3 - 1.0))
+        wall_navier = max(
+            wall_navier, abs(2.0 * c.p2 - c.alpha_P * c.p1) / (1.0 + c.alpha_P)
+        )
+        slope_sum = c.p1 + 2.0 * c.p2 + 3.0 * c.p3
+        if mixed:
+            res = abs(slope_sum)
+        else:
+            res = abs(2.0 * c.p2 + 6.0 * c.p3 + c.alpha_S * slope_sum) / (
+                1.0 + c.alpha_S
+            )
+        sphere_cond = max(sphere_cond, res)
+    return sphere_value, wall_navier, sphere_cond
+
+
+@pytest.mark.parametrize("draws", [1, 2, 3, 500])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_profile_rows_match_the_scalar_loop(seed, draws):
+    # small draws leave one regime kind without draws; the rows still match
+    rows = {row["name"]: row["measured"]
+            for row in cli._profile_rows(RunConfig(seed=seed, draws=draws))}
+    measured = (rows["sphere_value"], rows["wall_navier"], rows["sphere_condition"])
+    assert measured == _profile_maxima_reference(seed, draws)
+
+
+def test_profile_check_makes_one_kernel_call_per_regime_kind(tmp_path, monkeypatch):
+    calls = []
+    kernel = profile._coefficients
+
+    def counted(*args):
+        calls.append(args[0])
+        return kernel(*args)
+
+    # both routes: the CLI's own import and the module global behind coefficients
+    monkeypatch.setattr(profile, "_coefficients", counted)
+    monkeypatch.setattr(cli, "_coefficients", counted)
+    assert RunConfig().draws == 10000
+    assert run(["profile", "check", "--out", str(tmp_path)]) == 0
+    assert len(calls) <= 2
+    assert len(set(calls)) == len(calls)
 
 
 def test_drag_scan_reruns_are_bit_identical(tmp_path):

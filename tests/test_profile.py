@@ -108,6 +108,40 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             coefficients(SLIP, 0.0, 0.0)
 
+    @pytest.mark.parametrize("regime", [SlipRegime.slip(0.03, 20.0), MIXED], ids=["slip", "mixed"])
+    def test_array_call_is_the_scalar_calls_bit_for_bit(self, regime):
+        rng = np.random.default_rng(13)
+        h = rng.uniform(1e-6, 0.45, 300)
+        r = rng.uniform(0.0, 0.9, 300)
+        r[:3] = 0.0
+        c = coefficients(regime, h, r)
+        for name in ("alpha_S", "alpha_P", "p1", "p2", "p3"):
+            got = getattr(c, name)
+            assert isinstance(got, np.ndarray) and got.shape == h.shape
+            want = np.array([getattr(coefficients(regime, a, b), name) for a, b in zip(h, r)])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+        grid = coefficients(regime, h[:5, None], r[None, :7])
+        assert grid.p2.shape == grid.alpha_S.shape == (5, 7)
+        assert grid.p2[4, 6] == coefficients(regime, h[4], r[6]).p2
+
+    @pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+    def test_zero_dimensional_call_returns_floats(self, regime):
+        c = coefficients(regime, np.array(1e-3), np.float64(0.1))
+        assert all(type(x) is float for x in (c.alpha_S, c.alpha_P, c.p1, c.p2, c.p3))
+
+    @pytest.mark.parametrize(
+        "h, r",
+        [
+            ([1e-3, 1e-2], [0.1, 1.0]),
+            ([1e-3, 1e-2], [-1e-9, 0.1]),
+            ([1e-3, 0.0], [0.1, 0.2]),
+            ([1e-3, -1e-3], 0.1),
+        ],
+    )
+    def test_array_domain(self, h, r):
+        with pytest.raises(ValueError):
+            coefficients(SLIP, np.array(h), np.array(r))
+
     def test_free_slip_plug_profile(self):
         c = coefficients_from_alphas(RegimeKind.SLIP, 0.0, 0.0)
         assert (c.p1, c.p2, c.p3) == (1.0, 0.0, 0.0)
