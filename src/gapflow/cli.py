@@ -62,7 +62,6 @@ from .geometry import DELTA_DEFAULT, H_MAX_DEFAULT, gamma_s
 from .profile import (
     RegimeKind,
     SlipRegime,
-    UnsupportedRegimeError,
     _coefficients,
     coefficients_from_alphas,
     weighted_sups,
@@ -794,7 +793,7 @@ def run(argv=None):
     command = COMMANDS[(args.group, args.action)]
     try:
         passed = command(cfg, out)
-    except (ConfigError, UnsupportedRegimeError) as exc:
+    except ConfigError as exc:
         print(f"gapflow: invalid config: {exc}", file=sys.stderr)
         return 2
     except (ClassificationError, QuadratureError, StiffnessError, ValueError) as exc:

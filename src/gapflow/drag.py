@@ -36,8 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import DELTA_DEFAULT, GapGeometry, gamma_s, sphere_normal
-from .field import _frame, _residual, aperture_frame, global_velocity
+from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, GapGeometry, gamma_s
+from .field import _frame, _on_sphere, _residual, aperture_frame, global_velocity
 from .profile import RegimeKind, SlipRegime, psi_partials
 from .quadrature import (
     IntegralResult,
@@ -102,8 +102,6 @@ def _exterior_shift(regime, exterior, r_max):
 def _row(regime, h, r_max, spec, exterior):
     """(EnergyBreakdown, SurfaceDrag) of one drag row; the gap pass
     evaluates Psi once per node for all three of its terms."""
-    if regime.kind not in (RegimeKind.SLIP, RegimeKind.MIXED):
-        raise ValueError("drag rows are defined for the slip and mixed regimes")
     ext = _exterior_shift(regime, exterior, r_max)
 
     def gap(r, z):
@@ -121,18 +119,11 @@ def _row(regime, h, r_max, spec, exterior):
         return np.stack([frame.u_r**2, 2.0 * frame.d_rz * frame.u_r])
 
     def sphere(r):
-        H = h + gamma_s(r)
-        frame = aperture_frame(regime, h, r, H)
-        n_r, n_z = sphere_normal(r)
-        dn_r = frame.du_r_dr * n_r + frame.d_rz * n_z
-        dn_z = frame.d_rz * n_r + frame.du_z_dz * n_z
+        frame, _, (dn_r, dn_z), mismatch = _on_sphere(regime, h, r)
         # |(u - e3) x n|^2 is the theta component squared, and
         # (D - qI)n . (e3 - u) loses q since n . (e3 - u) = 0
         return np.stack(
-            [
-                ((frame.u_z - 1.0) * n_r - frame.u_r * n_z) ** 2,
-                dn_r * (-frame.u_r) + dn_z * (1.0 - frame.u_z),
-            ]
+            [mismatch**2, dn_r * (-frame.u_r) + dn_z * (1.0 - frame.u_z)]
         )
 
     grad, sym, vol = integrate_gap(gap, h, r_max, spec)
@@ -232,7 +223,7 @@ def exterior_constant(regime, delta=DELTA_DEFAULT):
     solid = y < 1.0
     # bump-transition shell: its size is set by the cutoff width, not by
     # the gap, so it belongs to the far field and stays out of drag totals
-    shell = (1.0 + 0.5 * geo.d_delta < y) & (y < 1.0 + geo.d_delta)
+    shell = (1.0 + 0.5 * D_DELTA_DEFAULT < y) & (y < 1.0 + D_DELTA_DEFAULT)
     sample = global_velocity(regime, h, x[~(aperture | solid | shell)], geometry=geo)
     total = 0.0
     # one point at a time in grid order, the order the constant is pinned in
@@ -262,10 +253,6 @@ class DragRow:
     gradient_part: float
     sphere_part: float = 0.0
     wall_part: float = 0.0
-
-    @property
-    def boundary_part(self):
-        return self.sphere_part + self.wall_part
 
 
 @dataclass(frozen=True)
@@ -319,8 +306,8 @@ def drag_curve(
         Rows are computed one after another in that order.
     exterior : "included" | "excluded"
         Whether totals carry the cutoff-ring constant; it is recorded in
-        the provenance either way.  gradient_part and boundary_part are
-        always the bare aperture pieces.
+        the provenance either way.  gradient_part, sphere_part and
+        wall_part are always the bare aperture pieces.
     """
     spec = spec or QuadratureSpec()
     hs = sorted(set(float(x) for x in h_list), reverse=True)

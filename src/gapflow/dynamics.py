@@ -43,7 +43,7 @@ import numpy as np
 
 from .geometry import H_MAX_DEFAULT
 from .ode import BDF, EPS, RK45, solve
-from .profile import RegimeKind, UnsupportedRegimeError
+from .profile import RegimeKind
 
 TOUCHDOWN_H = 1e-12
 SWITCH_H = 1e-6
@@ -176,8 +176,7 @@ def drag_law(regime, source="analytic", kappa=1.0):
     Parameters
     ----------
     regime : SlipRegime
-        Slip gives kappa |ln h|, mixed kappa / h; the no-slip regime is
-        outside the gap analysis and raises UnsupportedRegimeError.
+        Slip gives kappa |ln h|, mixed kappa / h.
     source : "analytic"
         The only source.
     kappa : float
@@ -187,8 +186,6 @@ def drag_law(regime, source="analytic", kappa=1.0):
     -------
     DragLaw
     """
-    if regime.kind is RegimeKind.NO_SLIP:
-        raise UnsupportedRegimeError("no drag law for the no-slip regime")
     if source != "analytic":
         raise ValueError("source must be 'analytic'")
     if kappa < 0.0:
@@ -277,8 +274,6 @@ def simulate(
     rtol=RTOL_DEFAULT,
     atol=ATOL_DEFAULT,
     h_max=H_MAX_DEFAULT,
-    max_step=math.inf,
-    first_step=None,
 ):
     """Integrate the damped fall from (h0, v0) until an event or t_max.
 
@@ -292,8 +287,8 @@ def simulate(
     t_max : float
     law : DragLaw, optional
         Custom drag; anything else raises TypeError.
-    rtol, atol, max_step, first_step
-        Step control of the integrator, which integrates h (log law) or
+    rtol, atol
+        Tolerances of the integrator, which integrates h (log law) or
         u = ln h (inverse law, so rtol and atol bound the relative error of
         h).  Every h' row, and the impact speed, comes from
         h' = v0 + Phi(h) - G t, off by D(h) times the error of h: about
@@ -338,9 +333,9 @@ def simulate(
         t, h, v = [0.0], [h0], [v0]
     else:
         if stiff:
-            stepper = BDF(rhs, jac, 0.0, y0, t_max, rtol, atol, max_step, first_step)
+            stepper = BDF(rhs, jac, 0.0, y0, t_max, rtol, atol)
         else:
-            stepper = RK45(rhs, 0.0, y0, t_max, rtol, atol, max_step, first_step)
+            stepper = RK45(rhs, 0.0, y0, t_max, rtol, atol)
         sol = solve(stepper, events)
         counts = dict(steps=sol.steps, nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu)
         t, h = sol.t, [math.exp(u) for u in sol.y] if stiff else sol.y
@@ -385,7 +380,7 @@ def _scan_cell(regime, kappa, G, h0, t_max, rtol, atol):
     try:
         params = FallParameters(rho_S=2.0, rho_F=1.0, g=2.0 * G, kappa=kappa)
         traj = simulate(params, regime, h0, t_max=t_max, rtol=rtol, atol=atol)
-    except (ValueError, UnsupportedRegimeError, StiffnessError) as exc:
+    except (ValueError, StiffnessError) as exc:
         return ScanRow(kappa=kappa, G=G, h0=h0, outcome="Error", error=str(exc))
     ev = traj.event
     if ev.kind == EventKind.TOUCHDOWN:

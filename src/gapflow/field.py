@@ -15,8 +15,9 @@ pressure value itself, which is computed by composite Gauss-Legendre in an
 octave-graded substitution.
 
 Everything here is pure and broadcasts over numpy arrays: the gap
-functions take arrays of (r, z) and return cylindrical components, and
-global_velocity takes one cartesian point or an (n, 3) array of them.
+functions take arrays of (r, z) and return cylindrical components as
+arrays (numpy floats for scalar input), and global_velocity takes an
+(n, 3) array of cartesian points.
 """
 
 import math
@@ -35,26 +36,20 @@ _E3 = np.array([0.0, 0.0, 1.0])
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Velocity and gradient of the global test field at one cartesian
-    point, or at n points with a leading axis of length n on every array.
-
-    The velocity components are (u_1, u_2, u_3) and the gradient is the
-    3 x 3 matrix (grad u)_{ij} = d_j u_i.
+    """Velocity (n, 3) and gradient (n, 3, 3) of the global test field at
+    n cartesian points: components (u_1, u_2, u_3) and the matrices
+    (grad u)_{ij} = d_j u_i.
     """
 
-    position: tuple
     velocity: np.ndarray
     grad: np.ndarray
-
-    def divergence(self):
-        div = np.trace(self.grad, axis1=-2, axis2=-1)
-        return div if div.ndim else float(div)
 
 
 @dataclass(frozen=True)
 class PressureSample:
-    position: tuple
-    q: float
+    """Pressure q and its gradient (d_r q, d_z q) stacked on a first axis."""
+
+    q: object
     grad: np.ndarray
 
 
@@ -186,18 +181,15 @@ def global_velocity(regime, h, x, geometry=None):
     ----------
     regime : SlipRegime
     h : float
-    x : array_like, shape (3,) or (n, 3)
-        One point or n points, each with x3 >= 0 (the wall is {x3 = 0}).
+    x : array_like, shape (n, 3)
+        Points with x3 >= 0 (the wall is {x3 = 0}).
     geometry : GapGeometry, optional
 
     Returns
     -------
     FieldSample
-        One point in, velocity (3,) and gradient (3, 3) out; n points in,
-        velocity (n, 3) and gradient (n, 3, 3) out.
     """
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
+    pts = np.asarray(x, dtype=float)
     if np.any(pts[:, 2] < 0.0):
         raise ValueError("global field is defined on the half space x3 >= 0")
     geo = geometry if geometry is not None else GapGeometry(h=h)
@@ -208,10 +200,7 @@ def global_velocity(regime, h, x, geometry=None):
     u[:, 2] = 1.0  # e3 on the solid, with a zero gradient
     if np.any(fluid):
         u[fluid], grad[fluid] = _blended_field(regime, h, pts[fluid], geo)
-
-    if x.ndim == 1:
-        x, u, grad = tuple(x), u[0], grad[0]
-    return FieldSample(position=x, velocity=u, grad=grad)
+    return FieldSample(velocity=u, grad=grad)
 
 
 def _g3_tail(regime, h, H_values):
@@ -263,31 +252,23 @@ def _pressure_gradient(regime, p, r):
 
 
 def pressure(regime, h, r, z):
-    """Companion pressure sample(s) with closed-form gradient.
+    """Companion pressure with closed-form gradient at radii r and heights
+    z that broadcast to r's shape.
 
     The value integrates d_zzz Psi radially (sign convention depends on the
     regime) with a fixed octave rule that resolves it below 1e-10 relative;
-    the gradient needs no quadrature at all.  Scalars in, scalar sample
-    out; arrays in, array-valued sample out.
+    the gradient needs no quadrature at all.  q has r's shape, and grad
+    stacks (d_r q, d_z q) on a new first axis.
     """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    z_arr = np.broadcast_to(np.asarray(z, dtype=float), r_arr.shape)
-    p = psi_partials(regime, h, r_arr, z_arr)
-    J = _g3_tail(regime, h, h + gamma_s(r_arr))
+    r = np.asarray(r, dtype=float)
+    p = psi_partials(regime, h, r, np.broadcast_to(np.asarray(z, dtype=float), r.shape))
+    J = _g3_tail(regime, h, np.ravel(h + gamma_s(r))).reshape(r.shape)
 
     if regime.kind is RegimeKind.SLIP:
-        q = -0.5 * (r_arr * p.drz + 2.0 * p.dz + J)
+        q = -0.5 * (r * p.drz + 2.0 * p.dz + J)
     else:
-        q = 0.5 * (r_arr * p.drz + 2.0 * p.dz - J)
-    dq_r, dq_z = _pressure_gradient(regime, p, r_arr)
-
-    if np.ndim(r) == 0 and np.ndim(z) == 0:
-        return PressureSample(
-            position=(float(r), float(z)),
-            q=float(q[0]),
-            grad=np.array([float(dq_r[0]), float(dq_z[0])]),
-        )
-    return PressureSample(position=(r, z), q=q, grad=np.stack([dq_r, dq_z]))
+        q = 0.5 * (r * p.drz + 2.0 * p.dz - J)
+    return PressureSample(q=q, grad=np.stack(_pressure_gradient(regime, p, r)))
 
 
 def stokes_residual(regime, h, r, z):
@@ -300,13 +281,9 @@ def stokes_residual(regime, h, r, z):
 
     Returns
     -------
-    (f_r, f_z) : floats or ndarrays
+    (f_r, f_z)
     """
-    r_arr = np.asarray(r, dtype=float)
-    f_r, f_z = _residual(regime, psi_partials(regime, h, r_arr, z), r_arr)
-    if np.ndim(r) == 0 and np.ndim(z) == 0:
-        return float(f_r), float(f_z)
-    return f_r, f_z
+    return _residual(regime, psi_partials(regime, h, r, z), np.asarray(r, dtype=float))
 
 
 def _residual(regime, p, r):
@@ -341,37 +318,42 @@ class NavierResiduals:
     sphere_tangential: object
 
 
+def _on_sphere(regime, h, r):
+    """The frame on the sphere at radii r, its normal (n_r, n_z), the
+    traction D n as (r, z) components, and (u - e3) x n, whose one
+    component is theta."""
+    frame = aperture_frame(regime, h, r, h + gamma_s(r))
+    n_r, n_z = sphere_normal(r)
+    dn = (
+        frame.du_r_dr * n_r + frame.d_rz * n_z,
+        frame.d_rz * n_r + frame.du_z_dz * n_z,
+    )
+    return frame, (n_r, n_z), dn, (frame.u_z - 1.0) * n_r - frame.u_r * n_z
+
+
+def _sphere_residuals(regime, h, r):
+    """(sphere_normal, sphere_tangential) of NavierResiduals at radii r."""
+    top, (n_r, n_z), (dn_r, dn_z), mismatch = _on_sphere(regime, h, r)
+    return (
+        top.u_r * n_r + (top.u_z - 1.0) * n_z,
+        2.0 * regime.beta_S * (dn_z * n_r - dn_r * n_z) + mismatch,
+    )
+
+
 def navier_residuals(regime, h, r):
-    r_arr = np.asarray(r, dtype=float)
-    zeros = np.zeros_like(r_arr)
-
-    wall = aperture_frame(regime, h, r_arr, zeros)
-    wall_imp = wall.u_z
-    wall_tan = wall.u_r - 2.0 * regime.beta_Omega * wall.d_rz
-
-    H = h + gamma_s(r_arr)
-    top = aperture_frame(regime, h, r_arr, H)
-    n_r, n_z = sphere_normal(r_arr)
-    sphere_norm = top.u_r * n_r + (top.u_z - 1.0) * n_z
-
-    dn_r = top.du_r_dr * n_r + top.d_rz * n_z
-    dn_z = top.d_rz * n_r + top.du_z_dz * n_z
-    stress_tan = dn_z * n_r - dn_r * n_z
-    slip_tan = (top.u_z - 1.0) * n_r - top.u_r * n_z
-    sphere_tan = 2.0 * regime.beta_S * stress_tan + slip_tan
-
-    if np.ndim(r) == 0:
-        return NavierResiduals(
-            float(wall_imp), float(wall_tan), float(sphere_norm), float(sphere_tan)
-        )
-    return NavierResiduals(wall_imp, wall_tan, sphere_norm, sphere_tan)
+    wall = aperture_frame(regime, h, r, np.zeros_like(r))
+    return NavierResiduals(
+        wall.u_z,
+        wall.u_r - 2.0 * regime.beta_Omega * wall.d_rz,
+        *_sphere_residuals(regime, h, r),
+    )
 
 
 def sphere_slip_l2(regime, h, r_max, spec=None):
     """L2 norm over the sphere cap of the tangential Navier residual."""
 
     def f(r):
-        return navier_residuals(regime, h, r).sphere_tangential ** 2
+        return _sphere_residuals(regime, h, r)[1] ** 2
 
     return math.sqrt(
         max(0.0, integrate_surface(f, "sphere-cap", r_max, spec, scale=math.sqrt(h)).value)

@@ -6,7 +6,9 @@ outward unit normals, surface measures for the two boundary pieces, and the
 smooth cutoff functions used to extend the aperture ansatz to the whole
 domain.
 
-All functions accept scalars or numpy arrays and are pure.
+All functions are pure and broadcast over numpy arrays, with no branch
+for scalars: a scalar in gives a numpy float or 0-d array out.
+``cutoffs`` takes an (n, 3) array of points.
 """
 
 from dataclasses import dataclass
@@ -23,41 +25,27 @@ SPHERE_CAP = "sphere-cap"
 
 @dataclass(frozen=True)
 class GapGeometry:
-    """Geometric configuration: gap width plus the fixed cutoff scales.
+    """Geometric configuration: gap width plus the aperture half-width.
 
     Parameters
     ----------
     h : float
-        Gap width between the sphere's south pole and the wall.  ``h = 0``
-        means contact.
+        Gap width between the sphere's south pole and the wall, in
+        ``[0, H_MAX_DEFAULT]``.  ``h = 0`` means contact.
     delta : float
         Aperture half-width, restricted to ``(0, 1/4)``.
-    d_delta : float
-        Thickness of the far cutoff shell around the sphere.
-    h_max : float
-        Largest gap considered by the experiments.
+
+    The far cutoff shell around the sphere is ``D_DELTA_DEFAULT`` thick.
     """
 
     h: float
     delta: float = DELTA_DEFAULT
-    d_delta: float = D_DELTA_DEFAULT
-    h_max: float = H_MAX_DEFAULT
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.25:
             raise ValueError(f"delta must lie in (0, 1/4), got {self.delta}")
-        if self.d_delta <= 0.0:
-            raise ValueError(f"d_delta must be positive, got {self.d_delta}")
-        if self.h_max <= 0.0:
-            raise ValueError(f"h_max must be positive, got {self.h_max}")
-        if not 0.0 <= self.h <= self.h_max:
-            raise ValueError(
-                f"h must lie in [0, h_max={self.h_max}], got {self.h}"
-            )
-
-    def gap_height(self, r):
-        """Total gap height ``h + gamma_s(r)`` above the wall at radius r."""
-        return self.h + gamma_s(r)
+        if not 0.0 <= self.h <= H_MAX_DEFAULT:
+            raise ValueError(f"h must lie in [0, {H_MAX_DEFAULT}], got {self.h}")
 
 
 def gamma_s(r):
@@ -75,10 +63,10 @@ def gamma_s(r):
         equator; behaves like ``r**2 / 2`` for small r.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0):
+    # one ndarray.any() call: gamma_s runs inside every profile evaluation
+    if ((r < 0.0) | (r > 1.0)).any():
         raise ValueError("gamma_s requires 0 <= r <= 1")
-    out = 1.0 - np.sqrt(1.0 - r * r)
-    return out if out.ndim else float(out)
+    return 1.0 - np.sqrt(1.0 - r * r)
 
 
 def sphere_normal(r):
@@ -97,11 +85,7 @@ def sphere_normal(r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0) or np.any(r >= 1.0):
         raise ValueError("sphere_normal requires 0 <= r < 1")
-    n_r = -r
-    n_z = np.sqrt(1.0 - r * r)
-    if r.ndim:
-        return n_r, n_z
-    return float(n_r), float(n_z)
+    return -r, np.sqrt(1.0 - r * r)
 
 
 def surface_measure(surface, r):
@@ -123,15 +107,12 @@ def surface_measure(surface, r):
     if np.any(r < 0.0):
         raise ValueError("surface_measure requires r >= 0")
     if surface == PLANE:
-        out = r
-    elif surface == SPHERE_CAP:
+        return r
+    if surface == SPHERE_CAP:
         if np.any(r >= 1.0):
             raise ValueError("sphere-cap measure requires r < 1")
-        out = r / np.sqrt(1.0 - r * r)
-    else:
-        raise ValueError(f"unknown surface {surface!r}")
-    out = np.asarray(out, dtype=float)
-    return out if out.ndim else float(out)
+        return r / np.sqrt(1.0 - r * r)
+    raise ValueError(f"unknown surface {surface!r}")
 
 
 def smoothstep(s):
@@ -149,9 +130,7 @@ def smoothstep(s):
     inside = (s > 0.0) & (s < 1.0)
     d1 = np.where(inside, d1, 0.0)
     d2 = np.where(inside, d2, 0.0)
-    if s.ndim:
-        return val, d1, d2
-    return float(val), float(d1), float(d2)
+    return val, d1, d2
 
 
 def _coordinate_window(t, delta):
@@ -164,33 +143,33 @@ def _coordinate_window(t, delta):
     return val, np.where(t >= 0.0, -d1, d1) / delta, d2 / (delta * delta)
 
 
-def _radial_bump(rho, d_delta):
-    """Radial profile of the far cutoff: 1 inside 1 + d_delta/2, 0 outside
-    1 + d_delta, quintic in between.  Returns value, f', f'' in rho.
+def _radial_bump(rho):
+    """Radial profile of the far cutoff: 1 inside 1 + d/2, 0 outside 1 + d,
+    quintic in between, with d = D_DELTA_DEFAULT.  Returns value, f', f''
+    in rho.
     """
-    half = 0.5 * d_delta
-    val, d1, d2 = smoothstep((1.0 + d_delta - rho) / half)
+    half = 0.5 * D_DELTA_DEFAULT
+    val, d1, d2 = smoothstep((1.0 + D_DELTA_DEFAULT - rho) / half)
     return val, -d1 / half, d2 / (half * half)
 
 
 @dataclass(frozen=True)
 class CutoffPair:
-    """Values and derivatives of the two cutoffs at one point or at n points.
+    """Values and derivatives of the two cutoffs at n points.
 
     ``chi`` is the tensor-product window equal to 1 on the cube
     ``(-delta, delta)^3`` and 0 outside ``(-2 delta, 2 delta)^3``.
-    ``phi_bump`` is the radial window equal to 1 on a ``d_delta/2``
-    neighborhood of the solid sphere and 0 outside a ``d_delta``
+    ``phi_bump`` is the radial window equal to 1 on a ``D_DELTA_DEFAULT/2``
+    neighborhood of the solid sphere and 0 outside a ``D_DELTA_DEFAULT``
     neighborhood; it is evaluated at ``x - (1 + h) e3``, i.e. relative to
     the current sphere center.
 
-    Gradients and Hessians are with respect to the cartesian point x.  For
-    one point the values are floats and the derivatives (3,) and (3, 3)
-    arrays; for n points every field gains a leading axis of length n.
+    Gradients and Hessians are with respect to the cartesian point x: the
+    values have shape (n,), the gradients (n, 3) and the Hessians (n, 3, 3).
     """
 
-    chi: object
-    phi_bump: object
+    chi: np.ndarray
+    phi_bump: np.ndarray
     chi_grad: np.ndarray
     phi_grad: np.ndarray
     chi_hess: np.ndarray
@@ -209,17 +188,15 @@ def cutoffs(x, geometry):
 
     Parameters
     ----------
-    x : array_like, shape (3,) or (n, 3)
-        One cartesian point, or n of them.
+    x : array_like, shape (n, 3)
+        Cartesian points.
     geometry : GapGeometry
 
     Returns
     -------
     CutoffPair
-        Scalar fields for one point, arrays with a leading n axis for n.
     """
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
+    pts = np.asarray(x, dtype=float)
 
     w, dw, ddw = _coordinate_window(pts, geometry.delta)
     table = np.stack([w, dw, ddw], axis=-1)  # [point, coordinate k, order]
@@ -230,7 +207,7 @@ def cutoffs(x, geometry):
 
     y = pts - np.array([0.0, 0.0, 1.0 + geometry.h])
     rho = np.sqrt(np.vecdot(y, y))
-    f, f1, f2 = _radial_bump(rho, geometry.d_delta)
+    f, f1, f2 = _radial_bump(rho)
     # f varies only in the shell rho > 1, so the clamp changes nothing
     # there and keeps the unit vector finite at the sphere center
     rho = np.maximum(rho, 1.0)[:, None]
@@ -238,9 +215,4 @@ def cutoffs(x, geometry):
     ee = e[:, :, None] * e[:, None, :]
     phi_grad = f1[:, None] * e
     phi_hess = f2[:, None, None] * ee + (f1[:, None] / rho)[:, :, None] * (np.eye(3) - ee)
-
-    if x.ndim == 1:
-        return CutoffPair(
-            float(chi[0]), float(f[0]), chi_grad[0], phi_grad[0], chi_hess[0], phi_hess[0]
-        )
     return CutoffPair(chi, f, chi_grad, phi_grad, chi_hess, phi_hess)

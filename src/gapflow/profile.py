@@ -21,11 +21,12 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .geometry import gamma_s
+
 __all__ = [
     "RegimeKind",
     "SlipRegime",
     "ProfileCoefficients",
-    "UnsupportedRegimeError",
     "coefficients",
     "coefficients_from_alphas",
     "psi_partials",
@@ -34,14 +35,9 @@ __all__ = [
 ]
 
 
-class UnsupportedRegimeError(ValueError):
-    """Raised when an operation has no profile for the requested regime."""
-
-
 class RegimeKind(Enum):
     SLIP = "slip"
     MIXED = "mixed"
-    NO_SLIP = "no-slip"
 
 
 @dataclass(frozen=True)
@@ -49,7 +45,9 @@ class SlipRegime:
     """Boundary-condition regime with its slip lengths.
 
     Slip requires both slip lengths positive; Mixed means no-slip at the
-    sphere (beta_S = 0) and slip at the wall; NoSlip sets both to zero.
+    sphere (beta_S = 0) and slip at the wall.  No-slip on both the sphere
+    and the wall is not a regime: it is the alpha_P -> inf limit of the
+    mixed profile, which coefficients_from_alphas gives.
     """
 
     kind: RegimeKind
@@ -67,10 +65,6 @@ class SlipRegime:
             self.beta_S == 0.0 and self.beta_Omega > 0.0
         ):
             raise ValueError("Mixed regime requires beta_S = 0 and beta_Omega > 0")
-        if self.kind is RegimeKind.NO_SLIP and not (
-            self.beta_S == 0.0 and self.beta_Omega == 0.0
-        ):
-            raise ValueError("NoSlip regime requires beta_S = beta_Omega = 0")
 
     @classmethod
     def slip(cls, beta_S=1.0, beta_Omega=1.0):
@@ -79,10 +73,6 @@ class SlipRegime:
     @classmethod
     def mixed(cls, beta_Omega=1.0):
         return cls(RegimeKind.MIXED, 0.0, float(beta_Omega))
-
-    @classmethod
-    def no_slip(cls):
-        return cls(RegimeKind.NO_SLIP, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -100,18 +90,13 @@ class ProfileCoefficients:
     p2: float
     p3: float
 
-    def phi(self, t):
-        """Evaluate Phi(t) = p1 t + p2 t^2 + p3 t^3."""
-        t = np.asarray(t, dtype=float)
-        out = t * (self.p1 + t * (self.p2 + t * self.p3))
-        return out if out.ndim else float(out)
 
-
-def _gamma(r):
+def _radius(r):
+    """r as an array, checked against the profile's domain 0 <= r < 1."""
     r = np.asarray(r, dtype=float)
     if ((r < 0.0) | (r >= 1.0)).any():
         raise ValueError("profile evaluation requires 0 <= r < 1")
-    return 1.0 - np.sqrt(1.0 - r * r)
+    return r
 
 
 def _poly(*coefs):
@@ -136,17 +121,12 @@ def _family(kind, beta_S, beta_Omega):
         n1 = _poly(12.0, 6.0 * a)
         n2 = _poly(0.0, 6.0 * b, 3.0 * a * b)
         n3 = _poly(0.0, -2.0 * (a + b), -2.0 * a * b)
-    elif kind is RegimeKind.MIXED:
+    else:
         b = 1.0 / beta_Omega
         delta = _poly(4.0, b)
         n1 = _poly(6.0)
         n2 = _poly(0.0, 3.0 * b)
         n3 = _poly(-2.0, -2.0 * b)
-    else:
-        raise UnsupportedRegimeError(
-            "no relaxed profile for the no-slip regime; it arises only as the "
-            "alpha_P -> inf limit of the mixed regime"
-        )
     return delta, n1, n2, n3
 
 
@@ -176,7 +156,7 @@ def _coefficients(kind, beta_S, beta_Omega, h, r):
     h = np.asarray(h, dtype=float)
     if (h <= 0.0).any():
         raise ValueError("coefficients require h > 0")
-    H = h + _gamma(r)
+    H = h + gamma_s(_radius(r))
     delta, n1, n2, n3 = _family(kind, beta_S, beta_Omega)
     den = npoly.polyval(H, delta, tensor=False)
     p1, p2, p3 = (npoly.polyval(H, n, tensor=False) / den for n in (n1, n2, n3))
@@ -203,7 +183,7 @@ def coefficients_from_alphas(kind, alpha_S, alpha_P):
         p1 = 6.0 * (2.0 + alpha_S) / den
         p2 = 3.0 * (2.0 + alpha_S) * alpha_P / den
         p3 = -2.0 * (alpha_S + alpha_S * alpha_P + alpha_P) / den
-    elif kind is RegimeKind.MIXED:
+    else:
         if math.isinf(alpha_P):
             p1, p2, p3 = 0.0, 3.0, -2.0
         else:
@@ -212,8 +192,6 @@ def coefficients_from_alphas(kind, alpha_S, alpha_P):
             p2 = 3.0 * alpha_P / den
             p3 = -2.0 * (1.0 + alpha_P) / den
         alpha_S = math.inf
-    else:
-        raise UnsupportedRegimeError("no profile for the no-slip regime")
     return ProfileCoefficients(alpha_S, alpha_P, p1, p2, p3)
 
 
@@ -279,9 +257,9 @@ class PsiPartials:
 def _check_gap_point(h, r, z):
     if h <= 0.0:
         raise ValueError("profile evaluation requires h > 0")
-    r = np.asarray(r, dtype=float)
+    r = _radius(r)
     z = np.asarray(z, dtype=float)
-    H = h + _gamma(r)
+    H = h + gamma_s(r)
     if np.any(z < 0.0) or np.any(z > H * (1.0 + 1e-12) + 1e-300):
         raise ValueError("z outside the gap [0, h + gamma_s(r)]")
     return r, z, H
@@ -499,7 +477,7 @@ def weighted_sups(regime, h, delta=0.2):
     r_lo = max(1e-8, math.sqrt(h) / 100.0)
     r = np.geomspace(r_lo, delta, SUP_GRID_N)[:, None]
     t = np.linspace(1.0 / SUP_GRID_N, 1.0, SUP_GRID_N)[None, :]
-    H = h + _gamma(r)
+    H = h + gamma_s(r)
     z = t * H
     k = _Kernel(regime, h, r, z)
     p, q = _partials(k), _h_partials(k)

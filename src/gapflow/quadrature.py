@@ -24,14 +24,15 @@ from .geometry import PLANE, SPHERE_CAP, gamma_s, surface_measure
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-13
-DEFAULT_MAX_DEPTH = 28
 # Gauss-Legendre orders: per adaptive cell, and across the gap height.
 # Psi is cubic in z, so the drag row's gap integrands (squared gradients
 # and the residual pairing) have z-degree <= 6: 4 points are exact, and
 # 12 is kept because the pinned drag rows were computed with it.
 RULE_ORDER = 16
 Z_ORDER = 12
-# Refinement bounds of _adaptive_1d: cells, batch selection, roundoff
+# Refinement bounds of _adaptive_1d: bisections per cell, cells, batch
+# selection, roundoff
+MAX_DEPTH = 28
 MAX_CELLS = 2000
 BATCH_FACTOR = 8.0
 ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
@@ -53,13 +54,10 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     rel_tol: float = DEFAULT_REL_TOL
     abs_tol: float = DEFAULT_ABS_TOL
-    max_depth: int = DEFAULT_MAX_DEPTH
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,6 @@ class IntegralResult:
     value: float
     error: float
     cells: int
-
-    def __float__(self):
-        return self.value
 
 
 @lru_cache(maxsize=None)
@@ -100,12 +95,12 @@ def _adaptive_1d(g, cuts, spec):
     angular factor included), or to a (k, n) stack of k components on one
     mesh, each held to rel_tol times its own magnitude (abs_tol floor).  A
     leaf cell's error is its coarse estimate less its two halves'; each
-    round bisects, with one g call, every leaf below max_depth within
+    round bisects, with one g call, every leaf below MAX_DEPTH within
     BATCH_FACTOR of the worst error/tolerance ratio, until each component's
     fsum of cell errors meets its tolerance.  Returns an IntegralResult, or
     a tuple of k for a stacked g.  QuadratureError names the failing
     components and the reason: a non-finite estimate, a tolerance below
-    ROUNDOFF_FLOOR times sum |cell values|, max_depth, or MAX_CELLS cells.
+    ROUNDOFF_FLOOR times sum |cell values|, MAX_DEPTH, or MAX_CELLS cells.
     """
     x, w = _gl_rule(RULE_ORDER)
     spec = spec or QuadratureSpec()
@@ -136,9 +131,9 @@ def _adaptive_1d(g, cuts, spec):
         if not bad.any():
             results = tuple(IntegralResult(math.fsum(v), e, a.size) for v, e in zip(value, error))
             return results if stacked else results[0]
-        ratio = np.where(depth < spec.max_depth, np.max(err[bad] / tol[bad, None], axis=0), -1.0)
+        ratio = np.where(depth < MAX_DEPTH, np.max(err[bad] / tol[bad, None], axis=0), -1.0)
         if ratio.max() <= 0.0:
-            reason = f"max_depth {spec.max_depth} reached"
+            reason = f"max_depth {MAX_DEPTH} reached"
             break
         sel = ratio >= ratio.max() / BATCH_FACTOR
         if a.size + np.count_nonzero(sel) > MAX_CELLS:

@@ -21,6 +21,8 @@ from gapflow.profile import SlipRegime, coefficients
 # keep the random-draw sections small; the full-size battery is exercised
 # by the acceptance suite
 FAST = ("--draws", "500")
+# the sources, for fresh interpreters: the tests need no installed gapflow
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _read(path):
@@ -547,6 +549,7 @@ def test_console_script_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gapflow.cli", "profile", "check",
          "--draws", "200", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
     )
@@ -557,7 +560,6 @@ def test_console_script_entry_point(tmp_path):
 def test_falls_run_without_scipy(tmp_path):
     # a mixed fall scan and a slip fall simulate in one fresh interpreter:
     # both steppers, the event location and the tail load no scipy module
-    src = str(Path(__file__).resolve().parent.parent / "src")
     script = (
         "import sys\n"
         "from gapflow.cli import run\n"
@@ -569,7 +571,7 @@ def test_falls_run_without_scipy(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         timeout=60,

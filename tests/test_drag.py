@@ -200,7 +200,8 @@ def test_exterior_mode_shifts_totals_by_the_recorded_constant(slip_curve):
         assert with_ring.surface - without.surface == pytest.approx(ring, abs=1e-12)
         # the labeled parts stay bare aperture pieces in both modes
         assert with_ring.gradient_part == without.gradient_part
-        assert with_ring.boundary_part == without.boundary_part
+        assert with_ring.sphere_part == without.sphere_part
+        assert with_ring.wall_part == without.wall_part
 
 
 def test_exterior_mode_is_validated():
@@ -307,13 +308,6 @@ def test_mixed_regime_has_no_sphere_terms():
     assert e.sphere == 0.0
     n = surface_drag(MIXED, 1e-4, spec=SWEEP_SPEC)
     assert n.sphere == 0.0
-
-
-def test_energy_rejects_the_no_slip_regime():
-    with pytest.raises(ValueError):
-        energy(SlipRegime.no_slip(), 1e-3, spec=SWEEP_SPEC)
-    with pytest.raises(ValueError):
-        surface_drag(SlipRegime.no_slip(), 1e-3, spec=SWEEP_SPEC)
 
 
 def test_wall_traction_term_matches_wall_energy_term():

@@ -22,12 +22,11 @@ from gapflow.dynamics import (
     simulate,
     touchdown_scan,
 )
-from gapflow.profile import RegimeKind, SlipRegime, UnsupportedRegimeError
+from gapflow.profile import RegimeKind, SlipRegime
 from gapflow.quadrature import _ols
 
 SLIP = SlipRegime.slip(1.0, 1.0)
 MIXED = SlipRegime.mixed(1.0)
-NO_SLIP = SlipRegime.no_slip()
 
 FREE_FALL_TOL = 1e-8
 TSTAR_STABILITY = 1e-6
@@ -53,11 +52,6 @@ def test_analytic_mixed_law_is_kappa_over_h():
     law = drag_law(MIXED, kappa=3.0)
     assert law(0.01) == pytest.approx(300.0, rel=1e-14)
     assert law.deep == ("inverse", 3.0, 0.0)
-
-
-def test_no_slip_regime_has_no_drag_law():
-    with pytest.raises(UnsupportedRegimeError):
-        drag_law(NO_SLIP, kappa=1.0)
 
 
 def test_laws_are_positive_on_the_working_range():
@@ -417,39 +411,6 @@ def _assert_rows_match_radau(traj, law, G, h0):
     h, v = ref.sol(traj.t[:rows])
     assert np.max(np.abs(traj.h[:rows] / h - 1.0)) <= 1e-7
     assert np.max(np.abs(traj.v[:rows] - v)) <= 1e-7
-
-
-# ---------------------------------------------------------------- integrator
-
-
-def test_convergence_order_at_least_four_on_constant_drag():
-    c, G, h0, T = 2.0, 1.0, 0.25, 0.3
-    constant = DragLaw("analytic", RegimeKind.SLIP, ("log", 0.0, c), lambda h: c)
-    h_exact = h0 + ((G / c) / c) * (1.0 - math.exp(-c * T)) - (G / c) * T
-    v_exact = (G / c) * math.exp(-c * T) - G / c
-
-    errors = []
-    for n in (8, 16, 32):
-        dt = T / n
-        traj = simulate(
-            _params(G=G), SLIP, h0=h0, t_max=T, law=constant,
-            rtol=1e10, atol=1e10, max_step=dt, first_step=dt,
-        )
-        errors.append(
-            abs(traj.h[-1] - h_exact) + abs(traj.v[-1] - v_exact)
-        )
-    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
-    assert np.all(orders >= 4.0)
-
-
-def test_free_fall_is_exact_for_the_embedded_pair():
-    # polynomial solution: integrated to roundoff regardless of step size
-    traj = simulate(
-        _params(kappa=0.0), SLIP, h0=0.25, t_max=0.5,
-        rtol=1e10, atol=1e10, max_step=0.1, first_step=0.1,
-    )
-    exact_h = 0.25 - 0.5 * 0.5**2
-    assert traj.h[-1] == pytest.approx(exact_h, abs=1e-12)
 
 
 # ---------------------------------------------------------------- validation

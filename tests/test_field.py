@@ -24,6 +24,12 @@ H_SWEEP = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 SWEEP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
 
 
+def _global_at(regime, h, x):
+    """The FieldSample of the one point x, evaluated as a (1, 3) batch."""
+    sample = fld.global_velocity(regime, h, np.array([x], dtype=float))
+    return fld.FieldSample(sample.velocity[0], sample.grad[0])
+
+
 def _gap_points(rng, n, h):
     r = rng.uniform(1e-6, 0.9, size=n)
     z = rng.uniform(0.0, 1.0, size=n) * (h + gamma_s(r))
@@ -136,7 +142,7 @@ def test_global_matches_aperture_on_chi_plateau():
     h = 0.05
     r, theta, z = 0.15, 0.4, 0.02
     x = (r * math.cos(theta), r * math.sin(theta), z)
-    cart = fld.global_velocity(SLIP, h, x)
+    cart = _global_at(SLIP, h, x)
     cyl = fld.aperture_frame(SLIP, h, r, z)
     expected = np.array(
         [cyl.u_r * math.cos(theta), cyl.u_r * math.sin(theta), cyl.u_z]
@@ -147,7 +153,7 @@ def test_global_matches_aperture_on_chi_plateau():
 def test_global_inside_solid_is_unit_vertical():
     h = 0.2
     for x in [(0.0, 0.0, 1.0 + h), (0.3, -0.2, 1.0 + h + 0.4), (0.0, 0.05, h + 0.3)]:
-        sample = fld.global_velocity(SLIP, h, x)
+        sample = _global_at(SLIP, h, x)
         assert np.array_equal(sample.velocity, np.array([0.0, 0.0, 1.0]))
         assert np.all(sample.grad == 0.0)
 
@@ -155,11 +161,11 @@ def test_global_inside_solid_is_unit_vertical():
 def test_global_vanishes_outside_supports():
     h = 0.1
     for x in [(0.9, 0.9, 0.9), (2.5, 0.0, 0.3), (0.0, 1.4, 2.6)]:
-        sample = fld.global_velocity(SLIP, h, x)
+        sample = _global_at(SLIP, h, x)
         assert np.array_equal(sample.velocity, np.zeros(3))
         assert np.all(sample.grad == 0.0)
     with pytest.raises(ValueError):
-        fld.global_velocity(SLIP, h, (0.1, 0.0, -0.01))
+        _global_at(SLIP, h, (0.1, 0.0, -0.01))
 
 
 def test_global_batch_matches_single_points():
@@ -181,17 +187,16 @@ def test_global_batch_matches_single_points():
     assert 0.0 < pair.phi_bump[4] < 1.0 and 0.0 < pair.phi_bump[5] < 1.0
     assert pair.chi[6] == pair.phi_bump[6] == 0.0
     for k, point in enumerate(x):
-        single = cutoffs(point, geo)
+        single = cutoffs(point[None], geo)
         for f in dataclasses.fields(CutoffPair):
-            assert np.array_equal(getattr(pair, f.name)[k], getattr(single, f.name))
+            assert np.array_equal(getattr(pair, f.name)[k], getattr(single, f.name)[0])
     for regime in (SLIP, MIXED):
         batch = fld.global_velocity(regime, h, x)
         assert np.array_equal(batch.velocity[0], [0.0, 0.0, 1.0])
         for k, point in enumerate(x):
-            single = fld.global_velocity(regime, h, point)
-            assert np.array_equal(batch.velocity[k], single.velocity)
-            assert np.array_equal(batch.grad[k], single.grad)
-            assert batch.divergence()[k] == single.divergence()
+            single = fld.global_velocity(regime, h, point[None])
+            assert np.array_equal(batch.velocity[k], single.velocity[0])
+            assert np.array_equal(batch.grad[k], single.grad[0])
     with pytest.raises(ValueError):
         fld.global_velocity(SLIP, h, np.vstack([x, [0.1, 0.0, -0.01]]))
 
@@ -203,7 +208,7 @@ def test_global_wall_trace_vanishes_in_aperture(rng):
         r = rng.uniform(0.0, 0.19)
         theta = rng.uniform(0.0, 2 * math.pi)
         x = (r * math.cos(theta), r * math.sin(theta), 0.0)
-        sample = fld.global_velocity(SLIP, h, x)
+        sample = _global_at(SLIP, h, x)
         assert abs(sample.velocity[2]) < 1e-14
 
 
@@ -226,7 +231,7 @@ def test_global_normal_trace_continuity(rng):
         x = center + (1.0 + 1e-11) * n
         if x[2] < 1e-9:
             continue
-        sample = fld.global_velocity(SLIP, h, x)
+        sample = _global_at(SLIP, h, x)
         worst = max(worst, abs(float(sample.velocity @ n) - n[2]))
     assert worst < 1e-8
 
@@ -250,8 +255,8 @@ def test_global_fd_divergence(rng, regime):
         for j in range(3):
             step = np.zeros(3)
             step[j] = eps
-            up = fld.global_velocity(regime, h, x + step).velocity[j]
-            dn = fld.global_velocity(regime, h, x - step).velocity[j]
+            up = _global_at(regime, h, x + step).velocity[j]
+            dn = _global_at(regime, h, x - step).velocity[j]
             div += (up - dn) / (2 * eps)
         worst = max(worst, abs(div))
     assert worst < 1e-6
@@ -267,13 +272,13 @@ def test_global_gradient_fd(rng):
         y = x - np.array([0.0, 0.0, 1.0 + h])
         if abs(float(np.linalg.norm(y)) - 1.0) < 1e-3:
             continue
-        sample = fld.global_velocity(SLIP, h, x)
+        sample = _global_at(SLIP, h, x)
         fd = np.empty((3, 3))
         for j in range(3):
             step = np.zeros(3)
             step[j] = eps
-            up = fld.global_velocity(SLIP, h, x + step).velocity
-            dn = fld.global_velocity(SLIP, h, x - step).velocity
+            up = _global_at(SLIP, h, x + step).velocity
+            dn = _global_at(SLIP, h, x - step).velocity
             fd[:, j] = (up - dn) / (2 * eps)
         assert np.allclose(sample.grad, fd, rtol=1e-4, atol=1e-6)
 
@@ -325,6 +330,9 @@ def test_pressure_batch_matches_scalar():
     for k in range(r.size):
         single = fld.pressure(SLIP, h, float(r[k]), float(z[k]))
         assert batch.q[k] == pytest.approx(single.q, rel=1e-11)
+    grid = fld.pressure(SLIP, h, r.reshape(2, 2), z.reshape(2, 2))
+    assert np.array_equal(grid.q.ravel(), batch.q)
+    assert np.array_equal(grid.grad.reshape(2, -1), batch.grad)
 
 
 @pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])

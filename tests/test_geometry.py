@@ -1,10 +1,13 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gapflow import geometry
 from gapflow.geometry import (
+    H_MAX_DEFAULT,
     CutoffPair,
     GapGeometry,
     cutoffs,
@@ -16,6 +19,12 @@ from gapflow.geometry import (
 
 TOL_EXACT = 1e-12
 TOL_FD = 1e-6
+
+
+def _cutoffs_at(x, geo):
+    """The CutoffPair of the one point x, evaluated as a (1, 3) batch."""
+    pair = cutoffs(np.array([x], dtype=float), geo)
+    return CutoffPair(*(getattr(pair, f.name)[0] for f in fields(CutoffPair)))
 
 
 class TestGammaS:
@@ -104,22 +113,18 @@ class TestSurfaceMeasure:
 
 class TestGapGeometry:
     def test_valid(self):
-        geo = GapGeometry(h=0.1)
-        assert geo.delta == 0.2 and geo.d_delta == 0.1 and geo.h_max == 0.5
-
-    def test_gap_height(self):
-        geo = GapGeometry(h=0.1)
-        assert geo.gap_height(0.6) == pytest.approx(0.3, abs=TOL_EXACT)
+        assert GapGeometry(h=0.1).delta == 0.2
+        assert GapGeometry(h=H_MAX_DEFAULT).h == 0.5
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(h=0.1, delta=0.25),
             dict(h=0.1, delta=0.0),
-            dict(h=0.1, d_delta=0.0),
+            dict(h=0.1, delta=math.nan),
             dict(h=-0.01),
             dict(h=0.6),
-            dict(h=0.1, h_max=0.0),
+            dict(h=H_MAX_DEFAULT * (1.0 + 1e-12)),
         ],
     )
     def test_invalid(self, kwargs):
@@ -160,38 +165,38 @@ class TestCutoffs:
     geo = GapGeometry(h=0.1)
 
     def test_chi_deep_inside(self):
-        pair = cutoffs((0.0, 0.0, 0.1 * 0.2), self.geo)
+        pair = _cutoffs_at((0.0, 0.0, 0.1 * 0.2), self.geo)
         assert pair.chi == 1.0
         assert np.all(pair.chi_grad == 0.0)
         assert np.all(pair.chi_hess == 0.0)
 
     def test_chi_outside(self):
-        pair = cutoffs((3 * 0.2, 0.0, 0.0), self.geo)
+        pair = _cutoffs_at((3 * 0.2, 0.0, 0.0), self.geo)
         assert pair.chi == 0.0
         assert np.all(pair.chi_grad == 0.0)
 
     def test_chi_monotone_on_transition_segment(self):
         xs = np.linspace(0.2, 0.4, 101)
-        vals = [cutoffs((x, 0.0, 0.0), self.geo).chi for x in xs]
+        vals = [_cutoffs_at((x, 0.0, 0.0), self.geo).chi for x in xs]
         assert vals[0] == 1.0 and vals[-1] == 0.0
         assert np.all(np.diff(vals) <= 0)
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_phi_bump_plateau_and_support(self):
         # south pole region of the sphere: distance to center ~ 1
-        pair = cutoffs((0.0, 0.0, 0.05), self.geo)
+        pair = _cutoffs_at((0.0, 0.0, 0.05), self.geo)
         assert pair.phi_bump == 1.0
         # far away
-        pair = cutoffs((2.0, 0.0, 0.0), self.geo)
+        pair = _cutoffs_at((2.0, 0.0, 0.0), self.geo)
         assert pair.phi_bump == 0.0
         # inside the transition shell: strictly between
-        pair = cutoffs((0.0, 0.0, 1.1 + 1.0 + 0.075), self.geo)
+        pair = _cutoffs_at((0.0, 0.0, 1.1 + 1.0 + 0.075), self.geo)
         assert 0.0 < pair.phi_bump < 1.0
 
     def test_values_in_unit_interval(self, rng):
         for _ in range(500):
             x = rng.uniform(-2.5, 2.5, size=3)
-            pair = cutoffs(x, self.geo)
+            pair = _cutoffs_at(x, self.geo)
             assert 0.0 <= pair.chi <= 1.0
             assert 0.0 <= pair.phi_bump <= 1.0
 
@@ -200,7 +205,7 @@ class TestCutoffs:
         checked = 0
         while checked < 60:
             x = rng.uniform(-0.45, 0.45, size=3)
-            pair = cutoffs(x, self.geo)
+            pair = _cutoffs_at(x, self.geo)
             # keep points strictly inside the transition for a clean FD
             if pair.chi in (0.0, 1.0):
                 continue
@@ -210,7 +215,7 @@ class TestCutoffs:
                 xm = x.copy()
                 xp[i] += eps
                 xm[i] -= eps
-                fd = (cutoffs(xp, self.geo).chi - cutoffs(xm, self.geo).chi) / (2 * eps)
+                fd = (_cutoffs_at(xp, self.geo).chi - _cutoffs_at(xm, self.geo).chi) / (2 * eps)
                 assert fd == pytest.approx(pair.chi_grad[i], rel=1e-4, abs=1e-6)
 
     def test_phi_gradient_matches_fd(self, rng):
@@ -221,7 +226,7 @@ class TestCutoffs:
             u = rng.normal(size=3)
             u /= np.linalg.norm(u)
             x = np.array([0.0, 0.0, 1.1]) + d * u
-            pair = cutoffs(x, self.geo)
+            pair = _cutoffs_at(x, self.geo)
             if pair.phi_bump in (0.0, 1.0):
                 continue
             checked += 1
@@ -231,14 +236,14 @@ class TestCutoffs:
                 xp[i] += eps
                 xm[i] -= eps
                 fd = (
-                    cutoffs(xp, self.geo).phi_bump - cutoffs(xm, self.geo).phi_bump
+                    _cutoffs_at(xp, self.geo).phi_bump - _cutoffs_at(xm, self.geo).phi_bump
                 ) / (2 * eps)
                 assert fd == pytest.approx(pair.phi_grad[i], rel=1e-4, abs=1e-5)
 
     def test_hessians_symmetric_and_match_fd(self, rng):
         eps = 1e-5
         x = np.array([0.27, 0.05, 0.31])  # chi transition region
-        pair = cutoffs(x, self.geo)
+        pair = _cutoffs_at(x, self.geo)
         assert np.allclose(pair.chi_hess, pair.chi_hess.T)
         for i in range(3):
             for j in range(3):
@@ -247,10 +252,10 @@ class TestCutoffs:
                 xmp = x.copy(); xmp[i] -= eps; xmp[j] += eps
                 xmm = x.copy(); xmm[i] -= eps; xmm[j] -= eps
                 fd = (
-                    cutoffs(xpp, self.geo).chi
-                    - cutoffs(xpm, self.geo).chi
-                    - cutoffs(xmp, self.geo).chi
-                    + cutoffs(xmm, self.geo).chi
+                    _cutoffs_at(xpp, self.geo).chi
+                    - _cutoffs_at(xpm, self.geo).chi
+                    - _cutoffs_at(xmp, self.geo).chi
+                    + _cutoffs_at(xmm, self.geo).chi
                 ) / (4 * eps * eps)
                 assert fd == pytest.approx(pair.chi_hess[i, j], rel=1e-3, abs=1e-4)
 
@@ -260,14 +265,15 @@ class TestCutoffs:
             x = rng.uniform(-1.0, 1.0, size=3)
             inside = np.max(np.abs(x)) <= 0.2
             outside = np.max(np.abs(x)) >= 0.4
-            pair = cutoffs(x, self.geo)
+            pair = _cutoffs_at(x, self.geo)
             if inside:
                 assert pair.chi == 1.0
             elif outside:
                 assert pair.chi == 0.0
 
     def test_cutoff_pair_type(self):
-        pair = cutoffs((0.0, 0.0, 0.0), self.geo)
+        pair = cutoffs(np.zeros((4, 3)), self.geo)
         assert isinstance(pair, CutoffPair)
-        assert pair.chi_hess.shape == (3, 3)
-        assert pair.phi_hess.shape == (3, 3)
+        assert pair.chi.shape == pair.phi_bump.shape == (4,)
+        assert pair.chi_grad.shape == pair.phi_grad.shape == (4, 3)
+        assert pair.chi_hess.shape == pair.phi_hess.shape == (4, 3, 3)

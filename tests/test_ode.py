@@ -146,3 +146,29 @@ def test_brent_roots_match_scipy_brentq(f, a, b):
 
 def test_brent_reports_a_missing_sign_change():
     assert _brentq(lambda x: x * x + 1.0, -1.0, 1.0) is None
+
+
+def test_convergence_order_at_least_four_on_constant_drag():
+    # h'' = -c h' - G from rest, through its first integral h' = c (h0 - h) - G t
+    c, G, h0, T = 2.0, 1.0, 0.25, 0.3
+    h_exact = h0 + ((G / c) / c) * (1.0 - math.exp(-c * T)) - (G / c) * T
+    v_exact = (G / c) * math.exp(-c * T) - G / c
+
+    def speed(t, h):
+        return c * h0 - c * h - G * t
+
+    errors = []
+    for n in (8, 16, 32):
+        dt = T / n
+        sol = solve(RK45(speed, 0.0, h0, T, 1e10, 1e10, max_step=dt, first_step=dt), ())
+        h = sol.y[-1]
+        errors.append(abs(h - h_exact) + abs(speed(sol.t[-1], h) - v_exact))
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(order >= 4.0 for order in orders)
+
+
+def test_free_fall_is_exact_for_the_embedded_pair():
+    # h' = -t has a polynomial solution: integrated to roundoff regardless
+    # of step size
+    stepper = RK45(lambda t, h: -t, 0.0, 0.25, 0.5, 1e10, 1e10, max_step=0.1, first_step=0.1)
+    assert solve(stepper, ()).y[-1] == pytest.approx(0.25 - 0.5 * 0.5**2, abs=1e-12)
