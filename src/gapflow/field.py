@@ -212,8 +212,8 @@ def _g3_tail(regime, h, H_values):
     behaves like a negative power of u near u = h) and integrated by fixed
     Gauss-Legendre rules; prefix sums are accumulated with fsum.
     """
-    (num_d, den_d) = _engine(regime)[2]
-    num, den = num_d[0], den_d[0]
+    table = _engine(regime)[2]
+    num, den = table[0], table[4]  # N_3 and Delta H^3
 
     def integrand(u):
         g3 = npoly.polyval(u, num) / npoly.polyval(u, den)

@@ -83,7 +83,8 @@ def sphere_normal(r):
         Components in the ``(e_r, e_z)`` frame: ``(-r, sqrt(1 - r**2))``.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r >= 1.0):
+    # one ndarray.any() call: sphere_normal runs in every sphere pass
+    if ((r < 0.0) | (r >= 1.0)).any():
         raise ValueError("sphere_normal requires 0 <= r < 1")
     return -r, np.sqrt(1.0 - r * r)
 
@@ -104,13 +105,14 @@ def surface_measure(surface, r):
         ``r`` on the plane, ``r / sqrt(1 - r**2)`` on the sphere cap.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("surface_measure requires r >= 0")
+    # one ndarray.any() call per surface: every surface pass runs this
     if surface == PLANE:
+        if (r < 0.0).any():
+            raise ValueError("surface_measure requires r >= 0")
         return r
     if surface == SPHERE_CAP:
-        if np.any(r >= 1.0):
-            raise ValueError("sphere-cap measure requires r < 1")
+        if ((r < 0.0) | (r >= 1.0)).any():
+            raise ValueError("sphere-cap measure requires 0 <= r < 1")
         return r / np.sqrt(1.0 - r * r)
     raise ValueError(f"unknown surface {surface!r}")
 

@@ -197,34 +197,55 @@ def coefficients_from_alphas(kind, alpha_S, alpha_P):
 
 @lru_cache(maxsize=32)
 def _engine(regime):
-    """Per-regime polynomial tables: for each i, the coefficient arrays of
-    N_i and Delta * H^i together with their first three derivatives."""
+    """Per-regime polynomial tables, one for each i = 1, 2, 3: an (8, L)
+    array whose rows are N_i and its first three derivatives, then
+    Delta * H^i and its first three, low-to-high coefficients zero-padded
+    to the length L of Delta * H^i."""
     delta, n1, n2, n3 = _family(regime.kind, regime.beta_S, regime.beta_Omega)
     tables = []
     for i, num in ((1, n1), (2, n2), (3, n3)):
         den = np.concatenate([np.zeros(i), delta])  # Delta(H) * H^i
-        num_d = [num] + [npoly.polyder(num, k) for k in (1, 2, 3)]
-        den_d = [den] + [npoly.polyder(den, k) for k in (1, 2, 3)]
-        tables.append((num_d, den_d))
+        rows = [npoly.polyder(c, k) for c in (num, den) for k in range(4)]
+        table = np.zeros((8, den.size))
+        for row, c in zip(table, rows):
+            row[: c.size] = c
+        tables.append(table)
     return tuple(tables)
 
 
 def _g_derivs(regime, H):
-    """(G_i, G_i', G_i'', G_i''') for i = 1, 2, 3 at the given H values.
+    """G_i, G_i', G_i'', G_i''' for i = 1, 2, 3 at the given H values, as
+    an array of shape (4, 3) + H.shape indexed [order, i - 1].
 
+    One Horner pass, in place on 8 rows, evaluates each table of `_engine`;
+    the zeros above a row's degree leave every bit as polyval gives it.
     G_i = N_i / (Delta H^i) is differentiated by the quotient-rule
     recursion R' = (n' - R d') / d and its higher-order analogues.
     """
-    out = []
-    for num_d, den_d in _engine(regime):
-        n0, n1, n2, n3 = (npoly.polyval(H, c) for c in num_d)
-        d0, d1, d2, d3 = (npoly.polyval(H, c) for c in den_d)
-        r0 = n0 / d0
-        r1 = (n1 - r0 * d1) / d0
-        r2 = (n2 - 2.0 * r1 * d1 - r0 * d2) / d0
-        r3 = (n3 - 3.0 * r2 * d1 - 3.0 * r1 * d2 - r0 * d3) / d0
-        out.append((r0, r1, r2, r3))
-    return out
+    H = np.asarray(H)
+    g = np.empty((4, 3) + H.shape)
+    v = np.empty((8,) + H.shape)
+    for i, table in enumerate(_engine(regime)):
+        table = table.reshape((8,) + (1,) * H.ndim + (-1,))
+        v[...] = table[..., -1]
+        for k in range(table.shape[-1] - 2, -1, -1):
+            v *= H
+            v += table[..., k]
+        # the N_i rows become R_k = G_i^(k) in place, as views (also for a
+        # 0-d H): R_k = (n_k - sum_j C(k, j) R_(k-j) d_j) / d_0, j = 1..k
+        r0, r1, r2, r3, d0, d1, d2, d3 = (v[k, ...] for k in range(8))
+        r0 /= d0
+        r1 -= r0 * d1
+        r1 /= d0
+        r2 -= 2.0 * r1 * d1
+        r2 -= r0 * d2
+        r2 /= d0
+        r3 -= 3.0 * r2 * d1
+        r3 -= 3.0 * r1 * d2
+        r3 -= r0 * d3
+        r3 /= d0
+        g[:, i] = v[:4]
+    return g
 
 
 @dataclass(frozen=True)
@@ -260,27 +281,9 @@ def _check_gap_point(h, r, z):
     r = _radius(r)
     z = np.asarray(z, dtype=float)
     H = h + gamma_s(r)
-    if np.any(z < 0.0) or np.any(z > H * (1.0 + 1e-12) + 1e-300):
+    if ((z < 0.0) | (z > H * (1.0 + 1e-12) + 1e-300)).any():
         raise ValueError("z outside the gap [0, h + gamma_s(r)]")
     return r, z, H
-
-
-def _z_powers(z):
-    z2 = z * z
-    return z, z2, z2 * z
-
-
-def _z_poly(g, b, zp):
-    """d_z^b of g1 z + g2 z^2 + g3 z^3 at zp = (z, z^2, z^3)."""
-    g1, g2, g3 = g
-    z, z2, z3 = zp
-    if b == 0:
-        return g1 * z + g2 * z2 + g3 * z3
-    if b == 1:
-        return g1 + 2.0 * g2 * z + 3.0 * g3 * z2
-    if b == 2:
-        return 2.0 * g2 + 6.0 * g3 * z
-    return 6.0 * g3 * np.ones_like(z)
 
 
 class _Kernel:
@@ -291,6 +294,14 @@ class _Kernel:
     from the chain rule through H(r) = h + gamma_s(r), whose derivatives
     are h1 = r/s, h2 = s^-3 and h3 = 3 r s^-5 with s = sqrt(1 - r^2); the
     h-derivative at fixed (r, z) is d_H, one step up the same table.
+
+    The table is stacked by z-order: one evaluation of
+    d_z^b (G1 z + G2 z^2 + G3 z^3) per b covers every a <= 3 - b, reading
+    rows a of the (4, 3) array from `_g_derivs` with its [a, i] axes put
+    ahead of every axis of z, also those z has beyond H's.  Each row does
+    the operations of its own (a, b) formula on the same operands (a sum
+    taken in place may swap its two terms, which leaves the bits), so
+    ``f[a, b]``, row a of the b-th stack as a view, keeps every bit.
     """
 
     __slots__ = ("H", "s", "h1", "h2", "h3", "f")
@@ -302,9 +313,20 @@ class _Kernel:
         self.h1 = r / s
         self.h2 = s ** -3.0
         self.h3 = 3.0 * r * s ** -5.0
-        g = tuple(zip(*_g_derivs(regime, self.H)))
-        zp = _z_powers(z)
-        self.f = {(a, b): _z_poly(g[a], b, zp) for a in range(4) for b in range(4 - a)}
+        g = _g_derivs(regime, self.H)
+        g = g.reshape((4, 3) + (1,) * (z.ndim - self.H.ndim) + self.H.shape)
+        g1, g2, g3 = g[:, 0], g[:, 1], g[:, 2]
+        z2 = z * z
+        f0 = g1 * z  # g1 z + g2 z^2 + g3 z^3
+        f0 += g2 * z2
+        f0 += g3 * (z2 * z)
+        f1 = 2.0 * g2[:3] * z  # g1 + 2 g2 z + 3 g3 z^2
+        f1 += g1[:3]
+        f1 += 3.0 * g3[:3] * z2
+        f2 = 6.0 * g3[:2] * z  # 2 g2 + 6 g3 z
+        f2 += 2.0 * g2[:2]
+        f3 = 6.0 * g3[:1] * np.ones_like(z)
+        self.f = {(a, b): fb[a] for b, fb in enumerate((f0, f1, f2, f3)) for a in range(4 - b)}
 
     def d_r(self, f1, f2=None, f3=None):
         """First, second or third r-derivative of a function of H(r), given

@@ -26,10 +26,10 @@ DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-13
 # Gauss-Legendre orders: per adaptive cell, and across the gap height.
 # Psi is cubic in z, so the drag row's gap integrands (squared gradients
-# and the residual pairing) have z-degree <= 6: 4 points are exact, and
-# 12 is kept because the pinned drag rows were computed with it.
+# and the residual pairing) have z-degree <= 6, which 4 points integrate
+# exactly; a test checks every radial node against the 16-point rule.
 RULE_ORDER = 16
-Z_ORDER = 12
+Z_ORDER = 4
 # Refinement bounds of _adaptive_1d: bisections per cell, cells, batch
 # selection, roundoff
 MAX_DEPTH = 28
@@ -114,7 +114,8 @@ def _adaptive_1d(g, cuts, spec):
 
     a, b = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
     m = 0.5 * (a + b)
-    est, stacked = rule(np.r_[a, a, m], np.r_[b, m, b], 3)  # coarse, left, right
+    # coarse, left and right estimates of every initial cell
+    est, stacked = rule(np.concatenate((a, a, m)), np.concatenate((b, m, b)), 3)
     depth = np.ones(a.size, dtype=int)
     tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(np.sum(est[:, 0], axis=-1)))
 
@@ -142,13 +143,13 @@ def _adaptive_1d(g, cuts, spec):
         # bisect the selected leaves; their halves are the children's coarse
         # estimates, and one g call gives the children's own halves
         m = 0.5 * (a[sel] + b[sel])
-        lo, hi = np.r_[a[sel], m], np.r_[m, b[sel]]
+        lo, hi = np.concatenate((a[sel], m)), np.concatenate((m, b[sel]))
         mid = 0.5 * (lo + hi)
-        halves, _ = rule(np.r_[lo, mid], np.r_[mid, hi], 2)
+        halves, _ = rule(np.concatenate((lo, mid)), np.concatenate((mid, hi)), 2)
         kids = np.concatenate([est[:, 1:, sel].reshape(len(est), 1, -1), halves], axis=1)
         est = np.concatenate([est[:, :, ~sel], kids], axis=2)
-        a, b = np.r_[a[~sel], lo], np.r_[b[~sel], hi]
-        depth = np.r_[depth[~sel], depth[sel] + 1, depth[sel] + 1]
+        a, b = np.concatenate((a[~sel], lo)), np.concatenate((b[~sel], hi))
+        depth = np.concatenate((depth[~sel], depth[sel] + 1, depth[sel] + 1))
 
     where = f" in component {', '.join(map(str, np.flatnonzero(bad)))}" if stacked else ""
     value, error, j = np.sum(value, axis=-1).tolist(), np.sum(err, axis=-1).tolist(), np.argmax(bad)

@@ -25,6 +25,7 @@ from gapflow.geometry import gamma_s
 from gapflow.profile import SlipRegime, psi_partials
 from gapflow.quadrature import (
     MAX_CELLS,
+    Z_ORDER,
     IntegralResult,
     QuadratureError,
     QuadratureSpec,
@@ -436,17 +437,17 @@ def test_fused_row_matches_the_single_norm_references(regime, h):
 DEFAULT_SCAN_ROWS = {
     "slip": (
         (0.01, 29.283828657823886, 4.967751090726637, 2.693815502299925, 1.357617607939416, 33.430918579160746),
-        (0.001, 49.923565014218596, 9.943112708624442, 13.167749666783171, 6.54805818195307, 52.69095911791416),
+        (0.001, 49.923565014218596, 9.943112708624444, 13.167749666783171, 6.54805818195307, 52.69095911791416),
         (0.0001, 77.63970428487468, 16.76860698708275, 27.110647513100393, 13.495805327833626, 77.03401973424789),
         (1e-05, 106.4451956218835, 23.956772336083407, 41.525453220369336, 20.698325608572844, 102.24315256181578),
-        (1e-06, 135.36711217427774, 31.185769189642418, 55.98789817878526, 27.92880034899215, 127.54978153769541),
+        (1e-06, 135.36711217427774, 31.185769189642418, 55.98789817878526, 27.92880034899215, 127.54978153769544),
     ),
     "mixed": (
-        (0.01, 407.22588269677954, 220.2979662053396, 0.0, 3.0032566680847226, 403.0782059889551),
-        (0.001, 4502.046656444039, 4303.486703470317, 0.0, 14.635293150368044, 4461.834017426666),
-        (0.0001, 46919.18941195503, 46705.011753737774, 0.0, 30.252998393893964, 46829.04685348866),
-        (1e-05, 471066.8014955093, 470836.420832474, 0.0, 46.456003211932185, 470924.8027440066),
-        (1e-06, 4712252.3695786465, 4712005.720735799, 0.0, 62.72418302504731, 4712058.31083162),
+        (0.01, 407.2258826967795, 220.29796620533955, 0.0, 3.0032566680847226, 403.078205988955),
+        (0.001, 4502.0466564440385, 4303.486703470316, 0.0, 14.635293150368044, 4461.834017426665),
+        (0.0001, 46919.18941195503, 46705.011753737774, 0.0, 30.252998393893964, 46829.046853488646),
+        (1e-05, 471066.8014955092, 470836.42083247396, 0.0, 46.456003211932185, 470924.80274400656),
+        (1e-06, 4712252.369578646, 4712005.720735798, 0.0, 62.72418302504731, 4712058.310831619),
     ),
 }
 
@@ -462,6 +463,49 @@ def test_default_drag_scan_rows_are_pinned(name, regime):
         for r in curve.rows
     )
     assert got == rows
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_gap_z_rule_matches_the_16_point_rule_per_node(monkeypatch, regime, h):
+    """Z_ORDER = 4 is exact for the gap pass: at every radial node of a
+    default row, each component's z-integral agrees with the 16-point
+    rule to 1e-14 of the z-integral of the absolute terms it sums.  The
+    pairing (lap u - grad q) . u cancels terms of size |lap u| + |grad q|,
+    which sets its roundoff; 12 and 16 points differ by as much there."""
+    gaps, nodes = [], []
+
+    def recording(f, *args, **kwargs):
+        def g(r, z):
+            nodes.append(r.ravel())
+            return f(r, z)
+
+        gaps.append(f)
+        return integrate_gap(g, *args, **kwargs)
+
+    monkeypatch.setattr(drg, "integrate_gap", recording)
+    drag_curve(regime, [h], spec=SWEEP_SPEC)
+    (gap,), r = gaps, np.concatenate(nodes)
+    H = h + gamma_s(r)
+
+    def per_node(f, order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        Z, W = 0.5 * H[:, None] * (x + 1.0), 0.5 * H[:, None] * w
+        return np.sum(np.asarray(f(r[:, None], Z)) * W, axis=-1)
+
+    def magnitude(r, z):
+        p = psi_partials(regime, h, r, z)
+        frame = fld._frame(p, r)
+        f_r, f_z = fld._residual(regime, p, r)
+        dq_r, dq_z = fld._pressure_gradient(regime, p, r)
+        pairing = (np.abs(f_r + dq_r) + np.abs(dq_r)) * np.abs(frame.u_r) + (
+            np.abs(f_z + dq_z) + np.abs(dq_z)
+        ) * np.abs(frame.u_z)
+        return np.stack([frame.grad_sq, frame.sym_grad_sq, pairing])
+
+    assert Z_ORDER == 4
+    four, sixteen = per_node(gap, Z_ORDER), per_node(gap, 16)
+    assert np.all(np.abs(four - sixteen) <= 1e-14 * per_node(magnitude, 16))
 
 
 def _record_regions(monkeypatch):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from gapflow import profile
+from gapflow.geometry import gamma_s
 from gapflow.profile import (
     ENVELOPE_ROWS,
     ProfileCoefficients,
@@ -355,6 +357,91 @@ class TestHDerivatives:
             assert fd == pytest.approx(float(q.dzzh), rel=1e-5, abs=1e-6 / H**2)
             fd = (float(at(h + eh).drz) - float(at(h - eh).drz)) / (2 * eh)
             assert fd == pytest.approx(float(q.drzh), rel=1e-5, abs=1e-6 / H**2)
+
+
+def _polyval_g_derivs(regime, H):
+    """G_i and its first three H-derivatives by one npoly.polyval call per
+    polynomial of the unpadded tables: [i - 1][order]."""
+    delta, *nums = profile._family(regime.kind, regime.beta_S, regime.beta_Omega)
+    out = []
+    for i, num in enumerate(nums, start=1):
+        den = np.concatenate([np.zeros(i), delta])
+        n0, n1, n2, n3 = (npoly.polyval(H, npoly.polyder(num, k)) for k in range(4))
+        d0, d1, d2, d3 = (npoly.polyval(H, npoly.polyder(den, k)) for k in range(4))
+        r0 = n0 / d0
+        r1 = (n1 - r0 * d1) / d0
+        r2 = (n2 - 2.0 * r1 * d1 - r0 * d2) / d0
+        r3 = (n3 - 3.0 * r2 * d1 - 3.0 * r1 * d2 - r0 * d3) / d0
+        out.append((r0, r1, r2, r3))
+    return out
+
+
+def _polyval_kernel_f(regime, H, z):
+    """The kernel's table f[a, b] = d_H^a d_z^b F, one (a, b) at a time."""
+    g = tuple(zip(*_polyval_g_derivs(regime, H)))
+    z2 = z * z
+    z3 = z2 * z
+
+    def z_poly(g1, g2, g3, b):
+        if b == 0:
+            return g1 * z + g2 * z2 + g3 * z3
+        if b == 1:
+            return g1 + 2.0 * g2 * z + 3.0 * g3 * z2
+        if b == 2:
+            return 2.0 * g2 + 6.0 * g3 * z
+        return 6.0 * g3 * np.ones_like(z)
+
+    return {(a, b): z_poly(*g[a], b) for a in range(4) for b in range(4 - a)}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _gap_points(shape, h, rng):
+    """(r, z) in the gap: 0-d, 1-d, r (n, 1) with z (n, k), or r (n,)
+    with z (k, n), the layout of `field verify`."""
+    if shape == "0-d":
+        r, t = np.asarray(0.07), 0.3
+    elif shape == "1-d":
+        r, t = rng.uniform(0.0, 0.2, size=9), rng.uniform(0.0, 1.0, size=9)
+    elif shape == "column":
+        r, t = rng.uniform(0.0, 0.2, size=(9, 1)), np.linspace(0.0, 1.0, 4)
+    else:
+        r, t = rng.uniform(0.0, 0.2, size=50), np.linspace(0.0, 1.0, 4)[:, None]
+    return r, t * (h + gamma_s(r))
+
+
+class TestStackedKernel:
+    """The stacked Horner pass and z-order stacks against the per-polynomial
+    polyval evaluation they replace, bit for bit."""
+
+    REGIMES = [SLIP, MIXED, SlipRegime.slip(0.37, 2.5), SlipRegime.mixed(0.2)]
+    SHAPES = ["0-d", "1-d", "column", "leading-z"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_g_derivs_bit_identical(self, regime, shape, rng):
+        for h in (1e-1, 1e-4, 1e-7):
+            r, _ = _gap_points(shape, h, rng)
+            H = h + gamma_s(r)
+            got, want = profile._g_derivs(regime, H), _polyval_g_derivs(regime, H)
+            assert got.shape == (4, 3) + H.shape
+            for i in range(3):
+                for a in range(4):
+                    np.testing.assert_array_equal(_bits(got[a, i]), _bits(want[i][a]))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_kernel_table_bit_identical(self, regime, shape, rng):
+        for h in (1e-1, 1e-4, 1e-7):
+            r, z = _gap_points(shape, h, rng)
+            k = profile._Kernel(regime, h, r, z)
+            want = _polyval_kernel_f(regime, k.H, z)
+            assert k.f.keys() == want.keys()
+            for key, value in want.items():
+                assert np.shape(k.f[key]) == np.shape(value)
+                np.testing.assert_array_equal(_bits(k.f[key]), _bits(value))
 
 
 class TestBoundaryConditionsOnPsi:
