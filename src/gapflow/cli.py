@@ -705,6 +705,7 @@ def cmd_fall_scan(cfg, out):
         t_max=cfg.t_max,
         rtol=cfg.ode_rtol,
         atol=cfg.ode_atol,
+        h_max=cfg.h_max,
     )
     write_csv(
         out / "fall_scan.csv",

@@ -25,7 +25,9 @@ Totals are aperture integrals (r < r_max) plus an h-independent O(1)
 exterior correction: the cutoff-transition ring outside the aperture does
 not see the gap, so its contribution is estimated once per regime and
 aperture radius on a coarse grid at a reference gap and reused across the
-sweep.  Pass ``exterior="excluded"`` for the bare aperture numbers.  See
+sweep.  ``drag_curve(..., exterior="excluded")`` (the ``exterior`` config
+key) gives the bare aperture numbers; ``energy`` and ``surface_drag`` always
+carry the constant at the default aperture R_MAX_DEFAULT.  See
 exterior_constant for the estimator's region.
 """
 
@@ -36,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, GapGeometry, gamma_s
+from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, gamma_s
 from .field import _frame, _on_sphere, _residual, aperture_frame, global_velocity
 from .profile import RegimeKind, SlipRegime, psi_partials
 from .quadrature import (
@@ -86,23 +88,10 @@ class SurfaceDrag:
     exterior: float = 0.0
 
 
-def _ring(regime, r_max):
-    """exterior_constant at r_max; the default shares the (regime,) key."""
-    if r_max == DELTA_DEFAULT:
-        return exterior_constant(regime)
-    return exterior_constant(regime, r_max)
-
-
-def _exterior_shift(regime, exterior, r_max):
-    if exterior not in ("included", "excluded"):
-        raise ValueError("exterior must be 'included' or 'excluded'")
-    return _ring(regime, r_max) if exterior == "included" else 0.0
-
-
-def _row(regime, h, r_max, spec, exterior):
-    """(EnergyBreakdown, SurfaceDrag) of one drag row; the gap pass
-    evaluates Psi once per node for all three of its terms."""
-    ext = _exterior_shift(regime, exterior, r_max)
+def _row(regime, h, r_max, spec, ext):
+    """(EnergyBreakdown, SurfaceDrag) of one drag row whose totals carry
+    the exterior shift ext; the gap pass evaluates Psi once per node for
+    all three of its terms."""
 
     def gap(r, z):
         p = psi_partials(regime, h, r, z)
@@ -154,16 +143,17 @@ def _row(regime, h, r_max, spec, exterior):
     return e, n
 
 
-def energy(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included"):
+def energy(regime, h, spec=None):
     """Energy functional of the test field: the first half of a drag row.
 
     Runs the whole row (gap, wall and sphere passes) and keeps this half;
     a caller that needs both halves should use `drag_curve`, which runs
     each row once.
 
-    The aperture integrals are exact to quadrature tolerance; the region
-    outside the aperture adds the h-independent exterior constant unless
-    ``exterior="excluded"``.
+    The aperture is r < R_MAX_DEFAULT and its integrals are exact to
+    quadrature tolerance; the region outside it adds the h-independent
+    exterior_constant(regime).  `drag_curve` sets another aperture or
+    excludes the constant.
 
     Returns
     -------
@@ -172,10 +162,10 @@ def energy(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included"):
         carries its (1/beta_S + 1) weight and is absent (0.0) in the
         mixed regime.
     """
-    return _row(regime, h, r_max, spec, exterior)[0]
+    return _row(regime, h, R_MAX_DEFAULT, spec, exterior_constant(regime))[0]
 
 
-def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included"):
+def surface_drag(regime, h, spec=None):
     """Surface pairing n(h) over the aperture: the second half of a row.
 
     n(h) = int_gap (lap u - grad q) . u
@@ -183,8 +173,8 @@ def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included")
          - int_wall (2D - qI)n . u
          + int_sphere (D - qI)n . (e3 - u)        [slip only]
 
-    with n the outward-from-fluid normal on each surface, plus the
-    h-independent exterior constant unless ``exterior="excluded"``.
+    with n the outward-from-fluid normal on each surface, over the aperture
+    r < R_MAX_DEFAULT, plus the h-independent exterior_constant(regime).
     q is never evaluated: on the wall it multiplies u_z = 0 exactly,
     on the sphere n . (e3 - u) = 0 by the normal trace identity.
 
@@ -192,7 +182,7 @@ def surface_drag(regime, h, r_max=R_MAX_DEFAULT, spec=None, exterior="included")
     a caller that needs both halves should use `drag_curve`, which runs
     each row once.
     """
-    return _row(regime, h, r_max, spec, exterior)[1]
+    return _row(regime, h, R_MAX_DEFAULT, spec, exterior_constant(regime))[1]
 
 
 @lru_cache(maxsize=8)
@@ -210,7 +200,6 @@ def exterior_constant(regime, delta=DELTA_DEFAULT):
     in one call.  Deterministic by construction.
     """
     h = EXTERIOR_H_REF
-    geo = GapGeometry(h=h, delta=delta)
     n = EXTERIOR_GRID_N
     lo, hi = -2.0 * delta, 2.0 * delta
     xs = lo + (hi - lo) * (np.arange(n) + 0.5) / n
@@ -224,7 +213,7 @@ def exterior_constant(regime, delta=DELTA_DEFAULT):
     # bump-transition shell: its size is set by the cutoff width, not by
     # the gap, so it belongs to the far field and stays out of drag totals
     shell = (1.0 + 0.5 * D_DELTA_DEFAULT < y) & (y < 1.0 + D_DELTA_DEFAULT)
-    sample = global_velocity(regime, h, x[~(aperture | solid | shell)], geometry=geo)
+    sample = global_velocity(regime, h, x[~(aperture | solid | shell)], delta=delta)
     total = 0.0
     # one point at a time in grid order, the order the constant is pinned in
     for g_sq in np.sum(sample.grad**2, axis=(1, 2)).tolist():
@@ -277,18 +266,6 @@ class DragCurve:
         return np.array([getattr(row, name) for row in self.rows])
 
 
-def _drag_row(regime, h, r_max, spec, exterior):
-    e, n = _row(regime, h, r_max, spec, exterior)
-    return DragRow(
-        h=h,
-        energy=e.total,
-        surface=n.value,
-        gradient_part=e.gradient,
-        sphere_part=e.sphere,
-        wall_part=e.wall,
-    )
-
-
 def drag_curve(
     regime,
     h_list,
@@ -309,12 +286,21 @@ def drag_curve(
         the provenance either way.  gradient_part, sphere_part and
         wall_part are always the bare aperture pieces.
     """
+    if exterior not in ("included", "excluded"):
+        raise ValueError("exterior must be 'included' or 'excluded'")
     spec = spec or QuadratureSpec()
     hs = sorted(set(float(x) for x in h_list), reverse=True)
-    ring = _ring(regime, r_max)
-    _exterior_shift(regime, exterior, r_max)  # validate the mode up front
+    # the default aperture reads the (regime,) entry that warm-up code fills
+    if r_max == DELTA_DEFAULT:
+        ring = exterior_constant(regime)
+    else:
+        ring = exterior_constant(regime, r_max)
+    ext = ring if exterior == "included" else 0.0
 
-    rows = [_drag_row(regime, h, r_max, spec, exterior) for h in hs]
+    rows = []
+    for h in hs:
+        e, n = _row(regime, h, r_max, spec, ext)
+        rows.append(DragRow(h, e.total, n.value, e.gradient, e.sphere, e.wall))
 
     provenance = {
         "r_max": r_max,

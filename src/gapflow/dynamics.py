@@ -307,7 +307,8 @@ def simulate(
     ------
     StiffnessError
         When a step fails: its size falls below the spacing of floats at
-        t, or the Newton matrix is singular or not finite.
+        t, or the Newton matrix is singular or not finite; also when float
+        arithmetic divides by zero or overflows inside the integrator.
     """
     if not (TOUCHDOWN_H < h0 < h_max):
         raise ValueError(f"h0 must lie in ({TOUCHDOWN_H}, {h_max})")
@@ -332,11 +333,17 @@ def simulate(
     if stiff and events[0][0](0.0, y0) <= 0.0:
         t, h, v = [0.0], [h0], [v0]
     else:
-        if stiff:
-            stepper = BDF(rhs, jac, 0.0, y0, t_max, rtol, atol)
-        else:
-            stepper = RK45(rhs, 0.0, y0, t_max, rtol, atol)
-        sol = solve(stepper, events)
+        try:
+            if stiff:
+                stepper = BDF(rhs, jac, 0.0, y0, t_max, rtol, atol)
+            else:
+                stepper = RK45(rhs, 0.0, y0, t_max, rtol, atol)
+            sol = solve(stepper, events)
+        except ArithmeticError as exc:
+            raise StiffnessError(
+                f"float arithmetic failed from h0={h0!r}, v0={v0!r}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         counts = dict(steps=sol.steps, nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu)
         t, h = sol.t, [math.exp(u) for u in sol.y] if stiff else sol.y
         v = [speed(ti, hi) for ti, hi in zip(t, h)]
@@ -376,10 +383,12 @@ class ScanRow:
     error: str = ""
 
 
-def _scan_cell(regime, kappa, G, h0, t_max, rtol, atol):
+def _scan_cell(regime, kappa, G, h0, t_max, rtol, atol, h_max):
     try:
         params = FallParameters(rho_S=2.0, rho_F=1.0, g=2.0 * G, kappa=kappa)
-        traj = simulate(params, regime, h0, t_max=t_max, rtol=rtol, atol=atol)
+        traj = simulate(
+            params, regime, h0, t_max=t_max, rtol=rtol, atol=atol, h_max=h_max
+        )
     except (ValueError, StiffnessError) as exc:
         return ScanRow(kappa=kappa, G=G, h0=h0, outcome="Error", error=str(exc))
     ev = traj.event
@@ -402,15 +411,17 @@ def touchdown_scan(
     t_max=50.0,
     rtol=RTOL_DEFAULT,
     atol=ATOL_DEFAULT,
+    h_max=H_MAX_DEFAULT,
 ):
     """Simulate every (kappa, G, h0) cell and tabulate the outcomes.
 
     Effective gravity G is realized through g = 2 G at the default
-    densities.  Cells run one after another in the input grid order;
-    failures become Error rows and the scan continues.
+    densities, and h_max is simulate's escape height.  Cells run one after
+    another in the input grid order; failures become Error rows and the
+    scan continues.
     """
     return tuple(
-        _scan_cell(regime, k, G, h0, t_max, rtol, atol)
+        _scan_cell(regime, k, G, h0, t_max, rtol, atol, h_max)
         for k in kappas
         for G in Gs
         for h0 in h0s

@@ -9,10 +9,11 @@ sphere surface.  Outside the aperture the same construction is applied to a
 cutoff blend of Psi with a bump supported near the solid, so the global
 field equals e3 on the solid and vanishes far away.
 
-The companion pressure and the residual of the Stokes momentum equation
-are evaluated in closed form, except for the radial integral in the
-pressure value itself, which is computed by composite Gauss-Legendre in an
-octave-graded substitution.
+The residual of the Stokes momentum equation, lap u - grad q, is one
+closed form per regime, with the cancelling terms of lap u and grad q
+removed symbolically.  The companion pressure has a closed-form gradient;
+its value needs one radial integral, computed by composite Gauss-Legendre
+in an octave-graded substitution.
 
 Everything here is pure and broadcasts over numpy arrays: the gap
 functions take arrays of (r, z) and return cylindrical components as
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import GapGeometry, cutoffs, gamma_s, sphere_normal
+from .geometry import DELTA_DEFAULT, GapGeometry, cutoffs, gamma_s, sphere_normal
 from .profile import RegimeKind, _engine, psi_partials
 from .quadrature import _gl_rule, integrate_surface
 
@@ -171,11 +172,13 @@ def _blended_field(regime, h, x, geometry):
     return u, grad
 
 
-def global_velocity(regime, h, x, geometry=None):
+def global_velocity(regime, h, x, delta=DELTA_DEFAULT):
     """Globally extended test field at cartesian points.
 
     Equals e3 on the solid sphere, blends the aperture construction into a
     bump field near the solid, and vanishes outside both cutoff supports.
+    The cutoffs are those of GapGeometry(h=h, delta=delta), so they sit at
+    the same gap as Psi.
 
     Parameters
     ----------
@@ -183,7 +186,8 @@ def global_velocity(regime, h, x, geometry=None):
     h : float
     x : array_like, shape (n, 3)
         Points with x3 >= 0 (the wall is {x3 = 0}).
-    geometry : GapGeometry, optional
+    delta : float
+        Aperture half-width of the blend cutoff, in (0, 1/4).
 
     Returns
     -------
@@ -192,7 +196,7 @@ def global_velocity(regime, h, x, geometry=None):
     pts = np.asarray(x, dtype=float)
     if np.any(pts[:, 2] < 0.0):
         raise ValueError("global field is defined on the half space x3 >= 0")
-    geo = geometry if geometry is not None else GapGeometry(h=h)
+    geo = GapGeometry(h=h, delta=delta)
 
     y = pts - np.array([0.0, 0.0, 1.0 + h])
     fluid = ~(np.vecdot(y, y) < 1.0)  # not solid: a NaN point stays NaN
@@ -240,17 +244,6 @@ def _g3_tail(regime, h, H_values):
     return out
 
 
-def _pressure_gradient(regime, p, r):
-    """(d_r q, d_z q) in closed form from the Psi partials p at radius r."""
-    if regime.kind is RegimeKind.SLIP:
-        dq_r = -0.5 * (3.0 * p.drz + r * p.drrz + r * p.dzzz)
-        dq_z = -0.5 * (r * p.drzz + 2.0 * p.dzz)
-    else:
-        dq_r = 0.5 * (3.0 * p.drz + r * p.drrz - r * p.dzzz)
-        dq_z = 0.5 * (r * p.drzz + 2.0 * p.dzz)
-    return dq_r, dq_z
-
-
 def pressure(regime, h, r, z):
     """Companion pressure with closed-form gradient at radii r and heights
     z that broadcast to r's shape.
@@ -266,18 +259,22 @@ def pressure(regime, h, r, z):
 
     if regime.kind is RegimeKind.SLIP:
         q = -0.5 * (r * p.drz + 2.0 * p.dz + J)
+        dq_r = -0.5 * (3.0 * p.drz + r * p.drrz + r * p.dzzz)
+        dq_z = -0.5 * (r * p.drzz + 2.0 * p.dzz)
     else:
         q = 0.5 * (r * p.drz + 2.0 * p.dz - J)
-    return PressureSample(q=q, grad=np.stack(_pressure_gradient(regime, p, r)))
+        dq_r = 0.5 * (3.0 * p.drz + r * p.drrz - r * p.dzzz)
+        dq_z = 0.5 * (r * p.drzz + 2.0 * p.dzz)
+    return PressureSample(q=q, grad=np.stack((dq_r, dq_z)))
 
 
 def stokes_residual(regime, h, r, z):
     """Residual f = (vector Laplacian of the field) - grad q, cylindrical.
 
-    The Laplacian uses the axisymmetric component form
-    (lap u)_r = lap_s u_r - u_r / r^2, (lap u)_z = lap_s u_z, assembled in
-    the exactly cancelled form that stays finite on the axis.  The regime's
-    pressure gradient is subtracted in closed form.
+    Returned in closed form: the Laplacian's axisymmetric components
+    (lap u)_r = lap_s u_r - u_r / r^2, (lap u)_z = lap_s u_z and the
+    regime's pressure gradient are subtracted symbolically, so the terms
+    that cancel never reach floating point and f stays finite on the axis.
 
     Returns
     -------
@@ -288,16 +285,13 @@ def stokes_residual(regime, h, r, z):
 
 def _residual(regime, p, r):
     """(f_r, f_z) of stokes_residual from the Psi partials p at radius r."""
-    lap_r = -0.5 * (3.0 * p.drz + r * p.drrz + r * p.dzzz)
-    lap_z = (
-        2.5 * p.drr
-        + 0.5 * r * p.drrr
-        + 1.5 * p.dr_by_r
-        + p.dzz
-        + 0.5 * r * p.drzz
-    )
-    dq_r, dq_z = _pressure_gradient(regime, p, r)
-    return lap_r - dq_r, lap_z - dq_z
+    f_z = 2.5 * p.drr + 0.5 * r * p.drrr + 1.5 * p.dr_by_r
+    if regime.kind is RegimeKind.SLIP:
+        # the pressure balances lap_r exactly and doubles the z-derivatives;
+        # [()] keeps a numpy float for scalar input
+        return np.zeros_like(f_z)[()], f_z + 2.0 * p.dzz + r * p.drzz
+    # the pressure cancels the d_zz terms of lap_z and the d_zzz term of lap_r
+    return -(3.0 * p.drz + r * p.drrz), f_z
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,15 @@ def test_fall_scan_grid_shape(tmp_path):
     assert all(row[3] == "Touchdown" for row in rows)
 
 
+def test_fall_scan_honours_h_max(tmp_path):
+    # h0 = 0.7 lies above the default escape height 0.5 but below --h-max
+    code = run(["fall", "scan", "--h-max", "1.0", "--h0-list", "0.7",
+                "--out", str(tmp_path)])
+    assert code == 0
+    _, rows = _rows(tmp_path / "fall_scan.csv")
+    assert rows and all(row[3] == "Touchdown" for row in rows)
+
+
 # ---------------------------------------------------------- determinism
 
 
@@ -524,6 +533,18 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
                 "--out", str(tmp_path)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--v0=-1e300"], ["--regime", "mixed", "--g", "1e-10", "--t-max", "1e300"]],
+    ids=["zero-division", "overflow"],
+)
+def test_fall_float_arithmetic_failure_exits_3(tmp_path, capsys, args):
+    assert run(["fall", "simulate", *args, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "v0=" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")

@@ -22,7 +22,7 @@ from gapflow.drag import (
 )
 from gapflow.field import aperture_frame, pressure, stokes_residual
 from gapflow.geometry import gamma_s
-from gapflow.profile import SlipRegime, psi_partials
+from gapflow.profile import RegimeKind, SlipRegime, psi_partials
 from gapflow.quadrature import (
     MAX_CELLS,
     Z_ORDER,
@@ -208,8 +208,6 @@ def test_exterior_mode_shifts_totals_by_the_recorded_constant(slip_curve):
 def test_exterior_mode_is_validated():
     with pytest.raises(ValueError, match="exterior"):
         drag_curve(SLIP, H_SWEEP, spec=SWEEP_SPEC, exterior="sometimes")
-    with pytest.raises(ValueError, match="exterior"):
-        energy(SLIP, 1e-3, spec=SWEEP_SPEC, exterior="sometimes")
 
 
 def test_exterior_constant_is_cached_and_positive():
@@ -233,9 +231,13 @@ def test_default_aperture_reuses_the_warm_exterior_entry():
 
 
 def test_exterior_constant_follows_the_aperture_radius():
-    e = energy(SLIP, 1e-2, r_max=0.15, spec=SWEEP_SPEC)
-    assert e.exterior == exterior_constant(SLIP, 0.15)
-    assert e.exterior != exterior_constant(SLIP)
+    curve = drag_curve(SLIP, (1e-2,), r_max=0.15, spec=SWEEP_SPEC)
+    ring = curve.provenance["exterior_constant"]
+    assert ring == exterior_constant(SLIP, 0.15)
+    assert ring != exterior_constant(SLIP)
+    (row,) = curve.rows
+    parts = row.gradient_part + row.sphere_part + row.wall_part
+    assert row.energy - parts == pytest.approx(ring, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -297,13 +299,6 @@ def test_surface_drag_breakdown_sums_to_total():
         assert n.error >= 0.0
 
 
-def test_excluded_mode_zeroes_the_exterior_field():
-    e = energy(SLIP, 1e-4, spec=SWEEP_SPEC, exterior="excluded")
-    assert e.exterior == 0.0
-    n = surface_drag(SLIP, 1e-4, spec=SWEEP_SPEC, exterior="excluded")
-    assert n.exterior == 0.0
-
-
 def test_mixed_regime_has_no_sphere_terms():
     e = energy(MIXED, 1e-4, spec=SWEEP_SPEC)
     assert e.sphere == 0.0
@@ -351,7 +346,7 @@ def test_sphere_traction_matches_the_integrand_with_the_pressure():
                 lambda r: _sphere_traction_with_q(regime, h, r),
                 "sphere-cap", 0.2, SWEEP_SPEC, scale=math.sqrt(h),
             ).value
-            n = surface_drag(regime, h, spec=SWEEP_SPEC, exterior="excluded")
+            n = surface_drag(regime, h, spec=SWEEP_SPEC)
             assert n.sphere == pytest.approx(reference, rel=SPHERE_XCHECK_RTOL)
 
 
@@ -361,7 +356,7 @@ def test_surface_drag_never_evaluates_the_pressure_value(monkeypatch):
 
     monkeypatch.setattr(fld, "_g3_tail", refuse)
     for regime in (SLIP, MIXED):
-        n = surface_drag(regime, 1e-3, spec=SWEEP_SPEC, exterior="excluded")
+        n = surface_drag(regime, 1e-3, spec=SWEEP_SPEC)
         assert n.value > 0.0
 
 
@@ -467,12 +462,15 @@ def test_default_drag_scan_rows_are_pinned(name, regime):
 
 @pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-6])
 @pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
-def test_gap_z_rule_matches_the_16_point_rule_per_node(monkeypatch, regime, h):
+def test_gap_z_rule_matches_the_16_point_rule_per_node(
+    monkeypatch, regime, h, laplacian_and_pressure_gradient
+):
     """Z_ORDER = 4 is exact for the gap pass: at every radial node of a
     default row, each component's z-integral agrees with the 16-point
     rule to 1e-14 of the z-integral of the absolute terms it sums.  The
-    pairing (lap u - grad q) . u cancels terms of size |lap u| + |grad q|,
-    which sets its roundoff; 12 and 16 points differ by as much there."""
+    mixed pairing sums its closed-form terms; the slip f_z cancels its
+    own terms, so its pairing is held to the scale |lap u| + |grad q| of
+    the two forms it was derived from."""
     gaps, nodes = [], []
 
     def recording(f, *args, **kwargs):
@@ -496,11 +494,17 @@ def test_gap_z_rule_matches_the_16_point_rule_per_node(monkeypatch, regime, h):
     def magnitude(r, z):
         p = psi_partials(regime, h, r, z)
         frame = fld._frame(p, r)
-        f_r, f_z = fld._residual(regime, p, r)
-        dq_r, dq_z = fld._pressure_gradient(regime, p, r)
-        pairing = (np.abs(f_r + dq_r) + np.abs(dq_r)) * np.abs(frame.u_r) + (
-            np.abs(f_z + dq_z) + np.abs(dq_z)
-        ) * np.abs(frame.u_z)
+        if regime.kind is RegimeKind.SLIP:
+            lap, dq = laplacian_and_pressure_gradient(regime, p, r)
+            f_r, f_z = (np.abs(a) + np.abs(b) for a, b in zip(lap, dq))
+        else:
+            f_r = np.abs(3.0 * p.drz) + np.abs(r * p.drrz)
+            f_z = (
+                np.abs(2.5 * p.drr)
+                + np.abs(0.5 * r * p.drrr)
+                + np.abs(1.5 * p.dr_by_r)
+            )
+        pairing = f_r * np.abs(frame.u_r) + f_z * np.abs(frame.u_z)
         return np.stack([frame.grad_sq, frame.sym_grad_sq, pairing])
 
     assert Z_ORDER == 4

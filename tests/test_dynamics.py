@@ -462,3 +462,11 @@ def test_touchdown_scan_keeps_going_past_bad_cells():
     assert "h0" in rows[0].error
     assert rows[1].outcome == EventKind.TOUCHDOWN
 
+
+def test_touchdown_scan_turns_float_overflow_into_an_error_row():
+    # at G = 5e-11 and an endless horizon the mixed rhs overflows mid-solve
+    rows = touchdown_scan(MIXED, (1.0,), (5e-11, 1.0), (0.25,), t_max=1e300)
+    assert rows[0].outcome == "Error"
+    assert "OverflowError" in rows[0].error and "h0=0.25" in rows[0].error
+    assert rows[1].outcome == "NoContact"
+

@@ -22,6 +22,10 @@ H_SWEEP = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 # Loose spec for bounded-ratio integrals: the assertions compare orders of
 # magnitude, not digits, and the tight default costs real time at h = 1e-6.
 SWEEP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+# roundoff of the closed-form residual against its two-sided reference,
+# relative to |lap u| + |grad q|: lap u cancels some of its own terms, so
+# the difference reaches 1e-13 at a few points of the sweep
+RESIDUAL_RTOL = 1e-12
 
 
 def _global_at(regime, h, x):
@@ -359,6 +363,21 @@ def test_pressure_radial_integral_against_quad(regime, rng):
 # Stokes residual
 
 
+@pytest.mark.parametrize("regime", REGIMES, ids=["slip", "slip_b", "mixed"])
+def test_stokes_residual_is_the_laplacian_minus_the_pressure_gradient(
+    rng, regime, laplacian_and_pressure_gradient
+):
+    for h in (1e-2, 1e-4, 1e-6):
+        r, z = _gap_points(rng, 200, h)
+        f = fld.stokes_residual(regime, h, r, z)
+        lap, dq = laplacian_and_pressure_gradient(regime, psi_partials(regime, h, r, z), r)
+        for f_i, lap_i, dq_i in zip(f, lap, dq):
+            scale = np.abs(lap_i) + np.abs(dq_i)
+            assert np.all(np.abs(f_i - (lap_i - dq_i)) <= RESIDUAL_RTOL * scale)
+        if regime.kind is RegimeKind.SLIP:
+            assert np.all(f[0] == 0.0)
+
+
 def test_stokes_residual_slip_radial_component_cancels(rng):
     for h in (0.1, 1e-4):
         r = rng.uniform(0.01, 0.3, size=32)
@@ -491,11 +510,11 @@ def test_field_l2_norm_bounded():
 
 
 def _gradient_sq(regime, h):
-    return energy(regime, h, 0.2, SWEEP_SPEC, exterior="excluded").gradient
+    return energy(regime, h, spec=SWEEP_SPEC).gradient
 
 
 def _sym_gradient_sq(regime, h):
-    return surface_drag(regime, h, 0.2, SWEEP_SPEC, exterior="excluded").dissipation / 2.0
+    return surface_drag(regime, h, spec=SWEEP_SPEC).dissipation / 2.0
 
 
 def test_slip_gradient_norms_log_growth():
