@@ -12,10 +12,8 @@ Usage:
 import argparse
 import csv
 
-import numpy as np
-
 from gapflow.drag import ScalingModel, drag_curve, fit_scaling
-from gapflow.profile import RegimeKind, SlipRegime
+from gapflow.profile import SlipRegime
 from gapflow.quadrature import QuadratureSpec
 
 DEFAULT_SWEEP = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -23,13 +21,9 @@ DEFAULT_SWEEP = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 def report(regime, name, h_list, spec):
     curve = drag_curve(regime, h_list, spec=spec)
-    hs = curve.column("h")
-    scaled = (
-        curve.column("energy") / np.abs(np.log(hs))
-        if regime.kind is RegimeKind.SLIP
-        else curve.column("energy") * hs
-    )
-    label = "E/|ln h|" if regime.kind is RegimeKind.SLIP else "E*h"
+    model = ScalingModel.of(regime.kind)
+    scaled = curve.column("energy") / model.regressor(curve.column("h"))
+    label = {ScalingModel.LOG: "E/|ln h|", ScalingModel.INVERSE: "E*h"}[model]
 
     print(f"\n== {name} ==")
     print(f"{'h':>10} {'E(h)':>12} {'n(h)':>12} {label:>12}")
@@ -38,10 +32,10 @@ def report(regime, name, h_list, spec):
     print(f"window max/min of {label}: {scaled.max() / scaled.min():.4f}")
 
     if len(curve.rows) >= 4:
-        for model in (ScalingModel.LOG, ScalingModel.INVERSE):
-            fit = fit_scaling(curve, model)
+        for candidate in ScalingModel:
+            fit = fit_scaling(curve, candidate)
             print(
-                f"  {model.value:>8} fit: a = {fit.a:10.4f}  b = {fit.b:10.4f}"
+                f"  {fit.name:>8} fit: a = {fit.a:10.4f}  b = {fit.b:10.4f}"
                 f"  R^2 = {fit.r_squared:.6f}"
             )
     else:

@@ -51,7 +51,6 @@ from .dynamics import (
     ATOL_DEFAULT,
     RTOL_DEFAULT,
     TOUCHDOWN_H,
-    EventKind,
     FallParameters,
     StiffnessError,
     simulate,
@@ -63,7 +62,7 @@ from .profile import (
     RegimeKind,
     SlipRegime,
     _coefficients,
-    coefficients_from_alphas,
+    _family,
     weighted_sups,
 )
 from .quadrature import (
@@ -383,10 +382,18 @@ def _profile_rows(cfg):
 
 
 def _limit_rows():
-    lin = coefficients_from_alphas(RegimeKind.SLIP, 0.0, 0.0)
-    mix = coefficients_from_alphas(RegimeKind.MIXED, math.inf, math.inf)
-    res_lin = max(abs(lin.p1 - 1.0), abs(lin.p2), abs(lin.p3))
-    res_mix = max(abs(mix.p1), abs(mix.p2 - 3.0), abs(mix.p3 + 2.0))
+    """The closed-form limits of the cubic, read off the profile's own
+    polynomials (Delta, N1, N2, N3): free slip (1, 0, 0) is H -> 0 of the
+    slip family, N_i(0) / Delta(0), and the no-slip cubic (0, 3, -2) is
+    H -> inf of the mixed family, the ratio of leading coefficients (0 for
+    N1, whose degree is lower).  The limits do not depend on the slip
+    lengths; at 1 the ratios are exact."""
+    delta, *nums = _family(RegimeKind.SLIP, 1.0, 1.0)
+    lin = [n[0] / delta[0] for n in nums]
+    delta, *nums = _family(RegimeKind.MIXED, 1.0, 1.0)
+    mix = [n[-1] / delta[-1] if n.size == delta.size else 0.0 for n in nums]
+    res_lin = max(abs(lin[0] - 1.0), abs(lin[1]), abs(lin[2]))
+    res_mix = max(abs(mix[0]), abs(mix[1] - 3.0), abs(mix[2] + 2.0))
     return [
         check_row("limit_slip_linear", "(def_Phideb)", res_lin, LIMIT_TOL),
         check_row("limit_mixed_cubic", "(def_Phideb)", res_mix, LIMIT_TOL),
@@ -562,13 +569,22 @@ def cmd_drag_scan(cfg, out):
     return report["passed"]
 
 
+def _fit_json(fits):
+    """The report block of named ModelFits."""
+    return {
+        name: {"a": f.a, "b": f.b, "r_squared": f.r_squared}
+        for name, f in sorted(fits.items())
+    }
+
+
 def cmd_drag_fit(cfg, out):
     if len(set(cfg.h_list)) < 4:
         raise ConfigError("drag fit needs at least 4 distinct gaps in h_list")
     curve = _curve(cfg)
     kind = curve.regime.kind
-    hs = curve.column("h")
-    regressor = np.abs(np.log(hs)) if kind is RegimeKind.SLIP else 1.0 / hs
+    expected = ScalingModel.of(kind)
+    (other,) = set(ScalingModel) - {expected}
+    regressor = expected.regressor(curve.column("h"))
 
     def window(quantity):
         scaled = curve.column(quantity) / regressor
@@ -576,15 +592,12 @@ def cmd_drag_fit(cfg, out):
 
     fits = {
         quantity: {
-            model.value: fit_scaling(curve, model, quantity)
-            for model in (ScalingModel.LOG, ScalingModel.INVERSE)
+            model.value: fit_scaling(curve, model, quantity) for model in ScalingModel
         }
         for quantity in ("energy", "surface")
     }
-    expected = "log" if kind is RegimeKind.SLIP else "inverse"
-    other = "inverse" if expected == "log" else "log"
-    r2 = fits["energy"][expected].r_squared
-    r2_other = fits["energy"][other].r_squared
+    r2 = fits["energy"][expected.value].r_squared
+    r2_other = fits["energy"][other.value].r_squared
 
     energy_anchor, surface_anchor = _scaling_anchors(kind)
     checks = [
@@ -593,7 +606,11 @@ def cmd_drag_fit(cfg, out):
             "surface_ratio_window", surface_anchor, window("surface"), RATIO_WINDOW
         ),
         check_row(
-            f"{expected}_fit_r2", energy_anchor, r2, R2_FLOOR, passed=r2 >= R2_FLOOR
+            f"{expected.value}_fit_r2",
+            energy_anchor,
+            r2,
+            R2_FLOOR,
+            passed=r2 >= R2_FLOOR,
         ),
         check_row(
             "model_discrimination",
@@ -604,15 +621,9 @@ def cmd_drag_fit(cfg, out):
         ),
     ]
     extra = {
-        "fits": {
-            quantity: {
-                name: {"a": f.a, "b": f.b, "r_squared": f.r_squared}
-                for name, f in by_model.items()
-            }
-            for quantity, by_model in fits.items()
-        },
-        "selected_model": expected,
-        "kappa_calibrated": fits["energy"][expected].a,
+        "fits": {quantity: _fit_json(by_model) for quantity, by_model in fits.items()},
+        "selected_model": expected.value,
+        "kappa_calibrated": fits["energy"][expected.value].a,
         "provenance": dict(curve.provenance),
     }
     report = envelope(cfg, "drag fit", checks, extra)
@@ -643,10 +654,7 @@ def cmd_integral_classify(cfg, out):
             "classification": case.classification.value,
             "exponent": case.exponent,
             "values": [[hh, value] for hh, value in case.values],
-            "fits": {
-                name: {"a": f.a, "b": f.b, "r_squared": f.r_squared}
-                for name, f in sorted(case.fits.items())
-            },
+            "fits": _fit_json(case.fits),
             "selected": case.selected.name,
         }
     }
@@ -674,7 +682,6 @@ def cmd_fall_simulate(cfg, out):
         zip(traj.t.tolist(), traj.h.tolist(), traj.v.tolist()),
     )
     ev = traj.event
-    kind = "NoContact" if ev.kind == EventKind.TIME_LIMIT else ev.kind
     anchor = "thm_slip" if regime.kind is RegimeKind.SLIP else "thm_mixed"
     checks = [
         # reporting row: the terminal time can never exceed the horizon
@@ -682,7 +689,7 @@ def cmd_fall_simulate(cfg, out):
     ]
     extra = {
         "event": {
-            "kind": kind,
+            "kind": ev.kind,
             "t": ev.t,
             "h": ev.h,
             "speed": ev.speed,

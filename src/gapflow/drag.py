@@ -15,7 +15,9 @@ Two drag measures are computed for the test field at each gap width h:
   n . (e3 - u) = 0 (normal trace n . u = sqrt(1 - r^2)).
 
 Both blow up as h -> 0: like |ln h| with slip, like 1/h in the mixed
-regime, and fit_scaling discriminates the two laws by least squares.
+regime.  ScalingModel states the two laws once, as the law of a regime
+kind and its regressor in h, and fit_scaling discriminates them by least
+squares.
 
 ``energy`` and ``surface_drag`` are the two halves of one drag row: one
 adaptive pass per region (gap, wall, and with slip the sphere), each over
@@ -43,6 +45,7 @@ from .field import _frame, _on_sphere, _residual, aperture_frame, global_velocit
 from .profile import RegimeKind, SlipRegime, psi_partials
 from .quadrature import (
     IntegralResult,
+    ModelFit,
     QuadratureSpec,
     _ols,
     integrate_gap,
@@ -225,13 +228,16 @@ class ScalingModel(Enum):
     LOG = "log"  # drag = a |ln h| + b
     INVERSE = "inverse"  # drag = a / h + b
 
+    @classmethod
+    def of(cls, kind):
+        """The law a regime kind's drag follows: LOG with slip, INVERSE
+        in the mixed regime."""
+        return cls.LOG if kind is RegimeKind.SLIP else cls.INVERSE
 
-@dataclass(frozen=True)
-class ScalingFit:
-    model: ScalingModel
-    a: float
-    b: float
-    r_squared: float
+    def regressor(self, h):
+        """|ln h| or 1/h at the gaps h, the law's growth in h."""
+        h = np.asarray(h, dtype=float)
+        return np.abs(np.log(h)) if self is ScalingModel.LOG else 1.0 / h
 
 
 @dataclass(frozen=True)
@@ -327,21 +333,14 @@ def fit_scaling(curve, model, quantity="energy"):
 
     Returns
     -------
-    ScalingFit
+    ModelFit
+        Named by model.value.
     """
     if quantity not in ("energy", "surface"):
         raise ValueError("quantity must be 'energy' or 'surface'")
     if len(curve.rows) < 4:
         raise ValueError("fit_scaling needs at least 4 rows")
-    hs = curve.column("h")
-    y = curve.column(quantity)
-    if model is ScalingModel.LOG:
-        x = np.abs(np.log(hs))
-    elif model is ScalingModel.INVERSE:
-        x = 1.0 / hs
-    else:
-        raise ValueError(f"unknown scaling model {model!r}")
+    x = model.regressor(curve.column("h"))
     if float(np.ptp(x)) == 0.0:
         raise ValueError("degenerate regressor: all h identical")
-    a, b, r2 = _ols(x, y)
-    return ScalingFit(model=model, a=a, b=b, r_squared=r2)
+    return ModelFit(model.value, *_ols(x, curve.column(quantity)))

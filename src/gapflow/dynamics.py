@@ -32,7 +32,7 @@ there when (h0, v0) is such a state.  From that entry gap h_s, h' stays
 
 With h' slaved to gravity, h' = -G h / (a + b h), ln h is affine in t and
 reaches the floor ln h = -700 when G t is that constant plus 700 a: a
-time-limited run, not an error.  An entry so fast that this time precedes
+NoContact run, not an error.  An entry so fast that this time precedes
 it coasts through the floor within h / |h'| of the entry.
 """
 
@@ -83,7 +83,7 @@ class FallParameters:
 
 class EventKind:
     TOUCHDOWN = "Touchdown"
-    TIME_LIMIT = "TimeLimit"
+    NO_CONTACT = "NoContact"
     ESCAPED = "Escaped"
 
 
@@ -204,7 +204,7 @@ def _tail(t_s, h_s, v_s, conserved, a, b, G, t_max):
     if t_floor <= t_s:
         # a coast too short to resolve in t passes the floor at about h'_s
         note = f"{floor} within h/|h'| = {h_s / abs(v_s):.3g} after t; no contact"
-        return TerminalEvent(EventKind.TIME_LIMIT, t_s, h_s, v_s, note)
+        return TerminalEvent(EventKind.NO_CONTACT, t_s, h_s, v_s, note)
     if t_floor < t_max:
         t_end, h, note = t_floor, math.exp(U_FLOOR), f"{floor}; no contact"
     else:
@@ -214,7 +214,7 @@ def _tail(t_s, h_s, v_s, conserved, a, b, G, t_max):
             v = -G * h / (a + b * h)
             h = math.exp((conserved - b * h - v - G * t_max) / a)
     v = -G * h / (a + b * h)
-    return TerminalEvent(EventKind.TIME_LIMIT, t_end, h, v, note)
+    return TerminalEvent(EventKind.NO_CONTACT, t_end, h, v, note)
 
 
 def _equation(law, G, top, h_max, rtol):
@@ -298,10 +298,11 @@ def simulate(
     -------
     Trajectory
         Terminal event Touchdown (with impact speed), Escaped, or
-        TimeLimit, and the integrator's counters.  Inverse-law runs end in
-        the closed-form tail once h <= SWITCH_H with h' <= 0 and slaved to
-        gravity: it adds one row, at t_max or at the ln h = U_FLOOR floor,
-        and reports TimeLimit, never Touchdown.
+        NoContact (t_max reached, or the ln h = U_FLOOR floor), and the
+        integrator's counters.  Inverse-law runs end in the closed-form
+        tail once h <= SWITCH_H with h' <= 0 and slaved to gravity: it adds
+        one row, at t_max or at the floor, and reports NoContact, never
+        Touchdown.
 
     Raises
     ------
@@ -358,7 +359,7 @@ def simulate(
         elif sol.event == 1:
             event = TerminalEvent(EventKind.ESCAPED, t_end, h_end, v_end)
         elif sol.status == 0:
-            event = TerminalEvent(EventKind.TIME_LIMIT, t_end, h_end, v_end)
+            event = TerminalEvent(EventKind.NO_CONTACT, t_end, h_end, v_end)
 
     if event is None:
         event = _tail(t[-1], h[-1], v[-1], top, a, b, G, t_max)
@@ -397,9 +398,8 @@ def _scan_cell(regime, kappa, G, h0, t_max, rtol, atol, h_max):
             kappa=kappa, G=G, h0=h0, outcome=EventKind.TOUCHDOWN,
             t_star=ev.t, impact_speed=ev.speed, min_h=float(traj.h.min()),
         )
-    outcome = "NoContact" if ev.kind == EventKind.TIME_LIMIT else ev.kind
     return ScanRow(
-        kappa=kappa, G=G, h0=h0, outcome=outcome, min_h=float(traj.h.min())
+        kappa=kappa, G=G, h0=h0, outcome=ev.kind, min_h=float(traj.h.min())
     )
 
 

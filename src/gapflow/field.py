@@ -11,9 +11,9 @@ field equals e3 on the solid and vanishes far away.
 
 The residual of the Stokes momentum equation, lap u - grad q, is one
 closed form per regime, with the cancelling terms of lap u and grad q
-removed symbolically.  The companion pressure has a closed-form gradient;
-its value needs one radial integral, computed by composite Gauss-Legendre
-in an octave-graded substitution.
+removed symbolically, so grad q is stated there and nowhere else.  The
+companion pressure's value needs one radial integral, computed by
+composite Gauss-Legendre in an octave-graded substitution.
 
 Everything here is pure and broadcasts over numpy arrays: the gap
 functions take arrays of (r, z) and return cylindrical components as
@@ -48,10 +48,9 @@ class FieldSample:
 
 @dataclass(frozen=True)
 class PressureSample:
-    """Pressure q and its gradient (d_r q, d_z q) stacked on a first axis."""
+    """Pressure q at the sampled points."""
 
     q: object
-    grad: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -245,27 +244,20 @@ def _g3_tail(regime, h, H_values):
 
 
 def pressure(regime, h, r, z):
-    """Companion pressure with closed-form gradient at radii r and heights
-    z that broadcast to r's shape.
+    """Companion pressure at radii r and heights z that broadcast to r's
+    shape.
 
     The value integrates d_zzz Psi radially (sign convention depends on the
     regime) with a fixed octave rule that resolves it below 1e-10 relative;
-    the gradient needs no quadrature at all.  q has r's shape, and grad
-    stacks (d_r q, d_z q) on a new first axis.
+    q has r's shape.  Its gradient enters only the Stokes residual, where
+    `_residual` states lap u - grad q as one closed form.
     """
     r = np.asarray(r, dtype=float)
     p = psi_partials(regime, h, r, np.broadcast_to(np.asarray(z, dtype=float), r.shape))
     J = _g3_tail(regime, h, np.ravel(h + gamma_s(r))).reshape(r.shape)
-
     if regime.kind is RegimeKind.SLIP:
-        q = -0.5 * (r * p.drz + 2.0 * p.dz + J)
-        dq_r = -0.5 * (3.0 * p.drz + r * p.drrz + r * p.dzzz)
-        dq_z = -0.5 * (r * p.drzz + 2.0 * p.dzz)
-    else:
-        q = 0.5 * (r * p.drz + 2.0 * p.dz - J)
-        dq_r = 0.5 * (3.0 * p.drz + r * p.drrz - r * p.dzzz)
-        dq_z = 0.5 * (r * p.drzz + 2.0 * p.dzz)
-    return PressureSample(q=q, grad=np.stack((dq_r, dq_z)))
+        return PressureSample(q=-0.5 * (r * p.drz + 2.0 * p.dz + J))
+    return PressureSample(q=0.5 * (r * p.drz + 2.0 * p.dz - J))
 
 
 def stokes_residual(regime, h, r, z):

@@ -28,7 +28,6 @@ __all__ = [
     "SlipRegime",
     "ProfileCoefficients",
     "coefficients",
-    "coefficients_from_alphas",
     "psi_partials",
     "weighted_sups",
     "ENVELOPE_ROWS",
@@ -46,8 +45,8 @@ class SlipRegime:
 
     Slip requires both slip lengths positive; Mixed means no-slip at the
     sphere (beta_S = 0) and slip at the wall.  No-slip on both the sphere
-    and the wall is not a regime: it is the alpha_P -> inf limit of the
-    mixed profile, which coefficients_from_alphas gives.
+    and the wall is not a regime: it is the H -> inf (alpha_P -> inf) limit
+    of the mixed family in `_family`, which `verify all` checks.
     """
 
     kind: RegimeKind
@@ -113,6 +112,11 @@ def _family(kind, beta_S, beta_Omega):
     Psi's z-monomial coefficients are G_i = N_i(H) / (Delta(H) H^i) and the
     cubic coefficients are P_i = N_i(H) / Delta(H).  The slip lengths may
     be broadcasting arrays; the coefficients then carry their shape.
+
+    These polynomials are the one statement of the profile, its limits
+    included: H -> 0 of the slip family is the free-slip plug Phi(t) = t,
+    and H -> inf of the mixed family the no-slip cubic 3 t^2 - 2 t^3,
+    which `verify all` reads off them.
     """
     if kind is RegimeKind.SLIP:
         a = 1.0 / beta_S + 2.0
@@ -166,33 +170,6 @@ def _coefficients(kind, beta_S, beta_Omega, h, r):
         alpha_S = (1.0 / beta_S + 2.0) * H
     fields = (alpha_S, H / beta_Omega, p1, p2, p3)
     return ProfileCoefficients(*(map(float, fields) if np.ndim(p1) == 0 else fields))
-
-
-def coefficients_from_alphas(kind, alpha_S, alpha_P):
-    """Coefficients directly from the dimensionless groups.
-
-    This is the only route to the idealized free-slip profile
-    (alpha_S = alpha_P = 0, giving Phi(t) = t), since finite slip lengths
-    cannot produce alpha_P = 0; it also accepts the mixed alpha_P = inf
-    limit, giving the classical no-slip shape (0, 3, -2).
-    """
-    if kind is RegimeKind.SLIP:
-        if not (math.isfinite(alpha_S) and math.isfinite(alpha_P)):
-            raise ValueError("slip regime requires finite alphas")
-        den = 12.0 + 4.0 * (alpha_S + alpha_P) + alpha_S * alpha_P
-        p1 = 6.0 * (2.0 + alpha_S) / den
-        p2 = 3.0 * (2.0 + alpha_S) * alpha_P / den
-        p3 = -2.0 * (alpha_S + alpha_S * alpha_P + alpha_P) / den
-    else:
-        if math.isinf(alpha_P):
-            p1, p2, p3 = 0.0, 3.0, -2.0
-        else:
-            den = 4.0 + alpha_P
-            p1 = 6.0 / den
-            p2 = 3.0 * alpha_P / den
-            p3 = -2.0 * (1.0 + alpha_P) / den
-        alpha_S = math.inf
-    return ProfileCoefficients(alpha_S, alpha_P, p1, p2, p3)
 
 
 @lru_cache(maxsize=32)
@@ -408,18 +385,6 @@ class PsiHPartials:
     H: object
 
 
-def _sum_weights(*pairs):
-    """Envelope 1/(w1 + w2 + ...) for bounds stated as sums of scales."""
-
-    def weight(r, H):
-        total = 0.0
-        for fn in pairs:
-            total = total + fn(r, H)
-        return 1.0 / total
-
-    return weight
-
-
 # Envelope rows: label -> (extractor, inverse-scale weight).  The weighted
 # sup of each row should stay O(1) uniformly in h; the test harness asserts
 # a bounded ratio across an h sweep.  Rows follow the regime's derivative
@@ -436,7 +401,7 @@ ENVELOPE_ROWS = {
         "drzz*H^2/r": (lambda p, q: np.abs(p.drzz_by_r), lambda r, H: H * H),
         "drrr/(r/H^2+1/H)": (
             lambda p, q: np.abs(p.drrr),
-            _sum_weights(lambda r, H: r / (H * H), lambda r, H: 1.0 / H),
+            lambda r, H: 1.0 / (r / (H * H) + 1.0 / H),
         ),
         "drz_cancel*H/r": (
             lambda p, q: np.abs(p.drz_by_r + p.dz / p.H),
@@ -445,14 +410,14 @@ ENVELOPE_ROWS = {
         "dh*H": (lambda p, q: np.abs(q.dh), lambda r, H: H),
         "drh/(1/H+r/H^2)": (
             lambda p, q: np.abs(q.drh),
-            _sum_weights(lambda r, H: 1.0 / H, lambda r, H: r / (H * H)),
+            lambda r, H: 1.0 / (1.0 / H + r / (H * H)),
         ),
         "dzh*H^2": (lambda p, q: np.abs(q.dzh), lambda r, H: H * H),
         "dzzh*H^2": (lambda p, q: np.abs(q.dzzh), lambda r, H: H * H),
         "drrh*H^2": (lambda p, q: np.abs(q.drrh), lambda r, H: H * H),
         "drzh/(1/H^2+r/H^3)": (
             lambda p, q: np.abs(q.drzh),
-            _sum_weights(lambda r, H: 1.0 / (H * H), lambda r, H: r / H ** 3),
+            lambda r, H: 1.0 / (1.0 / (H * H) + r / H ** 3),
         ),
     },
     RegimeKind.MIXED: {
@@ -476,7 +441,7 @@ ENVELOPE_ROWS = {
         "dzzh*H^3": (lambda p, q: np.abs(q.dzzh), lambda r, H: H ** 3),
         "drzh/(r/H^3+1/H^2)": (
             lambda p, q: np.abs(q.drzh),
-            _sum_weights(lambda r, H: r / H ** 3, lambda r, H: 1.0 / (H * H)),
+            lambda r, H: 1.0 / (r / H ** 3 + 1.0 / (H * H)),
         ),
     },
 }

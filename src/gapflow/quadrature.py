@@ -251,18 +251,22 @@ class SingularIntegralCase:
     selected: ModelFit = None
 
     def __post_init__(self):
-        s = (self.p + 1.0) / 2.0 - self.q
-        expected = (
-            Classification.POWER_LAW
-            if self.p + 1.0 < 2.0 * self.q
-            else Classification.LOGARITHMIC
-            if self.p + 1.0 == 2.0 * self.q
-            else Classification.BOUNDED
-        )
+        expected, exponent, _ = _classify(self.p, self.q)
         if self.classification is not expected:
             raise ValueError("classification inconsistent with (p, q)")
-        if self.classification is Classification.POWER_LAW and self.exponent != s:
+        if self.classification is Classification.POWER_LAW and self.exponent != exponent:
             raise ValueError("power-law exponent must be (p+1)/2 - q")
+
+
+def _classify(p, q):
+    """(classification, exponent, fit key) of I(h) by the invariant p + 1
+    against 2q; the exponent (p+1)/2 - q is that of the power law, 0.0
+    otherwise."""
+    if p + 1.0 < 2.0 * q:
+        return Classification.POWER_LAW, (p + 1.0) / 2.0 - q, "power"
+    if p + 1.0 == 2.0 * q:
+        return Classification.LOGARITHMIC, 0.0, "log"
+    return Classification.BOUNDED, 0.0, "bounded"
 
 
 DEFAULT_H_LIST = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -336,13 +340,7 @@ def classify_singular(p, q, delta, h_list=None, spec=None):
         bounded_reg = hs
     fits["bounded"] = ModelFit("bounded", *_ols(bounded_reg, ys))
 
-    if p + 1.0 < 2.0 * q:
-        classification, key, exponent = Classification.POWER_LAW, "power", s
-    elif p + 1.0 == 2.0 * q:
-        classification, key, exponent = Classification.LOGARITHMIC, "log", 0.0
-    else:
-        classification, key, exponent = Classification.BOUNDED, "bounded", 0.0
-
+    classification, exponent, key = _classify(p, q)
     if all(f.r_squared < FIT_R2_FLOOR for f in fits.values()):
         raise ClassificationError(
             f"no candidate model fits I(h) for (p, q) = ({p}, {q}); "

@@ -13,16 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from gapflow.cli import run
+from gapflow.cli import _limit_rows, run
 from gapflow.drag import ScalingModel, drag_curve, fit_scaling
 from gapflow.dynamics import EventKind, FallParameters, simulate
 from gapflow.field import aperture_frame, navier_residuals, sphere_slip_l2
 from gapflow.geometry import gamma_s
 from gapflow.profile import (
-    RegimeKind,
     SlipRegime,
     coefficients,
-    coefficients_from_alphas,
     weighted_sups,
 )
 from gapflow.quadrature import (
@@ -105,14 +103,12 @@ def test_criterion_1_profile_constraint_suite():
 
 
 def test_criterion_2_closed_form_limits():
-    lin = coefficients_from_alphas(RegimeKind.SLIP, 0.0, 0.0)
-    assert abs(lin.p1 - 1.0) < LIMIT_TOL
-    assert abs(lin.p2) < LIMIT_TOL
-    assert abs(lin.p3) < LIMIT_TOL
-    cub = coefficients_from_alphas(RegimeKind.MIXED, math.inf, math.inf)
-    assert abs(cub.p1) < LIMIT_TOL
-    assert abs(cub.p2 - 3.0) < LIMIT_TOL
-    assert abs(cub.p3 + 2.0) < LIMIT_TOL
+    # free slip (1, 0, 0) and the no-slip cubic (0, 3, -2), as the limit
+    # rows read them off the profile's polynomials
+    rows = {row["name"]: row for row in _limit_rows()}
+    assert sorted(rows) == ["limit_mixed_cubic", "limit_slip_linear"]
+    for row in rows.values():
+        assert row["measured"] < LIMIT_TOL and row["passed"]
 
 
 def test_criterion_3_field_exactness():
@@ -255,7 +251,7 @@ def test_criterion_8_contact_dichotomy():
 
     # mixed: no contact by t_max = 50 and |ln h(t)| grows at most linearly
     traj = simulate(params, MIXED, h0, t_max=50.0)
-    assert traj.event.kind == EventKind.TIME_LIMIT
+    assert traj.event.kind == EventKind.NO_CONTACT
     assert traj.event.h > 0.0
     y = np.abs(np.log(traj.h))
     slope, intercept = np.polyfit(traj.t, y, 1)

@@ -121,7 +121,7 @@ def test_trajectory_rows_are_ordered_and_positive():
 
 
 def test_trajectory_validation():
-    event = TerminalEvent(EventKind.TIME_LIMIT, 1.0, 0.1, 0.0)
+    event = TerminalEvent(EventKind.NO_CONTACT, 1.0, 0.1, 0.0)
     with pytest.raises(ValueError, match="increasing"):
         Trajectory(
             t=np.array([0.0, 0.0]), h=np.array([0.1, 0.1]),
@@ -178,7 +178,7 @@ def test_escape_event_fires_on_upward_launch():
 
 def test_mixed_fall_never_touches_down():
     traj = simulate(_params(), MIXED, h0=0.25, t_max=50.0)
-    assert traj.event.kind == EventKind.TIME_LIMIT
+    assert traj.event.kind == EventKind.NO_CONTACT
     assert traj.event.t == pytest.approx(50.0)
     assert float(traj.h.min()) > 0.0
 
@@ -198,7 +198,7 @@ def test_mixed_fall_crosses_into_the_log_phase():
 
 def test_mixed_fall_reports_the_representable_floor():
     traj = simulate(_params(), MIXED, h0=0.25, t_max=800.0)
-    assert traj.event.kind == EventKind.TIME_LIMIT
+    assert traj.event.kind == EventKind.NO_CONTACT
     assert traj.event.t < 800.0
     assert "no contact" in traj.event.note
     assert float(traj.h[-1]) > 0.0
@@ -232,7 +232,7 @@ def test_mixed_tail_keeps_the_end_of_the_fall(t_max):
 @pytest.mark.parametrize("kappa", [1e-4, 1e-2])
 def test_weak_mixed_drag_reaches_the_floor(kappa):
     traj = simulate(_params(kappa=kappa), MIXED, h0=0.25, t_max=50.0)
-    assert traj.event.kind == EventKind.TIME_LIMIT
+    assert traj.event.kind == EventKind.NO_CONTACT
     assert "ln h = -700" in traj.event.note and "no contact" in traj.event.note
     row = touchdown_scan(MIXED, (kappa,), (1.0,), (0.25,), t_max=50.0)[0]
     assert row.outcome == "NoContact"

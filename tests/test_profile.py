@@ -14,7 +14,6 @@ from gapflow.profile import (
     RegimeKind,
     SlipRegime,
     coefficients,
-    coefficients_from_alphas,
     psi_partials,
     weighted_sups,
 )
@@ -145,30 +144,38 @@ class TestCoefficients:
             coefficients(SLIP, np.array(h), np.array(r))
 
     def test_free_slip_plug_profile(self):
-        c = coefficients_from_alphas(RegimeKind.SLIP, 0.0, 0.0)
-        assert (c.p1, c.p2, c.p3) == (1.0, 0.0, 0.0)
+        # H -> 0 of the slip family: P_i -> N_i(0) / Delta(0) = (1, 0, 0)
         t = np.linspace(0, 1, 11)
-        assert np.max(np.abs(_phi(c, t) - t)) < TOL_IDENTITY
+        for betas in ((1.0, 1.0), (0.3, 7.0), (50.0, 0.02)):
+            delta, *nums = profile._family(RegimeKind.SLIP, *betas)
+            c = ProfileCoefficients(0.0, 0.0, *(n[0] / delta[0] for n in nums))
+            assert (c.p1, c.p2, c.p3) == (1.0, 0.0, 0.0)
+            assert np.max(np.abs(_phi(c, t) - t)) < TOL_IDENTITY
+            # and the evaluated profile approaches it with the gap
+            d = coefficients(SlipRegime.slip(*betas), 1e-13, 0.0)
+            assert max(abs(d.p1 - 1.0), abs(d.p2), abs(d.p3)) < 1e-11
 
     def test_mixed_no_slip_limit(self):
-        c = coefficients_from_alphas(RegimeKind.MIXED, math.inf, math.inf)
-        assert (c.p1, c.p2, c.p3) == (0.0, 3.0, -2.0)
+        # H -> inf of the mixed family: the ratio of leading coefficients,
+        # 0 for N1, whose degree is lower
         t = np.linspace(0, 1, 11)
-        assert np.max(np.abs(_phi(c, t) - (3 * t**2 - 2 * t**3))) < TOL_IDENTITY
+        for beta_Omega in (1.0, 0.3, 7.0):
+            delta, *nums = profile._family(RegimeKind.MIXED, 0.0, beta_Omega)
+            limits = [n[-1] / delta[-1] if n.size == delta.size else 0.0 for n in nums]
+            c = ProfileCoefficients(math.inf, math.inf, *limits)
+            assert c.p1 == 0.0
+            assert c.p2 == pytest.approx(3.0, rel=1e-15)
+            assert c.p3 == pytest.approx(-2.0, rel=1e-15)
+            assert np.max(np.abs(_phi(c, t) - (3 * t**2 - 2 * t**3))) < TOL_IDENTITY
 
     def test_mixed_large_alpha_consistency(self):
-        # finite but huge alpha_P approaches the closed no-slip limit
-        c = coefficients_from_alphas(RegimeKind.MIXED, math.inf, 1e14)
+        # a tiny wall slip length (alpha_P = H / beta_Omega ~ 1e13)
+        # approaches the closed no-slip limit
+        c = coefficients(SlipRegime.mixed(1e-14), 0.1, 0.05)
+        assert c.alpha_P > 1e13
         assert c.p1 == pytest.approx(0.0, abs=1e-12)
         assert c.p2 == pytest.approx(3.0, rel=1e-12)
         assert c.p3 == pytest.approx(-2.0, rel=1e-12)
-
-    def test_from_alphas_matches_coefficients(self):
-        c = coefficients(SLIP, 0.1, 0.05)
-        d = coefficients_from_alphas(RegimeKind.SLIP, c.alpha_S, c.alpha_P)
-        assert d.p1 == pytest.approx(c.p1, rel=1e-14)
-        assert d.p2 == pytest.approx(c.p2, rel=1e-14)
-        assert d.p3 == pytest.approx(c.p3, rel=1e-14)
 
     @given(
         st.sampled_from(["slip", "mixed"]),
