@@ -306,7 +306,9 @@ def _write_atomic(path, text):
 
 
 def write_json(path, report):
-    _write_atomic(Path(path), json.dumps(report, indent=2, sort_keys=True) + "\n")
+    # standard JSON only: a NaN or infinity raises ValueError (exit 3)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    _write_atomic(Path(path), text + "\n")
 
 
 def write_csv(path, header, rows):

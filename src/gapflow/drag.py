@@ -291,6 +291,12 @@ def drag_curve(
         Whether totals carry the cutoff-ring constant; it is recorded in
         the provenance either way.  gradient_part, sphere_part and
         wall_part are always the bare aperture pieces.
+
+    Raises
+    ------
+    ValueError
+        If the exterior constant at the aperture radius r_max is not
+        finite, as for radii so small that its grid underflows.
     """
     if exterior not in ("included", "excluded"):
         raise ValueError("exterior must be 'included' or 'excluded'")
@@ -301,6 +307,11 @@ def drag_curve(
         ring = exterior_constant(regime)
     else:
         ring = exterior_constant(regime, r_max)
+    if not math.isfinite(ring):
+        raise ValueError(
+            f"the exterior constant is not finite ({ring!r}) at aperture "
+            f"radius delta = {r_max!r}"
+        )
     ext = ring if exterior == "included" else 0.0
 
     rows = []

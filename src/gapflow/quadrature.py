@@ -195,12 +195,12 @@ def integrate_gap(f, h, r_max, spec=None):
     return _adaptive_1d(g, cuts, spec)
 
 
-def integrate_surface(f, surface, r_max, spec=None, scale=None):
+def integrate_surface(f, surface, r_max, spec=None, *, scale):
     """Surface integral int 2 pi f(r) measure(r) dr over a boundary piece.
 
     `surface` is "plane" or "sphere-cap"; the measure is r on the plane and
-    r / sqrt(1 - r^2) on the cap.  `scale` optionally sets the grading
-    length of the initial cells (defaults to r_max / 2^16).  f may stack
+    r / sqrt(1 - r^2) on the cap.  `scale` is the grading length of the
+    initial cells (graded_cuts), sqrt(h) for the drag rows.  f may stack
     components, as in integrate_gap.
     """
     if surface not in (PLANE, SPHERE_CAP):
@@ -209,7 +209,7 @@ def integrate_surface(f, surface, r_max, spec=None, scale=None):
     def g(r):
         return 2.0 * math.pi * np.asarray(f(r)) * surface_measure(surface, r)
 
-    cuts = graded_cuts(r_max, scale if scale is not None else r_max * 2.0 ** -16)
+    cuts = graded_cuts(r_max, scale)
     return _adaptive_1d(g, cuts, spec)
 
 

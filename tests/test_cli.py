@@ -555,6 +555,51 @@ def test_drag_scan_below_the_validated_sweep_ends(tmp_path):
     assert run(["drag", "scan", "--h-list", "1e-300", "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+def test_a_non_finite_exterior_constant_exits_3_without_nan(tmp_path, capsys):
+    # at delta = 1e-300 the exterior grid underflows and its constant is NaN
+    assert run(["drag", "scan", "--delta", "1e-300", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "delta = 1e-300" in err
+    for path in tmp_path.iterdir():
+        text = path.read_text(encoding="utf-8").lower()
+        assert "nan" not in text and "inf" not in text
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cli.write_json(tmp_path / "report.json", {"x": value})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "kind, poly, term, row",
+    [
+        (profile.RegimeKind.MIXED, 2, -1, "limit_mixed_cubic"),
+        (profile.RegimeKind.SLIP, 1, 0, "limit_slip_linear"),
+    ],
+    ids=["mixed-N2-leading", "slip-N1-constant"],
+)
+def test_limit_rows_read_the_profile_family(tmp_path, monkeypatch, kind, poly, term, row):
+    # the limit rows read the polynomials that every profile evaluation
+    # runs, so perturbing one coefficient of them fails its limit row
+    assert cli._family is profile._family
+    family = profile._family
+
+    def perturbed(k, beta_S, beta_Omega):
+        polys = [np.array(c, dtype=float) for c in family(k, beta_S, beta_Omega)]
+        if k is kind:
+            polys[poly][term] *= 1.0 + 1e-9
+        return tuple(polys)
+
+    monkeypatch.setattr(cli, "_family", perturbed)
+    assert run(["profile", "check", "--out", str(tmp_path), *FAST]) == 1
+    report = _read(tmp_path / "profile_check.json")
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == [row]
+
+
 def test_failed_check_exits_1(tmp_path, monkeypatch):
     # an unreachable threshold turns a healthy report into a failing one
     monkeypatch.setattr(cli, "FLUX_TOL", 0.0)

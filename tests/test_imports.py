@@ -3,7 +3,9 @@
 gapflow runs on numpy alone: no file of the package imports scipy.  scipy
 stays a test dependency, an oracle for the float steppers and the
 quadrature; an import of it in src/gapflow, even a lazy one inside a
-function, fails here.  Nor does any file import importlib.metadata, which
+function, fails here.  The same holds for sympy and mpmath, the tests'
+symbolic and arbitrary-precision oracles: each would add to the import
+time of every CLI start.  Nor does any file import importlib.metadata, which
 pulls email, socket and calendar into every CLI start: the version is
 gapflow.__version__, kept equal to pyproject.toml's.
 """
@@ -44,6 +46,11 @@ def _importers(module):
 
 def test_no_file_of_the_package_imports_scipy():
     assert _importers("scipy") == []
+
+
+@pytest.mark.parametrize("module", ["sympy", "mpmath"])
+def test_no_file_of_the_package_imports_a_symbolic_oracle(module):
+    assert _importers(module) == []
 
 
 def test_no_file_of_the_package_imports_importlib_metadata():

@@ -161,16 +161,18 @@ class TestIntegrateGap:
 
 class TestIntegrateSurface:
     def test_disk_area(self):
-        res = integrate_surface(lambda r: np.ones_like(r), "plane", 0.4)
+        res = integrate_surface(lambda r: np.ones_like(r), "plane", 0.4, scale=0.4 * 2.0**-16)
         assert res.value == pytest.approx(math.pi * 0.4**2, rel=TOL_CLOSED_FORM)
 
     def test_cap_area(self):
-        res = integrate_surface(lambda r: np.ones_like(r), "sphere-cap", 0.6)
+        res = integrate_surface(
+            lambda r: np.ones_like(r), "sphere-cap", 0.6, scale=0.6 * 2.0**-16
+        )
         assert res.value == pytest.approx(2.0 * math.pi * (1.0 - 0.8), rel=TOL_CLOSED_FORM)
 
     def test_unknown_surface(self):
         with pytest.raises(ValueError):
-            integrate_surface(lambda r: r, "cone", 0.2)
+            integrate_surface(lambda r: r, "cone", 0.2, scale=1.0)
 
 
 class TestStackedIntegrand:
@@ -258,7 +260,7 @@ class TestGlobalRefinement:
             return f(r)
 
         with pytest.raises(QuadratureError, match=reason) as err:
-            integrate_surface(counted, "plane", 0.2, spec)
+            integrate_surface(counted, "plane", 0.2, spec, scale=0.2 * 2.0**-16)
         assert err.value.cells <= MAX_CELLS
         assert len(calls) <= MAX_CELLS
 
@@ -269,7 +271,7 @@ class TestGlobalRefinement:
             calls.append(r.size)
             return np.exp(r)
 
-        res = integrate_surface(f, "plane", 0.2)
+        res = integrate_surface(f, "plane", 0.2, scale=0.2 * 2.0**-16)
         assert len(calls) == 1
         exact = 2.0 * math.pi * (1.0 - 0.8 * math.exp(0.2))  # int 2 pi r e^r dr
         assert res.value == pytest.approx(exact, rel=1e-14)
