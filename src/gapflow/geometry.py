@@ -60,13 +60,17 @@ def gamma_s(r):
     -------
     float or ndarray
         ``1 - sqrt(1 - r**2)``, increasing from 0 at the axis to 1 at the
-        equator; behaves like ``r**2 / 2`` for small r.
+        equator; behaves like ``r**2 / 2`` for small r.  It is evaluated
+        as ``r**2 / (1 + sqrt(1 - r**2))``, which subtracts nothing and so
+        keeps its relative accuracy (a few eps) near the axis, where the
+        gap height h + gamma_s must resolve gaps far below eps.
     """
     r = np.asarray(r, dtype=float)
     # one ndarray.any() call: gamma_s runs inside every profile evaluation
     if ((r < 0.0) | (r > 1.0)).any():
         raise ValueError("gamma_s requires 0 <= r <= 1")
-    return 1.0 - np.sqrt(1.0 - r * r)
+    r2 = r * r
+    return r2 / (1.0 + np.sqrt(1.0 - r2))
 
 
 def sphere_normal(r):

@@ -243,10 +243,10 @@ def test_exterior_constant_follows_the_aperture_radius():
 @pytest.mark.parametrize(
     "args, pinned",
     [
-        ((SLIP,), 20.26464445685791),
-        ((MIXED,), 183.9246598233552),
-        ((SLIP_B,), 20.006308860684513),
-        ((SLIP, 0.15), 20.53678748389864),
+        ((SLIP,), 20.264644456857926),
+        ((MIXED,), 183.92465982335554),
+        ((SLIP_B,), 20.006308860684516),
+        ((SLIP, 0.15), 20.53678748389863),
     ],
     ids=["slip", "mixed", "slip_b", "slip-r0.15"],
 )
@@ -428,21 +428,23 @@ def test_fused_row_matches_the_single_norm_references(regime, h):
 
 
 # (h, energy, gradient_part, sphere_part, wall_part, surface) of the default
-# `drag scan` rows, computed when every norm was its own adaptive pass
+# `drag scan` rows, computed when every norm was its own adaptive pass and
+# re-pinned when gamma_s lost its cancellation: each value moved by less
+# than eps/h of its row (at most 3.5e-12 relative, the mixed n at 1e-6)
 DEFAULT_SCAN_ROWS = {
     "slip": (
-        (0.01, 29.283828657823886, 4.967751090726637, 2.693815502299925, 1.357617607939416, 33.430918579160746),
-        (0.001, 49.923565014218596, 9.943112708624444, 13.167749666783171, 6.54805818195307, 52.69095911791416),
-        (0.0001, 77.63970428487468, 16.76860698708275, 27.110647513100393, 13.495805327833626, 77.03401973424789),
-        (1e-05, 106.4451956218835, 23.956772336083407, 41.525453220369336, 20.698325608572844, 102.24315256181578),
-        (1e-06, 135.36711217427774, 31.185769189642418, 55.98789817878526, 27.92880034899215, 127.54978153769544),
+        (0.01, 29.283828657823904, 4.967751090726637, 2.6938155022999237, 1.357617607939415, 33.43091857916077),
+        (0.001, 49.923565014218624, 9.943112708624449, 13.167749666783179, 6.548058181953073, 52.69095911791419),
+        (0.0001, 77.63970428487434, 16.76860698708276, 27.110647513100147, 13.495805327833502, 77.03401973424775),
+        (1e-05, 106.4451956218864, 23.956772336084715, 41.52545322037039, 20.69832560857337, 102.24315256182062),
+        (1e-06, 135.3671121742448, 31.185769189636318, 55.98789817876736, 27.9288003489832, 127.54978153766766),
     ),
     "mixed": (
-        (0.01, 407.2258826967795, 220.29796620533955, 0.0, 3.0032566680847226, 403.078205988955),
-        (0.001, 4502.0466564440385, 4303.486703470316, 0.0, 14.635293150368044, 4461.834017426665),
-        (0.0001, 46919.18941195503, 46705.011753737774, 0.0, 30.252998393893964, 46829.046853488646),
-        (1e-05, 471066.8014955092, 470836.42083247396, 0.0, 46.456003211932185, 470924.80274400656),
-        (1e-06, 4712252.369578646, 4712005.720735798, 0.0, 62.72418302504731, 4712058.310831619),
+        (0.01, 407.2258826967797, 220.29796620533943, 0.0, 3.0032566680847212, 403.0782059889553),
+        (0.001, 4502.046656444045, 4303.486703470321, 0.0, 14.63529315036805, 4461.834017426671),
+        (0.0001, 46919.18941195338, 46705.01175373613, 0.0, 30.252998393893684, 46829.04685348701),
+        (1e-05, 471066.8014958025, 470836.4208327672, 0.0, 46.456003211933364, 470924.8027442999),
+        (1e-06, 4712252.369561981, 4712005.7207191335, 0.0, 62.72418302502717, 4712058.310814953),
     ),
 }
 
@@ -573,6 +575,22 @@ def test_deep_gap_integrals_finish_or_raise_within_the_cell_budget(
     for calls, cells, _ in log:
         assert 1 <= calls <= DEEP_CALLS
         assert cells <= MAX_CELLS
+
+
+@pytest.mark.parametrize("h", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_deep_gap_rows_meet_the_tolerance_they_ask_for(regime, h):
+    # with a cancellation-free gap height every deep row converges, and
+    # each agrees with its rel_tol 1e-12 row within the rel_tol it asked for
+    def row(rel_tol):
+        spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12)
+        return drag_curve(regime, (h,), spec=spec, exterior="excluded").rows[0]
+
+    reference = row(1e-12)
+    for rel_tol in (1e-8, 1e-10):
+        got = row(rel_tol)
+        assert got.energy == pytest.approx(reference.energy, rel=rel_tol)
+        assert got.surface == pytest.approx(reference.surface, rel=rel_tol)
 
 
 # ---------------------------------------------------------------- scaling

@@ -468,7 +468,7 @@ class TestBoundaryConditionsOnPsi:
             for _ in range(20):
                 h = float(10.0 ** rng.uniform(-5, math.log10(0.4)))
                 r = float(rng.uniform(0.0, 0.19))
-                H = h + 1.0 - math.sqrt(1.0 - r * r)
+                H = h + gamma_s(r)
                 p = psi_partials(regime, h, r, H)
                 resid = float(p.dzz) + (1.0 / regime.beta_S + 2.0) * float(p.dz)
                 assert abs(resid) < 1e-10 * (abs(float(p.dzz)) + 1.0)
@@ -478,7 +478,7 @@ class TestBoundaryConditionsOnPsi:
         for _ in range(20):
             h = float(10.0 ** rng.uniform(-5, math.log10(0.4)))
             r = float(rng.uniform(0.0, 0.19))
-            H = h + 1.0 - math.sqrt(1.0 - r * r)
+            H = h + gamma_s(r)
             p = psi_partials(MIXED, h, r, H)
             assert abs(float(p.dz)) < 1e-10 / H
             assert abs(float(p.dr)) < 1e-10 / H
