@@ -384,12 +384,11 @@ def _profile_rows(cfg):
 
 
 def _limit_rows():
-    """The closed-form limits of the cubic, read off the profile's own
-    polynomials (Delta, N1, N2, N3): free slip (1, 0, 0) is H -> 0 of the
-    slip family, N_i(0) / Delta(0), and the no-slip cubic (0, 3, -2) is
-    H -> inf of the mixed family, the ratio of leading coefficients (0 for
-    N1, whose degree is lower).  The limits do not depend on the slip
-    lengths; at 1 the ratios are exact."""
+    """Free slip (1, 0, 0), N_i(0) / Delta(0) of the slip family, and the
+    no-slip cubic (0, 3, -2), the leading-coefficient ratios of the mixed
+    family (0 for N1, of lower degree), read off profile._family at unit
+    slip lengths: the limits do not depend on them, and there the ratios
+    are exact."""
     delta, *nums = _family(RegimeKind.SLIP, 1.0, 1.0)
     lin = [n[0] / delta[0] for n in nums]
     delta, *nums = _family(RegimeKind.MIXED, 1.0, 1.0)
@@ -608,11 +607,7 @@ def cmd_drag_fit(cfg, out):
             "surface_ratio_window", surface_anchor, window("surface"), RATIO_WINDOW
         ),
         check_row(
-            f"{expected.value}_fit_r2",
-            energy_anchor,
-            r2,
-            R2_FLOOR,
-            passed=r2 >= R2_FLOOR,
+            f"{expected.value}_fit_r2", energy_anchor, r2, R2_FLOOR, passed=r2 >= R2_FLOOR
         ),
         check_row(
             "model_discrimination",
