@@ -12,8 +12,8 @@ Usage:
 import argparse
 import csv
 
-from gapflow.drag import ScalingModel, drag_curve, fit_scaling
-from gapflow.profile import SlipRegime
+from gapflow.drag import drag_curve, fit_scaling
+from gapflow.profile import ScalingModel, SlipRegime
 from gapflow.quadrature import QuadratureSpec
 
 DEFAULT_SWEEP = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)

@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .drag import ScalingModel, drag_curve, fit_scaling
+from .drag import drag_curve, fit_scaling
 from .dynamics import (
     ATOL_DEFAULT,
     RTOL_DEFAULT,
@@ -60,6 +60,7 @@ from .field import aperture_frame, navier_residuals, sphere_slip_l2
 from .geometry import DELTA_DEFAULT, H_MAX_DEFAULT, gamma_s
 from .profile import (
     RegimeKind,
+    ScalingModel,
     SlipRegime,
     _coefficients,
     _family,

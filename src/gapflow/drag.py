@@ -15,9 +15,8 @@ Two drag measures are computed for the test field at each gap width h:
   n . (e3 - u) = 0 (normal trace n . u = sqrt(1 - r^2)).
 
 Both blow up as h -> 0: like |ln h| with slip, like 1/h in the mixed
-regime.  ScalingModel states the two laws once, as the law of a regime
-kind and its regressor in h, and fit_scaling discriminates them by least
-squares.
+regime.  fit_scaling discriminates the two laws, each stated once as a
+``profile.ScalingModel``, by least squares.
 
 ``energy`` and ``surface_drag`` are the two halves of one drag row: one
 adaptive pass per region (gap, wall, and with slip the sphere), each over
@@ -35,7 +34,6 @@ exterior_constant for the estimator's region.
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -222,22 +220,6 @@ def exterior_constant(regime, delta=DELTA_DEFAULT):
     for g_sq in np.sum(sample.grad**2, axis=(1, 2)).tolist():
         total += g_sq * cell
     return total
-
-
-class ScalingModel(Enum):
-    LOG = "log"  # drag = a |ln h| + b
-    INVERSE = "inverse"  # drag = a / h + b
-
-    @classmethod
-    def of(cls, kind):
-        """The law a regime kind's drag follows: LOG with slip, INVERSE
-        in the mixed regime."""
-        return cls.LOG if kind is RegimeKind.SLIP else cls.INVERSE
-
-    def regressor(self, h):
-        """|ln h| or 1/h at the gaps h, the law's growth in h."""
-        h = np.asarray(h, dtype=float)
-        return np.abs(np.log(h)) if self is ScalingModel.LOG else 1.0 / h
 
 
 @dataclass(frozen=True)

@@ -14,23 +14,23 @@ by the gap analysis fall on either side:
 * mixed: D(h) = kappa / h, Phi(0) = inf; ln h falls linearly in t and
   contact never happens.
 
-``drag_law`` builds D analytically from a regime; every DragLaw carries
-P with P' = D in closed form, so Phi(h) = P(h0) - P(h) and ``simulate``
-integrates the first integral, one scalar ODE, never (h, h'), with the
-float steppers of ``ode``.  A log law D ~ a |ln h| + b runs it in h by
-the embedded 4(5) Runge-Kutta pair, with events for touchdown
-(h = 1e-12) and escape (h = h_max).  An inverse law D ~ a/h + b runs it
-in u = ln h, u' = (v0 + Phi(h) - G t) / h, by variable-order BDF with the
-analytic Jacobian, which it leaves at the first state with h <= SWITCH_H
-and h' <= 0 where h' is slaved to gravity: within a factor 4 of
--G h / (a + b h), or so fast that the rest of its coast, h / |h'|, is
+``drag_law`` builds D from a regime's ``profile.ScalingModel``, which
+also gives P with P' = D in closed form, so Phi(h) = P(h0) - P(h) and
+``simulate`` integrates the first integral, one scalar ODE, never
+(h, h'), with the float steppers of ``ode``.  The log law D = a |ln h|
+runs it in h by the embedded 4(5) Runge-Kutta pair, with events for
+touchdown (h = 1e-12) and escape (h = h_max).  The inverse law D = a/h
+runs it in u = ln h, u' = (v0 + Phi(h) - G t) / h, by variable-order BDF
+with the analytic Jacobian, which it leaves at the first state with
+h <= SWITCH_H and h' <= 0 where h' is slaved to gravity: within a factor
+4 of -G h / a, or so fast that the rest of its coast, h / |h'|, is
 shorter than the integrator resolves in t (eps t / rtol).  It starts
 there when (h0, v0) is such a state.  From that entry gap h_s, h' stays
 <= 0 (at h' = 0, h'' = -G), and the first integral fixes
 
-    a ln h + b h + h' + G t = v0 + a ln h0 + b h0.
+    a ln h + h' + G t = v0 + a ln h0.
 
-With h' slaved to gravity, h' = -G h / (a + b h), ln h is affine in t and
+With h' slaved to gravity, h' = -G h / a, ln h is affine in t and
 reaches the floor ln h = -700 when G t is that constant plus 700 a: a
 NoContact run, not an error.  An entry so fast that this time precedes
 it coasts through the floor within h / |h'| of the entry.
@@ -43,7 +43,7 @@ import numpy as np
 
 from .geometry import H_MAX_DEFAULT
 from .ode import BDF, EPS, RK45, solve
-from .profile import RegimeKind
+from .profile import RegimeKind, ScalingModel
 
 TOUCHDOWN_H = 1e-12
 SWITCH_H = 1e-6
@@ -134,9 +134,9 @@ class StiffnessError(RuntimeError):
 class DragLaw:
     """Callable drag law h -> D(h) with its deep-gap asymptotic model.
 
-    ``deep`` is ("log", a, b) or ("inverse", a, b) describing
-    D ~ a |ln h| + b or D ~ a/h + b as h -> 0; the inverse form sends
-    simulate into its BDF solve in ln h and the closed-form tail.
+    ``deep`` is (model, a): the ScalingModel D follows as h -> 0 and its
+    coefficient, a |ln h| or a / h; the inverse law sends simulate into
+    its BDF solve in ln h and the closed-form tail.
     """
 
     kind: str  # "analytic"
@@ -150,24 +150,8 @@ class DragLaw:
     def antiderivative(self, h):
         """P with P' = D at a float h, through which simulate integrates
         every fall: the deep model's, exact if D is it."""
-        return _model_antiderivative(self.deep, h)
-
-
-def _model_drag(deep, h):
-    """The deep model a |ln h| + b or a/h + b at h."""
-    form, a, b = deep
-    h = np.asarray(h, dtype=float)
-    return (a * np.abs(np.log(h)) if form == "log" else a / h) + b
-
-
-def _model_antiderivative(deep, h):
-    """P with P' = _model_drag(deep, h) at a float h; the log form is
-    continuous at h = 1."""
-    form, a, b = deep
-    x = math.log(h)
-    if form == "inverse":
-        return a * x + b * h
-    return a * (h * (1.0 - x) if x < 0.0 else h * x - h + 2.0) + b * h
+        model, a = self.deep
+        return model.primitive(a)(h)
 
 
 def drag_law(regime, source="analytic", kappa=1.0):
@@ -191,13 +175,13 @@ def drag_law(regime, source="analytic", kappa=1.0):
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
 
-    deep = ("log" if regime.kind is RegimeKind.SLIP else "inverse", kappa, 0.0)
-    return DragLaw("analytic", regime.kind, deep, lambda h: _model_drag(deep, h))
+    model = ScalingModel.of(regime.kind)
+    return DragLaw("analytic", regime.kind, (model, kappa), lambda h: model.drag(kappa, h))
 
 
-def _tail(t_s, h_s, v_s, conserved, a, b, G, t_max):
+def _tail(t_s, h_s, v_s, conserved, a, G, t_max):
     """The terminal event of an inverse-law fall, in closed form from its
-    entry state and the conserved a ln h + b h + h' + G t; its
+    entry state and the conserved a ln h + h' + G t; its
     (t, h, speed) is the one row the tail adds."""
     t_floor = (conserved - a * U_FLOOR) / G
     floor = f"gap fell below the representable range (ln h = {U_FLOOR:g})"
@@ -211,9 +195,9 @@ def _tail(t_s, h_s, v_s, conserved, a, b, G, t_max):
         t_end, h, note = t_max, h_s, ""
         # fixed point in h; each pass shrinks the error by about G h / a^2
         for _ in range(2):
-            v = -G * h / (a + b * h)
-            h = math.exp((conserved - b * h - v - G * t_max) / a)
-    v = -G * h / (a + b * h)
+            v = -G * h / a
+            h = math.exp((conserved - v - G * t_max) / a)
+    v = -G * h / a
     return TerminalEvent(EventKind.NO_CONTACT, t_end, h, v, note)
 
 
@@ -226,13 +210,13 @@ def _equation(law, G, top, h_max, rtol):
     ``events`` are (g, direction) pairs, all terminal: touchdown (log) or
     the tail entry (inverse) first, escape second.
     """
-    form, a, b = law.deep
-    P = law.antiderivative
+    model, a = law.deep
+    P = model.primitive(a)
 
     def speed(t, h):
         return top - P(h) - G * t
 
-    if form == "log":
+    if model is ScalingModel.LOG:
         # trial stages of the step that brackets touchdown may probe h <= 0
         rhs = lambda t, y: speed(t, max(y, TOUCHDOWN_H))
         touchdown = lambda t, y: y - TOUCHDOWN_H
@@ -256,7 +240,7 @@ def _equation(law, G, top, h_max, rtol):
         # slaved to gravity, or its coast too short to resolve in t
         h = math.exp(u)
         v = speed(t, h)
-        slaved = -v - 4.0 * G * h / (a + b * h)
+        slaved = -v - 4.0 * G * h / a
         unresolved = h + resolution * t * v
         return max(u - u_switch, v, min(slaved, unresolved))
 
@@ -321,8 +305,8 @@ def simulate(
         law = drag_law(regime, "analytic", params.kappa)
     if not isinstance(law, DragLaw):
         raise TypeError(f"law must be a DragLaw, not {type(law).__name__}")
-    form, a, b = law.deep
-    if form == "inverse" and a <= 0.0:
+    model, a = law.deep
+    if model is ScalingModel.INVERSE and a <= 0.0:
         raise ValueError("inverse drag law needs a positive leading coefficient")
     G = params.G
     top = v0 + law.antiderivative(h0)
@@ -362,7 +346,7 @@ def simulate(
             event = TerminalEvent(EventKind.NO_CONTACT, t_end, h_end, v_end)
 
     if event is None:
-        event = _tail(t[-1], h[-1], v[-1], top, a, b, G, t_max)
+        event = _tail(t[-1], h[-1], v[-1], top, a, G, t_max)
         if event.t > t[-1]:
             t, h, v = t + [event.t], h + [event.h], v + [event.speed]
     return Trajectory(

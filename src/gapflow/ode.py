@@ -11,9 +11,9 @@ the two methods the fall uses to plain floats and the ``math`` module:
   with a user Jacobian.
 
 Both keep scipy 1.17's tableau, NDF constants, Newton tolerance, step-size
-factors and order selection, and the meaning of ``rtol``, ``atol``,
-``max_step`` and ``first_step``: a step is accepted when its error
-estimate is below atol + rtol |y|.  On the same problem they take the
+factors, order selection and first step, with no bound on the step size,
+and the meaning of ``rtol`` and ``atol``: a step is accepted when its
+error estimate is below atol + rtol |y|.  On the same problem they take the
 same steps as scipy, up to the rounding of BLAS sums.  Where scipy would
 loop forever or raise from inside LAPACK or brentq, the run fails with a
 message instead: on a nan step size (scipy's RK45 retries it forever), on
@@ -60,23 +60,16 @@ class Solution:
 class _Stepper:
     """State, counters and first step shared by the two methods."""
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step=math.inf, first_step=None):
-        if max_step <= 0.0:
-            raise ValueError("max_step must be positive")
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         if atol < 0.0:
             raise ValueError("atol must be nonnegative")
-        self.fun, self.t_bound, self.max_step = fun, t_bound, max_step
+        self.fun, self.t_bound = fun, t_bound
         self.rtol, self.atol = max(rtol, 100.0 * EPS), atol
         self.t, self.y, self.t_old = t0, y0, None
         self.f = fun(t0, y0)
         self.nfev, self.njev, self.nlu = 1, 0, 0
         self.message = ""
-        if first_step is None:
-            self.h_abs = self._initial_step()
-        elif not 0.0 < first_step <= abs(t_bound - t0):
-            raise ValueError("first_step must be positive and within the interval")
-        else:
-            self.h_abs = first_step
+        self.h_abs = self._initial_step()
 
     def _initial_step(self):
         """Hairer, Norsett & Wanner's empirical first step (Sec. II.4)."""
@@ -93,14 +86,12 @@ class _Stepper:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1.0 / (self.error_order + 1))
-        return min(100.0 * h0, h1, interval, self.max_step)
+        return min(100.0 * h0, h1, interval)
 
     def _start(self):
-        """(step size to try first, min_step): the size clipped to
-        [min_step, max_step], min_step being 10 float spacings at t."""
+        """(step size to try first, min_step): the size raised to min_step,
+        10 float spacings at t."""
         min_step = 10.0 * abs(math.nextafter(self.t, math.inf) - self.t)
-        if self.h_abs > self.max_step:
-            return self.max_step, min_step
         return max(self.h_abs, min_step), min_step
 
     def _fail(self, message):
@@ -247,8 +238,8 @@ class BDF(_Stepper):
 
     error_order = 1
 
-    def __init__(self, fun, jac, t0, y0, t_bound, rtol, atol, max_step=math.inf, first_step=None):
-        super().__init__(fun, t0, y0, t_bound, rtol, atol, max_step, first_step)
+    def __init__(self, fun, jac, t0, y0, t_bound, rtol, atol):
+        super().__init__(fun, t0, y0, t_bound, rtol, atol)
         self.newton_tol = max(10.0 * EPS / rtol, min(0.03, rtol**0.5))
         self.jac, self.J = jac, jac(t0, y0)
         self.njev = 1
@@ -377,9 +368,10 @@ class BDF(_Stepper):
         return sol
 
 
-def _brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
-    """A root of f in [a, b] by Brent's method, as scipy.optimize.brentq;
-    None when f(a) and f(b) have the same sign."""
+def _brentq(f, a, b):
+    """A root of f in [a, b] by Brent's method, as scipy.optimize.brentq at
+    xtol = rtol = 4 eps; None when f(a) and f(b) have the same sign."""
+    xtol = rtol = 4 * EPS
     xpre, xcur = a, b
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0.0:
@@ -389,7 +381,7 @@ def _brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS, maxiter=100):
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         return None
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre

@@ -25,6 +25,7 @@ from .geometry import gamma_s
 
 __all__ = [
     "RegimeKind",
+    "ScalingModel",
     "SlipRegime",
     "ProfileCoefficients",
     "coefficients",
@@ -37,6 +38,43 @@ __all__ = [
 class RegimeKind(Enum):
     SLIP = "slip"
     MIXED = "mixed"
+
+
+class ScalingModel(Enum):
+    """The two drag laws, each stated once: a |ln h| with slip, whose
+    primitive is finite at h = 0, and a / h in the mixed regime, whose
+    primitive a ln h diverges there."""
+
+    LOG = "log"  # drag = a |ln h|
+    INVERSE = "inverse"  # drag = a / h
+
+    @classmethod
+    def of(cls, kind):
+        """The law a regime kind's drag follows: LOG with slip, INVERSE
+        in the mixed regime."""
+        return cls.LOG if kind is RegimeKind.SLIP else cls.INVERSE
+
+    def drag(self, a, h):
+        """a |ln h| or a / h at the gaps h."""
+        h = np.asarray(h, dtype=float)
+        return a * np.abs(np.log(h)) if self is ScalingModel.LOG else a / h
+
+    def regressor(self, h):
+        """|ln h| or 1/h at the gaps h, the law's growth in h."""
+        return self.drag(1.0, h)
+
+    def primitive(self, a):
+        """P with P' = drag(a, h) as a function of a float h; the log
+        law's is continuous at h = 1."""
+        log = math.log
+        if self is ScalingModel.INVERSE:
+            return lambda h: a * log(h)
+
+        def P(h):
+            x = log(h)
+            return a * (h * (1.0 - x) if x < 0.0 else h * x - h + 2.0)
+
+        return P
 
 
 @dataclass(frozen=True)

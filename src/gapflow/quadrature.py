@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import PLANE, SPHERE_CAP, gamma_s, surface_measure
+from .profile import ScalingModel
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_ABS_TOL = 1e-13
@@ -331,11 +332,12 @@ def classify_singular(p, q, delta, h_list=None, spec=None):
     fits = {}
     if s < 0.0:
         fits["power"] = ModelFit("power", *_ols(hs**s, ys))
-    fits["log"] = ModelFit("log", *_ols(np.abs(np.log(hs)), ys))
+    log_reg = ScalingModel.LOG.regressor(hs)
+    fits["log"] = ModelFit("log", *_ols(log_reg, ys))
     if s < 1.0:
         bounded_reg = hs ** max(s, 0.0) if s > 0.0 else hs
     elif s == 1.0:
-        bounded_reg = hs * np.abs(np.log(hs))
+        bounded_reg = hs * log_reg
     else:
         bounded_reg = hs
     fits["bounded"] = ModelFit("bounded", *_ols(bounded_reg, ys))

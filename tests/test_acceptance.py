@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from gapflow.cli import _limit_rows, run
-from gapflow.drag import ScalingModel, drag_curve, fit_scaling
+from gapflow.drag import drag_curve, fit_scaling
 from gapflow.dynamics import EventKind, FallParameters, simulate
 from gapflow.field import aperture_frame, navier_residuals, sphere_slip_l2
 from gapflow.geometry import gamma_s
 from gapflow.profile import (
+    ScalingModel,
     SlipRegime,
     coefficients,
     weighted_sups,

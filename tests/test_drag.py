@@ -13,7 +13,6 @@ from gapflow.drag import (
     R_MAX_DEFAULT,
     DragCurve,
     DragRow,
-    ScalingModel,
     drag_curve,
     energy,
     exterior_constant,
@@ -22,7 +21,7 @@ from gapflow.drag import (
 )
 from gapflow.field import aperture_frame, pressure, stokes_residual
 from gapflow.geometry import gamma_s
-from gapflow.profile import RegimeKind, SlipRegime, psi_partials
+from gapflow.profile import RegimeKind, ScalingModel, SlipRegime, psi_partials
 from gapflow.quadrature import (
     MAX_CELLS,
     Z_ORDER,

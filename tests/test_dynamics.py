@@ -22,7 +22,7 @@ from gapflow.dynamics import (
     simulate,
     touchdown_scan,
 )
-from gapflow.profile import RegimeKind, SlipRegime
+from gapflow.profile import RegimeKind, ScalingModel, SlipRegime
 from gapflow.quadrature import _ols
 
 SLIP = SlipRegime.slip(1.0, 1.0)
@@ -41,17 +41,43 @@ def _params(G=1.0, kappa=1.0):
 # ---------------------------------------------------------------- drag laws
 
 
+LAW_GAPS = np.geomspace(1e-10, 0.5, 7)
+PRIMITIVE_FD_RTOL = 1e-6
+
+
+def _primitive_slope(law, h):
+    # central difference of P at a relative step whose truncation and
+    # roundoff both stay below PRIMITIVE_FD_RTOL
+    step = 1e-5 * h
+    return (law.antiderivative(h + step) - law.antiderivative(h - step)) / (2.0 * step)
+
+
 def test_analytic_slip_law_is_kappa_log():
     law = drag_law(SLIP, kappa=1.0)
     assert law(math.exp(-2.0)) == pytest.approx(2.0, rel=1e-14)
     assert law.kind == "analytic"
-    assert law.deep == ("log", 1.0, 0.0)
+    assert law.deep == (ScalingModel.LOG, 1.0)
 
 
 def test_analytic_mixed_law_is_kappa_over_h():
     law = drag_law(MIXED, kappa=3.0)
     assert law(0.01) == pytest.approx(300.0, rel=1e-14)
-    assert law.deep == ("inverse", 3.0, 0.0)
+    assert law.deep == (ScalingModel.INVERSE, 3.0)
+
+
+@pytest.mark.parametrize("kappa", [0.37, 1.7])
+@pytest.mark.parametrize(
+    "regime, closed_form",
+    [(SLIP, lambda kappa, h: kappa * abs(math.log(h))), (MIXED, lambda kappa, h: kappa / h)],
+    ids=["slip", "mixed"],
+)
+def test_each_law_is_its_closed_form_and_the_slope_of_its_primitive(
+    regime, closed_form, kappa
+):
+    law = drag_law(regime, kappa=kappa)
+    for h in LAW_GAPS.tolist():
+        assert float(law(h)) == closed_form(kappa, h)  # bit for bit
+        assert _primitive_slope(law, h) == pytest.approx(law(h), rel=PRIMITIVE_FD_RTOL)
 
 
 def test_laws_are_positive_on_the_working_range():
@@ -316,7 +342,7 @@ def test_a_fall_is_at_most_one_solve(regime, G, h0, v0, t_max, solves, max_nfev)
 
 def test_a_nan_jacobian_raises_stiffness_error():
     # the Newton matrix 1 - c J is nan at the first step
-    law = DragLaw("analytic", RegimeKind.MIXED, ("inverse", 1.0, 0.0), lambda h: math.nan)
+    law = DragLaw("analytic", RegimeKind.MIXED, (ScalingModel.INVERSE, 1.0), lambda h: math.nan)
     with pytest.raises(StiffnessError, match="Newton matrix") as info:
         simulate(_params(), MIXED, h0=0.25, t_max=50.0, law=law)
     assert all(f"{name}=" in str(info.value) for name in ("t", "h", "h'"))
@@ -325,7 +351,7 @@ def test_a_nan_jacobian_raises_stiffness_error():
 def test_a_nan_drag_model_stalls_with_stiffness_error():
     # a nan right-hand side makes the first step size nan: scipy's RK45
     # kept retrying it for ever, the port fails the step
-    law = DragLaw("analytic", RegimeKind.SLIP, ("log", math.nan, 0.0), lambda h: math.nan)
+    law = DragLaw("analytic", RegimeKind.SLIP, (ScalingModel.LOG, math.nan), lambda h: math.nan)
     with pytest.raises(StiffnessError, match="step size") as info:
         simulate(_params(), SLIP, h0=0.25, law=law)
     assert all(f"{name}=" in str(info.value) for name in ("t", "h", "h'"))
