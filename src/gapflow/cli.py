@@ -67,7 +67,9 @@ from .profile import (
     weighted_sups,
 )
 from .quadrature import (
+    CLASSIFY_H_MIN,
     DEFAULT_H_LIST,
+    FIT_R2_FLOOR,
     Classification,
     ClassificationError,
     QuadratureError,
@@ -91,7 +93,6 @@ SLIP_L2_BOUND = 10.0
 ENVELOPE_FACTOR = 10.0
 ENVELOPE_SWEEP = (1e-2, 1e-4, 1e-6)
 RATIO_WINDOW = 1.5
-R2_FLOOR = 0.99
 AGREEMENT_WINDOW = 0.3
 ORACLE_RTOL = 1e-8
 
@@ -499,9 +500,9 @@ def _integral_rows(cfg):
             "log_case_classified",
             "lem:int",
             case.selected.r_squared,
-            R2_FLOOR,
+            FIT_R2_FLOOR,
             passed=case.classification is Classification.LOGARITHMIC
-            and case.selected.r_squared >= R2_FLOOR,
+            and case.selected.r_squared >= FIT_R2_FLOOR,
         ),
     ]
 
@@ -608,7 +609,7 @@ def cmd_drag_fit(cfg, out):
             "surface_ratio_window", surface_anchor, window("surface"), RATIO_WINDOW
         ),
         check_row(
-            f"{expected.value}_fit_r2", energy_anchor, r2, R2_FLOOR, passed=r2 >= R2_FLOOR
+            f"{expected.value}_fit_r2", energy_anchor, r2, FIT_R2_FLOOR, passed=r2 >= FIT_R2_FLOOR
         ),
         check_row(
             "model_discrimination",
@@ -630,7 +631,7 @@ def cmd_drag_fit(cfg, out):
 
 
 def cmd_integral_classify(cfg, out):
-    if min(cfg.h_list) < 1e-8:
+    if min(cfg.h_list) < CLASSIFY_H_MIN:
         raise ConfigError("h_list entries must be >= 1e-8 for classification")
     case = classify_singular(cfg.p, cfg.q, cfg.delta, cfg.h_list, _spec(cfg))
     checks = [
@@ -638,8 +639,8 @@ def cmd_integral_classify(cfg, out):
             "selected_fit_r2",
             "lem:int",
             case.selected.r_squared,
-            R2_FLOOR,
-            passed=case.selected.r_squared >= R2_FLOOR,
+            FIT_R2_FLOOR,
+            passed=case.selected.r_squared >= FIT_R2_FLOOR,
         )
     ]
     if (cfg.p, cfg.q) == (1.0, 1.0):

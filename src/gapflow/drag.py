@@ -214,11 +214,15 @@ def exterior_constant(regime, delta=DELTA_DEFAULT):
     # bump-transition shell: its size is set by the cutoff width, not by
     # the gap, so it belongs to the far field and stays out of drag totals
     shell = (1.0 + 0.5 * D_DELTA_DEFAULT < y) & (y < 1.0 + D_DELTA_DEFAULT)
-    sample = global_velocity(regime, h, x[~(aperture | solid | shell)], delta=delta)
+    # a radius so small that the grid underflows gives a non-finite
+    # constant, which drag_curve reports in one line: numpy stays quiet
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sample = global_velocity(regime, h, x[~(aperture | solid | shell)], delta=delta)
+        g_sq = np.sum(sample.grad**2, axis=(1, 2)).tolist()
     total = 0.0
     # one point at a time in grid order, the order the constant is pinned in
-    for g_sq in np.sum(sample.grad**2, axis=(1, 2)).tolist():
-        total += g_sq * cell
+    for value in g_sq:
+        total += value * cell
     return total
 
 

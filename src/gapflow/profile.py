@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import gamma_s
+from .geometry import DELTA_DEFAULT, gamma_s
 
 __all__ = [
     "RegimeKind",
@@ -488,7 +488,7 @@ ENVELOPE_ROWS = {
 SUP_GRID_N = 64
 
 
-def weighted_sups(regime, h, delta=0.2):
+def weighted_sups(regime, h, delta=DELTA_DEFAULT):
     """Weighted derivative sups over the aperture for the envelope table.
 
     Samples a square SUP_GRID_N grid with r log-spaced down to below the

@@ -38,7 +38,10 @@ MAX_CELLS = 2000
 BATCH_FACTOR = 8.0
 ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 
+# a fit counts at R^2 >= FIT_R2_FLOOR; classify_singular takes gaps down
+# to CLASSIFY_H_MIN
 FIT_R2_FLOOR = 0.99
+CLASSIFY_H_MIN = 1e-8
 
 
 class QuadratureError(RuntimeError):
@@ -298,7 +301,7 @@ def classify_singular(p, q, delta, h_list=None, spec=None):
     delta : float
         Upper integration limit.
     h_list : sequence, optional
-        Log-spaced gap values, min >= 1e-8.
+        Log-spaced gap values, min >= CLASSIFY_H_MIN.
     spec : QuadratureSpec, optional
 
     Returns
@@ -315,7 +318,7 @@ def classify_singular(p, q, delta, h_list=None, spec=None):
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     h_list = tuple(h_list) if h_list is not None else DEFAULT_H_LIST
-    if min(h_list) < 1e-8:
+    if min(h_list) < CLASSIFY_H_MIN:
         raise ValueError("h_list entries must be >= 1e-8")
 
     values = []

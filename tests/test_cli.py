@@ -566,6 +566,25 @@ def test_a_non_finite_exterior_constant_exits_3_without_nan(tmp_path, capsys):
         assert "nan" not in text and "inf" not in text
 
 
+@pytest.mark.parametrize("delta", ["1e-300", "1e-160"])
+def test_a_non_finite_exterior_constant_prints_one_line(tmp_path, delta):
+    # a fresh process, since pytest captures numpy's warnings itself
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapflow.cli", "drag", "scan", "--delta", delta,
+         "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        f"gapflow: numerical failure: the exterior constant is not finite (nan) "
+        f"at aperture radius delta = {float(delta)!r}"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_json_refuses_non_finite_values(tmp_path):
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError):

@@ -8,9 +8,16 @@ symbolic and arbitrary-precision oracles: each would add to the import
 time of every CLI start.  Nor does any file import importlib.metadata, which
 pulls email, socket and calendar into every CLI start: the version is
 gapflow.__version__, kept equal to pyproject.toml's.
+
+The fall loads only the layers it runs: gapflow.dynamics imports the
+geometry, the profile (with its drag laws) and the steppers, and neither
+quadrature, field nor drag.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +26,7 @@ import gapflow
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gapflow"
+FALL_MODULES = ["gapflow", "gapflow.dynamics", "gapflow.geometry", "gapflow.ode", "gapflow.profile"]
 
 
 def _imported(tree):
@@ -61,3 +69,19 @@ def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as f:
         assert tomllib.load(f)["project"]["version"] == gapflow.__version__
+
+
+def test_the_fall_loads_only_its_own_layers():
+    script = (
+        "import sys, gapflow.dynamics\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'gapflow')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == FALL_MODULES
