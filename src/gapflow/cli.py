@@ -633,7 +633,7 @@ def cmd_drag_fit(cfg, out):
 def cmd_integral_classify(cfg, out):
     if min(cfg.h_list) < CLASSIFY_H_MIN:
         raise ConfigError("h_list entries must be >= 1e-8 for classification")
-    case = classify_singular(cfg.p, cfg.q, cfg.delta, cfg.h_list, _spec(cfg))
+    case = classify_singular(cfg.p, cfg.q, cfg.delta, cfg.h_list, spec=_spec(cfg))
     checks = [
         check_row(
             "selected_fit_r2",

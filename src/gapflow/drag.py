@@ -33,7 +33,7 @@ exterior_constant for the estimator's region.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,14 +41,7 @@ import numpy as np
 from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, gamma_s
 from .field import _frame, _on_sphere, _residual, aperture_frame, global_velocity
 from .profile import RegimeKind, SlipRegime, psi_partials
-from .quadrature import (
-    IntegralResult,
-    ModelFit,
-    QuadratureSpec,
-    _ols,
-    integrate_gap,
-    integrate_surface,
-)
+from .quadrature import IntegralResult, ModelFit, _ols, integrate_gap, integrate_surface
 
 EXTERIOR_H_REF = 1e-3
 EXTERIOR_GRID_N = 16
@@ -67,7 +60,7 @@ class EnergyBreakdown:
     gradient: float
     sphere: float
     wall: float
-    exterior: float = 0.0
+    exterior: float
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,7 @@ class SurfaceDrag:
     wall: float
     sphere: float
     error: float
-    exterior: float = 0.0
+    exterior: float
 
 
 def _row(regime, h, r_max, spec, ext):
@@ -144,7 +137,7 @@ def _row(regime, h, r_max, spec, ext):
     return e, n
 
 
-def energy(regime, h, spec=None):
+def energy(regime, h, spec):
     """Energy functional of the test field: the first half of a drag row.
 
     Runs the whole row (gap, wall and sphere passes) and keeps this half;
@@ -166,7 +159,7 @@ def energy(regime, h, spec=None):
     return _row(regime, h, R_MAX_DEFAULT, spec, exterior_constant(regime))[0]
 
 
-def surface_drag(regime, h, spec=None):
+def surface_drag(regime, h, spec):
     """Surface pairing n(h) over the aperture: the second half of a row.
 
     n(h) = int_gap (lap u - grad q) . u
@@ -232,8 +225,8 @@ class DragRow:
     energy: float
     surface: float
     gradient_part: float
-    sphere_part: float = 0.0
-    wall_part: float = 0.0
+    sphere_part: float
+    wall_part: float
 
 
 @dataclass(frozen=True)
@@ -242,7 +235,7 @@ class DragCurve:
 
     regime: SlipRegime
     rows: tuple
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
 
     def __post_init__(self):
         hs = [row.h for row in self.rows]
@@ -258,13 +251,7 @@ class DragCurve:
         return np.array([getattr(row, name) for row in self.rows])
 
 
-def drag_curve(
-    regime,
-    h_list,
-    r_max=R_MAX_DEFAULT,
-    spec=None,
-    exterior="included",
-):
+def drag_curve(regime, h_list, r_max=R_MAX_DEFAULT, *, spec, exterior="included"):
     """Drag rows for a decreasing h sweep.
 
     Parameters
@@ -273,6 +260,8 @@ def drag_curve(
     h_list : sequence of float
         Gap widths; accepted in any order, stored strictly decreasing.
         Rows are computed one after another in that order.
+    spec : QuadratureSpec
+        Tolerances of every integral, recorded in the provenance.
     exterior : "included" | "excluded"
         Whether totals carry the cutoff-ring constant; it is recorded in
         the provenance either way.  gradient_part, sphere_part and
@@ -286,7 +275,6 @@ def drag_curve(
     """
     if exterior not in ("included", "excluded"):
         raise ValueError("exterior must be 'included' or 'excluded'")
-    spec = spec or QuadratureSpec()
     hs = sorted(set(float(x) for x in h_list), reverse=True)
     # the default aperture reads the (regime,) entry that warm-up code fills
     if r_max == DELTA_DEFAULT:

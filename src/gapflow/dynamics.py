@@ -61,10 +61,10 @@ class FallParameters:
     when the sphere is heavier than the fluid.
     """
 
-    rho_S: float = 2.0
-    rho_F: float = 1.0
-    g: float = 2.0
-    kappa: float = 1.0
+    rho_S: float
+    rho_F: float
+    g: float
+    kappa: float
 
     def __post_init__(self):
         if self.rho_S <= 0.0:
@@ -154,7 +154,7 @@ class DragLaw:
         return model.primitive(a)(h)
 
 
-def drag_law(regime, source="analytic", kappa=1.0):
+def drag_law(regime, source, kappa):
     """Build the analytic drag law D(h) for a regime.
 
     Parameters
@@ -253,7 +253,8 @@ def simulate(
     regime,
     h0,
     v0=0.0,
-    t_max=10.0,
+    *,
+    t_max,
     law=None,
     rtol=RTOL_DEFAULT,
     atol=ATOL_DEFAULT,
@@ -392,15 +393,15 @@ def touchdown_scan(
     kappas,
     Gs,
     h0s,
-    t_max=50.0,
+    t_max,
     rtol=RTOL_DEFAULT,
     atol=ATOL_DEFAULT,
     h_max=H_MAX_DEFAULT,
 ):
     """Simulate every (kappa, G, h0) cell and tabulate the outcomes.
 
-    Effective gravity G is realized through g = 2 G at the default
-    densities, and h_max is simulate's escape height.  Cells run one after
+    Effective gravity G is realized through g = 2 G at rho_S = 2,
+    rho_F = 1, and h_max is simulate's escape height.  Cells run one after
     another in the input grid order; failures become Error rows and the
     scan continues.
     """

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import DELTA_DEFAULT, GapGeometry, cutoffs, gamma_s, sphere_normal
+from .geometry import GapGeometry, cutoffs, gamma_s, sphere_normal
 from .profile import RegimeKind, _engine, psi_partials
 from .quadrature import _gl_rule, integrate_surface
 
@@ -171,7 +171,7 @@ def _blended_field(regime, h, x, geometry):
     return u, grad
 
 
-def global_velocity(regime, h, x, delta=DELTA_DEFAULT):
+def global_velocity(regime, h, x, delta):
     """Globally extended test field at cartesian points.
 
     Equals e3 on the solid sphere, blends the aperture construction into a
@@ -335,7 +335,7 @@ def navier_residuals(regime, h, r):
     )
 
 
-def sphere_slip_l2(regime, h, r_max, spec=None):
+def sphere_slip_l2(regime, h, r_max, spec):
     """L2 norm over the sphere cap of the tangential Navier residual."""
 
     def f(r):

@@ -39,7 +39,7 @@ class GapGeometry:
     """
 
     h: float
-    delta: float = DELTA_DEFAULT
+    delta: float
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.25:

@@ -104,11 +104,11 @@ class SlipRegime:
             raise ValueError("Mixed regime requires beta_S = 0 and beta_Omega > 0")
 
     @classmethod
-    def slip(cls, beta_S=1.0, beta_Omega=1.0):
+    def slip(cls, beta_S, beta_Omega):
         return cls(RegimeKind.SLIP, float(beta_S), float(beta_Omega))
 
     @classmethod
-    def mixed(cls, beta_Omega=1.0):
+    def mixed(cls, beta_Omega):
         return cls(RegimeKind.MIXED, 0.0, float(beta_Omega))
 
 
@@ -388,7 +388,6 @@ def _h_partials(k):
         dzzh=f[1, 2],
         drzh=k.d_r(f[2, 1]),
         drh_by_r=k.d_r_by_r(f[2, 0]),
-        H=k.H,
     )
 
 
@@ -420,7 +419,6 @@ class PsiHPartials:
     dzzh: object
     drzh: object
     drh_by_r: object
-    H: object
 
 
 # Envelope rows: label -> (extractor, inverse-scale weight).  The weighted

@@ -23,8 +23,6 @@ import numpy as np
 from .geometry import PLANE, SPHERE_CAP, gamma_s, surface_measure
 from .profile import ScalingModel
 
-DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-13
 # Gauss-Legendre orders: per adaptive cell, and across the gap height.
 # Psi is cubic in z, so the drag row's gap integrands (squared gradients
 # and the residual pairing) have z-degree <= 6, which 4 points integrate
@@ -47,7 +45,7 @@ CLASSIFY_H_MIN = 1e-8
 class QuadratureError(RuntimeError):
     """Tolerance not reached; carries the best estimate and its error bound."""
 
-    def __init__(self, message, value=math.nan, error=math.inf, cells=0):
+    def __init__(self, message, value, error, cells):
         super().__init__(message)
         self.value = value
         self.error = error
@@ -56,8 +54,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    rel_tol: float = DEFAULT_REL_TOL
-    abs_tol: float = DEFAULT_ABS_TOL
+    rel_tol: float
+    abs_tol: float
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
@@ -107,7 +105,6 @@ def _adaptive_1d(g, cuts, spec):
     ROUNDOFF_FLOOR times sum |cell values|, MAX_DEPTH, or MAX_CELLS cells.
     """
     x, w = _gl_rule(RULE_ORDER)
-    spec = spec or QuadratureSpec()
 
     def rule(lo, hi, parts):
         # the rule on every cell [lo_i, hi_i] from one g call: (k, parts, n)
@@ -166,7 +163,7 @@ def _adaptive_1d(g, cuts, spec):
     )
 
 
-def integrate_gap(f, h, r_max, spec=None):
+def integrate_gap(f, h, r_max, spec):
     """Integral of f over the gap region: int 2 pi r int_0^{h+gamma_s} f dz dr.
 
     Parameters
@@ -178,7 +175,7 @@ def integrate_gap(f, h, r_max, spec=None):
         Gap width, > 0.
     r_max : float
         Radial extent of the aperture.
-    spec : QuadratureSpec, optional
+    spec : QuadratureSpec
 
     Returns
     -------
@@ -199,7 +196,7 @@ def integrate_gap(f, h, r_max, spec=None):
     return _adaptive_1d(g, cuts, spec)
 
 
-def integrate_surface(f, surface, r_max, spec=None, *, scale):
+def integrate_surface(f, surface, r_max, spec, *, scale):
     """Surface integral int 2 pi f(r) measure(r) dr over a boundary piece.
 
     `surface` is "plane" or "sphere-cap"; the measure is r on the plane and
@@ -252,7 +249,7 @@ class SingularIntegralCase:
     exponent: float
     values: tuple
     fits: dict = field(compare=False)
-    selected: ModelFit = None
+    selected: ModelFit
 
     def __post_init__(self):
         expected, exponent, _ = _classify(self.p, self.q)
@@ -291,7 +288,7 @@ def _ols(x, y):
     return float(coef[0]), float(coef[1]), r2
 
 
-def classify_singular(p, q, delta, h_list=None, spec=None):
+def classify_singular(p, q, delta, h_list=None, *, spec):
     """Classify and fit the small-gap singular integral.
 
     Parameters
@@ -302,7 +299,7 @@ def classify_singular(p, q, delta, h_list=None, spec=None):
         Upper integration limit.
     h_list : sequence, optional
         Log-spaced gap values, min >= CLASSIFY_H_MIN.
-    spec : QuadratureSpec, optional
+    spec : QuadratureSpec
 
     Returns
     -------

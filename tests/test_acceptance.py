@@ -51,6 +51,7 @@ FREE_FALL_TOL = 1e-8
 SCALING_SWEEP = (1e-3, 1e-4, 1e-5, 1e-6)
 ENVELOPE_SWEEP = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 SWEEP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
+CLASSIFY_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 FD_SCALE = 2e-3  # step relative to the local gap for the 4th-order stencil
 
 
@@ -217,7 +218,7 @@ def test_criterion_7_singular_integral_oracle():
     seen = set()
     for p in (0, 1, 2, 3):
         for q in (1, 2):
-            case = classify_singular(p, q, 0.2)
+            case = classify_singular(p, q, 0.2, spec=CLASSIFY_SPEC)
             seen.add(case.classification)
             if p + 1 < 2 * q:
                 assert case.classification is Classification.POWER_LAW
@@ -232,7 +233,7 @@ def test_criterion_7_singular_integral_oracle():
         Classification.BOUNDED,
     }
 
-    case = classify_singular(1, 1, 0.2)
+    case = classify_singular(1, 1, 0.2, spec=CLASSIFY_SPEC)
     for h, value in case.values:
         oracle = log_case_oracle(h, 0.2)
         assert abs(value - oracle) / oracle < ORACLE_RTOL

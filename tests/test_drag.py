@@ -57,6 +57,11 @@ def mixed_curve():
     return drag_curve(MIXED, H_SWEEP, spec=SWEEP_SPEC)
 
 
+def _row(h, energy=1.0, surface=1.0):
+    """A DragRow with a unit gradient part and no sphere or wall part."""
+    return DragRow(h, energy, surface, gradient_part=1.0, sphere_part=0.0, wall_part=0.0)
+
+
 def _synthetic_curve(energy_fn, surface_fn, hs=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
     rows = tuple(
         DragRow(
@@ -65,10 +70,11 @@ def _synthetic_curve(energy_fn, surface_fn, hs=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
             surface=surface_fn(h),
             gradient_part=1.0,
             sphere_part=1.0,
+            wall_part=0.0,
         )
         for h in hs
     )
-    return DragCurve(regime=SLIP, rows=rows)
+    return DragCurve(regime=SLIP, rows=rows, provenance={})
 
 
 # ---------------------------------------------------------------- fits
@@ -117,11 +123,8 @@ def test_fit_recovers_random_synthetic_coefficients(a, b, model):
 
 
 def test_fit_requires_at_least_four_rows():
-    rows = tuple(
-        DragRow(h=h, energy=1.0, surface=1.0, gradient_part=1.0)
-        for h in (1e-2, 1e-3, 1e-4)
-    )
-    curve = DragCurve(regime=SLIP, rows=rows)
+    rows = tuple(_row(h) for h in (1e-2, 1e-3, 1e-4))
+    curve = DragCurve(regime=SLIP, rows=rows, provenance={})
     with pytest.raises(ValueError, match="at least 4"):
         fit_scaling(curve, ScalingModel.LOG)
 
@@ -136,37 +139,27 @@ def test_fit_rejects_unknown_quantity():
 
 
 def test_drag_curve_rejects_nonpositive_h():
-    row = DragRow(h=0.0, energy=1.0, surface=1.0, gradient_part=1.0)
+    row = _row(0.0)
     with pytest.raises(ValueError, match="h > 0"):
-        DragCurve(regime=SLIP, rows=(row,))
+        DragCurve(regime=SLIP, rows=(row,), provenance={})
 
 
 def test_drag_curve_rejects_nondecreasing_h():
-    rows = tuple(
-        DragRow(h=h, energy=1.0, surface=1.0, gradient_part=1.0)
-        for h in (1e-3, 1e-2)
-    )
+    rows = tuple(_row(h) for h in (1e-3, 1e-2))
     with pytest.raises(ValueError, match="decreasing"):
-        DragCurve(regime=SLIP, rows=rows)
-    rows = tuple(
-        DragRow(h=1e-3, energy=1.0, surface=1.0, gradient_part=1.0)
-        for _ in range(2)
-    )
+        DragCurve(regime=SLIP, rows=rows, provenance={})
+    rows = (_row(1e-3), _row(1e-3))
     with pytest.raises(ValueError, match="decreasing"):
-        DragCurve(regime=SLIP, rows=rows)
+        DragCurve(regime=SLIP, rows=rows, provenance={})
 
 
 def test_drag_curve_rejects_nonpositive_drag_values():
-    bad_energy = DragRow(
-        h=1e-3, energy=0.0, surface=1.0, gradient_part=1.0
-    )
+    bad_energy = _row(1e-3, energy=0.0)
     with pytest.raises(ValueError, match="positive"):
-        DragCurve(regime=SLIP, rows=(bad_energy,))
-    bad_surface = DragRow(
-        h=1e-3, energy=1.0, surface=-2.0, gradient_part=1.0
-    )
+        DragCurve(regime=SLIP, rows=(bad_energy,), provenance={})
+    bad_surface = _row(1e-3, surface=-2.0)
     with pytest.raises(ValueError, match="positive"):
-        DragCurve(regime=SLIP, rows=(bad_surface,))
+        DragCurve(regime=SLIP, rows=(bad_surface,), provenance={})
 
 
 def test_drag_curve_sorts_and_dedupes_h_list():

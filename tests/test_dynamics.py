@@ -1,6 +1,7 @@
 """Tests for the reduced contact dynamics: drag laws, events, scans."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ LAW_NODE_RTOL = 1e-13
 
 
 def _params(G=1.0, kappa=1.0):
-    # G = (rho_S - rho_F) g / rho_S = g / 2 at the default densities
+    # G = (rho_S - rho_F) g / rho_S = g / 2 at rho_S = 2, rho_F = 1
     return FallParameters(rho_S=2.0, rho_F=1.0, g=2.0 * G, kappa=kappa)
 
 
@@ -53,14 +54,14 @@ def _primitive_slope(law, h):
 
 
 def test_analytic_slip_law_is_kappa_log():
-    law = drag_law(SLIP, kappa=1.0)
+    law = drag_law(SLIP, "analytic", 1.0)
     assert law(math.exp(-2.0)) == pytest.approx(2.0, rel=1e-14)
     assert law.kind == "analytic"
     assert law.deep == (ScalingModel.LOG, 1.0)
 
 
 def test_analytic_mixed_law_is_kappa_over_h():
-    law = drag_law(MIXED, kappa=3.0)
+    law = drag_law(MIXED, "analytic", 3.0)
     assert law(0.01) == pytest.approx(300.0, rel=1e-14)
     assert law.deep == (ScalingModel.INVERSE, 3.0)
 
@@ -74,7 +75,7 @@ def test_analytic_mixed_law_is_kappa_over_h():
 def test_each_law_is_its_closed_form_and_the_slope_of_its_primitive(
     regime, closed_form, kappa
 ):
-    law = drag_law(regime, kappa=kappa)
+    law = drag_law(regime, "analytic", kappa)
     for h in LAW_GAPS.tolist():
         assert float(law(h)) == closed_form(kappa, h)  # bit for bit
         assert _primitive_slope(law, h) == pytest.approx(law(h), rel=PRIMITIVE_FD_RTOL)
@@ -82,33 +83,34 @@ def test_each_law_is_its_closed_form_and_the_slope_of_its_primitive(
 
 def test_laws_are_positive_on_the_working_range():
     hs = np.geomspace(1e-12, 0.5, 200)
-    assert np.all(drag_law(SLIP, kappa=1.0)(hs) > 0.0)
-    assert np.all(drag_law(MIXED, kappa=1.0)(hs) > 0.0)
+    assert np.all(drag_law(SLIP, "analytic", 1.0)(hs) > 0.0)
+    assert np.all(drag_law(MIXED, "analytic", 1.0)(hs) > 0.0)
 
 
 def test_drag_law_validates_source_and_kappa():
     with pytest.raises(ValueError, match="source"):
-        drag_law(SLIP, source="tabular")
+        drag_law(SLIP, "tabular", 1.0)
     with pytest.raises(ValueError, match="kappa"):
-        drag_law(SLIP, kappa=-1.0)
+        drag_law(SLIP, "analytic", -1.0)
 
 
 # ---------------------------------------------------------------- parameters
 
 
 def test_default_parameters_give_unit_effective_gravity():
-    assert FallParameters().G == 1.0
+    # the densities and gravity a run defaults to (cli.RunConfig)
+    assert FallParameters(rho_S=2.0, rho_F=1.0, g=2.0, kappa=1.0).G == 1.0
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        FallParameters(rho_S=0.0)
+        replace(_params(), rho_S=0.0)
     with pytest.raises(ValueError):
-        FallParameters(rho_F=-0.5)
+        replace(_params(), rho_F=-0.5)
     with pytest.raises(ValueError):
-        FallParameters(g=0.0)
+        replace(_params(), g=0.0)
     with pytest.raises(ValueError):
-        FallParameters(kappa=-0.1)
+        replace(_params(), kappa=-0.1)
 
 
 @given(
@@ -117,7 +119,7 @@ def test_parameter_validation():
     g=st.floats(0.1, 10.0),
 )
 def test_effective_gravity_sign_tracks_the_density_contrast(rho_S, rho_F, g):
-    params = FallParameters(rho_S=rho_S, rho_F=rho_F, g=g)
+    params = FallParameters(rho_S=rho_S, rho_F=rho_F, g=g, kappa=1.0)
     assert (params.G > 0.0) == (rho_S > rho_F)
 
 
@@ -125,21 +127,21 @@ def test_effective_gravity_sign_tracks_the_density_contrast(rho_S, rho_F, g):
 
 
 def test_free_fall_from_quarter_gap():
-    traj = simulate(_params(kappa=0.0), SLIP, h0=0.25)
+    traj = simulate(_params(kappa=0.0), SLIP, h0=0.25, t_max=10.0)
     assert traj.event.kind == EventKind.TOUCHDOWN
     assert traj.event.t == pytest.approx(math.sqrt(0.5), abs=FREE_FALL_TOL)
     assert traj.event.speed == pytest.approx(math.sqrt(0.5), abs=FREE_FALL_TOL)
 
 
 def test_free_fall_from_half_gap():
-    traj = simulate(_params(kappa=0.0), SLIP, h0=0.5, h_max=1.0)
+    traj = simulate(_params(kappa=0.0), SLIP, h0=0.5, h_max=1.0, t_max=10.0)
     assert traj.event.kind == EventKind.TOUCHDOWN
     assert traj.event.t == pytest.approx(1.0, abs=FREE_FALL_TOL)
     assert traj.event.speed == pytest.approx(1.0, abs=FREE_FALL_TOL)
 
 
 def test_trajectory_rows_are_ordered_and_positive():
-    traj = simulate(_params(), SLIP, h0=0.25)
+    traj = simulate(_params(), SLIP, h0=0.25, t_max=10.0)
     assert len(traj) > 2
     assert np.all(np.diff(traj.t) > 0.0)
     assert np.all(traj.h > 0.0)
@@ -169,31 +171,31 @@ def test_trajectory_validation():
 
 
 def test_slip_touchdown_is_finite_and_tolerance_stable():
-    traj = simulate(_params(), SLIP, h0=0.25)
+    traj = simulate(_params(), SLIP, h0=0.25, t_max=10.0)
     assert traj.event.kind == EventKind.TOUCHDOWN
-    tighter = simulate(_params(), SLIP, h0=0.25, rtol=0.5e-9, atol=0.5e-12)
+    tighter = simulate(_params(), SLIP, h0=0.25, rtol=0.5e-9, atol=0.5e-12, t_max=10.0)
     assert abs(traj.event.t - tighter.event.t) < TSTAR_STABILITY
 
 
 def test_slip_impact_speed_is_positive_with_margin():
-    traj = simulate(_params(), SLIP, h0=0.25)
+    traj = simulate(_params(), SLIP, h0=0.25, t_max=10.0)
     assert traj.event.speed > 1e-3 * math.sqrt(2.0 * 1.0 * 0.25)
 
 
 def test_touchdown_time_decreases_with_stronger_gravity():
-    slow = simulate(_params(G=1.0), SLIP, h0=0.25)
-    fast = simulate(_params(G=2.0), SLIP, h0=0.25)
+    slow = simulate(_params(G=1.0), SLIP, h0=0.25, t_max=10.0)
+    fast = simulate(_params(G=2.0), SLIP, h0=0.25, t_max=10.0)
     assert fast.event.t < slow.event.t
 
 
 def test_damped_fall_dissipates_mechanical_energy():
-    traj = simulate(_params(), SLIP, h0=0.25)
+    traj = simulate(_params(), SLIP, h0=0.25, t_max=10.0)
     total = 0.5 * traj.v**2 + 1.0 * traj.h
     assert np.all(np.diff(total) <= 1e-9)
 
 
 def test_escape_event_fires_on_upward_launch():
-    traj = simulate(_params(kappa=0.1), SLIP, h0=0.25, v0=1.0)
+    traj = simulate(_params(kappa=0.1), SLIP, h0=0.25, v0=1.0, t_max=10.0)
     assert traj.event.kind == EventKind.ESCAPED
     assert traj.event.h == pytest.approx(0.5, abs=1e-9)
     assert traj.event.t > 0.0
@@ -282,7 +284,7 @@ def test_a_fast_mixed_entry_is_not_slaved():
     # the slaved h' = -G h / kappa: the closed-form tail would put it at
     # h ~ 1e-32 at once, while the fall coasts on for about h / |h'| = 1.7e-6
     kappa, G, h0 = 1e-2, 1.0, 0.25
-    law = drag_law(MIXED, kappa=kappa)
+    law = drag_law(MIXED, "analytic", kappa)
 
     def fall(t_end, events=None):
         return scipy.integrate.solve_ivp(
@@ -353,12 +355,12 @@ def test_a_nan_drag_model_stalls_with_stiffness_error():
     # kept retrying it for ever, the port fails the step
     law = DragLaw("analytic", RegimeKind.SLIP, (ScalingModel.LOG, math.nan), lambda h: math.nan)
     with pytest.raises(StiffnessError, match="step size") as info:
-        simulate(_params(), SLIP, h0=0.25, law=law)
+        simulate(_params(), SLIP, h0=0.25, law=law, t_max=10.0)
     assert all(f"{name}=" in str(info.value) for name in ("t", "h", "h'"))
 
 
 def test_a_drag_law_from_four_fields_falls_the_same():
-    law = drag_law(MIXED, kappa=1.0)
+    law = drag_law(MIXED, "analytic", 1.0)
     rebuilt = DragLaw(law.kind, law.regime_kind, law.deep, law._fn)
     a = simulate(_params(), MIXED, h0=0.25, t_max=50.0, law=law)
     b = simulate(_params(), MIXED, h0=0.25, t_max=50.0, law=rebuilt)
@@ -409,8 +411,8 @@ def _touchdown_reference(law, G, h0):
     "kappa, G, h0", [(1.0, 1.0, 0.25), (0.5, 2.0, 0.2), (2.0, 0.5, 0.3), (1.7, 0.6, 0.22)]
 )
 def test_slip_touchdown_matches_a_dop853_reference(kappa, G, h0):
-    traj = simulate(_params(G=G, kappa=kappa), SLIP, h0=h0)
-    t_star, speed = _touchdown_reference(drag_law(SLIP, kappa=kappa), G, h0)
+    traj = simulate(_params(G=G, kappa=kappa), SLIP, h0=h0, t_max=10.0)
+    t_star, speed = _touchdown_reference(drag_law(SLIP, "analytic", kappa), G, h0)
     assert traj.event.kind == EventKind.TOUCHDOWN
     assert traj.event.t == pytest.approx(t_star, abs=0.0, rel=2e-8)
     assert traj.event.speed == pytest.approx(speed, abs=0.0, rel=2e-8)
@@ -420,7 +422,7 @@ def test_slip_touchdown_matches_a_dop853_reference(kappa, G, h0):
     "kappa, G", [(1.0, 1.0), (0.5, 2.0)], ids=["kappa=G=1", "kappa=0.5,G=2"]
 )
 def test_every_h_phase_row_matches_a_radau_reference(kappa, G):
-    law = drag_law(MIXED, kappa=kappa)
+    law = drag_law(MIXED, "analytic", kappa)
     traj = simulate(_params(G=G, kappa=kappa), MIXED, h0=0.25, t_max=50.0, law=law)
     _assert_rows_match_radau(traj, law, G, 0.25)
 
@@ -444,22 +446,22 @@ def _assert_rows_match_radau(traj, law, G, h0):
 
 def test_simulate_validates_inputs():
     with pytest.raises(ValueError, match="h0"):
-        simulate(_params(), SLIP, h0=0.6)
+        simulate(_params(), SLIP, h0=0.6, t_max=10.0)
     with pytest.raises(ValueError, match="h0"):
-        simulate(_params(), SLIP, h0=0.0)
+        simulate(_params(), SLIP, h0=0.0, t_max=10.0)
     with pytest.raises(ValueError, match="h0"):
-        simulate(_params(), SLIP, h0=1e-13)
+        simulate(_params(), SLIP, h0=1e-13, t_max=10.0)
     with pytest.raises(ValueError, match="t_max"):
         simulate(_params(), SLIP, h0=0.25, t_max=0.0)
     with pytest.raises(ValueError, match="v0"):
-        simulate(_params(), SLIP, h0=0.25, v0=math.inf)
+        simulate(_params(), SLIP, h0=0.25, v0=math.inf, t_max=10.0)
     with pytest.raises(ValueError, match="leading coefficient"):
-        simulate(_params(kappa=0.0), MIXED, h0=0.25)
+        simulate(_params(kappa=0.0), MIXED, h0=0.25, t_max=10.0)
 
 
 def test_simulate_takes_only_a_drag_law():
     with pytest.raises(TypeError, match="DragLaw"):
-        simulate(_params(), SLIP, h0=0.25, law=lambda h: 1.0)
+        simulate(_params(), SLIP, h0=0.25, law=lambda h: 1.0, t_max=10.0)
 
 
 # ---------------------------------------------------------------- scans

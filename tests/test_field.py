@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from gapflow import field as fld
 from gapflow.drag import energy, surface_drag
-from gapflow.geometry import CutoffPair, GapGeometry, cutoffs, gamma_s
+from gapflow.geometry import DELTA_DEFAULT, CutoffPair, GapGeometry, cutoffs, gamma_s
 from gapflow.profile import RegimeKind, SlipRegime, psi_partials
 from gapflow.quadrature import QuadratureSpec, integrate_gap
 
@@ -30,7 +30,7 @@ RESIDUAL_RTOL = 1e-12
 
 def _global_at(regime, h, x):
     """The FieldSample of the one point x, evaluated as a (1, 3) batch."""
-    sample = fld.global_velocity(regime, h, np.array([x], dtype=float))
+    sample = fld.global_velocity(regime, h, np.array([x], dtype=float), DELTA_DEFAULT)
     return fld.FieldSample(sample.velocity[0], sample.grad[0])
 
 
@@ -174,7 +174,7 @@ def test_global_vanishes_outside_supports():
 
 def test_global_batch_matches_single_points():
     h = 0.05
-    geo = GapGeometry(h=h)
+    geo = GapGeometry(h=h, delta=DELTA_DEFAULT)
     x = np.array(
         [
             [0.0, 0.05, h + 0.3],  # solid
@@ -195,14 +195,14 @@ def test_global_batch_matches_single_points():
         for f in dataclasses.fields(CutoffPair):
             assert np.array_equal(getattr(pair, f.name)[k], getattr(single, f.name)[0])
     for regime in (SLIP, MIXED):
-        batch = fld.global_velocity(regime, h, x)
+        batch = fld.global_velocity(regime, h, x, DELTA_DEFAULT)
         assert np.array_equal(batch.velocity[0], [0.0, 0.0, 1.0])
         for k, point in enumerate(x):
-            single = fld.global_velocity(regime, h, point[None])
+            single = fld.global_velocity(regime, h, point[None], DELTA_DEFAULT)
             assert np.array_equal(batch.velocity[k], single.velocity[0])
             assert np.array_equal(batch.grad[k], single.grad[0])
     with pytest.raises(ValueError):
-        fld.global_velocity(SLIP, h, np.vstack([x, [0.1, 0.0, -0.01]]))
+        fld.global_velocity(SLIP, h, np.vstack([x, [0.1, 0.0, -0.01]]), DELTA_DEFAULT)
 
 
 def test_global_wall_trace_vanishes_in_aperture(rng):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gapflow.geometry import (
+    DELTA_DEFAULT,
     H_MAX_DEFAULT,
     CutoffPair,
     GapGeometry,
@@ -127,8 +128,8 @@ class TestSurfaceMeasure:
 
 class TestGapGeometry:
     def test_valid(self):
-        assert GapGeometry(h=0.1).delta == 0.2
-        assert GapGeometry(h=H_MAX_DEFAULT).h == 0.5
+        assert GapGeometry(h=0.1, delta=DELTA_DEFAULT).delta == 0.2
+        assert GapGeometry(h=H_MAX_DEFAULT, delta=DELTA_DEFAULT).h == 0.5
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -136,9 +137,9 @@ class TestGapGeometry:
             dict(h=0.1, delta=0.25),
             dict(h=0.1, delta=0.0),
             dict(h=0.1, delta=math.nan),
-            dict(h=-0.01),
-            dict(h=0.6),
-            dict(h=H_MAX_DEFAULT * (1.0 + 1e-12)),
+            dict(h=-0.01, delta=DELTA_DEFAULT),
+            dict(h=0.6, delta=DELTA_DEFAULT),
+            dict(h=H_MAX_DEFAULT * (1.0 + 1e-12), delta=DELTA_DEFAULT),
         ],
     )
     def test_invalid(self, kwargs):
@@ -176,7 +177,7 @@ class TestSmoothstep:
 
 
 class TestCutoffs:
-    geo = GapGeometry(h=0.1)
+    geo = GapGeometry(h=0.1, delta=DELTA_DEFAULT)
 
     def test_chi_deep_inside(self):
         pair = _cutoffs_at((0.0, 0.0, 0.1 * 0.2), self.geo)

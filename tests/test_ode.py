@@ -35,7 +35,7 @@ TOUCHDOWN_ATOL = 1e-16
 
 
 def _equation_of(regime, kappa, G, h0, v0):
-    law = drag_law(regime, kappa=kappa)
+    law = drag_law(regime, "analytic", kappa)
     return _equation(law, G, v0 + law.antiderivative(h0), H_MAX_DEFAULT, RTOL_DEFAULT)
 
 

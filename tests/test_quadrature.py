@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from gapflow.quadrature import (
 )
 
 TOL_CLOSED_FORM = 1e-10
+SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
 
 def gap_volume(h, r_max):
@@ -33,7 +35,8 @@ def gap_volume(h, r_max):
 
 class TestSpec:
     def test_defaults_valid(self):
-        spec = QuadratureSpec()
+        # the tolerances a run defaults to (cli.RunConfig)
+        spec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12)
         assert spec.rel_tol > 0 and spec.abs_tol > 0
 
     @pytest.mark.parametrize(
@@ -50,7 +53,7 @@ class TestSpec:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
+            replace(SPEC, **kwargs)
 
 
 class TestGradedCuts:
@@ -70,14 +73,14 @@ class TestGradedCuts:
 
 class TestIntegrateGap:
     def test_unit_integrand_volume(self):
-        res = integrate_gap(lambda r, z: np.ones_like(z), 0.1, 0.2)
+        res = integrate_gap(lambda r, z: np.ones_like(z), 0.1, 0.2, SPEC)
         exact = gap_volume(0.1, 0.2)
         assert abs(res.value - exact) / exact < TOL_CLOSED_FORM
         assert isinstance(res, IntegralResult)
         assert res.cells >= 1
 
     def test_zero_integrand(self):
-        res = integrate_gap(lambda r, z: np.zeros_like(z), 0.1, 0.2)
+        res = integrate_gap(lambda r, z: np.zeros_like(z), 0.1, 0.2, SPEC)
         assert res.value == 0.0
 
     def test_polynomial_z_moment(self):
@@ -87,7 +90,7 @@ class TestIntegrateGap:
         def f(r, z):
             return z
 
-        res = integrate_gap(f, h, r_max)
+        res = integrate_gap(f, h, r_max, SPEC)
         r = np.linspace(0, r_max, 400_001)
         H = h + 1.0 - np.sqrt(1.0 - r * r)
         exact = 2.0 * math.pi * np.trapezoid(r * H * H / 2.0, r)
@@ -102,7 +105,7 @@ class TestIntegrateGap:
             H = h + 1.0 - np.sqrt(1.0 - r * r)
             return r / H**2 * np.ones_like(z)
 
-        res = integrate_gap(f, h, r_max)
+        res = integrate_gap(f, h, r_max, SPEC)
         # reduce analytically over z: integrand becomes 2 pi r * r/H
         r = np.geomspace(1e-9, r_max, 2_000_001)
         H = h + 1.0 - np.sqrt(1.0 - r * r)
@@ -122,8 +125,8 @@ class TestIntegrateGap:
                 integrands.append(f)
         assert len(integrands) == 20
         for f in integrands:
-            loose = integrate_gap(f, h, r_max, QuadratureSpec(rel_tol=1e-8))
-            tight = integrate_gap(f, h, r_max, QuadratureSpec(rel_tol=5e-9))
+            loose = integrate_gap(f, h, r_max, replace(SPEC, rel_tol=1e-8))
+            tight = integrate_gap(f, h, r_max, replace(SPEC, rel_tol=5e-9))
             assert abs(loose.value - tight.value) <= max(loose.error, 1e-13 * abs(loose.value) + 1e-15)
 
     def test_z_reflection_symmetry(self):
@@ -140,8 +143,8 @@ class TestIntegrateGap:
             H = h + 1.0 - np.sqrt(1.0 - r * r)
             return (r * (H - z) / H) ** 2 + r
 
-        a = integrate_gap(f, h, r_max)
-        b = integrate_gap(f_reflected, h, r_max)
+        a = integrate_gap(f, h, r_max, SPEC)
+        b = integrate_gap(f_reflected, h, r_max, SPEC)
         assert a.value == pytest.approx(b.value, rel=1e-9)
 
     def test_nonconvergent_raises_with_estimate(self, monkeypatch):
@@ -150,29 +153,29 @@ class TestIntegrateGap:
 
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
         with pytest.raises(QuadratureError) as err:
-            integrate_gap(nasty, 0.1, 0.2, QuadratureSpec(rel_tol=1e-12))
+            integrate_gap(nasty, 0.1, 0.2, replace(SPEC, rel_tol=1e-12))
         assert math.isfinite(err.value.value)
         assert err.value.error > 0
 
     def test_h_domain(self):
         with pytest.raises(ValueError):
-            integrate_gap(lambda r, z: z, 0.0, 0.2)
+            integrate_gap(lambda r, z: z, 0.0, 0.2, SPEC)
 
 
 class TestIntegrateSurface:
     def test_disk_area(self):
-        res = integrate_surface(lambda r: np.ones_like(r), "plane", 0.4, scale=0.4 * 2.0**-16)
+        res = integrate_surface(lambda r: np.ones_like(r), "plane", 0.4, SPEC, scale=0.4 * 2.0**-16)
         assert res.value == pytest.approx(math.pi * 0.4**2, rel=TOL_CLOSED_FORM)
 
     def test_cap_area(self):
         res = integrate_surface(
-            lambda r: np.ones_like(r), "sphere-cap", 0.6, scale=0.6 * 2.0**-16
+            lambda r: np.ones_like(r), "sphere-cap", 0.6, SPEC, scale=0.6 * 2.0**-16
         )
         assert res.value == pytest.approx(2.0 * math.pi * (1.0 - 0.8), rel=TOL_CLOSED_FORM)
 
     def test_unknown_surface(self):
         with pytest.raises(ValueError):
-            integrate_surface(lambda r: r, "cone", 0.2, scale=1.0)
+            integrate_surface(lambda r: r, "cone", 0.2, SPEC, scale=1.0)
 
 
 class TestStackedIntegrand:
@@ -180,7 +183,6 @@ class TestStackedIntegrand:
 
     EPS = 1e-6  # the peaked component lives on the scale sqrt(EPS)
     R = 0.2
-    SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
 
     def peaked(self, r):
         return 1.0 / (self.EPS + r * r)
@@ -190,7 +192,7 @@ class TestStackedIntegrand:
 
     def surface(self, f, spec=None):
         return integrate_surface(
-            f, "plane", self.R, spec or self.SPEC, scale=math.sqrt(self.EPS)
+            f, "plane", self.R, spec or SPEC, scale=math.sqrt(self.EPS)
         )
 
     def test_each_component_meets_its_own_tolerance(self):
@@ -201,7 +203,7 @@ class TestStackedIntegrand:
         )
         for res, value in zip((disk, peak), exact):
             assert isinstance(res, IntegralResult)
-            bound = max(self.SPEC.abs_tol, self.SPEC.rel_tol * value)
+            bound = max(SPEC.abs_tol, SPEC.rel_tol * value)
             assert abs(res.value - value) <= bound
         assert disk.cells == peak.cells
 
@@ -215,8 +217,8 @@ class TestStackedIntegrand:
         def f(r, z):
             return r * z / (h + r * r)
 
-        (stacked,) = integrate_gap(lambda r, z: f(r, z)[None], h, r_max)
-        assert stacked == integrate_gap(f, h, r_max)
+        (stacked,) = integrate_gap(lambda r, z: f(r, z)[None], h, r_max, SPEC)
+        assert stacked == integrate_gap(f, h, r_max, SPEC)
         (stacked,) = self.surface(lambda r: self.peaked(r)[None])
         assert stacked == self.surface(self.peaked)
 
@@ -225,7 +227,7 @@ class TestStackedIntegrand:
             return np.stack([np.ones_like(r), np.abs(np.sin(1.0 / (r + 1e-12)))])
 
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
-        spec = QuadratureSpec(rel_tol=1e-12)
+        spec = replace(SPEC, rel_tol=1e-12)
         with pytest.raises(QuadratureError, match="in component 1 ") as err:
             self.surface(f, spec)
         assert len(err.value.value) == len(err.value.error) == 2
@@ -242,10 +244,10 @@ class TestGlobalRefinement:
     @pytest.mark.parametrize(
         "f, spec, max_depth, reason",
         [
-            (lambda r: np.where(r < 0.1, 1.0, np.inf), QuadratureSpec(), None, "non-finite"),
+            (lambda r: np.where(r < 0.1, 1.0, np.inf), SPEC, None, "non-finite"),
             (np.ones_like, QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18), None, "roundoff floor"),
-            (_nasty, QuadratureSpec(rel_tol=1e-12), 3, "max_depth 3"),
-            (_nasty, QuadratureSpec(rel_tol=1e-12), None, f"cell budget {MAX_CELLS}"),
+            (_nasty, replace(SPEC, rel_tol=1e-12), 3, "max_depth 3"),
+            (_nasty, replace(SPEC, rel_tol=1e-12), None, f"cell budget {MAX_CELLS}"),
         ],
         ids=["non-finite", "roundoff", "max-depth", "budget"],
     )
@@ -271,7 +273,7 @@ class TestGlobalRefinement:
             calls.append(r.size)
             return np.exp(r)
 
-        res = integrate_surface(f, "plane", 0.2, scale=0.2 * 2.0**-16)
+        res = integrate_surface(f, "plane", 0.2, SPEC, scale=0.2 * 2.0**-16)
         assert len(calls) == 1
         exact = 2.0 * math.pi * (1.0 - 0.8 * math.exp(0.2))  # int 2 pi r e^r dr
         assert res.value == pytest.approx(exact, rel=1e-14)
@@ -279,7 +281,7 @@ class TestGlobalRefinement:
 
 class TestClassifySingular:
     def test_log_case_matches_closed_form(self):
-        case = classify_singular(1, 1, 0.25)
+        case = classify_singular(1, 1, 0.25, spec=SPEC)
         assert case.classification is Classification.LOGARITHMIC
         for h, value in case.values:
             assert value == pytest.approx(log_case_oracle(h, 0.25), rel=1e-8)
@@ -289,12 +291,12 @@ class TestClassifySingular:
         assert log_case_oracle(1e-4, 0.25) == pytest.approx(
             0.5 * math.log(626.0), rel=1e-15
         )
-        case = classify_singular(1, 1, 0.25, h_list=(1e-2, 1e-3, 1e-4, 1e-5))
+        case = classify_singular(1, 1, 0.25, h_list=(1e-2, 1e-3, 1e-4, 1e-5), spec=SPEC)
         got = dict(case.values)[1e-4]
         assert got == pytest.approx(0.5 * math.log(626.0), rel=1e-8)
 
     def test_log_ratio_approaches_half(self):
-        case = classify_singular(1, 1, 0.25, h_list=(1e-4, 1e-5, 1e-6))
+        case = classify_singular(1, 1, 0.25, h_list=(1e-4, 1e-5, 1e-6), spec=SPEC)
         # the fitted slope is the h->0 limit of I(h)/|ln h|; pointwise the
         # ratio increases toward 1/2 but carries a ln(delta^2)/2 offset
         ratios = [value / abs(math.log(h)) for h, value in case.values]
@@ -316,7 +318,7 @@ class TestClassifySingular:
         ],
     )
     def test_classification_grid(self, p, q, expected, exponent):
-        case = classify_singular(p, q, 0.2)
+        case = classify_singular(p, q, 0.2, spec=SPEC)
         assert case.classification is expected
         if expected is Classification.POWER_LAW:
             assert case.exponent == exponent
@@ -324,25 +326,25 @@ class TestClassifySingular:
 
     def test_power_law_oracle_p0_q1(self):
         # closed form: atan(delta/sqrt(h))/sqrt(h)
-        case = classify_singular(0, 1, 0.2)
+        case = classify_singular(0, 1, 0.2, spec=SPEC)
         for h, value in case.values:
             exact = math.atan(0.2 / math.sqrt(h)) / math.sqrt(h)
             assert value == pytest.approx(exact, rel=1e-9)
 
     def test_bounded_p3_q1_oracle(self):
         # closed form: delta^2/2 - (h/2) ln((h+delta^2)/h)
-        case = classify_singular(3, 1, 0.2)
+        case = classify_singular(3, 1, 0.2, spec=SPEC)
         for h, value in case.values:
             exact = 0.02 - 0.5 * h * math.log((h + 0.04) / h)
             assert value == pytest.approx(exact, rel=1e-9)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            classify_singular(-1, 1, 0.2)
+            classify_singular(-1, 1, 0.2, spec=SPEC)
         with pytest.raises(ValueError):
-            classify_singular(1, 0, 0.2)
+            classify_singular(1, 0, 0.2, spec=SPEC)
         with pytest.raises(ValueError):
-            classify_singular(1, 1, 0.2, h_list=(1e-9,))
+            classify_singular(1, 1, 0.2, h_list=(1e-9,), spec=SPEC)
 
     def test_case_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -354,4 +356,5 @@ class TestClassifySingular:
                 exponent=0.0,
                 values=(),
                 fits={},
+                selected=None,
             )

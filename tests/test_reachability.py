@@ -1,6 +1,6 @@
 """Every public top-level function and class of gapflow is reached, and so
 is every public method and property of a public class; every parameter
-with a default is set by some call.
+with a default is set by some call, and some call relies on its default.
 
 A name counts as reached when the package, a script or the benchmark
 harness refers to it outside its own definition: a top-level name as a
@@ -12,8 +12,17 @@ top-level class, counts as set when a call in the same places passes it,
 by keyword or by position, to the function itself (matched by name); for
 ``__init__``, to its class, to a subclass that inherits ``__init__``, or
 through ``super().__init__`` in a subclass; or by keyword to a call that
-is handed the function as an argument, as a tracer's
-``call(name, simulate, ..., law=law)`` is.
+is handed the function itself as an argument, as a tracer's
+``call(name, simulate, ..., law=law)`` is.  The fields of a dataclass are
+the parameters of its class; ``field(default=...)`` and
+``field(default_factory=...)`` give a default, ``field(repr=False)`` and
+``field(compare=False)`` do not.  A ``**mapping`` sets every parameter.
+
+The mirror rule: a call relies on each default it passes neither by
+position nor by keyword (a handed call, each it does not pass by
+keyword), and a ``**mapping`` on every one.  A default that every call
+passes restates a value its callers state, and goes; the run defaults
+live in ``cli.RunConfig``.
 """
 
 import ast
@@ -105,9 +114,10 @@ def _is_super_init(call):
     )
 
 
-def _set_by(call, params, skip, by_position=True):
-    """The names among params that call sets, its positional arguments
-    filling params from index skip (a starred one fills the rest)."""
+def _passed(call, params, skip, by_position=True):
+    """(the names among params that call passes, its positional arguments
+    filling params from index skip and a starred one filling the rest;
+    whether it passes a **mapping)."""
     names = set()
     if by_position:
         for i, arg in enumerate(call.args):
@@ -116,9 +126,8 @@ def _set_by(call, params, skip, by_position=True):
                 break
             if skip + i < len(params):
                 names.add(params[skip + i])
-    for keyword in call.keywords:
-        names.update(params if keyword.arg is None else [keyword.arg])
-    return names
+    names.update(k.arg for k in call.keywords if k.arg is not None)
+    return names, any(k.arg is None for k in call.keywords)
 
 
 def _defaulted(fn):
@@ -130,14 +139,29 @@ def _defaulted(fn):
     return positional, named
 
 
-def _owned_functions(tree):
-    """(class or None, function) for each top-level function of tree and
-    each method of its top-level classes."""
-    for node in tree.body:
-        if isinstance(node, FUNCTIONS):
-            yield None, node
-        elif isinstance(node, ast.ClassDef):
-            yield from ((node, fn) for fn in node.body if isinstance(fn, FUNCTIONS))
+def _is_dataclass(cls):
+    return any(
+        _callee(d) == "dataclass" if isinstance(d, ast.Call) else _names(d) == {"dataclass"}
+        for d in cls.decorator_list
+    )
+
+
+def _fields(cls):
+    """(fields, names of the fields with a default) of a dataclass: a
+    field(...) value has one only through default= or default_factory=."""
+    fields, named = [], []
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        fields.append(stmt.target.id)
+        value = stmt.value
+        if value is None:
+            continue
+        if isinstance(value, ast.Call) and _callee(value) == "field":
+            if not any(k.arg in ("default", "default_factory") for k in value.keywords):
+                continue
+        named.append(stmt.target.id)
+    return fields, named
 
 
 def _callees(fn, cls, classes):
@@ -156,7 +180,44 @@ def _callees(fn, cls, classes):
     return {cls.name} | inheriting, {c.name for c in subclasses}
 
 
-def test_every_parameter_with_a_default_is_set_by_a_call():
+def _signatures(tree, classes):
+    """(label, parameters, names with a default, skip, callees, subclasses,
+    handed) for each top-level function of tree, each method of its
+    top-level classes, and the fields of its dataclasses.  skip counts the
+    parameters no positional argument fills (self); handed is the name a
+    call may be handed the function by, None for a class."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS):
+            yield node.name, *_defaulted(node), 0, {node.name}, set(), node.name
+        elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                yield node.name, *_fields(node), 0, {node.name}, set(), None
+            for fn in node.body:
+                if isinstance(fn, FUNCTIONS):
+                    static = any(_names(d) == {"staticmethod"} for d in fn.decorator_list)
+                    yield (
+                        f"{node.name}.{fn.name}", *_defaulted(fn), 0 if static else 1,
+                        *_callees(fn, node, classes),
+                        None if fn.name == "__init__" else fn.name,
+                    )
+
+
+def _handed(call, name):
+    """Whether call is handed the function name itself as an argument, as
+    a tracer's call(name, simulate, ...) is."""
+    return any(
+        isinstance(arg, ast.Name) and arg.id == name
+        or isinstance(arg, ast.Attribute) and arg.attr == name
+        for arg in call.args
+    )
+
+
+def _defaults_and_calls():
+    """(file:label, names with a default, passings) for each signature of
+    the package with a default, a passing being (names passed, **mapping)
+    for each call in the package, scripts/ or perfbench/ that reaches it:
+    by name, through super().__init__ in a subclass, or handed the
+    function, which passes only its keywords."""
     modules = _modules()
     classes = [c for _, tree in modules for c in tree.body if isinstance(c, ast.ClassDef)]
     # each call, with the class whose body holds it when it is super().__init__
@@ -168,28 +229,42 @@ def test_every_parameter_with_a_default_is_set_by_a_call():
         (n, c.name) for c in classes for n in ast.walk(c)
         if isinstance(n, ast.Call) and _is_super_init(n)
     ]
-    unset = []
     for path, tree in modules:
         if path.parent != PACKAGE:
             continue
-        for cls, fn in _owned_functions(tree):
-            positional, named = _defaulted(fn)
+        for label, params, named, skip, callees, subclasses, handed in _signatures(
+            tree, classes
+        ):
             if not named:
                 continue
-            static = any(_names(d) == {"staticmethod"} for d in fn.decorator_list)
-            skip = 0 if cls is None or static else 1
-            callees, subclasses = _callees(fn, cls, classes)
-            set_ = set()
+            passings = []
             for call, holder in calls:
                 if holder is not None:
                     if holder in subclasses:
-                        set_ |= _set_by(call, positional, skip)
+                        passings.append(_passed(call, params, skip))
                 elif _callee(call) in callees:
-                    set_ |= _set_by(call, positional, skip)
-                elif any(fn.name in _names(arg) for arg in call.args):
-                    set_ |= _set_by(call, positional, skip, by_position=False)
-            missing = [name for name in named if name not in set_]
-            if missing:
-                owner = f"{cls.name}.{fn.name}" if cls else fn.name
-                unset.append(f"{path.name}:{owner}({', '.join(missing)})")
-    assert unset == []
+                    passings.append(_passed(call, params, skip))
+                elif handed and _handed(call, handed):
+                    passings.append(_passed(call, params, skip, by_position=False))
+            yield f"{path.name}:{label}", named, passings
+
+
+def _unreached(reached):
+    """file:label(names) for each signature whose defaults named no call
+    reaches, reached(named, passed, mapping) being the defaults one call
+    reaches."""
+    out = []
+    for label, named, passings in _defaults_and_calls():
+        hit = set().union(*(reached(set(named), *passing) for passing in passings))
+        missing = [name for name in named if name not in hit]
+        if missing:
+            out.append(f"{label}({', '.join(missing)})")
+    return out
+
+
+def test_every_parameter_with_a_default_is_set_by_a_call():
+    assert _unreached(lambda named, passed, mapping: named if mapping else passed) == []
+
+
+def test_every_default_is_relied_on_by_a_call():
+    assert _unreached(lambda named, passed, mapping: named if mapping else named - passed) == []
