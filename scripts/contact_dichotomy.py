@@ -30,7 +30,7 @@ def main():
     ap.add_argument("--t-max", type=float, default=50.0)
     args = ap.parse_args()
 
-    # the default densities make G = g / 2
+    # rho_S = 2, rho_F = 1 make G = g / 2
     params = FallParameters(rho_S=2.0, rho_F=1.0, g=2.0 * args.g_eff,
                             kappa=args.kappa)
     print(f"h0 = {args.h0}, G = {params.G}, kappa = {params.kappa}")
