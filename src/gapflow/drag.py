@@ -19,8 +19,9 @@ regime.  fit_scaling discriminates the two laws, each stated once as a
 ``profile.ScalingModel``, by least squares.
 
 ``energy`` and ``surface_drag`` are the two halves of one drag row: one
-adaptive pass per region (gap, wall, and with slip the sphere), each over
-a stacked integrand of that region's terms.
+adaptive pass over one radial mesh whose stacked integrand holds every
+term of the row, the gap's three, the wall's two and with slip the
+sphere's two, from one Psi evaluation per call.
 
 Totals are aperture integrals (r < r_max) plus an h-independent O(1)
 exterior correction: the cutoff-transition ring outside the aperture does
@@ -38,10 +39,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, gamma_s
-from .field import _frame, _on_sphere, _residual, aperture_frame, global_velocity
+from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, PLANE, SPHERE_CAP, gamma_s, surface_measure
+from .field import _frame, _on_sphere, _residual, global_velocity
 from .profile import RegimeKind, SlipRegime, psi_partials
-from .quadrature import IntegralResult, ModelFit, _ols, integrate_gap, integrate_surface
+from .quadrature import (
+    IntegralResult, ModelFit, QuadratureError, _adaptive_1d, _ols, gap_cuts, gap_rule,
+)
 
 EXTERIOR_H_REF = 1e-3
 EXTERIOR_GRID_N = 16
@@ -82,39 +85,66 @@ class SurfaceDrag:
     exterior: float
 
 
+# a drag row's stacked terms in integrand order; a mixed row has the first five
+ROW_TERMS = (
+    "gradient", "dissipation", "volume", "wall slip", "wall traction",
+    "sphere mismatch", "sphere traction",
+)
+
+
 def _row(regime, h, r_max, spec, ext):
     """(EnergyBreakdown, SurfaceDrag) of one drag row whose totals carry
-    the exterior shift ext; the gap pass evaluates Psi once per node for
-    all three of its terms."""
+    the exterior shift ext.
 
-    def gap(r, z):
-        p = psi_partials(regime, h, r, z)
-        frame = _frame(p, r)
-        f_r, f_z = _residual(regime, p, r)
-        return np.stack(
+    One adaptive pass over gap_cuts(h, r_max) integrates ROW_TERMS as one
+    stack: the gap's |grad u|^2, |D u|^2 and residual pairing through the
+    Z_ORDER z-rule, the wall's slip^2 and traction at z = 0, and with slip
+    the sphere's mismatch^2 and traction at z = H.  Each integrand call
+    evaluates Psi once, at the gap heights, 0 and H of every node, and
+    scales each term by its measure as integrate_gap and integrate_surface
+    do, so a term equals its own per-region pass bit for bit while neither
+    refines.  None does at rel_tol 1e-8 to 1e-13 (abs_tol 1e-12) and h
+    from 1e-2 to 1e-12: every row converges on its first call.  A row that
+    did refine would refine all of its terms on the shared cells.  A
+    QuadratureError names h and the failing terms.
+    """
+    slip = regime.kind is RegimeKind.SLIP
+
+    def g(r):
+        H, Z, W = gap_rule(h, r)
+        rc = r[:, None]
+        p = psi_partials(regime, h, rc, np.column_stack((Z, np.zeros_like(H), H)))
+        frame = _frame(p, rc)
+        f_r, f_z = _residual(regime, p, rc)
+        gap = np.stack(
             [frame.grad_sq, frame.sym_grad_sq, f_r * frame.u_r + f_z * frame.u_z]
         )
-
-    def wall(r):
+        terms = [2.0 * math.pi * r * np.sum(gap[..., :-2] * W, axis=-1)]
         # u_r^2 = |u x n|^2, and 2 D_rz u_r = -(2D - qI)n . u with n = -e3
         # and u_z = 0 on the wall
-        frame = aperture_frame(regime, h, r, np.zeros_like(r))
-        return np.stack([frame.u_r**2, 2.0 * frame.d_rz * frame.u_r])
+        wall = frame.at((..., -2))
+        wall = np.stack([wall.u_r**2, 2.0 * wall.d_rz * wall.u_r])
+        terms.append(2.0 * math.pi * wall * surface_measure(PLANE, r))
+        if slip:
+            # |(u - e3) x n|^2 is the theta component squared, and
+            # (D - qI)n . (e3 - u) loses q since n . (e3 - u) = 0
+            top = frame.at((..., -1))
+            _, (dn_r, dn_z), mismatch = _on_sphere(top, r)
+            sphere = np.stack(
+                [mismatch**2, dn_r * (-top.u_r) + dn_z * (1.0 - top.u_z)]
+            )
+            terms.append(2.0 * math.pi * sphere * surface_measure(SPHERE_CAP, r))
+        return np.concatenate(terms)
 
-    def sphere(r):
-        frame, _, (dn_r, dn_z), mismatch = _on_sphere(regime, h, r)
-        # |(u - e3) x n|^2 is the theta component squared, and
-        # (D - qI)n . (e3 - u) loses q since n . (e3 - u) = 0
-        return np.stack(
-            [mismatch**2, dn_r * (-frame.u_r) + dn_z * (1.0 - frame.u_z)]
-        )
-
-    grad, sym, vol = integrate_gap(gap, h, r_max, spec)
-    slip_sq, wall_t = integrate_surface(wall, "plane", r_max, spec, scale=math.sqrt(h))
-    if regime.kind is RegimeKind.SLIP:
-        mismatch_sq, sphere_t = integrate_surface(
-            sphere, "sphere-cap", r_max, spec, scale=math.sqrt(h)
-        )
+    try:
+        parts = _adaptive_1d(g, gap_cuts(h, r_max), spec, ROW_TERMS)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"drag row at h = {h!r}: {exc}", exc.value, exc.error, exc.cells
+        ) from None
+    grad, sym, vol, slip_sq, wall_t = parts[:5]
+    if slip:
+        mismatch_sq, sphere_t = parts[5:]
         e_sphere = (1.0 / regime.beta_S + 1.0) * mismatch_sq.value
     else:
         # mixed: e3 - u = 0 on the sphere (no-slip trace), both terms drop
@@ -140,9 +170,9 @@ def _row(regime, h, r_max, spec, ext):
 def energy(regime, h, spec):
     """Energy functional of the test field: the first half of a drag row.
 
-    Runs the whole row (gap, wall and sphere passes) and keeps this half;
-    a caller that needs both halves should use `drag_curve`, which runs
-    each row once.
+    Runs the whole row (one pass over the gap, wall and sphere terms) and
+    keeps this half; a caller that needs both halves should use
+    `drag_curve`, which runs each row once.
 
     The aperture is r < R_MAX_DEFAULT and its integrals are exact to
     quadrature tolerance; the region outside it adds the h-independent
@@ -172,9 +202,9 @@ def surface_drag(regime, h, spec):
     q is never evaluated: on the wall it multiplies u_z = 0 exactly,
     on the sphere n . (e3 - u) = 0 by the normal trace identity.
 
-    Runs the whole row (gap, wall and sphere passes) and keeps this half;
-    a caller that needs both halves should use `drag_curve`, which runs
-    each row once.
+    Runs the whole row (one pass over the gap, wall and sphere terms) and
+    keeps this half; a caller that needs both halves should use
+    `drag_curve`, which runs each row once.
     """
     return _row(regime, h, R_MAX_DEFAULT, spec, exterior_constant(regime))[1]
 

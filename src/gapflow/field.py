@@ -22,7 +22,7 @@ arrays (numpy floats for scalar input), and global_velocity takes an
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -64,6 +64,10 @@ class ApertureFrame:
     du_r_dz: object
     du_z_dr: object
     du_z_dz: object
+
+    def at(self, index):
+        """The frame's components at one index of their arrays, as views."""
+        return ApertureFrame(*(getattr(self, f.name)[index] for f in fields(self)))
 
     @property
     def d_rz(self):
@@ -304,22 +308,22 @@ class NavierResiduals:
     sphere_tangential: object
 
 
-def _on_sphere(regime, h, r):
-    """The frame on the sphere at radii r, its normal (n_r, n_z), the
-    traction D n as (r, z) components, and (u - e3) x n, whose one
+def _on_sphere(frame, r):
+    """Given the frame on the sphere at radii r: the normal (n_r, n_z),
+    the traction D n as (r, z) components, and (u - e3) x n, whose one
     component is theta."""
-    frame = aperture_frame(regime, h, r, h + gamma_s(r))
     n_r, n_z = sphere_normal(r)
     dn = (
         frame.du_r_dr * n_r + frame.d_rz * n_z,
         frame.d_rz * n_r + frame.du_z_dz * n_z,
     )
-    return frame, (n_r, n_z), dn, (frame.u_z - 1.0) * n_r - frame.u_r * n_z
+    return (n_r, n_z), dn, (frame.u_z - 1.0) * n_r - frame.u_r * n_z
 
 
 def _sphere_residuals(regime, h, r):
     """(sphere_normal, sphere_tangential) of NavierResiduals at radii r."""
-    top, (n_r, n_z), (dn_r, dn_z), mismatch = _on_sphere(regime, h, r)
+    top = aperture_frame(regime, h, r, h + gamma_s(r))
+    (n_r, n_z), (dn_r, dn_z), mismatch = _on_sphere(top, r)
     return (
         top.u_r * n_r + (top.u_z - 1.0) * n_z,
         2.0 * regime.beta_S * (dn_z * n_r - dn_r * n_z) + mismatch,

@@ -90,7 +90,7 @@ def graded_cuts(r_max, scale):
     return list(reversed(cuts))
 
 
-def _adaptive_1d(g, cuts, spec):
+def _adaptive_1d(g, cuts, spec, names=None):
     """Global adaptive composite Gauss-Legendre integration of a vectorized g.
 
     g maps an ndarray of n abscissas to n integrand values (measure and
@@ -101,8 +101,9 @@ def _adaptive_1d(g, cuts, spec):
     BATCH_FACTOR of the worst error/tolerance ratio, until each component's
     fsum of cell errors meets its tolerance.  Returns an IntegralResult, or
     a tuple of k for a stacked g.  QuadratureError names the failing
-    components and the reason: a non-finite estimate, a tolerance below
-    ROUNDOFF_FLOOR times sum |cell values|, MAX_DEPTH, or MAX_CELLS cells.
+    components (by their `names` if given, else by index) and the reason:
+    a non-finite estimate, a tolerance below ROUNDOFF_FLOOR times
+    sum |cell values|, MAX_DEPTH, or MAX_CELLS cells.
     """
     x, w = _gl_rule(RULE_ORDER)
 
@@ -152,11 +153,13 @@ def _adaptive_1d(g, cuts, spec):
         a, b = np.concatenate((a[~sel], lo)), np.concatenate((b[~sel], hi))
         depth = np.concatenate((depth[~sel], depth[sel] + 1, depth[sel] + 1))
 
-    where = f" in component {', '.join(map(str, np.flatnonzero(bad)))}" if stacked else ""
-    value, error, j = np.sum(value, axis=-1).tolist(), np.sum(err, axis=-1).tolist(), np.argmax(bad)
+    failing = np.flatnonzero(bad).tolist()
+    names = names or [f"component {i}" for i in range(len(bad))]
+    where = f" in {', '.join(names[i] for i in failing)}" if stacked else ""
+    value, error, j = np.sum(value, axis=-1).tolist(), np.sum(err, axis=-1).tolist(), failing[0]
     raise QuadratureError(
-        f"quadrature did not converge{where} ({reason}): error {error[j]:.3e} "
-        f"against tol {tol[j]:.3e} on {a.size} cells",
+        f"quadrature did not converge{where} ({reason}): estimate {value[j]:.6e}, "
+        f"error {error[j]:.3e} against tol {tol[j]:.3e} on {a.size} cells",
         value=tuple(value) if stacked else value[0],
         error=tuple(error) if stacked else error[0],
         cells=a.size,
@@ -181,19 +184,32 @@ def integrate_gap(f, h, r_max, spec):
     -------
     IntegralResult, or a tuple of k of them for a stacked f
     """
-    if h <= 0.0:
-        raise ValueError("integrate_gap requires h > 0")
-    zx, zw = _gl_rule(Z_ORDER)
 
     def g(r):
-        H = h + gamma_s(r)
-        Z = 0.5 * H[:, None] * (zx[None, :] + 1.0)
-        W = 0.5 * H[:, None] * zw[None, :]
+        _, Z, W = gap_rule(h, r)
         inner = np.sum(np.asarray(f(r[:, None], Z)) * W, axis=-1)
         return 2.0 * math.pi * r * inner
 
-    cuts = graded_cuts(r_max, math.sqrt(h))
-    return _adaptive_1d(g, cuts, spec)
+    return _adaptive_1d(g, gap_cuts(h, r_max), spec)
+
+
+def gap_cuts(h, r_max):
+    """Initial cells of a gap pass: graded_cuts on the lubrication scale
+    sqrt(h), for h > 0."""
+    if h <= 0.0:
+        raise ValueError("a gap integral requires h > 0")
+    return graded_cuts(r_max, math.sqrt(h))
+
+
+def gap_rule(h, r):
+    """The z-rule across the gap at radii r of shape (n,): the height
+    H = h + gamma_s(r), and the Z_ORDER Gauss-Legendre heights Z and
+    weights W on [0, H], each of shape (n, Z_ORDER)."""
+    zx, zw = _gl_rule(Z_ORDER)
+    H = h + gamma_s(r)
+    Z = 0.5 * H[:, None] * (zx[None, :] + 1.0)
+    W = 0.5 * H[:, None] * zw[None, :]
+    return H, Z, W
 
 
 def integrate_surface(f, surface, r_max, spec, *, scale):

@@ -535,6 +535,15 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_a_drag_row_failure_names_the_gap_and_the_terms(tmp_path, capsys):
+    code = run(["drag", "scan", "--regime", "mixed", "--h-list", "1e-2",
+                "--rel-tol", "1e-14", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "drag row at h = 0.01: " in err
+    assert " in gradient, dissipation (tolerance below the roundoff floor): estimate " in err
+
+
 @pytest.mark.parametrize(
     "args",
     [["--v0=-1e300"], ["--regime", "mixed", "--g", "1e-10", "--t-max", "1e300"]],

@@ -1,7 +1,7 @@
 """Tests for gap drag: energy, surface pairing, exterior policy, fits."""
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from gapflow import drag as drg
 from gapflow import field as fld
+from gapflow import quadrature
 from gapflow.drag import (
     R_MAX_DEFAULT,
     DragCurve,
@@ -23,11 +24,14 @@ from gapflow.field import aperture_frame, pressure, stokes_residual
 from gapflow.geometry import gamma_s
 from gapflow.profile import RegimeKind, ScalingModel, SlipRegime, psi_partials
 from gapflow.quadrature import (
+    DEFAULT_H_LIST,
     MAX_CELLS,
     Z_ORDER,
     IntegralResult,
     QuadratureError,
     QuadratureSpec,
+    _adaptive_1d,
+    gap_cuts,
     integrate_gap,
     integrate_surface,
 )
@@ -355,47 +359,159 @@ def test_surface_drag_never_evaluates_the_pressure_value(monkeypatch):
 # ---------------------------------------------------------------- one row
 
 
-def test_a_drag_row_is_one_adaptive_pass_per_region(monkeypatch):
-    # counted through gapflow.drag's namespace: a slip row integrates the
-    # gap, the wall and the sphere once each, a mixed row the gap and the
-    # wall, and every gap integrand evaluation costs one Psi evaluation
-    calls = Counter()
+# one adaptive pass of a drag row as _record_passes logs it: integrand
+# calls, the Psi evaluations inside them, cells, terms stacked by the
+# integrand, and the QuadratureError (None when it converged)
+Pass = namedtuple("Pass", "calls psi cells terms error")
+
+
+def _record_passes(monkeypatch):
+    """Patch gapflow.drag's adaptive pass and Psi evaluation to log each
+    pass; a QuadratureError is logged and its estimate stands in for the
+    result, so the row still finishes."""
+    log, psi = [], Counter()
 
     def counted_psi(*args):
-        calls["psi_partials"] += 1
+        psi["calls"] += 1
         return psi_partials(*args)
 
-    def counted_gap(f, *args, **kwargs):
-        calls["integrate_gap"] += 1
+    def recorded(g, cuts, spec, names):
+        calls, terms, before = Counter(), [], psi["calls"]
 
-        def g(r, z):
-            before = calls["psi_partials"]
-            out = f(r, z)
-            calls["gap_evals"] += 1
-            calls["gap_psi"] += calls["psi_partials"] - before
+        def counted(r):
+            calls["g"] += 1
+            out = g(r)
+            terms.append(len(out))
             return out
 
-        return integrate_gap(g, *args, **kwargs)
-
-    def counted_surface(*args, **kwargs):
-        calls["integrate_surface"] += 1
-        return integrate_surface(*args, **kwargs)
+        try:
+            res, error = _adaptive_1d(counted, cuts, spec, names), None
+            cells = res[0].cells
+        except QuadratureError as exc:
+            res = tuple(IntegralResult(v, e, exc.cells) for v, e in zip(exc.value, exc.error))
+            cells, error = exc.cells, exc
+        log.append(Pass(calls["g"], psi["calls"] - before, cells, terms[0], error))
+        return res
 
     monkeypatch.setattr(drg, "psi_partials", counted_psi)
-    monkeypatch.setattr(drg, "integrate_gap", counted_gap)
-    monkeypatch.setattr(drg, "integrate_surface", counted_surface)
-    for regime, surfaces in ((SLIP, 2), (MIXED, 1)):
+    monkeypatch.setattr(drg, "_adaptive_1d", recorded)
+    return log
+
+
+def test_a_drag_row_is_one_adaptive_pass_per_region(monkeypatch):
+    # counted through gapflow.drag's namespace: every region of a row is
+    # in its one adaptive pass, the gap's three terms, the wall's two and
+    # with slip the sphere's two, and every integrand call costs one Psi
+    # evaluation
+    log = _record_passes(monkeypatch)
+    for regime, terms in ((SLIP, 7), (MIXED, 5)):
         for row in (
             lambda: energy(regime, 1e-4, spec=SWEEP_SPEC),
             lambda: surface_drag(regime, 1e-4, spec=SWEEP_SPEC),
             lambda: drag_curve(regime, (1e-4,), spec=SWEEP_SPEC),
         ):
-            calls.clear()
+            log.clear()
             row()
-            assert calls["integrate_gap"] == 1
-            assert calls["integrate_surface"] == surfaces
-            assert calls["gap_evals"] > 0
-            assert calls["gap_psi"] == calls["gap_evals"]
+            (one,) = log
+            assert one.terms == terms
+            assert one.calls > 0
+            assert one.psi == one.calls
+
+
+@pytest.mark.parametrize(
+    "name, regime", [("slip", SLIP), ("mixed", MIXED)], ids=["slip", "mixed"]
+)
+def test_default_drag_rows_are_one_pass_of_one_psi_call(name, regime, monkeypatch):
+    # deterministic work counters: the default `drag scan` makes one
+    # adaptive pass per row, no row refines, so each pass is one
+    # integrand call on its initial cells and one Psi evaluation
+    log = _record_passes(monkeypatch)
+    hs = [row[0] for row in DEFAULT_SCAN_ROWS[name]]
+    drag_curve(regime, hs, spec=SWEEP_SPEC)
+    assert [(p.calls, p.psi, p.cells) for p in log] == [
+        (1, 1, len(gap_cuts(h, R_MAX_DEFAULT)) - 1) for h in hs
+    ]
+
+
+def _per_region_row(regime, h, r_max, spec, ext):
+    """The drag row as one adaptive pass per region, one integrate_gap and
+    one or two integrate_surface passes: the reference of the fused row."""
+
+    def gap(r, z):
+        p = psi_partials(regime, h, r, z)
+        frame = fld._frame(p, r)
+        f_r, f_z = fld._residual(regime, p, r)
+        return np.stack(
+            [frame.grad_sq, frame.sym_grad_sq, f_r * frame.u_r + f_z * frame.u_z]
+        )
+
+    def wall(r):
+        frame = aperture_frame(regime, h, r, np.zeros_like(r))
+        return np.stack([frame.u_r**2, 2.0 * frame.d_rz * frame.u_r])
+
+    def sphere(r):
+        frame = aperture_frame(regime, h, r, h + gamma_s(r))
+        _, (dn_r, dn_z), mismatch = fld._on_sphere(frame, r)
+        return np.stack(
+            [mismatch**2, dn_r * (-frame.u_r) + dn_z * (1.0 - frame.u_z)]
+        )
+
+    grad, sym, vol = integrate_gap(gap, h, r_max, spec)
+    slip_sq, wall_t = integrate_surface(wall, "plane", r_max, spec, scale=math.sqrt(h))
+    if regime.kind is RegimeKind.SLIP:
+        mismatch_sq, sphere_t = integrate_surface(
+            sphere, "sphere-cap", r_max, spec, scale=math.sqrt(h)
+        )
+        e_sphere = (1.0 / regime.beta_S + 1.0) * mismatch_sq.value
+    else:
+        e_sphere, sphere_t = 0.0, IntegralResult(0.0, 0.0, 0)
+    e_wall = (1.0 / regime.beta_Omega) * slip_sq.value
+    e = drg.EnergyBreakdown(
+        grad.value + e_sphere + e_wall + ext, grad.value, e_sphere, e_wall, ext
+    )
+    diss, diss_error = 2.0 * sym.value, 2.0 * sym.error
+    n = drg.SurfaceDrag(
+        value=vol.value + diss + wall_t.value + sphere_t.value + ext,
+        volume=vol.value,
+        dissipation=diss,
+        wall=wall_t.value,
+        sphere=sphere_t.value,
+        error=vol.error + diss_error + wall_t.error + sphere_t.error,
+        exterior=ext,
+    )
+    return e, n
+
+
+# the rows of test_deep_gap_rows_meet_the_tolerance_they_ask_for
+DEEP_ROWS = [
+    (regime, h, rel_tol)
+    for regime in (SLIP, MIXED)
+    for h in (1e-8, 1e-10, 1e-12)
+    for rel_tol in (1e-8, 1e-10, 1e-12)
+]
+
+
+@pytest.mark.parametrize(
+    "regime, h, rel_tol, ext",
+    [(regime, h, 1e-8, "included") for regime in (SLIP, SLIP_B, MIXED) for h in DEFAULT_H_LIST]
+    + [row + ("excluded",) for row in DEEP_ROWS],
+)
+def test_the_fused_row_equals_the_per_region_row_bit_for_bit(regime, h, rel_tol, ext):
+    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12)
+    shift = exterior_constant(regime) if ext == "included" else 0.0
+    fused = drg._row(regime, h, R_MAX_DEFAULT, spec, shift)
+    # repr tells every bit of a float apart, the sign of a zero included
+    assert repr(fused) == repr(_per_region_row(regime, h, R_MAX_DEFAULT, spec, shift))
+
+
+def test_a_failed_row_names_its_gap_and_terms_and_keeps_every_estimate():
+    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-12)
+    with pytest.raises(
+        QuadratureError, match=r"^drag row at h = 0\.01: .* in gradient, dissipation \("
+    ) as err:
+        drag_curve(MIXED, (1e-2,), spec=spec)
+    assert len(err.value.value) == len(err.value.error) == 5
+    assert all(math.isfinite(v) for v in err.value.value)
 
 
 @pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-6])
@@ -459,25 +575,25 @@ def test_default_drag_scan_rows_are_pinned(name, regime):
 def test_gap_z_rule_matches_the_16_point_rule_per_node(
     monkeypatch, regime, h, laplacian_and_pressure_gradient
 ):
-    """Z_ORDER = 4 is exact for the gap pass: at every radial node of a
-    default row, each component's z-integral agrees with the 16-point
-    rule to 1e-14 of the z-integral of the absolute terms it sums.  The
-    mixed pairing sums its closed-form terms; the slip f_z cancels its
-    own terms, so its pairing is held to the scale |lap u| + |grad q| of
-    the two forms it was derived from."""
-    gaps, nodes = [], []
+    """Z_ORDER = 4 is exact for the row's gap terms: at every radial node
+    of a default row, each gap term of the row's integrand agrees with the
+    same integrand on the 16-point z-rule to 1e-14 of the z-integral of
+    the absolute terms it sums.  The mixed pairing sums its closed-form
+    terms; the slip f_z cancels its own terms, so its pairing is held to
+    the scale |lap u| + |grad q| of the two forms it was derived from."""
+    passes, nodes = [], []
 
-    def recording(f, *args, **kwargs):
-        def g(r, z):
-            nodes.append(r.ravel())
-            return f(r, z)
+    def recording(g, *args):
+        def recorded(r):
+            nodes.append(r)
+            return g(r)
 
-        gaps.append(f)
-        return integrate_gap(g, *args, **kwargs)
+        passes.append(g)
+        return _adaptive_1d(recorded, *args)
 
-    monkeypatch.setattr(drg, "integrate_gap", recording)
+    monkeypatch.setattr(drg, "_adaptive_1d", recording)
     drag_curve(regime, [h], spec=SWEEP_SPEC)
-    (gap,), r = gaps, np.concatenate(nodes)
+    (row,), r = passes, np.concatenate(nodes)
     H = h + gamma_s(r)
 
     def per_node(f, order):
@@ -501,38 +617,14 @@ def test_gap_z_rule_matches_the_16_point_rule_per_node(
         pairing = f_r * np.abs(frame.u_r) + f_z * np.abs(frame.u_z)
         return np.stack([frame.grad_sq, frame.sym_grad_sq, pairing])
 
+    # the row's gap terms, 2 pi r times their z-integrals, on its own
+    # Z_ORDER rule and on the 16-point rule
     assert Z_ORDER == 4
-    four, sixteen = per_node(gap, Z_ORDER), per_node(gap, 16)
-    assert np.all(np.abs(four - sixteen) <= 1e-14 * per_node(magnitude, 16))
-
-
-def _record_regions(monkeypatch):
-    """Patch gapflow.drag's integrators to log, per region, its integrand
-    calls and cells; a QuadratureError is logged with its cells and its
-    estimate stands in for the result, so every region of the row runs."""
-    log = []
-
-    def recorded(integrate):
-        def run(f, *args, **kwargs):
-            calls = Counter()
-
-            def counted(*xs):
-                calls["f"] += 1
-                return f(*xs)
-
-            try:
-                res = integrate(counted, *args, **kwargs)
-                log.append((calls["f"], res[0].cells, None))
-            except QuadratureError as exc:
-                log.append((calls["f"], exc.cells, exc))
-                res = tuple(IntegralResult(v, e, exc.cells) for v, e in zip(exc.value, exc.error))
-            return res
-
-        return run
-
-    monkeypatch.setattr(drg, "integrate_gap", recorded(integrate_gap))
-    monkeypatch.setattr(drg, "integrate_surface", recorded(integrate_surface))
-    return log
+    four = row(r)[:3]
+    monkeypatch.setattr(quadrature, "Z_ORDER", 16)
+    sixteen = row(r)[:3]
+    bound = 1e-14 * 2.0 * math.pi * r * per_node(magnitude, 16)
+    assert np.all(np.abs(four - sixteen) <= bound)
 
 
 @pytest.mark.parametrize(
@@ -542,15 +634,16 @@ def test_a_default_drag_row_region_makes_at_most_two_integrand_calls(
     name, regime, monkeypatch
 ):
     # at the `drag scan` defaults no cell refines past its first bisection,
-    # so a region is the initial call plus at most one refinement round
-    log = _record_regions(monkeypatch)
+    # so each row's one pass, every region's terms in it, is the initial
+    # call plus at most one refinement round
+    log = _record_passes(monkeypatch)
     rows = DEFAULT_SCAN_ROWS[name]
     drag_curve(regime, [row[0] for row in rows], spec=SWEEP_SPEC)
-    assert len(log) == len(rows) * (3 if regime is SLIP else 2)
-    assert all(error is None and calls <= 2 for calls, _, error in log)
+    assert len(log) == len(rows)
+    assert all(p.error is None and p.calls <= 2 for p in log)
 
 
-DEEP_CALLS = 100  # refinement rounds per integral; a few dozen at most here
+DEEP_CALLS = 100  # integrand calls per row pass; a few dozen at most here
 
 
 @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
@@ -559,14 +652,15 @@ DEEP_CALLS = 100  # refinement rounds per integral; a few dozen at most here
 def test_deep_gap_integrals_finish_or_raise_within_the_cell_budget(
     regime, h, rel_tol, monkeypatch
 ):
-    # below the validated sweep every integral ends in bounded work: it
-    # converges or raises QuadratureError, within MAX_CELLS cells
-    log = _record_regions(monkeypatch)
+    # below the validated sweep a row's one pass, with every region's
+    # integrals in it, ends in bounded work: it converges or raises
+    # QuadratureError, within MAX_CELLS cells
+    log = _record_passes(monkeypatch)
     energy(regime, h, spec=QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12))
-    assert len(log) == (3 if regime is SLIP else 2)
-    for calls, cells, _ in log:
-        assert 1 <= calls <= DEEP_CALLS
-        assert cells <= MAX_CELLS
+    (one,) = log
+    assert 1 <= one.calls <= DEEP_CALLS
+    assert one.psi == one.calls
+    assert one.cells <= MAX_CELLS
 
 
 @pytest.mark.parametrize("h", [1e-8, 1e-10, 1e-12])
