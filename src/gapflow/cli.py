@@ -278,7 +278,7 @@ def _echo(cfg):
     return echo
 
 
-def envelope(cfg, command, checks, extra=None):
+def envelope(cfg, command, checks, extra):
     report = {
         "schema": SCHEMA,
         "version": __version__,
@@ -288,8 +288,7 @@ def envelope(cfg, command, checks, extra=None):
         "checks": checks,
         "passed": all(row["passed"] for row in checks),
     }
-    if extra:
-        report.update(extra)
+    report.update(extra)
     return report
 
 
@@ -511,17 +510,11 @@ def _integral_rows(cfg):
 
 
 def cmd_profile_check(cfg, out):
-    checks = _profile_rows(cfg) + _limit_rows()
-    report = envelope(cfg, "profile check", checks)
-    write_json(out / "profile_check.json", report)
-    return report["passed"]
+    return _profile_rows(cfg) + _limit_rows(), {}
 
 
 def cmd_field_verify(cfg, out):
-    checks = _field_rows(cfg)
-    report = envelope(cfg, "field verify", checks)
-    write_json(out / "field_verify.json", report)
-    return report["passed"]
+    return _field_rows(cfg), {}
 
 
 def _curve(cfg):
@@ -567,9 +560,7 @@ def cmd_drag_scan(cfg, out):
         "provenance": dict(curve.provenance),
         "rows": [dict(zip(header, row)) for row in rows],
     }
-    report = envelope(cfg, "drag scan", checks, extra)
-    write_json(out / "drag_scan.json", report)
-    return report["passed"]
+    return checks, extra
 
 
 def _fit_json(fits):
@@ -625,9 +616,7 @@ def cmd_drag_fit(cfg, out):
         "kappa_calibrated": fits["energy"][expected.value].a,
         "provenance": dict(curve.provenance),
     }
-    report = envelope(cfg, "drag fit", checks, extra)
-    write_json(out / "drag_fit.json", report)
-    return report["passed"]
+    return checks, extra
 
 
 def cmd_integral_classify(cfg, out):
@@ -657,9 +646,7 @@ def cmd_integral_classify(cfg, out):
             "selected": case.selected.name,
         }
     }
-    report = envelope(cfg, "integral classify", checks, extra)
-    write_json(out / "integral_classify.json", report)
-    return report["passed"]
+    return checks, extra
 
 
 def cmd_fall_simulate(cfg, out):
@@ -697,9 +684,7 @@ def cmd_fall_simulate(cfg, out):
         "effective_gravity": params.G,
         "samples": len(traj),
     }
-    report = envelope(cfg, "fall simulate", checks, extra)
-    write_json(out / "fall_simulate_event.json", report)
-    return report["passed"]
+    return checks, extra
 
 
 def cmd_fall_scan(cfg, out):
@@ -723,7 +708,7 @@ def cmd_fall_scan(cfg, out):
     )
     if rows and all(r.outcome == "Error" for r in rows):
         raise StiffnessError("every scan cell failed; see fall_scan.csv")
-    return True
+    return [], {}
 
 
 def cmd_verify_all(cfg, out):
@@ -734,20 +719,20 @@ def cmd_verify_all(cfg, out):
         *_envelope_rows(cfg),
         *_integral_rows(cfg),
     ]
-    report = envelope(cfg, "verify all", checks)
-    write_json(out / "verify_all.json", report)
-    return report["passed"]
+    return checks, {}
 
 
+# (group, action) -> (command, the JSON report it writes or None); each
+# command writes its CSV itself and returns (checks, extra report keys)
 COMMANDS = {
-    ("profile", "check"): cmd_profile_check,
-    ("field", "verify"): cmd_field_verify,
-    ("drag", "scan"): cmd_drag_scan,
-    ("drag", "fit"): cmd_drag_fit,
-    ("integral", "classify"): cmd_integral_classify,
-    ("fall", "simulate"): cmd_fall_simulate,
-    ("fall", "scan"): cmd_fall_scan,
-    ("verify", "all"): cmd_verify_all,
+    ("profile", "check"): (cmd_profile_check, "profile_check.json"),
+    ("field", "verify"): (cmd_field_verify, "field_verify.json"),
+    ("drag", "scan"): (cmd_drag_scan, "drag_scan.json"),
+    ("drag", "fit"): (cmd_drag_fit, "drag_fit.json"),
+    ("integral", "classify"): (cmd_integral_classify, "integral_classify.json"),
+    ("fall", "simulate"): (cmd_fall_simulate, "fall_simulate_event.json"),
+    ("fall", "scan"): (cmd_fall_scan, None),
+    ("verify", "all"): (cmd_verify_all, "verify_all.json"),
 }
 
 
@@ -797,16 +782,19 @@ def run(argv=None):
         print(f"gapflow: invalid config: {exc}", file=sys.stderr)
         return 2
 
-    command = COMMANDS[(args.group, args.action)]
+    command, report_name = COMMANDS[(args.group, args.action)]
     try:
-        passed = command(cfg, out)
+        checks, extra = command(cfg, out)
+        report = envelope(cfg, f"{args.group} {args.action}", checks, extra)
+        if report_name is not None:
+            write_json(out / report_name, report)
     except ConfigError as exc:
         print(f"gapflow: invalid config: {exc}", file=sys.stderr)
         return 2
     except (ClassificationError, QuadratureError, StiffnessError, ValueError) as exc:
         print(f"gapflow: numerical failure: {exc}", file=sys.stderr)
         return 3
-    return 0 if passed else 1
+    return 0 if report["passed"] else 1
 
 
 def main():

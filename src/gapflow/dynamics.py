@@ -15,11 +15,12 @@ by the gap analysis fall on either side:
   contact never happens.
 
 ``drag_law`` builds D from a regime's ``profile.ScalingModel``, which
-also gives P with P' = D in closed form, so Phi(h) = P(h0) - P(h) and
-``simulate`` integrates the first integral, one scalar ODE, never
-(h, h'), with the float steppers of ``ode``.  The log law D = a |ln h|
-runs it in h by the embedded 4(5) Runge-Kutta pair, with events for
-touchdown (h = 1e-12) and escape (h = h_max).  The inverse law D = a/h
+also gives P with P' = D in closed form, so Phi(h) = P(h0) - P(h).  The
+fall reads only the law's (model, a), never its callable D: ``simulate``
+integrates the first integral, one scalar ODE, never (h, h'), with the
+float steppers of ``ode``.  The log law D = a |ln h| runs it in h by
+the embedded 4(5) Runge-Kutta pair, with events for touchdown
+(h = 1e-12) and escape (h = h_max).  The inverse law D = a/h
 runs it in u = ln h, u' = (v0 + Phi(h) - G t) / h, by variable-order BDF
 with the analytic Jacobian, which it leaves at the first state with
 h <= SWITCH_H and h' <= 0 where h' is slaved to gravity: within a factor
@@ -136,7 +137,8 @@ class DragLaw:
 
     ``deep`` is (model, a): the ScalingModel D follows as h -> 0 and its
     coefficient, a |ln h| or a / h; the inverse law sends simulate into
-    its BDF solve in ln h and the closed-form tail.
+    its BDF solve in ln h and the closed-form tail.  simulate reads only
+    ``deep``; the callable does not enter the fall.
     """
 
     kind: str  # "analytic"
@@ -146,12 +148,6 @@ class DragLaw:
 
     def __call__(self, h):
         return self._fn(h)
-
-    def antiderivative(self, h):
-        """P with P' = D at a float h, through which simulate integrates
-        every fall: the deep model's, exact if D is it."""
-        model, a = self.deep
-        return model.primitive(a)(h)
 
 
 def drag_law(regime, source, kappa):
@@ -201,17 +197,15 @@ def _tail(t_s, h_s, v_s, conserved, a, G, t_max):
     return TerminalEvent(EventKind.NO_CONTACT, t_end, h, v, note)
 
 
-def _equation(law, G, top, h_max, rtol):
+def _equation(model, a, P, G, top, h_max, rtol):
     """The fall's scalar ODE as (rhs, jac, events, speed).
 
-    ``top`` is h' + P(h) + G t, constant along the fall, and speed(t, h)
-    the h' it gives.  A log law integrates y = h and has no jac; an
-    inverse law integrates y = u = ln h with the analytic Jacobian.
-    ``events`` are (g, direction) pairs, all terminal: touchdown (log) or
-    the tail entry (inverse) first, escape second.
+    ``P`` is ``model.primitive(a)``, ``top`` is h' + P(h) + G t, constant
+    along the fall, and speed(t, h) the h' it gives.  A log law integrates
+    y = h and has no jac; an inverse law integrates y = u = ln h with the
+    analytic Jacobian.  ``events`` are (g, direction) pairs, all terminal:
+    touchdown (log) or the tail entry (inverse) first, escape second.
     """
-    model, a = law.deep
-    P = model.primitive(a)
 
     def speed(t, h):
         return top - P(h) - G * t
@@ -228,8 +222,8 @@ def _equation(law, G, top, h_max, rtol):
         return speed(t, h) / h
 
     def jac(t, u):
-        # d/du of u' = speed / h is -u' - D(h)
-        return -rhs(t, u) - float(law(math.exp(u)))
+        # d/du of u' = speed / h is -u' - D(h), D(h) = a / h
+        return -rhs(t, u) - a / math.exp(u)
 
     # a coast shorter than eps t / rtol is below what BDF resolves at t
     resolution = EPS / rtol
@@ -271,7 +265,8 @@ def simulate(
         Initial gap (must lie in (touchdown, h_max)) and velocity.
     t_max : float
     law : DragLaw, optional
-        Custom drag; anything else raises TypeError.
+        Custom drag, of which the fall reads only ``law.deep``; anything
+        else raises TypeError.
     rtol, atol
         Tolerances of the integrator, which integrates h (log law) or
         u = ln h (inverse law, so rtol and atol bound the relative error of
@@ -310,8 +305,9 @@ def simulate(
     if model is ScalingModel.INVERSE and a <= 0.0:
         raise ValueError("inverse drag law needs a positive leading coefficient")
     G = params.G
-    top = v0 + law.antiderivative(h0)
-    rhs, jac, events, speed = _equation(law, G, top, h_max, rtol)
+    P = model.primitive(a)
+    top = v0 + P(h0)
+    rhs, jac, events, speed = _equation(model, a, P, G, top, h_max, rtol)
     stiff = jac is not None
     y0 = math.log(h0) if stiff else h0
 

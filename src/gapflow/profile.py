@@ -92,8 +92,6 @@ class SlipRegime:
     beta_Omega: float
 
     def __post_init__(self):
-        if self.beta_S < 0.0 or self.beta_Omega < 0.0:
-            raise ValueError("slip lengths must be nonnegative")
         if self.kind is RegimeKind.SLIP and not (
             self.beta_S > 0.0 and self.beta_Omega > 0.0
         ):

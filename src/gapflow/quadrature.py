@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import PLANE, SPHERE_CAP, gamma_s, surface_measure
+from .geometry import gamma_s, surface_measure
 from .profile import ScalingModel
 
 # Gauss-Legendre orders: per adaptive cell, and across the gap height.
@@ -220,9 +220,6 @@ def integrate_surface(f, surface, r_max, spec, *, scale):
     initial cells (graded_cuts), sqrt(h) for the drag rows.  f may stack
     components, as in integrate_gap.
     """
-    if surface not in (PLANE, SPHERE_CAP):
-        raise ValueError(f"unknown surface {surface!r}")
-
     def g(r):
         return 2.0 * math.pi * np.asarray(f(r)) * surface_measure(surface, r)
 

@@ -435,6 +435,26 @@ def test_every_subcommand_has_help(group, action, capsys):
     assert f"gapflow {group} {action}" in capsys.readouterr().out
 
 
+CSV_OF = {("drag", "scan"): "drag_scan.csv",
+          ("fall", "simulate"): "fall_simulate_trajectory.csv",
+          ("fall", "scan"): "fall_scan.csv"}
+
+
+@pytest.mark.parametrize("group, action", list(cli.COMMANDS), ids=" ".join)
+def test_each_command_writes_the_report_its_entry_names(group, action, tmp_path):
+    _, report_name = cli.COMMANDS[(group, action)]
+    code = run([group, action, "--h-list", "1e-2,1e-3,1e-4,1e-5",
+                "--out", str(tmp_path), *FAST])
+    assert code in (0, 1)
+    written = {p.name for p in tmp_path.iterdir()}
+    expected = {report_name, CSV_OF.get((group, action))} - {None}
+    assert written == expected
+    if report_name is not None:
+        report = _read(tmp_path / report_name)
+        assert report["command"] == f"{group} {action}"
+        assert code == (0 if report["passed"] else 1)
+
+
 def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
     code = run(["drag", "scan", "--regime", "slip", "--h-list", "1e-2,1e-3",
                 "--delta", "0.15", "--out", str(tmp_path)])
@@ -479,6 +499,7 @@ def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
 def test_invalid_config_exits_2(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     assert "invalid config" in capsys.readouterr().err
+
 
 
 # `drag fit` exits 1 on purpose: its energy_ratio_window check reads

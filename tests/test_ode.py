@@ -35,8 +35,9 @@ TOUCHDOWN_ATOL = 1e-16
 
 
 def _equation_of(regime, kappa, G, h0, v0):
-    law = drag_law(regime, "analytic", kappa)
-    return _equation(law, G, v0 + law.antiderivative(h0), H_MAX_DEFAULT, RTOL_DEFAULT)
+    model, a = drag_law(regime, "analytic", kappa).deep
+    P = model.primitive(a)
+    return _equation(model, a, P, G, v0 + P(h0), H_MAX_DEFAULT, RTOL_DEFAULT)
 
 
 def _scipy(regime, kappa, G, h0, v0, t_max):
@@ -180,3 +181,12 @@ def test_free_fall_is_exact_for_the_embedded_pair():
     # of step size
     _, h = _fixed_steps(RK45(lambda t, h: -t, 0.0, 0.25, 0.5, 1e10, 1e10), 0.1)
     assert h == pytest.approx(0.25 - 0.5 * 0.5**2, abs=1e-12)
+
+
+def test_a_nan_jacobian_fails_the_step():
+    # the Newton matrix 1 - c J is nan at the first step
+    stepper = BDF(lambda t, y: -y, lambda t, y: math.nan, 0.0, 1.0, 1.0, 1e-6, 1e-9)
+    sol = solve(stepper, ())
+    assert (sol.status, sol.steps, sol.nlu) == (-1, 0, 1)
+    assert "Newton matrix" in sol.message and sol.t == [0.0]
+

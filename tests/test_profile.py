@@ -69,6 +69,10 @@ class TestSlipRegime:
             (RegimeKind.MIXED, 0.0, 0.0),
             (RegimeKind.SLIP, -1.0, 1.0),
             (RegimeKind.SLIP, 1.0, math.nan),
+            (RegimeKind.SLIP, math.nan, 1.0),
+            (RegimeKind.MIXED, -1.0, 1.0),
+            (RegimeKind.MIXED, 0.0, -1.0),
+            (RegimeKind.MIXED, 0.0, math.nan),
         ],
     )
     def test_invalid(self, args):

@@ -174,7 +174,8 @@ class TestIntegrateSurface:
         assert res.value == pytest.approx(2.0 * math.pi * (1.0 - 0.8), rel=TOL_CLOSED_FORM)
 
     def test_unknown_surface(self):
-        with pytest.raises(ValueError):
+        # surface_measure names it at the first integrand call
+        with pytest.raises(ValueError, match="unknown surface 'cone'"):
             integrate_surface(lambda r: r, "cone", 0.2, SPEC, scale=1.0)
 
 
