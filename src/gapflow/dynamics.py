@@ -288,8 +288,9 @@ def simulate(
     ------
     StiffnessError
         When a step fails: its size falls below the spacing of floats at
-        t, or the Newton matrix is singular or not finite; also when float
-        arithmetic divides by zero or overflows inside the integrator.
+        t, or the Newton matrix is singular or not finite; when the solve
+        takes ode.MAX_STEPS steps; also when float arithmetic divides by
+        zero or overflows inside the integrator.
     """
     if not (TOUCHDOWN_H < h0 < h_max):
         raise ValueError(f"h0 must lie in ({TOUCHDOWN_H}, {h_max})")

@@ -24,7 +24,8 @@ sign change over a step is not one on the step's dense output.
 events: one row per accepted step, and where an event function changes
 sign in its direction over a step, the root on the step's dense output by
 Brent's method (xtol = rtol = 4 eps, as ``scipy.optimize.brentq``) ends
-the run there.
+the run there.  Unlike ``solve_ivp`` it takes at most MAX_STEPS steps,
+so a run too stiff for its stepper fails instead of running for ever.
 """
 
 import math
@@ -34,6 +35,8 @@ from dataclasses import dataclass
 EPS = sys.float_info.epsilon
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
+# accepted steps one solve may take: about 12 s of a fall on a 2-core machine
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -424,12 +427,18 @@ def solve(stepper, events):
     Returns
     -------
     Solution
+        Status -1 also when MAX_STEPS steps end short of t_bound and of
+        every event.
     """
     t, y = stepper.t, stepper.y
     ts, ys = [t], [y]
     g = [event(t, y) for event, _ in events]
     status, fired, steps = None, None, 0
     while status is None:
+        if steps == MAX_STEPS:
+            stepper.message = f"the step budget MAX_STEPS = {MAX_STEPS} ran out"
+            status = -1
+            break
         if not stepper.step():
             status = -1
             break

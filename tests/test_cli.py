@@ -15,7 +15,7 @@ import gapflow
 import gapflow.cli as cli
 from gapflow.cli import RunConfig, run
 from gapflow.drag import exterior_constant
-from gapflow import profile
+from gapflow import ode, profile
 from gapflow.profile import SlipRegime, coefficients
 
 # keep the random-draw sections small; the full-size battery is exercised
@@ -494,12 +494,19 @@ def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
         ["fall", "scan", "--h0-list", "1e-13"],
         ["fall", "simulate", "--regime", "mixed", "--kappa", "0"],
         ["fall", "scan", "--regime", "mixed", "--kappa-list", "1,0"],
+        ["profile", "check", "--draws", "1000001"],
     ],
 )
 def test_invalid_config_exits_2(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     assert "invalid config" in capsys.readouterr().err
 
+
+def test_draws_above_the_bound_name_it(tmp_path, capsys):
+    cli.validate(RunConfig(draws=cli.MAX_DRAWS))
+    assert run(["verify", "all", "--draws", str(cli.MAX_DRAWS + 1),
+                "--out", str(tmp_path)]) == 2
+    assert f"MAX_DRAWS = {cli.MAX_DRAWS}" in capsys.readouterr().err
 
 
 # `drag fit` exits 1 on purpose: its energy_ratio_window check reads
@@ -575,6 +582,21 @@ def test_fall_float_arithmetic_failure_exits_3(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert "numerical failure" in err and "v0=" in err
     assert "Traceback" not in err
+
+
+def test_a_fall_over_the_step_budget_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 10)
+    assert run(["fall", "simulate", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "MAX_STEPS = 10" in err
+    assert list(tmp_path.iterdir()) == []
+    # in a scan the cell becomes an Error row; h0 = 1e-7 starts in the
+    # closed-form tail, takes no step and ends as it does without a budget
+    assert run(["fall", "scan", "--regime", "mixed", "--kappa-list", "1",
+                "--h0-list", "1e-7,0.25", "--out", str(tmp_path)]) == 0
+    _, rows = _rows(tmp_path / "fall_scan.csv")
+    assert [row[3] for row in rows] == ["NoContact", "Error"]
+    assert "MAX_STEPS = 10" in rows[1][-1]
 
 
 @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")

@@ -20,6 +20,7 @@ from gapflow.dynamics import (
     drag_law,
     simulate,
     FallParameters,
+    StiffnessError,
 )
 from gapflow.geometry import H_MAX_DEFAULT
 from gapflow import ode
@@ -190,3 +191,30 @@ def test_a_nan_jacobian_fails_the_step():
     assert (sol.status, sol.steps, sol.nlu) == (-1, 0, 1)
     assert "Newton matrix" in sol.message and sol.t == [0.0]
 
+
+# ----------------------------------------------------------- step budget
+
+
+@pytest.mark.parametrize("case", ["slip", "mixed-default"])
+def test_the_step_budget_ends_a_solve(case, monkeypatch):
+    full = _ported(*CASES[case])
+    monkeypatch.setattr(ode, "MAX_STEPS", full.steps // 2)
+    sol = _ported(*CASES[case])
+    assert (sol.status, sol.event, sol.steps) == (-1, None, full.steps // 2)
+    assert f"MAX_STEPS = {full.steps // 2}" in sol.message
+    assert sol.t == full.t[: sol.steps + 1]
+
+
+def test_a_solve_may_end_on_its_last_budgeted_step(monkeypatch):
+    full = _ported(*CASES["slip"])
+    monkeypatch.setattr(ode, "MAX_STEPS", full.steps)
+    sol = _ported(*CASES["slip"])
+    assert (sol.status, sol.event, sol.t) == (full.status, full.event, full.t)
+
+
+def test_a_fall_over_its_step_budget_raises_stiffness_error(monkeypatch):
+    monkeypatch.setattr(ode, "MAX_STEPS", 10)
+    params = FallParameters(rho_S=2.0, rho_F=1.0, g=2.0, kappa=1.0)
+    with pytest.raises(StiffnessError, match="MAX_STEPS = 10") as info:
+        simulate(params, SLIP, 0.25, t_max=10.0)
+    assert all(f"{name}=" in str(info.value) for name in ("t", "h", "h'"))
