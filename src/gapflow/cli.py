@@ -28,6 +28,10 @@ GAPFLOW_OUTPUT_DIR environment variable, else the working directory.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
 configuration, 3 numerical failure.
+
+A command loads only the layers it runs: this module imports the standard
+library and the numpy-free `gapflow.model`, and each command imports its
+own layers when it runs, so the fall commands start without numpy.
 """
 
 import argparse
@@ -43,39 +47,22 @@ from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .drag import drag_curve, fit_scaling
-from .dynamics import (
+from .model import (
     ATOL_DEFAULT,
+    DEFAULT_H_LIST,
+    DELTA_DEFAULT,
+    H_MAX_DEFAULT,
     RTOL_DEFAULT,
     TOUCHDOWN_H,
+    ClassificationError,
     FallParameters,
-    StiffnessError,
-    simulate,
-    touchdown_scan,
-)
-from .field import aperture_frame, navier_residuals, sphere_slip_l2
-from .geometry import DELTA_DEFAULT, H_MAX_DEFAULT, gamma_s
-from .profile import (
+    QuadratureError,
+    QuadratureSpec,
     RegimeKind,
     ScalingModel,
     SlipRegime,
-    _coefficients,
-    _family,
-    weighted_sups,
-)
-from .quadrature import (
-    CLASSIFY_H_MIN,
-    DEFAULT_H_LIST,
-    FIT_R2_FLOOR,
-    Classification,
-    ClassificationError,
-    QuadratureError,
-    QuadratureSpec,
-    classify_singular,
-    log_case_oracle,
+    StiffnessError,
 )
 
 SCHEMA = "gapflow.report/1"
@@ -102,9 +89,13 @@ ORACLE_RTOL = 1e-8
 FD_SCALE = 2e-3
 FD_POINTS = 50
 FLUX_RADII = (0.05, 0.1, 0.15, 0.19)
-# random draws of profile check and field verify: 10**6 take up to 6 s
-# and 300 MB on a 2-core machine; 10**9 would take hours and tens of GB
+# random draws of profile check and field verify: 10**6 take 3.5 s and
+# 170 MB in profile check, 1.1 s and 290 MB in field verify, on a 2-core
+# machine; 10**9 would take an hour and tens of GB
 MAX_DRAWS = 10**6
+# raw outputs of the profile draws' generator read per block: a block's
+# ints stay small beside the draws themselves
+RAW_BLOCK = 4096
 
 
 class ConfigError(ValueError):
@@ -336,27 +327,64 @@ def _out_dir(cfg):
 # -------------------------------------------------------- check sections
 
 
+def _raw_words(bit_generator):
+    """The generator's 64-bit outputs as Python ints, read RAW_BLOCK at a
+    time."""
+    while True:
+        yield from bit_generator.random_raw(RAW_BLOCK).tolist()
+
+
+def _profile_draws(seed, draws):
+    """(mixed, h, r, beta_S, beta_Omega) of each draw, flat in an
+    array('d'), bit for bit as a per-draw loop of numpy Generator calls on
+    default_rng(seed) makes them: a coin rng.integers(2), then
+    rng.uniform for log10 h, r, log10 beta_S (slip draws only) and
+    log10 beta_Omega.  The coin decides how many numbers a draw takes, so
+    the stream is walked in Python, over PCG64's raw outputs read in
+    blocks:
+
+    - a coin is bit 31 of a 32-bit draw: the low half of a fresh output,
+      whose high half PCG64 keeps for the next coin;
+    - a double is (x >> 11) 2^-53 of the next output, which leaves a kept
+      half alone;
+    - 10.0 ** x stays Python's scalar pow, whose bits numpy's array power
+      does not always give.
+    """
+    import numpy as np
+
+    word = _raw_words(np.random.PCG64(seed)).__next__
+
+    def uniform(lo, hi):  # what rng.uniform(lo, hi) computes
+        return lo + (hi - lo) * ((word() >> 11) * 2.0**-53)
+
+    out = array("d")  # flat doubles: 5 per draw, no float objects kept
+    kept = None  # the high half of the last coin's output, if unread
+    for _ in range(draws):
+        if kept is None:
+            x = word()
+            mixed, kept = x >> 31 & 1, x >> 32
+        else:
+            mixed, kept = kept >> 31, None
+        h = 10.0 ** uniform(-6.0, math.log10(0.45))
+        r = uniform(0.0, 0.9)
+        beta_S = 0.0 if mixed else 10.0 ** uniform(-3.0, 3.0)
+        out.extend((mixed, h, r, beta_S, 10.0 ** uniform(-3.0, 3.0)))
+    return out
+
+
 def _profile_rows(cfg):
     """Constraint identities of the cubic profile over random draws.
 
     Draws mix both regimes and log-uniform slip lengths; the residuals
     are the constraint equations themselves, normalized by 1 + alpha so
-    large slip coefficients do not inflate the scale.  The regime coin
-    decides how many numbers a draw takes from the stream, so draws are
-    made one at a time; the profile is then evaluated once per regime kind.
+    large slip coefficients do not inflate the scale.  The draws come from
+    `_profile_draws`; the profile is then evaluated once per regime kind.
     """
-    rng = np.random.default_rng(cfg.seed)
+    import numpy as np
 
-    def uniform(lo, hi):  # what rng.uniform(lo, hi) computes
-        return lo + (hi - lo) * rng.random()
+    from .profile import _coefficients
 
-    draws = array("d")  # flat doubles: 5 per draw, no float objects kept
-    for _ in range(cfg.draws):
-        mixed = bool(rng.integers(2))
-        h = 10.0 ** uniform(-6.0, math.log10(0.45))
-        r = uniform(0.0, 0.9)
-        beta_S = 0.0 if mixed else 10.0 ** uniform(-3.0, 3.0)
-        draws.extend((mixed, h, r, beta_S, 10.0 ** uniform(-3.0, 3.0)))
+    draws = _profile_draws(cfg.seed, cfg.draws)
     is_mixed, h, r, beta_S, beta_Omega = np.frombuffer(draws).reshape(-1, 5).T
     sphere_value = wall_navier = sphere_cond = 0.0
     for kind in (RegimeKind.SLIP, RegimeKind.MIXED):
@@ -393,6 +421,8 @@ def _limit_rows():
     family (0 for N1, of lower degree), read off profile._family at unit
     slip lengths: the limits do not depend on them, and there the ratios
     are exact."""
+    from .profile import _family
+
     delta, *nums = _family(RegimeKind.SLIP, 1.0, 1.0)
     lin = [n[0] / delta[0] for n in nums]
     delta, *nums = _family(RegimeKind.MIXED, 1.0, 1.0)
@@ -407,6 +437,11 @@ def _limit_rows():
 
 def _field_rows(cfg):
     """Divergence, flux, and boundary residuals of the gap field at cfg.h."""
+    import numpy as np
+
+    from .field import aperture_frame, navier_residuals, sphere_slip_l2
+    from .geometry import gamma_s
+
     regime, h = _regime(cfg), cfg.h
     rng = np.random.default_rng(cfg.seed + 1)
 
@@ -474,6 +509,8 @@ def _field_rows(cfg):
 
 def _envelope_rows(cfg):
     """Uniformity of the weighted derivative sups across a small h sweep."""
+    from .profile import weighted_sups
+
     regime = _regime(cfg)
     sups = [weighted_sups(regime, h, delta=cfg.delta) for h in ENVELOPE_SWEEP]
     ratio = 0.0
@@ -486,6 +523,8 @@ def _envelope_rows(cfg):
 
 def _oracle_row(case, delta):
     """Worst relative error of the logarithmic case against its closed form."""
+    from .quadrature import log_case_oracle
+
     rel = 0.0
     for hh, value in case.values:
         oracle = log_case_oracle(hh, delta)
@@ -495,6 +534,8 @@ def _oracle_row(case, delta):
 
 def _integral_rows(cfg):
     """The logarithmic showcase case against its closed form."""
+    from .quadrature import FIT_R2_FLOOR, Classification, classify_singular
+
     case = classify_singular(1.0, 1.0, cfg.delta, spec=_spec(cfg))
     return [
         _oracle_row(case, cfg.delta),
@@ -521,6 +562,8 @@ def cmd_field_verify(cfg, out):
 
 
 def _curve(cfg):
+    from .drag import drag_curve
+
     return drag_curve(
         _regime(cfg),
         cfg.h_list,
@@ -537,6 +580,8 @@ def _scaling_anchors(kind):
 
 
 def cmd_drag_scan(cfg, out):
+    import numpy as np
+
     curve = _curve(cfg)
     header = ("h", "E_total", "E_grad", "E_sphere", "E_wall", "n")
     rows = [
@@ -575,6 +620,11 @@ def _fit_json(fits):
 
 
 def cmd_drag_fit(cfg, out):
+    import numpy as np
+
+    from .drag import fit_scaling
+    from .quadrature import FIT_R2_FLOOR
+
     if len(set(cfg.h_list)) < 4:
         raise ConfigError("drag fit needs at least 4 distinct gaps in h_list")
     curve = _curve(cfg)
@@ -623,6 +673,8 @@ def cmd_drag_fit(cfg, out):
 
 
 def cmd_integral_classify(cfg, out):
+    from .quadrature import CLASSIFY_H_MIN, FIT_R2_FLOOR, classify_singular
+
     if min(cfg.h_list) < CLASSIFY_H_MIN:
         raise ConfigError("h_list entries must be >= 1e-8 for classification")
     case = classify_singular(cfg.p, cfg.q, cfg.delta, cfg.h_list, spec=_spec(cfg))
@@ -653,6 +705,8 @@ def cmd_integral_classify(cfg, out):
 
 
 def cmd_fall_simulate(cfg, out):
+    from .dynamics import simulate
+
     params = FallParameters(rho_S=cfg.rho_S, rho_F=cfg.rho_F, g=cfg.g, kappa=cfg.kappa)
     regime = _regime(cfg)
     traj = simulate(
@@ -668,7 +722,7 @@ def cmd_fall_simulate(cfg, out):
     write_csv(
         out / "fall_simulate_trajectory.csv",
         ("t", "h", "h_prime"),
-        zip(traj.t.tolist(), traj.h.tolist(), traj.v.tolist()),
+        zip(traj.times, traj.gaps, traj.speeds),
     )
     ev = traj.event
     anchor = "thm_slip" if regime.kind is RegimeKind.SLIP else "thm_mixed"
@@ -691,6 +745,8 @@ def cmd_fall_simulate(cfg, out):
 
 
 def cmd_fall_scan(cfg, out):
+    from .dynamics import touchdown_scan
+
     rows = touchdown_scan(
         _regime(cfg),
         cfg.kappa_list,
@@ -715,6 +771,11 @@ def cmd_fall_scan(cfg, out):
 
 
 def cmd_verify_all(cfg, out):
+    # the battery's layers load before the profile draws: compiled after
+    # them, field and quadrature left the peak RSS of a cold run about
+    # 0.3 MB higher (39.8 against 39.5 MB on a 2-core machine)
+    from . import field, profile, quadrature  # noqa: F401
+
     checks = [
         *_profile_rows(cfg),
         *_limit_rows(),

@@ -39,47 +39,22 @@ it coasts through the floor within h / |h'| of the entry.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-import numpy as np
-
-from .geometry import H_MAX_DEFAULT
+from .model import (
+    ATOL_DEFAULT,
+    H_MAX_DEFAULT,
+    RTOL_DEFAULT,
+    TOUCHDOWN_H,
+    FallParameters,
+    RegimeKind,
+    ScalingModel,
+    StiffnessError,
+)
 from .ode import BDF, EPS, RK45, solve
-from .profile import RegimeKind, ScalingModel
 
-TOUCHDOWN_H = 1e-12
 SWITCH_H = 1e-6
 U_FLOOR = -700.0
-RTOL_DEFAULT = 1e-9
-ATOL_DEFAULT = 1e-12
-
-
-@dataclass(frozen=True)
-class FallParameters:
-    """Densities, gravity, and the drag prefactor of the reduced fall.
-
-    The viscosity enters only through the drag prefactor kappa.  The
-    effective gravity G = (rho_S - rho_F) g / rho_S is positive exactly
-    when the sphere is heavier than the fluid.
-    """
-
-    rho_S: float
-    rho_F: float
-    g: float
-    kappa: float
-
-    def __post_init__(self):
-        if self.rho_S <= 0.0:
-            raise ValueError("rho_S must be positive")
-        if self.rho_F < 0.0:
-            raise ValueError("rho_F must be nonnegative")
-        if self.g <= 0.0:
-            raise ValueError("g must be positive")
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
-
-    @property
-    def G(self):
-        return (self.rho_S - self.rho_F) * self.g / self.rho_S
 
 
 class EventKind:
@@ -101,14 +76,19 @@ class TerminalEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Rows (t, h, h') of the integrator and of the tail, the terminal
-    event, and the integrator's counters: accepted steps, right-hand side
-    and Jacobian evaluations, and Newton matrix factorizations (all 0 for
-    a fall that starts in the closed-form tail)."""
+    """Rows (t, h, h') of the integrator and of the tail, held as the
+    float columns ``times``, ``gaps`` and ``speeds``, the terminal event,
+    and the integrator's counters: accepted steps, right-hand side and
+    Jacobian evaluations, and Newton matrix factorizations (all 0 for a
+    fall that starts in the closed-form tail).
 
-    t: np.ndarray
-    h: np.ndarray
-    v: np.ndarray
+    ``t`` and ``h`` are the first two columns as numpy arrays, built (and
+    numpy imported) when first read: the fall itself runs without numpy.
+    """
+
+    times: tuple
+    gaps: tuple
+    speeds: tuple
     event: TerminalEvent
     steps: int = 0
     nfev: int = 0
@@ -116,19 +96,28 @@ class Trajectory:
     nlu: int = 0
 
     def __post_init__(self):
-        if not (len(self.t) == len(self.h) == len(self.v)) or len(self.t) == 0:
+        t, h = self.times, self.gaps
+        if not (len(t) == len(h) == len(self.speeds)) or len(t) == 0:
             raise ValueError("Trajectory arrays must be nonempty and aligned")
-        if np.any(np.diff(self.t) <= 0.0):
+        if any(b <= a for a, b in zip(t, t[1:])):
             raise ValueError("Trajectory times must be strictly increasing")
-        if np.any(self.h <= 0.0):
+        if any(x <= 0.0 for x in h):
             raise ValueError("Trajectory gaps must stay positive")
 
     def __len__(self):
-        return len(self.t)
+        return len(self.times)
 
+    @cached_property
+    def t(self):
+        import numpy as np
 
-class StiffnessError(RuntimeError):
-    """The step controller stalled without bracketing a terminal event."""
+        return np.array(self.times)
+
+    @cached_property
+    def h(self):
+        import numpy as np
+
+        return np.array(self.gaps)
 
 
 @dataclass(frozen=True)
@@ -182,8 +171,11 @@ def _tail(t_s, h_s, v_s, conserved, a, G, t_max):
     t_floor = (conserved - a * U_FLOOR) / G
     floor = f"gap fell below the representable range (ln h = {U_FLOOR:g})"
     if t_floor <= t_s:
-        # a coast too short to resolve in t passes the floor at about h'_s
-        note = f"{floor} within h/|h'| = {h_s / abs(v_s):.3g} after t; no contact"
+        # a coast too short to resolve in t passes the floor at about h'_s;
+        # at rest (h'_s = 0), a (ln h_s + 700) / G, the time left to the
+        # floor, is below the spacing of floats at t_s
+        coast = f"within h/|h'| = {h_s / abs(v_s):.3g} after t" if v_s else "at t"
+        note = f"{floor} {coast}; no contact"
         return TerminalEvent(EventKind.NO_CONTACT, t_s, h_s, v_s, note)
     if t_floor < t_max:
         t_end, h, note = t_floor, math.exp(U_FLOOR), f"{floor}; no contact"
@@ -290,7 +282,7 @@ def simulate(
         When a step fails: its size falls below the spacing of floats at
         t, or the Newton matrix is singular or not finite; when the solve
         takes ode.MAX_STEPS steps; also when float arithmetic divides by
-        zero or overflows inside the integrator.
+        zero or overflows inside the integrator or the closed-form tail.
     """
     if not (TOUCHDOWN_H < h0 < h_max):
         raise ValueError(f"h0 must lie in ({TOUCHDOWN_H}, {h_max})")
@@ -313,43 +305,40 @@ def simulate(
     y0 = math.log(h0) if stiff else h0
 
     event, counts = None, {}
-    if stiff and events[0][0](0.0, y0) <= 0.0:
-        t, h, v = [0.0], [h0], [v0]
-    else:
-        try:
+    try:
+        if stiff and events[0][0](0.0, y0) <= 0.0:
+            t, h, v = [0.0], [h0], [v0]
+        else:
             if stiff:
                 stepper = BDF(rhs, jac, 0.0, y0, t_max, rtol, atol)
             else:
                 stepper = RK45(rhs, 0.0, y0, t_max, rtol, atol)
             sol = solve(stepper, events)
-        except ArithmeticError as exc:
-            raise StiffnessError(
-                f"float arithmetic failed from h0={h0!r}, v0={v0!r}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        counts = dict(steps=sol.steps, nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu)
-        t, h = sol.t, [math.exp(u) for u in sol.y] if stiff else sol.y
-        v = [speed(ti, hi) for ti, hi in zip(t, h)]
-        t_end, h_end, v_end = t[-1], h[-1], v[-1]
-        if sol.status == -1:
-            raise StiffnessError(
-                f"integrator stalled at t={t_end:.6g} (h={h_end:.3e}, "
-                f"h'={v_end:.3e}): {sol.message}"
-            )
-        if sol.event == 0 and not stiff:
-            event = TerminalEvent(EventKind.TOUCHDOWN, t_end, h_end, abs(v_end))
-        elif sol.event == 1:
-            event = TerminalEvent(EventKind.ESCAPED, t_end, h_end, v_end)
-        elif sol.status == 0:
-            event = TerminalEvent(EventKind.NO_CONTACT, t_end, h_end, v_end)
-
-    if event is None:
-        event = _tail(t[-1], h[-1], v[-1], top, a, G, t_max)
-        if event.t > t[-1]:
-            t, h, v = t + [event.t], h + [event.h], v + [event.speed]
-    return Trajectory(
-        t=np.array(t), h=np.array(h), v=np.array(v), event=event, **counts
-    )
+            counts = dict(steps=sol.steps, nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu)
+            t, h = sol.t, [math.exp(u) for u in sol.y] if stiff else sol.y
+            v = [speed(ti, hi) for ti, hi in zip(t, h)]
+            t_end, h_end, v_end = t[-1], h[-1], v[-1]
+            if sol.status == -1:
+                raise StiffnessError(
+                    f"integrator stalled at t={t_end:.6g} (h={h_end:.3e}, "
+                    f"h'={v_end:.3e}): {sol.message}"
+                )
+            if sol.event == 0 and not stiff:
+                event = TerminalEvent(EventKind.TOUCHDOWN, t_end, h_end, abs(v_end))
+            elif sol.event == 1:
+                event = TerminalEvent(EventKind.ESCAPED, t_end, h_end, v_end)
+            elif sol.status == 0:
+                event = TerminalEvent(EventKind.NO_CONTACT, t_end, h_end, v_end)
+        if event is None:
+            event = _tail(t[-1], h[-1], v[-1], top, a, G, t_max)
+    except ArithmeticError as exc:
+        raise StiffnessError(
+            f"float arithmetic failed from h0={h0!r}, v0={v0!r}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    if event.t > t[-1]:  # the tail's row; a solver event ends on the last row
+        t, h, v = t + [event.t], h + [event.h], v + [event.speed]
+    return Trajectory(tuple(t), tuple(h), tuple(v), event, **counts)
 
 
 @dataclass(frozen=True)
@@ -378,11 +367,9 @@ def _scan_cell(regime, kappa, G, h0, t_max, rtol, atol, h_max):
     if ev.kind == EventKind.TOUCHDOWN:
         return ScanRow(
             kappa=kappa, G=G, h0=h0, outcome=EventKind.TOUCHDOWN,
-            t_star=ev.t, impact_speed=ev.speed, min_h=float(traj.h.min()),
+            t_star=ev.t, impact_speed=ev.speed, min_h=min(traj.gaps),
         )
-    return ScanRow(
-        kappa=kappa, G=G, h0=h0, outcome=ev.kind, min_h=float(traj.h.min())
-    )
+    return ScanRow(kappa=kappa, G=G, h0=h0, outcome=ev.kind, min_h=min(traj.gaps))
 
 
 def touchdown_scan(

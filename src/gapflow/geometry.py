@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DELTA_DEFAULT = 0.2
-D_DELTA_DEFAULT = 0.1
-H_MAX_DEFAULT = 0.5
+from .model import D_DELTA_DEFAULT, DELTA_DEFAULT, H_MAX_DEFAULT
 
 PLANE = "plane"
 SPHERE_CAP = "sphere-cap"

@@ -11,17 +11,19 @@ for explicit polynomials ``N_i``, ``Delta`` turns every partial derivative
 in (r, z, h) into polynomial quotient algebra plus the chain rule through
 ``H(r)``; that is what this module implements, in closed form, up to total
 order three.  All evaluation functions broadcast over numpy arrays.
+``RegimeKind``, ``SlipRegime`` and ``ScalingModel`` live in the numpy-free
+``gapflow.model`` and are re-exported here.
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import DELTA_DEFAULT, gamma_s
+from .geometry import gamma_s
+from .model import DELTA_DEFAULT, RegimeKind, ScalingModel, SlipRegime
 
 __all__ = [
     "RegimeKind",
@@ -33,81 +35,6 @@ __all__ = [
     "weighted_sups",
     "ENVELOPE_ROWS",
 ]
-
-
-class RegimeKind(Enum):
-    SLIP = "slip"
-    MIXED = "mixed"
-
-
-class ScalingModel(Enum):
-    """The two drag laws, each stated once: a |ln h| with slip, whose
-    primitive is finite at h = 0, and a / h in the mixed regime, whose
-    primitive a ln h diverges there."""
-
-    LOG = "log"  # drag = a |ln h|
-    INVERSE = "inverse"  # drag = a / h
-
-    @classmethod
-    def of(cls, kind):
-        """The law a regime kind's drag follows: LOG with slip, INVERSE
-        in the mixed regime."""
-        return cls.LOG if kind is RegimeKind.SLIP else cls.INVERSE
-
-    def drag(self, a, h):
-        """a |ln h| or a / h at the gaps h."""
-        h = np.asarray(h, dtype=float)
-        return a * np.abs(np.log(h)) if self is ScalingModel.LOG else a / h
-
-    def regressor(self, h):
-        """|ln h| or 1/h at the gaps h, the law's growth in h."""
-        return self.drag(1.0, h)
-
-    def primitive(self, a):
-        """P with P' = drag(a, h) as a function of a float h; the log
-        law's is continuous at h = 1."""
-        log = math.log
-        if self is ScalingModel.INVERSE:
-            return lambda h: a * log(h)
-
-        def P(h):
-            x = log(h)
-            return a * (h * (1.0 - x) if x < 0.0 else h * x - h + 2.0)
-
-        return P
-
-
-@dataclass(frozen=True)
-class SlipRegime:
-    """Boundary-condition regime with its slip lengths.
-
-    Slip requires both slip lengths positive; Mixed means no-slip at the
-    sphere (beta_S = 0) and slip at the wall.  No-slip on both the sphere
-    and the wall is not a regime: it is the H -> inf (alpha_P -> inf) limit
-    of the mixed family in `_family`, which `verify all` checks.
-    """
-
-    kind: RegimeKind
-    beta_S: float
-    beta_Omega: float
-
-    def __post_init__(self):
-        if self.kind is RegimeKind.SLIP and not (
-            self.beta_S > 0.0 and self.beta_Omega > 0.0
-        ):
-            raise ValueError("Slip regime requires beta_S > 0 and beta_Omega > 0")
-        if self.kind is RegimeKind.MIXED and not (
-            self.beta_S == 0.0 and self.beta_Omega > 0.0
-        ):
-            raise ValueError("Mixed regime requires beta_S = 0 and beta_Omega > 0")
-
-    @classmethod
-    def slip(cls, beta_S, beta_Omega):
-        return cls(RegimeKind.SLIP, float(beta_S), float(beta_Omega))
-
-    @classmethod
-    def mixed(cls, beta_Omega):
-        return cls(RegimeKind.MIXED, 0.0, float(beta_Omega))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,13 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import gamma_s, surface_measure
-from .profile import ScalingModel
+from .model import (
+    DEFAULT_H_LIST,
+    ClassificationError,
+    QuadratureError,
+    QuadratureSpec,
+    ScalingModel,
+)
 
 # Gauss-Legendre orders: per adaptive cell, and across the gap height.
 # Psi is cubic in z, so the drag row's gap integrands (squared gradients
@@ -40,26 +46,6 @@ ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 # to CLASSIFY_H_MIN
 FIT_R2_FLOOR = 0.99
 CLASSIFY_H_MIN = 1e-8
-
-
-class QuadratureError(RuntimeError):
-    """Tolerance not reached; carries the best estimate and its error bound."""
-
-    def __init__(self, message, value, error, cells):
-        super().__init__(message)
-        self.value = value
-        self.error = error
-        self.cells = cells
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float
-    abs_tol: float
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -233,10 +219,6 @@ class Classification(Enum):
     BOUNDED = "bounded"
 
 
-class ClassificationError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class ModelFit:
     name: str
@@ -281,9 +263,6 @@ def _classify(p, q):
     if p + 1.0 == 2.0 * q:
         return Classification.LOGARITHMIC, 0.0, "log"
     return Classification.BOUNDED, 0.0, "bounded"
-
-
-DEFAULT_H_LIST = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 def log_case_oracle(h, delta):

@@ -265,6 +265,37 @@ def test_profile_rows_match_the_scalar_loop(seed, draws):
     assert measured == _profile_maxima_reference(seed, draws)
 
 
+def _profile_draws_reference(seed, draws):
+    """The per-draw Generator loop that _profile_draws walks in blocks:
+    one rng.integers(2) coin, then one rng.random() per number, flat in
+    the order (mixed, h, r, beta_S, beta_Omega)."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(lo, hi):  # what rng.uniform(lo, hi) computes
+        return lo + (hi - lo) * rng.random()
+
+    flat = []
+    for _ in range(draws):
+        mixed = bool(rng.integers(2))
+        h = 10.0 ** uniform(-6.0, math.log10(0.45))
+        r = uniform(0.0, 0.9)
+        beta_S = 0.0 if mixed else 10.0 ** uniform(-3.0, 3.0)
+        flat += [mixed, h, r, beta_S, 10.0 ** uniform(-3.0, 3.0)]
+    return np.array(flat, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "draws", [1, 2, 3, cli.RAW_BLOCK - 1, cli.RAW_BLOCK + 1, 10**4]
+)
+@pytest.mark.parametrize("seed", [0, 1, 12345, RunConfig.seed])
+def test_profile_draws_match_the_generator_loop(seed, draws):
+    # PCG64's raw stream, read in blocks, gives the Generator calls' bits
+    block = np.frombuffer(cli._profile_draws(seed, draws))
+    reference = _profile_draws_reference(seed, draws)
+    assert block.shape == (5 * draws,)
+    assert np.array_equal(block.view(np.int64), reference.view(np.int64))
+
+
 def test_profile_check_makes_one_kernel_call_per_regime_kind(tmp_path, monkeypatch):
     calls = []
     kernel = profile._coefficients
@@ -273,9 +304,8 @@ def test_profile_check_makes_one_kernel_call_per_regime_kind(tmp_path, monkeypat
         calls.append(args[0])
         return kernel(*args)
 
-    # both routes: the CLI's own import and the module global behind coefficients
+    # the CLI imports the kernel from the profile when the rows run
     monkeypatch.setattr(profile, "_coefficients", counted)
-    monkeypatch.setattr(cli, "_coefficients", counted)
     assert RunConfig().draws == 10000
     assert run(["profile", "check", "--out", str(tmp_path)]) == 0
     assert len(calls) <= 2
@@ -574,14 +604,33 @@ def test_a_drag_row_failure_names_the_gap_and_the_terms(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args",
-    [["--v0=-1e300"], ["--regime", "mixed", "--g", "1e-10", "--t-max", "1e300"]],
-    ids=["zero-division", "overflow"],
+    [
+        ["--v0=-1e300"],
+        ["--regime", "mixed", "--g", "1e-10", "--t-max", "1e300"],
+        # rho_F = rho_S: G = 0, which the closed-form tail divides by
+        ["--regime", "mixed", "--h0", "1e-7", "--rho-f", "2"],
+    ],
+    ids=["zero-division", "overflow", "tail-without-gravity"],
 )
 def test_fall_float_arithmetic_failure_exits_3(tmp_path, capsys, args):
     assert run(["fall", "simulate", *args, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "v0=" in err
     assert "Traceback" not in err
+
+
+def test_a_tail_entered_at_rest_ends_with_a_result(tmp_path, capsys):
+    # kappa = 1e-300: h' reaches 0 below SWITCH_H, where the floor time
+    # rounds to the entry time and the coast h/|h'| would divide by zero
+    argv = ["fall", "simulate", "--regime", "mixed", "--h0", "1e-7",
+            "--v0=1e-3", "--kappa", "1e-300", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    event = _read(tmp_path / "fall_simulate_event.json")["event"]
+    assert (event["kind"], event["speed"]) == ("NoContact", 0.0)
+    assert event["note"] == (
+        "gap fell below the representable range (ln h = -700) at t; no contact"
+    )
 
 
 def test_a_fall_over_the_step_budget_exits_3(tmp_path, capsys, monkeypatch):
@@ -652,10 +701,10 @@ def test_write_json_refuses_non_finite_values(tmp_path):
     ],
     ids=["mixed-N2-leading", "slip-N1-constant"],
 )
-def test_limit_rows_read_the_profile_family(tmp_path, monkeypatch, kind, poly, term, row):
+def test_limit_rows_read_the_profile_family(monkeypatch, kind, poly, term, row):
     # the limit rows read the polynomials that every profile evaluation
-    # runs, so perturbing one coefficient of them fails its limit row
-    assert cli._family is profile._family
+    # runs, so perturbing one coefficient of them fails its limit row; the
+    # rows run alone, since the perturbed family also moves the draws' rows
     family = profile._family
 
     def perturbed(k, beta_S, beta_Omega):
@@ -664,10 +713,9 @@ def test_limit_rows_read_the_profile_family(tmp_path, monkeypatch, kind, poly, t
             polys[poly][term] *= 1.0 + 1e-9
         return tuple(polys)
 
-    monkeypatch.setattr(cli, "_family", perturbed)
-    assert run(["profile", "check", "--out", str(tmp_path), *FAST]) == 1
-    report = _read(tmp_path / "profile_check.json")
-    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert all(c["passed"] for c in cli._limit_rows())
+    monkeypatch.setattr(profile, "_family", perturbed)
+    failed = [c["name"] for c in cli._limit_rows() if not c["passed"]]
     assert failed == [row]
 
 
@@ -696,7 +744,8 @@ def test_console_script_entry_point(tmp_path):
 
 def test_falls_run_without_scipy(tmp_path):
     # a mixed fall scan and a slip fall simulate in one fresh interpreter:
-    # both steppers, the event location and the tail load no scipy module
+    # both steppers, the event location and the tail load no scipy module,
+    # and no numpy either
     script = (
         "import sys\n"
         "from gapflow.cli import run\n"
@@ -705,6 +754,7 @@ def test_falls_run_without_scipy(tmp_path):
         f"assert run(['fall', 'simulate', '--regime', 'slip', "
         f"'--out', {str(tmp_path / 'simulate')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print('numpy' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -714,6 +764,6 @@ def test_falls_run_without_scipy(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "False", ""]
     assert (tmp_path / "scan" / "fall_scan.csv").exists()
     assert (tmp_path / "simulate" / "fall_simulate_event.json").exists()

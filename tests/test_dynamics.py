@@ -151,21 +151,26 @@ def test_trajectory_rows_are_ordered_and_positive():
 
 def test_trajectory_validation():
     event = TerminalEvent(EventKind.NO_CONTACT, 1.0, 0.1, 0.0)
+    with pytest.raises(ValueError, match="Trajectory times must be strictly increasing"):
+        Trajectory(times=(0.0, 0.0), gaps=(0.1, 0.1), speeds=(0.0, 0.0), event=event)
     with pytest.raises(ValueError, match="increasing"):
-        Trajectory(
-            t=np.array([0.0, 0.0]), h=np.array([0.1, 0.1]),
-            v=np.array([0.0, 0.0]), event=event,
-        )
+        Trajectory(times=(0.0, 2.0, 1.0), gaps=(0.1,) * 3, speeds=(0.0,) * 3, event=event)
     with pytest.raises(ValueError, match="positive"):
-        Trajectory(
-            t=np.array([0.0, 1.0]), h=np.array([0.1, -0.1]),
-            v=np.array([0.0, 0.0]), event=event,
-        )
+        Trajectory(times=(0.0, 1.0), gaps=(0.1, -0.1), speeds=(0.0, 0.0), event=event)
+    with pytest.raises(ValueError, match="positive"):
+        Trajectory(times=(0.0, 1.0), gaps=(0.1, 0.0), speeds=(0.0, 0.0), event=event)
     with pytest.raises(ValueError, match="aligned"):
-        Trajectory(
-            t=np.array([0.0, 1.0]), h=np.array([0.1]),
-            v=np.array([0.0, 0.0]), event=event,
-        )
+        Trajectory(times=(0.0, 1.0), gaps=(0.1,), speeds=(0.0, 0.0), event=event)
+    with pytest.raises(ValueError, match="aligned"):
+        Trajectory(times=(), gaps=(), speeds=(), event=event)
+
+
+def test_a_trajectory_reads_its_columns_as_arrays():
+    traj = simulate(_params(), SLIP, h0=0.25, t_max=10.0)
+    assert isinstance(traj.t, np.ndarray) and isinstance(traj.h, np.ndarray)
+    assert traj.t.tolist() == list(traj.times) and traj.h.tolist() == list(traj.gaps)
+    assert traj.h is traj.h  # built once, on the first read
+    assert float(traj.h.min()) == min(traj.gaps)
 
 
 # ---------------------------------------------------------------- slip falls
@@ -191,7 +196,7 @@ def test_touchdown_time_decreases_with_stronger_gravity():
 
 def test_damped_fall_dissipates_mechanical_energy():
     traj = simulate(_params(), SLIP, h0=0.25, t_max=10.0)
-    total = 0.5 * traj.v**2 + 1.0 * traj.h
+    total = 0.5 * np.array(traj.speeds) ** 2 + 1.0 * traj.h
     assert np.all(np.diff(total) <= 1e-9)
 
 
@@ -273,7 +278,7 @@ def test_a_fast_entry_coasts_through_the_floor_at_the_entry_time():
     # rest of the coast is too short to resolve in t; the event stays there
     traj = simulate(_params(kappa=1e-4), MIXED, h0=0.25, t_max=50.0)
     ev = traj.event
-    assert (ev.t, ev.h, ev.speed) == (traj.t[-1], traj.h[-1], traj.v[-1])
+    assert (ev.t, ev.h, ev.speed) == (traj.times[-1], traj.gaps[-1], traj.speeds[-1])
     assert ev.h < SWITCH_H and ev.speed < 0.0
     resolution = np.finfo(float).eps * ev.t / RTOL_DEFAULT
     assert ev.h / abs(ev.speed) == pytest.approx(resolution, rel=1e-6)
@@ -366,8 +371,7 @@ def test_a_drag_law_from_four_fields_falls_the_same():
         b = simulate(_params(), regime, h0=0.25, t_max=t_max, law=rebuilt)
         assert a.event == b.event
         assert (a.steps, a.nfev, a.njev, a.nlu) == (b.steps, b.nfev, b.njev, b.nlu)
-        for x, y in ((a.t, b.t), (a.h, b.h), (a.v, b.v)):
-            assert np.array_equal(x, y)
+        assert (a.times, a.gaps, a.speeds) == (b.times, b.gaps, b.speeds)
 
 
 # ------------------------------------------------------ momentum integral
@@ -392,7 +396,7 @@ def test_every_row_keeps_the_momentum_integral(regime, t_max):
         phi = _phi_slip(kappa, h0, traj.h)
     else:
         phi = kappa * np.log(h0 / traj.h)
-    invariant = traj.v - phi + G * traj.t
+    invariant = np.array(traj.speeds) - phi + G * traj.t
     assert np.max(np.abs(invariant - v0)) <= INVARIANT_TOL
 
 
@@ -439,7 +443,7 @@ def _assert_rows_match_radau(traj, law, G, h0):
     )
     h, v = ref.sol(traj.t[:rows])
     assert np.max(np.abs(traj.h[:rows] / h - 1.0)) <= 1e-7
-    assert np.max(np.abs(traj.v[:rows] - v)) <= 1e-7
+    assert np.max(np.abs(np.array(traj.speeds[:rows]) - v)) <= 1e-7
 
 
 # ---------------------------------------------------------------- validation

@@ -9,9 +9,14 @@ time of every CLI start.  Nor does any file import importlib.metadata, which
 pulls email, socket and calendar into every CLI start: the version is
 gapflow.__version__, kept equal to pyproject.toml's.
 
-The fall loads only the layers it runs: gapflow.dynamics imports the
-geometry, the profile (with its drag laws) and the steppers, and neither
-quadrature, field nor drag.
+Each command loads only the layers it runs.  gapflow.model holds the
+types, errors and defaults that the CLI needs before it dispatches, and
+imports the standard library alone; every layer imports those names from
+it.  `import gapflow.cli` loads gapflow.model and nothing else of the
+package, and no numpy; each command imports its own layers when it runs.
+The fall (gapflow.dynamics) loads the model and the float steppers of
+gapflow.ode, and never numpy.  `verify all` loads no drag, ode or
+dynamics, and `drag scan` no ode or dynamics.
 """
 
 import ast
@@ -26,7 +31,8 @@ import gapflow
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gapflow"
-FALL_MODULES = ["gapflow", "gapflow.dynamics", "gapflow.geometry", "gapflow.ode", "gapflow.profile"]
+FALL_MODULES = ["gapflow", "gapflow.dynamics", "gapflow.model", "gapflow.ode"]
+CLI_MODULES = ["gapflow", "gapflow.cli", "gapflow.model"]
 
 
 def _imported(tree):
@@ -71,10 +77,13 @@ def test_pyproject_version_is_the_package_version():
         assert tomllib.load(f)["project"]["version"] == gapflow.__version__
 
 
-def test_the_fall_loads_only_its_own_layers():
-    script = (
-        "import sys, gapflow.dynamics\n"
+def _loaded(statements):
+    """The gapflow modules and the top-level package names loaded after
+    statements ran in a fresh interpreter."""
+    script = statements + (
+        "\nimport sys\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'gapflow')))\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -84,4 +93,33 @@ def test_the_fall_loads_only_its_own_layers():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == FALL_MODULES
+    ours, tops = proc.stdout.splitlines()
+    return ours.split(), set(tops.split())
+
+
+def test_the_fall_loads_only_its_own_layers():
+    ours, tops = _loaded("import gapflow.dynamics")
+    assert ours == FALL_MODULES
+    assert "numpy" not in tops
+
+
+def test_the_cli_loads_only_the_model_before_it_dispatches():
+    ours, tops = _loaded("import gapflow.cli")
+    assert ours == CLI_MODULES
+    assert "numpy" not in tops
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["verify", "all", "--draws", "200"], ["gapflow.drag", "gapflow.ode", "gapflow.dynamics"]),
+        (["drag", "scan", "--h-list", "1e-2"], ["gapflow.ode", "gapflow.dynamics"]),
+    ],
+    ids=["verify-all", "drag-scan"],
+)
+def test_a_command_loads_no_layer_it_does_not_run(argv, absent, tmp_path):
+    ours, _ = _loaded(
+        f"from gapflow.cli import run\nassert run({argv + ['--out', str(tmp_path)]!r}) == 0"
+    )
+    assert "gapflow.model" in ours
+    assert [m for m in absent if m in ours] == []
