@@ -6,7 +6,9 @@ solve_ivp must take the same accepted steps and evaluations (within 5 %)
 and end at the same terminal event.
 """
 
+import hashlib
 import math
+import random
 
 import pytest
 import scipy.integrate
@@ -218,3 +220,42 @@ def test_a_fall_over_its_step_budget_raises_stiffness_error(monkeypatch):
     with pytest.raises(StiffnessError, match="MAX_STEPS = 10") as info:
         simulate(params, SLIP, 0.25, t_max=10.0)
     assert all(f"{name}=" in str(info.value) for name in ("t", "h", "h'"))
+
+
+# ------------------------------------------------------------ bit pin
+
+
+def _fall_bits(regime, kappa, G, h0, v0, t_max):
+    params = FallParameters(rho_S=2.0, rho_F=1.0, g=2.0 * G, kappa=kappa)
+    traj = simulate(params, regime, h0, v0=v0, t_max=t_max)
+    return repr((traj.times, traj.gaps, traj.speeds, traj.event,
+                 traj.steps, traj.nfev, traj.njev, traj.nlu))
+
+
+def _pin_grid():
+    """40 falls over the span of perfbench's fall-scan: kappa and G / kappa
+    log-uniform in [0.5, 2], h0 in [0.2, 0.3], both regimes, t_max 50 and
+    1e4 (where a mixed fall reaches the ln h = -700 floor)."""
+    rng = random.Random(20261017)
+    cells = []
+    for i in range(40):
+        kappa = 0.5 * 4.0 ** rng.random()
+        G = kappa * 0.5 * 4.0 ** rng.random()
+        h0 = 0.2 + 0.1 * rng.random()
+        cells.append((MIXED if i % 2 else SLIP, kappa, G, h0, 0.0, (50.0, 1e4)[i // 2 % 2]))
+    return cells
+
+
+# sha256 of the repr of each fall's rows, event and counters: a speed
+# change to ode or dynamics must leave every bit of a fall alone
+FALL_DIGESTS = {
+    "cases": "ecd496b923ecb2eb3a0c64250e65f9e9b5c03e244e30f9e379851fba769ca972",
+    "grid": "05f122c02f4755c07d2ae976a3d553cc04955db94d2f1729ca24d7fe356a21a5",
+}
+
+
+@pytest.mark.parametrize("name", FALL_DIGESTS)
+def test_the_falls_keep_their_bits(name):
+    cells = CASES.values() if name == "cases" else _pin_grid()
+    text = "\n".join(_fall_bits(*cell) for cell in cells)
+    assert hashlib.sha256(text.encode()).hexdigest() == FALL_DIGESTS[name]
