@@ -168,7 +168,8 @@ def _tail(t_s, h_s, v_s, conserved, a, G, t_max):
     """The terminal event of an inverse-law fall, in closed form from its
     entry state and the conserved a ln h + h' + G t; its
     (t, h, speed) is the one row the tail adds."""
-    t_floor = (conserved - a * U_FLOOR) / G
+    # without gravity h' tends to 0 and h to rest above the floor
+    t_floor = (conserved - a * U_FLOOR) / G if G else math.inf
     floor = f"gap fell below the representable range (ln h = {U_FLOOR:g})"
     if t_floor <= t_s:
         # a coast too short to resolve in t passes the floor at about h'_s;
@@ -185,7 +186,7 @@ def _tail(t_s, h_s, v_s, conserved, a, G, t_max):
         for _ in range(2):
             v = -G * h / a
             h = math.exp((conserved - v - G * t_max) / a)
-    v = -G * h / a
+    v = -G * h / a if G else 0.0
     return TerminalEvent(EventKind.NO_CONTACT, t_end, h, v, note)
 
 
@@ -202,20 +203,24 @@ def _equation(model, a, P, G, top, h_max, rtol):
     def speed(t, h):
         return top - P(h) - G * t
 
+    # rhs, jac and tail spell speed(t, h) out: one call fewer per evaluation
     if model is ScalingModel.LOG:
         # trial stages of the step that brackets touchdown may probe h <= 0
-        rhs = lambda t, y: speed(t, max(y, TOUCHDOWN_H))
+        rhs = lambda t, y: top - P(max(y, TOUCHDOWN_H)) - G * t
         touchdown = lambda t, y: y - TOUCHDOWN_H
         escape = lambda t, y: y - h_max
         return rhs, None, ((touchdown, -1.0), (escape, 1.0)), speed
 
+    exp = math.exp
+
     def rhs(t, u):
-        h = math.exp(u)
-        return speed(t, h) / h
+        h = exp(u)
+        return (top - P(h) - G * t) / h
 
     def jac(t, u):
         # d/du of u' = speed / h is -u' - D(h), D(h) = a / h
-        return -rhs(t, u) - a / math.exp(u)
+        h = exp(u)
+        return -((top - P(h) - G * t) / h) - a / h
 
     # a coast shorter than eps t / rtol is below what BDF resolves at t
     resolution = EPS / rtol
@@ -224,8 +229,8 @@ def _equation(model, a, P, G, top, h_max, rtol):
     def tail(t, u):
         # <= 0 where the tail may start: h <= SWITCH_H, h' <= 0 and h'
         # slaved to gravity, or its coast too short to resolve in t
-        h = math.exp(u)
-        v = speed(t, h)
+        h = exp(u)
+        v = top - P(h) - G * t
         slaved = -v - 4.0 * G * h / a
         unresolved = h + resolution * t * v
         return max(u - u_switch, v, min(slaved, unresolved))
@@ -315,8 +320,8 @@ def simulate(
                 stepper = RK45(rhs, 0.0, y0, t_max, rtol, atol)
             sol = solve(stepper, events)
             counts = dict(steps=sol.steps, nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu)
-            t, h = sol.t, [math.exp(u) for u in sol.y] if stiff else sol.y
-            v = [speed(ti, hi) for ti, hi in zip(t, h)]
+            t, h = sol.t, list(map(math.exp, sol.y)) if stiff else sol.y
+            v = list(map(speed, t, h))
             t_end, h_end, v_end = t[-1], h[-1], v[-1]
             if sol.status == -1:
                 raise StiffnessError(

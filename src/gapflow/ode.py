@@ -26,11 +26,19 @@ sign in its direction over a step, the root on the step's dense output by
 Brent's method (xtol = rtol = 4 eps, as ``scipy.optimize.brentq``) ends
 the run there.  Unlike ``solve_ivp`` it takes at most MAX_STEPS steps,
 so a run too stiff for its stepper fails instead of running for ever.
+
+The per-step loops are written for the interpreter: ``BDF.step`` inlines
+its Newton iterations and its sums, ``_change_D`` skips R's zero column
+and reads row 0 of R U from a table, and ``solve`` reads its events from
+lists built once.  Every float operation and its order are scipy's, so
+rows, events and counters keep their bits; float sums run from 0.0 left
+to right (``_sum``), never through ``sum`` or ``math.fsum``.
 """
 
 import math
 import sys
 from dataclasses import dataclass
+from operator import mul
 
 EPS = sys.float_info.epsilon
 MIN_FACTOR = 0.2
@@ -91,12 +99,6 @@ class _Stepper:
             h1 = (0.01 / max(d1, d2)) ** (1.0 / (self.error_order + 1))
         return min(100.0 * h0, h1, interval)
 
-    def _start(self):
-        """(step size to try first, min_step): the size raised to min_step,
-        10 float spacings at t."""
-        min_step = 10.0 * abs(math.nextafter(self.t, math.inf) - self.t)
-        return max(self.h_abs, min_step), min_step
-
     def _fail(self, message):
         self.message = message
         return False
@@ -137,7 +139,9 @@ class RK45(_Stepper):
         rtol, atol = self.rtol, self.atol
         (a10,), (a20, a21), (a30, a31, a32) = _A[1:4]
         (a40, a41, a42, a43), (a50, a51, a52, a53, a54) = _A[4:]
-        (h_abs, min_step), rejected = self._start(), False
+        # the step size to try first, raised to 10 float spacings at t
+        min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(self.h_abs, min_step), False
         while True:
             if not h_abs >= min_step:  # also ends a nan step size
                 return self._fail("required step size is less than spacing between numbers")
@@ -214,25 +218,38 @@ def _compute_R(order, factor):
     return R
 
 
-# R at factor 1, upper triangular, per order
+# R at factor 1, upper triangular, per order; row 0 of R is all ones, so
+# row 0 of R U is U's column sums, and columns 1..order of U below row 0
 _U = tuple(_compute_R(order, 1) for order in range(MAX_ORDER + 1))
+_RU0 = tuple(tuple(_sum(U[k][j] for k in range(j + 1)) for j in range(len(U))) for U in _U)
+_U_COLUMNS = tuple(
+    tuple(tuple(U[k][j] for k in range(1, j + 1)) for j in range(1, len(U))) for U in _U
+)
 
 
 def _change_D(D, order, factor):
     """Rescale the differences D[0..order] in place to a step size times
     factor: D <- (R U)^T D, with R U formed first as scipy does (the
-    rounding of that product steers the step-size controller)."""
-    R, U = _compute_R(order, factor), _U[order]
-    n = order + 1
-    new = [0.0] * n
-    for i in range(n):
-        Ri, Di = R[i], D[i]
-        for j in range(n):
+    rounding of that product steers the step-size controller).
+
+    R is built a row at a time; each entry of R U and of the result is
+    the sum, from 0.0 and left to right, of scipy's products, less the
+    products R[i][0] U[0][j] = +0.0 of the rows i >= 1."""
+    D0, columns = D[0], _U_COLUMNS[order]
+    new = [0.0 + RU * D0 for RU in _RU0[order]]
+    R = [1.0] * order  # R[i][1..order]
+    for i in range(1, order + 1):
+        R = [r * ((i - 1 - factor * j) / i) for j, r in enumerate(R, 1)]
+        Di = D[i]
+        new[0] += 0.0 * Di
+        j = 1
+        for column in columns:
             RU = 0.0
-            for k in range(j + 1):  # U[k][j] = 0 below the diagonal
-                RU += Ri[k] * U[k][j]
+            for product in map(mul, R, column):
+                RU += product
             new[j] += RU * Di
-    D[:n] = new
+            j += 1
+    D[: order + 1] = new
 
 
 class BDF(_Stepper):
@@ -250,40 +267,21 @@ class BDF(_Stepper):
         self.D[0], self.D[1] = y0, self.f * self.h_abs
         self.order, self.n_equal_steps, self.LU = 1, 0, None
 
-    def _newton(self, t_new, y_predict, c, psi, LU, scale):
-        """Solve the NDF equation by simplified Newton iterations; returns
-        (converged, iterations, y, d) with d = y - y_predict."""
-        d, y, dy_norm_old, tol = 0.0, y_predict, None, self.newton_tol
-        for k in range(NEWTON_MAXITER):
-            f = self.fun(t_new, y)
-            self.nfev += 1
-            if not math.isfinite(f):
-                break
-            dy = (c * f - psi - d) / LU
-            dy_norm = abs(dy / scale)
-            rate = None if dy_norm_old is None else dy_norm / dy_norm_old
-            if rate is not None and (
-                rate >= 1.0 or rate ** (NEWTON_MAXITER - k) / (1.0 - rate) * dy_norm > tol
-            ):
-                break
-            y += dy
-            d += dy
-            if dy_norm == 0.0 or rate is not None and rate / (1.0 - rate) * dy_norm < tol:
-                return True, k + 1, y, d
-            dy_norm_old = dy_norm
-        return False, k + 1, y, d
-
     def step(self):
         t, D, order = self.t, self.D, self.order
-        h_abs, min_step = self._start()
+        fun, isfinite, nfev, tol = self.fun, math.isfinite, self.nfev, self.newton_tol
+        # the step size to try first, raised to 10 float spacings at t
+        min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
         if h_abs != self.h_abs:
             _change_D(D, order, h_abs / self.h_abs)
             self.n_equal_steps = 0
         rtol, atol = self.rtol, self.atol
         J, LU, current_jac = self.J, self.LU, False
-        alpha, gamma = _ALPHA[order], _GAMMA
+        alpha, gamma = _ALPHA[order], _GAMMA[1:]
         while True:
             if not h_abs >= min_step:  # also ends a nan step size
+                self.nfev = nfev
                 return self._fail("required step size is less than spacing between numbers")
             t_new = t + h_abs
             if t_new > self.t_bound:
@@ -293,18 +291,42 @@ class BDF(_Stepper):
                 LU = None
             h = t_new - t
             h_abs = abs(h)
-            y_predict = _sum(D[: order + 1])
+            # y_predict = D[0] + ... + D[order] and psi, each summed from 0.0
+            y_predict, psi = 0.0 + D[0], 0.0
+            for Di, gamma_i in zip(D[1 : order + 1], gamma):
+                y_predict += Di
+                psi += Di * gamma_i
             scale = atol + rtol * abs(y_predict)
-            psi = _sum(D[i] * gamma[i] for i in range(1, order + 1)) / alpha
+            psi /= alpha
             c = h / alpha
             while True:
                 if LU is None:
                     LU = 1.0 - c * J
                     self.nlu += 1
-                    if not (LU and math.isfinite(LU)):
+                    if not (LU and isfinite(LU)):
+                        self.nfev = nfev
                         message = f"Newton matrix 1 - c J = {LU!r} is not invertible (J = {J!r})"
                         return self._fail(message)
-                converged, n_iter, y_new, d = self._newton(t_new, y_predict, c, psi, LU, scale)
+                # simplified Newton iterations on the NDF equation, in k + 1
+                # iterations; d = y_new - y_predict
+                d, y_new, converged = 0.0, y_predict, False
+                for k in range(NEWTON_MAXITER):
+                    f = fun(t_new, y_new)
+                    nfev += 1
+                    if not isfinite(f):
+                        break
+                    dy = (c * f - psi - d) / LU
+                    dy_norm = abs(dy / scale)
+                    if k:
+                        rate = dy_norm / dy_norm_old
+                        if rate >= 1.0 or rate ** (NEWTON_MAXITER - k) / (1.0 - rate) * dy_norm > tol:
+                            break
+                    y_new += dy
+                    d += dy
+                    if dy_norm == 0.0 or k and rate / (1.0 - rate) * dy_norm < tol:
+                        converged = True
+                        break
+                    dy_norm_old = dy_norm
                 if converged or current_jac:
                     break
                 J = self.jac(t_new, y_predict)
@@ -316,7 +338,7 @@ class BDF(_Stepper):
                 self.n_equal_steps = 0
                 LU = None
                 continue
-            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
+            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + k + 1)
             scale = atol + rtol * abs(y_new)
             error_norm = abs(_ERROR_CONST[order] * d / scale)
             if not error_norm > 1.0:
@@ -326,28 +348,34 @@ class BDF(_Stepper):
             _change_D(D, order, factor)
             self.n_equal_steps = 0
 
+        self.nfev = nfev
         self.n_equal_steps += 1
         self.t_old, self.t, self.y = t, t_new, y_new
         self.h_abs, self.J, self.LU = h_abs, J, LU
         # D^{j+1} y_n = D^j y_n - D^j y_{n-1}, with d = D^{order+1} y_n
         D[order + 2] = d - D[order + 1]
         D[order + 1] = d
-        for i in reversed(range(order + 1)):
+        for i in range(order, -1, -1):
             D[i] += D[i + 1]
         if self.n_equal_steps < order + 1:
             return True
 
         # the order among order - 1, order, order + 1 that allows the
-        # largest next step
-        norms = [
-            abs(_ERROR_CONST[order - 1] * D[order] / scale) if order > 1 else math.inf,
-            error_norm,
-            abs(_ERROR_CONST[order + 1] * D[order + 2] / scale) if order < MAX_ORDER else math.inf,
-        ]
-        exponents = (-1 / order, -1 / (order + 1), -1 / (order + 2))
-        factors = [n**e if n else math.inf for n, e in zip(norms, exponents)]
-        best = max(factors)
-        self.order = order = order + factors.index(best) - 1
+        # largest next step, the first of equals; an error norm of 0
+        # allows any step, an order outside 1..MAX_ORDER none
+        best, change = 0.0, -1  # at order 1, inf ** -1.0
+        if order > 1:
+            norm = abs(_ERROR_CONST[order - 1] * D[order] / scale)
+            best = norm ** (-1 / order) if norm else math.inf
+        factor = error_norm ** (-1 / (order + 1)) if error_norm else math.inf
+        if factor > best:
+            best, change = factor, 0
+        if order < MAX_ORDER:
+            norm = abs(_ERROR_CONST[order + 1] * D[order + 2] / scale)
+            factor = norm ** (-1 / (order + 2)) if norm else math.inf
+            if factor > best:
+                best, change = factor, 1
+        self.order = order = order + change
         factor = min(MAX_FACTOR, safety * best)
         self.h_abs *= factor
         _change_D(D, order, factor)
@@ -432,25 +460,29 @@ def solve(stepper, events):
     """
     t, y = stepper.t, stepper.y
     ts, ys = [t], [y]
-    g = [event(t, y) for event, _ in events]
+    functions = [event for event, _ in events]
+    falls = [direction < 0 for _, direction in events]
+    g = [event(t, y) for event in functions]
+    step, t_bound = stepper.step, stepper.t_bound
     status, fired, steps = None, None, 0
     while status is None:
         if steps == MAX_STEPS:
             stepper.message = f"the step budget MAX_STEPS = {MAX_STEPS} ran out"
             status = -1
             break
-        if not stepper.step():
+        if not step():
             status = -1
             break
         steps += 1
         t_old, t, y = stepper.t_old, stepper.t, stepper.y
-        if t >= stepper.t_bound:
+        if t >= t_bound:
             status = 0
-        g_new = [event(t, y) for event, _ in events]
-        active = [
-            i for i, ((_, direction), old, new) in enumerate(zip(events, g, g_new))
-            if ((old >= 0.0 >= new) if direction < 0 else (old <= 0.0 <= new))
-        ]
+        g_new = [event(t, y) for event in functions]
+        active = []
+        for i in range(len(g)):
+            old, new = g[i], g_new[i]
+            if (old >= 0.0 >= new) if falls[i] else (old <= 0.0 <= new):
+                active.append(i)
         if active:
             sol = stepper.dense_output()
             roots = []

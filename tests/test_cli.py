@@ -607,10 +607,8 @@ def test_a_drag_row_failure_names_the_gap_and_the_terms(tmp_path, capsys):
     [
         ["--v0=-1e300"],
         ["--regime", "mixed", "--g", "1e-10", "--t-max", "1e300"],
-        # rho_F = rho_S: G = 0, which the closed-form tail divides by
-        ["--regime", "mixed", "--h0", "1e-7", "--rho-f", "2"],
     ],
-    ids=["zero-division", "overflow", "tail-without-gravity"],
+    ids=["zero-division", "overflow"],
 )
 def test_fall_float_arithmetic_failure_exits_3(tmp_path, capsys, args):
     assert run(["fall", "simulate", *args, "--out", str(tmp_path)]) == 3
@@ -631,6 +629,23 @@ def test_a_tail_entered_at_rest_ends_with_a_result(tmp_path, capsys):
     assert event["note"] == (
         "gap fell below the representable range (ln h = -700) at t; no contact"
     )
+
+
+@pytest.mark.parametrize(
+    "v0, h_rest",
+    # h rests where a ln h = v0 + a ln h0: h0 e^{v0/a}, up to rounding
+    [("0", 9.999999999999994e-08), ("-1e-3", 9.990004998333731e-08)],
+    ids=["from-rest", "falling"],
+)
+def test_a_tail_without_gravity_ends_with_a_result(tmp_path, capsys, v0, h_rest):
+    # rho_F = rho_S: G = 0, so the gap never reaches the ln h = -700 floor
+    argv = ["fall", "simulate", "--regime", "mixed", "--h0", "1e-7", "--rho-f", "2",
+            f"--v0={v0}", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    event = _read(tmp_path / "fall_simulate_event.json")["event"]
+    assert (event["kind"], event["t"], event["h"], event["note"]) == ("NoContact", 10.0, h_rest, "")
+    assert math.copysign(1.0, event["speed"]) == 1.0 and event["speed"] == 0.0
 
 
 def test_a_fall_over_the_step_budget_exits_3(tmp_path, capsys, monkeypatch):

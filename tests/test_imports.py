@@ -15,7 +15,8 @@ imports the standard library alone; every layer imports those names from
 it.  `import gapflow.cli` loads gapflow.model and nothing else of the
 package, and no numpy; each command imports its own layers when it runs.
 The fall (gapflow.dynamics) loads the model and the float steppers of
-gapflow.ode, and never numpy.  `verify all` loads no drag, ode or
+gapflow.ode, and never numpy; neither file calls sum() or math.fsum, whose
+rounding differs from the left-to-right sums the steppers port.  `verify all` loads no drag, ode or
 dynamics, and `drag scan` no ode or dynamics.
 """
 
@@ -75,6 +76,43 @@ def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as f:
         assert tomllib.load(f)["project"]["version"] == gapflow.__version__
+
+
+def _float_sums(tree):
+    """Lines that call the builtin sum or math.fsum, by name or attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id in ("sum", "fsum")
+                    or isinstance(func, ast.Attribute) and func.attr == "fsum"):
+                yield node.lineno
+
+
+def _numpy_imports(tree):
+    """Lines that import numpy, except in Trajectory.t and Trajectory.h,
+    the array views of a finished fall."""
+    views = {
+        id(node)
+        for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Trajectory"
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in ("t", "h")
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in views:
+            if any(name.split(".")[0] == "numpy" for name in _imported(node)):
+                yield node.lineno
+
+
+@pytest.mark.parametrize("name", ["ode.py", "dynamics.py"])
+def test_the_fall_sums_floats_left_to_right_without_numpy(name):
+    tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+    assert list(_float_sums(tree)) == [], (
+        f"{name} calls sum() or math.fsum: the steppers reproduce scipy's "
+        "left-to-right float sums bit for bit, but math.fsum rounds the "
+        "exact sum once and sum() of floats is compensated from Python 3.12; "
+        "ode._sum is the left-to-right sum"
+    )
+    assert list(_numpy_imports(tree)) == [], f"{name} imports numpy into the fall"
 
 
 def _loaded(statements):

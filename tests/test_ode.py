@@ -9,6 +9,7 @@ and end at the same terminal event.
 import hashlib
 import math
 import random
+import struct
 
 import pytest
 import scipy.integrate
@@ -136,6 +137,52 @@ def test_the_tableau_and_ndf_constants_are_scipys():
         for factor in (0.5, 1.0, 1.7):
             R = scipy.integrate._ivp.bdf.compute_R(order, factor)
             assert ode._compute_R(order, factor) == R.tolist()
+
+
+def _change_D_reference(D, order, factor):
+    """scipy's D <- (R U)^T D as a triple loop over R, U and D, each sum
+    from 0.0 and left to right: the form ode._change_D must match bit for
+    bit."""
+    R, U = ode._compute_R(order, factor), ode._U[order]
+    n = order + 1
+    new = [0.0] * n
+    for i in range(n):
+        for j in range(n):
+            RU = 0.0
+            for k in range(j + 1):
+                RU += R[i][k] * U[k][j]
+            new[j] += RU * D[i]
+    D[:n] = new
+
+
+def _bits(values):
+    return struct.unpack(f"<{len(values)}q", struct.pack(f"<{len(values)}d", *values))
+
+
+def test_change_D_keeps_the_bits_of_the_triple_loop():
+    rng = random.Random(20261017)
+    fixed = (0.5, 1.0, 10.0, ode.MIN_FACTOR, ode.MAX_FACTOR)
+    factors = fixed + tuple(rng.uniform(0.2, 10.0) for _ in range(20))
+    for order in range(1, ode.MAX_ORDER + 1):
+        for factor in factors:
+            for _ in range(20):
+                # +-0.0 or +-10^x, x uniform in [-20, 3]
+                D = [rng.choice((0.0, -0.0, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20, 3)))
+                     for _ in range(ode.MAX_ORDER + 3)]
+                ours, ref = list(D), list(D)
+                ode._change_D(ours, order, factor)
+                _change_D_reference(ref, order, factor)
+                assert _bits(ours) == _bits(ref), (order, factor, D)
+    # an inf or nan spreads to the same entries; a nan's sign bit may
+    # follow the interpreter's operand order, so these compare by repr
+    for order in range(1, ode.MAX_ORDER + 1):
+        for _ in range(50):
+            D = [rng.choice((math.inf, -math.inf, math.nan, rng.uniform(-1.0, 1.0)))
+                 for _ in range(ode.MAX_ORDER + 3)]
+            ours, ref, factor = list(D), list(D), rng.choice(factors)
+            ode._change_D(ours, order, factor)
+            _change_D_reference(ref, order, factor)
+            assert list(map(repr, ours)) == list(map(repr, ref)), (order, D)
 
 
 @pytest.mark.parametrize(
