@@ -242,13 +242,11 @@ def _change_D(D, order, factor):
         R = [r * ((i - 1 - factor * j) / i) for j, r in enumerate(R, 1)]
         Di = D[i]
         new[0] += 0.0 * Di
-        j = 1
-        for column in columns:
+        for j, column in enumerate(columns, 1):
             RU = 0.0
             for product in map(mul, R, column):
                 RU += product
             new[j] += RU * Di
-            j += 1
     D[: order + 1] = new
 
 
