@@ -13,7 +13,6 @@ Usage:
 
 import argparse
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +34,9 @@ def main():
                             kappa=args.kappa)
     print(f"h0 = {args.h0}, G = {params.G}, kappa = {params.kappa}")
 
-    free = simulate(replace(params, kappa=0.0), SlipRegime.slip(1.0, 1.0),
+    drag_free = FallParameters(rho_S=params.rho_S, rho_F=params.rho_F,
+                               g=params.g, kappa=0.0)
+    free = simulate(drag_free, SlipRegime.slip(1.0, 1.0),
                     args.h0, t_max=2.0 * args.t_max, rtol=1e-12, atol=1e-14)
     print(f"\nfree fall      : touchdown at t* = {free.event.t:.8f}"
           f"  (analytic {math.sqrt(2.0 * args.h0 / params.G):.8f})")

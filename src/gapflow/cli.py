@@ -43,9 +43,8 @@ import os
 import sys
 import tempfile
 from array import array
-from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .model import (
@@ -102,12 +101,12 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Flat run configuration; one key set shared by every subcommand.
 
     ``out_dir`` and ``stamp`` are execution knobs that do not affect
-    computed values; they are excluded from the config echo.
+    computed values; they are excluded from the config echo.  A key's
+    flag is in FLAGS when it is not --key, and its help in HELP.
     """
 
     regime: str = "slip"
@@ -118,9 +117,7 @@ class RunConfig:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     h: float = 1e-4
-    h_list: tuple = field(
-        default=DEFAULT_H_LIST, metadata={"help": "comma-separated gaps"}
-    )
+    h_list: tuple = DEFAULT_H_LIST
     exterior: str = "included"
     draws: int = 10000
     seed: int = 20260814
@@ -138,17 +135,18 @@ class RunConfig:
     kappa_list: tuple = (0.5, 1.0, 2.0)
     G_list: tuple = (1.0,)
     h0_list: tuple = (0.25,)
-    out_dir: str = field(
-        default=None, metadata={"flag": "--out", "help": "output directory"}
-    )
-    stamp: bool = field(
-        default=False,
-        metadata={"help": "embed a UTC timestamp (breaks bit-identical reruns)"},
-    )
+    out_dir: str = None
+    stamp: bool = False
 
 
+FLAGS = {"out_dir": "--out"}
+HELP = {
+    "h_list": "comma-separated gaps",
+    "out_dir": "output directory",
+    "stamp": "embed a UTC timestamp (breaks bit-identical reruns)",
+}
 ECHO_EXCLUDE = ("out_dir", "stamp")
-LIST_KEYS = tuple(f.name for f in fields(RunConfig) if f.type is tuple)
+LIST_KEYS = tuple(k for k, kind in RunConfig.__annotations__.items() if kind is tuple)
 
 
 # ---------------------------------------------------------------- config
@@ -170,8 +168,7 @@ def load_config(path):
         data = json.load(f)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - set(RunConfig._fields))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return data
@@ -182,10 +179,10 @@ def effective_config(args):
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(load_config(args.config))
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+    for key in RunConfig._fields:
+        value = getattr(args, key, None)
         if value is not None:
-            overrides[f.name] = value
+            overrides[key] = value
     for key in LIST_KEYS:
         if key in overrides:
             overrides[key] = _parse_float_list(overrides[key])
@@ -209,11 +206,10 @@ def _spec(cfg):
 
 def validate(cfg):
     """Run the underlying type invariants before any computation starts."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        values = value if f.name in LIST_KEYS else (value,)
+    for key, value in cfg._asdict().items():
+        values = value if key in LIST_KEYS else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ConfigError(f"{f.name} must be finite")
+            raise ConfigError(f"{key} must be finite")
     _regime(cfg)
     _spec(cfg)
     FallParameters(rho_S=cfg.rho_S, rho_F=cfg.rho_F, g=cfg.g, kappa=cfg.kappa)
@@ -264,7 +260,7 @@ def check_row(name, anchor, measured, threshold, passed=None):
 
 
 def _echo(cfg):
-    echo = asdict(cfg)
+    echo = cfg._asdict()
     for key in ECHO_EXCLUDE:
         echo.pop(key)
     for key in LIST_KEYS:
@@ -273,12 +269,17 @@ def _echo(cfg):
 
 
 def envelope(cfg, command, checks, extra):
+    timestamp = None
+    if cfg.stamp:  # only a stamped run loads datetime
+        from datetime import datetime, timezone
+
+        timestamp = datetime.now(timezone.utc).isoformat()
     report = {
         "schema": SCHEMA,
         "version": __version__,
         "command": command,
         "config": _echo(cfg),
-        "timestamp": datetime.now(timezone.utc).isoformat() if cfg.stamp else None,
+        "timestamp": timestamp,
         "checks": checks,
         "passed": all(row["passed"] for row in checks),
     }
@@ -808,12 +809,12 @@ def _common_parser():
     common = argparse.ArgumentParser(add_help=False)
     add = common.add_argument
     add("--config", default=None, help="flat JSON config file")
-    for f in fields(RunConfig):
-        flag = f.metadata.get("flag", "--" + f.name.lower().replace("_", "-"))
-        kind = {"type": f.type} if f.type in (float, int) else {}
-        if f.type is bool:
+    for key, annotation in RunConfig.__annotations__.items():
+        flag = FLAGS.get(key, "--" + key.lower().replace("_", "-"))
+        kind = {"type": annotation} if annotation in (float, int) else {}
+        if annotation is bool:
             kind = {"action": "store_const", "const": True}
-        add(flag, dest=f.name, default=None, help=f.metadata.get("help"), **kind)
+        add(flag, dest=key, default=None, help=HELP.get(key), **kind)
     return common
 
 

@@ -34,8 +34,8 @@ exterior_constant for the estimator's region.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ EXTERIOR_GRID_N = 16
 R_MAX_DEFAULT = DELTA_DEFAULT
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     """Energy functional value and its parts (already weighted).
 
     total = gradient + sphere + wall + exterior; ``exterior`` is 0.0 when
@@ -66,8 +65,7 @@ class EnergyBreakdown:
     exterior: float
 
 
-@dataclass(frozen=True)
-class SurfaceDrag:
+class SurfaceDrag(NamedTuple):
     """Surface pairing n(h) with its constituents.
 
     ``volume`` is the pairing of the momentum residual with the field,
@@ -249,8 +247,7 @@ def exterior_constant(regime, delta=DELTA_DEFAULT):
     return total
 
 
-@dataclass(frozen=True)
-class DragRow:
+class DragRow(NamedTuple):
     h: float
     energy: float
     surface: float
@@ -259,23 +256,27 @@ class DragRow:
     wall_part: float
 
 
-@dataclass(frozen=True)
-class DragCurve:
-    """Computed drag rows (h strictly decreasing) with provenance."""
-
+class _DragCurve(NamedTuple):
     regime: SlipRegime
     rows: tuple
     provenance: dict
 
-    def __post_init__(self):
-        hs = [row.h for row in self.rows]
+
+class DragCurve(_DragCurve):
+    """Computed drag rows (h strictly decreasing) with provenance."""
+
+    __slots__ = ()
+
+    def __new__(cls, regime, rows, provenance):
+        hs = [row.h for row in rows]
         if any(x <= 0.0 for x in hs):
             raise ValueError("DragCurve requires h > 0 in every row")
         if any(a <= b for a, b in zip(hs, hs[1:])):
             raise ValueError("DragCurve rows must have strictly decreasing h")
-        for row in self.rows:
+        for row in rows:
             if row.energy <= 0.0 or row.surface <= 0.0:
                 raise ValueError("DragCurve requires positive drag values")
+        return super().__new__(cls, regime, rows, provenance)
 
     def column(self, name):
         return np.array([getattr(row, name) for row in self.rows])

@@ -38,8 +38,8 @@ it coasts through the floor within h / |h'| of the entry.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .model import (
     ATOL_DEFAULT,
@@ -63,8 +63,7 @@ class EventKind:
     ESCAPED = "Escaped"
 
 
-@dataclass(frozen=True)
-class TerminalEvent:
+class TerminalEvent(NamedTuple):
     """How a trajectory ended: kind, time, gap, and speed at that moment."""
 
     kind: str
@@ -74,18 +73,7 @@ class TerminalEvent:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Rows (t, h, h') of the integrator and of the tail, held as the
-    float columns ``times``, ``gaps`` and ``speeds``, the terminal event,
-    and the integrator's counters: accepted steps, right-hand side and
-    Jacobian evaluations, and Newton matrix factorizations (all 0 for a
-    fall that starts in the closed-form tail).
-
-    ``t`` and ``h`` are the first two columns as numpy arrays, built (and
-    numpy imported) when first read: the fall itself runs without numpy.
-    """
-
+class _Trajectory(NamedTuple):
     times: tuple
     gaps: tuple
     speeds: tuple
@@ -95,14 +83,28 @@ class Trajectory:
     njev: int = 0
     nlu: int = 0
 
-    def __post_init__(self):
-        t, h = self.times, self.gaps
-        if not (len(t) == len(h) == len(self.speeds)) or len(t) == 0:
+
+class Trajectory(_Trajectory):
+    """Rows (t, h, h') of the integrator and of the tail, held as the
+    float columns ``times``, ``gaps`` and ``speeds``, the terminal event,
+    and the integrator's counters: accepted steps, right-hand side and
+    Jacobian evaluations, and Newton matrix factorizations (all 0 for a
+    fall that starts in the closed-form tail).
+
+    ``t`` and ``h`` are the first two columns as numpy arrays, built (and
+    numpy imported) when first read: the fall itself runs without numpy.
+    Unlike the other records it keeps a ``__dict__``, where the two
+    arrays are cached, and its ``len`` is its row count.
+    """
+
+    def __new__(cls, times, gaps, speeds, event, steps=0, nfev=0, njev=0, nlu=0):
+        if not (len(times) == len(gaps) == len(speeds)) or len(times) == 0:
             raise ValueError("Trajectory arrays must be nonempty and aligned")
-        if any(b <= a for a, b in zip(t, t[1:])):
+        if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("Trajectory times must be strictly increasing")
-        if any(x <= 0.0 for x in h):
+        if any(x <= 0.0 for x in gaps):
             raise ValueError("Trajectory gaps must stay positive")
+        return super().__new__(cls, times, gaps, speeds, event, steps, nfev, njev, nlu)
 
     def __len__(self):
         return len(self.times)
@@ -120,8 +122,7 @@ class Trajectory:
         return np.array(self.gaps)
 
 
-@dataclass(frozen=True)
-class DragLaw:
+class DragLaw(NamedTuple):
     """Callable drag law h -> D(h) with its deep-gap asymptotic model.
 
     ``deep`` is (model, a): the ScalingModel D follows as h -> 0 and its
@@ -133,10 +134,10 @@ class DragLaw:
     kind: str  # "analytic"
     regime_kind: RegimeKind
     deep: tuple
-    _fn: callable = field(repr=False)
+    fn: callable
 
     def __call__(self, h):
-        return self._fn(h)
+        return self.fn(h)
 
 
 def drag_law(regime, source, kappa):
@@ -346,8 +347,7 @@ def simulate(
     return Trajectory(tuple(t), tuple(h), tuple(v), event, **counts)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One touchdown_scan cell: inputs, outcome, and diagnostics."""
 
     kappa: float

@@ -22,7 +22,7 @@ arrays (numpy floats for scalar input), and global_velocity takes an
 """
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -35,8 +35,7 @@ _J_SEGMENT_ORDER = 12
 _E3 = np.array([0.0, 0.0, 1.0])
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     """Velocity (n, 3) and gradient (n, 3, 3) of the global test field at
     n cartesian points: components (u_1, u_2, u_3) and the matrices
     (grad u)_{ij} = d_j u_i.
@@ -46,15 +45,13 @@ class FieldSample:
     grad: np.ndarray
 
 
-@dataclass(frozen=True)
-class PressureSample:
+class PressureSample(NamedTuple):
     """Pressure q at the sampled points."""
 
     q: object
 
 
-@dataclass(frozen=True)
-class ApertureFrame:
+class ApertureFrame(NamedTuple):
     """Vectorized velocity components and first derivatives in the gap."""
 
     u_r: object
@@ -67,7 +64,7 @@ class ApertureFrame:
 
     def at(self, index):
         """The frame's components at one index of their arrays, as views."""
-        return ApertureFrame(*(getattr(self, f.name)[index] for f in fields(self)))
+        return ApertureFrame(*(c[index] for c in self))
 
     @property
     def d_rz(self):
@@ -290,8 +287,7 @@ def _residual(regime, p, r):
     return -(3.0 * p.drz + r * p.drrz), f_z
 
 
-@dataclass(frozen=True)
-class NavierResiduals:
+class NavierResiduals(NamedTuple):
     """Boundary-condition residuals at radius r (vectorized).
 
     wall_impermeability : u_z at z = 0 (0 by construction)

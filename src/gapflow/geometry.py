@@ -11,7 +11,7 @@ for scalars: a scalar in gives a numpy float or 0-d array out.
 ``cutoffs`` takes an (n, 3) array of points.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +21,12 @@ PLANE = "plane"
 SPHERE_CAP = "sphere-cap"
 
 
-@dataclass(frozen=True)
-class GapGeometry:
+class _GapGeometry(NamedTuple):
+    h: float
+    delta: float
+
+
+class GapGeometry(_GapGeometry):
     """Geometric configuration: gap width plus the aperture half-width.
 
     Parameters
@@ -36,14 +40,14 @@ class GapGeometry:
     The far cutoff shell around the sphere is ``D_DELTA_DEFAULT`` thick.
     """
 
-    h: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.delta < 0.25:
-            raise ValueError(f"delta must lie in (0, 1/4), got {self.delta}")
-        if not 0.0 <= self.h <= H_MAX_DEFAULT:
-            raise ValueError(f"h must lie in [0, {H_MAX_DEFAULT}], got {self.h}")
+    def __new__(cls, h, delta):
+        if not 0.0 < delta < 0.25:
+            raise ValueError(f"delta must lie in (0, 1/4), got {delta}")
+        if not 0.0 <= h <= H_MAX_DEFAULT:
+            raise ValueError(f"h must lie in [0, {H_MAX_DEFAULT}], got {h}")
+        return super().__new__(cls, h, delta)
 
 
 def gamma_s(r):
@@ -157,8 +161,7 @@ def _radial_bump(rho):
     return val, -d1 / half, d2 / (half * half)
 
 
-@dataclass(frozen=True)
-class CutoffPair:
+class CutoffPair(NamedTuple):
     """Values and derivatives of the two cutoffs at n points.
 
     ``chi`` is the tensor-product window equal to 1 on the cube

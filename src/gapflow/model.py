@@ -8,11 +8,17 @@ This module imports the standard library alone: the CLI validates a run
 config on it, and the fall (``dynamics`` on ``ode``) runs on it, without
 numpy.  Only the array forms of ``ScalingModel`` import numpy, inside the
 method.
+
+The package's records are NamedTuples, whose classes a fresh process
+builds without generating code.  A record that checks its fields is a
+subclass of its NamedTuple whose ``__new__`` runs the checks; ``_replace``
+and ``_make`` skip ``__new__``, so no code builds such a record through
+them.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # aperture half-width, the far cutoff shell around the sphere, and the
 # largest gap: the geometry's defaults
@@ -71,8 +77,13 @@ class ScalingModel(Enum):
         return P
 
 
-@dataclass(frozen=True)
-class SlipRegime:
+class _SlipRegime(NamedTuple):
+    kind: RegimeKind
+    beta_S: float
+    beta_Omega: float
+
+
+class SlipRegime(_SlipRegime):
     """Boundary-condition regime with its slip lengths.
 
     Slip requires both slip lengths positive; Mixed means no-slip at the
@@ -81,19 +92,14 @@ class SlipRegime:
     of the mixed family in `profile._family`, which `verify all` checks.
     """
 
-    kind: RegimeKind
-    beta_S: float
-    beta_Omega: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind is RegimeKind.SLIP and not (
-            self.beta_S > 0.0 and self.beta_Omega > 0.0
-        ):
+    def __new__(cls, kind, beta_S, beta_Omega):
+        if kind is RegimeKind.SLIP and not (beta_S > 0.0 and beta_Omega > 0.0):
             raise ValueError("Slip regime requires beta_S > 0 and beta_Omega > 0")
-        if self.kind is RegimeKind.MIXED and not (
-            self.beta_S == 0.0 and self.beta_Omega > 0.0
-        ):
+        if kind is RegimeKind.MIXED and not (beta_S == 0.0 and beta_Omega > 0.0):
             raise ValueError("Mixed regime requires beta_S = 0 and beta_Omega > 0")
+        return super().__new__(cls, kind, beta_S, beta_Omega)
 
     @classmethod
     def slip(cls, beta_S, beta_Omega):
@@ -104,8 +110,14 @@ class SlipRegime:
         return cls(RegimeKind.MIXED, 0.0, float(beta_Omega))
 
 
-@dataclass(frozen=True)
-class FallParameters:
+class _FallParameters(NamedTuple):
+    rho_S: float
+    rho_F: float
+    g: float
+    kappa: float
+
+
+class FallParameters(_FallParameters):
     """Densities, gravity, and the drag prefactor of the reduced fall.
 
     The viscosity enters only through the drag prefactor kappa.  The
@@ -113,34 +125,36 @@ class FallParameters:
     when the sphere is heavier than the fluid.
     """
 
-    rho_S: float
-    rho_F: float
-    g: float
-    kappa: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rho_S <= 0.0:
+    def __new__(cls, rho_S, rho_F, g, kappa):
+        if rho_S <= 0.0:
             raise ValueError("rho_S must be positive")
-        if self.rho_F < 0.0:
+        if rho_F < 0.0:
             raise ValueError("rho_F must be nonnegative")
-        if self.g <= 0.0:
+        if g <= 0.0:
             raise ValueError("g must be positive")
-        if self.kappa < 0.0:
+        if kappa < 0.0:
             raise ValueError("kappa must be nonnegative")
+        return super().__new__(cls, rho_S, rho_F, g, kappa)
 
     @property
     def G(self):
         return (self.rho_S - self.rho_F) * self.g / self.rho_S
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class _QuadratureSpec(NamedTuple):
     rel_tol: float
     abs_tol: float
 
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+
+class QuadratureSpec(_QuadratureSpec):
+    __slots__ = ()
+
+    def __new__(cls, rel_tol, abs_tol):
+        if not (0.0 < rel_tol < math.inf and 0.0 < abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
+        return super().__new__(cls, rel_tol, abs_tol)
 
 
 class QuadratureError(RuntimeError):

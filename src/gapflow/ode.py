@@ -37,8 +37,8 @@ to right (``_sum``), never through ``sum`` or ``math.fsum``.
 
 import math
 import sys
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 EPS = sys.float_info.epsilon
 MIN_FACTOR = 0.2
@@ -47,8 +47,7 @@ MAX_FACTOR = 10.0
 MAX_STEPS = 1_000_000
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """Rows of an integration and how it ended.
 
     ``status`` is 0 at t_bound, 1 at the terminal event ``event`` (its

@@ -16,8 +16,8 @@ order three.  All evaluation functions broadcast over numpy arrays.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -37,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProfileCoefficients:
+class ProfileCoefficients(NamedTuple):
     """Cubic coefficients and the dimensionless groups at (h, r).
 
     alpha_S = (1/beta_S + 2) H and alpha_P = H / beta_Omega with
@@ -188,8 +187,7 @@ def _g_derivs(regime, H):
     return g
 
 
-@dataclass(frozen=True)
-class PsiPartials:
+class PsiPartials(NamedTuple):
     """All partials of Psi in (r, z) up to total order three.
 
     The fields `dr_by_r`, `drz_by_r`, `drzz_by_r` hold the exact quotients
@@ -333,8 +331,7 @@ def psi_partials(regime, h, r, z):
     return _partials(_Kernel(regime, h, r, z))
 
 
-@dataclass(frozen=True)
-class PsiHPartials:
+class PsiHPartials(NamedTuple):
     """h-derivative of Psi and its mixed partials with r and z."""
 
     dh: object

@@ -14,9 +14,9 @@ evaluation or summation order.
 """
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ FIT_R2_FLOOR = 0.99
 CLASSIFY_H_MIN = 1e-8
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(NamedTuple):
     value: float
     error: float
     cells: int
@@ -219,16 +218,25 @@ class Classification(Enum):
     BOUNDED = "bounded"
 
 
-@dataclass(frozen=True)
-class ModelFit:
+class ModelFit(NamedTuple):
     name: str
     a: float
     b: float
     r_squared: float
 
 
-@dataclass(frozen=True)
-class SingularIntegralCase:
+class _SingularIntegralCase(NamedTuple):
+    p: float
+    q: float
+    delta: float
+    classification: Classification
+    exponent: float
+    values: tuple
+    fits: dict
+    selected: ModelFit
+
+
+class SingularIntegralCase(_SingularIntegralCase):
     """Small-gap behavior of I(h) = int_0^delta r^p / (h + r^2)^q dr.
 
     The classification is decided by the arithmetic invariant: power law
@@ -237,21 +245,17 @@ class SingularIntegralCase:
     behavior validate the call on the computed values.
     """
 
-    p: float
-    q: float
-    delta: float
-    classification: Classification
-    exponent: float
-    values: tuple
-    fits: dict = field(compare=False)
-    selected: ModelFit
+    __slots__ = ()
 
-    def __post_init__(self):
-        expected, exponent, _ = _classify(self.p, self.q)
-        if self.classification is not expected:
+    def __new__(cls, p, q, delta, classification, exponent, values, fits, selected):
+        expected, expected_exponent, _ = _classify(p, q)
+        if classification is not expected:
             raise ValueError("classification inconsistent with (p, q)")
-        if self.classification is Classification.POWER_LAW and self.exponent != exponent:
+        if classification is Classification.POWER_LAW and exponent != expected_exponent:
             raise ValueError("power-law exponent must be (p+1)/2 - q")
+        return super().__new__(
+            cls, p, q, delta, classification, exponent, values, fits, selected
+        )
 
 
 def _classify(p, q):

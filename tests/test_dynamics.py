@@ -1,7 +1,6 @@
 """Tests for the reduced contact dynamics: drag laws, events, scans."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,14 +103,15 @@ def test_default_parameters_give_unit_effective_gravity():
 
 
 def test_parameter_validation():
+    base = _params()._asdict()
     with pytest.raises(ValueError):
-        replace(_params(), rho_S=0.0)
+        FallParameters(**{**base, "rho_S": 0.0})
     with pytest.raises(ValueError):
-        replace(_params(), rho_F=-0.5)
+        FallParameters(**{**base, "rho_F": -0.5})
     with pytest.raises(ValueError):
-        replace(_params(), g=0.0)
+        FallParameters(**{**base, "g": 0.0})
     with pytest.raises(ValueError):
-        replace(_params(), kappa=-0.1)
+        FallParameters(**{**base, "kappa": -0.1})
 
 
 @given(

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -26,7 +25,7 @@ TOL_FD = 1e-6
 def _cutoffs_at(x, geo):
     """The CutoffPair of the one point x, evaluated as a (1, 3) batch."""
     pair = cutoffs(np.array([x], dtype=float), geo)
-    return CutoffPair(*(getattr(pair, f.name)[0] for f in fields(CutoffPair)))
+    return CutoffPair(*(getattr(pair, name)[0] for name in CutoffPair._fields))
 
 
 class TestGammaS:

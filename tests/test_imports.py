@@ -18,6 +18,12 @@ The fall (gapflow.dynamics) loads the model and the float steppers of
 gapflow.ode, and never numpy; neither file calls sum() or math.fsum, whose
 rounding differs from the left-to-right sums the steppers port.  `verify all` loads no drag, ode or
 dynamics, and `drag scan` no ode or dynamics.
+
+The package's records are NamedTuples, and no file imports dataclasses:
+a frozen dataclass execs its generated methods when its class is built,
+and the module pulls in inspect; together they cost a cold start 15 to
+20 ms.  The CLI and the fall load neither.  A run without --stamp does
+not load datetime either: only a stamped report reads the clock.
 """
 
 import ast
@@ -70,6 +76,10 @@ def test_no_file_of_the_package_imports_a_symbolic_oracle(module):
 
 def test_no_file_of_the_package_imports_importlib_metadata():
     assert _importers("importlib.metadata") == []
+
+
+def test_no_file_of_the_package_imports_dataclasses():
+    assert _importers("dataclasses") == []
 
 
 def test_pyproject_version_is_the_package_version():
@@ -145,6 +155,21 @@ def test_the_cli_loads_only_the_model_before_it_dispatches():
     ours, tops = _loaded("import gapflow.cli")
     assert ours == CLI_MODULES
     assert "numpy" not in tops
+
+
+def test_the_cli_and_the_fall_build_their_records_without_dataclasses():
+    _, tops = _loaded("import gapflow.cli, gapflow.dynamics")
+    assert "dataclasses" not in tops
+    assert "inspect" not in tops
+
+
+def test_a_run_without_stamp_does_not_load_datetime(tmp_path):
+    _, tops = _loaded(
+        "from gapflow.cli import run\n"
+        f"assert run(['fall', 'scan', '--t-max', '1', '--out', {str(tmp_path)!r}]) == 0"
+    )
+    assert "numpy" not in tops
+    assert "datetime" not in tops
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +21,11 @@ from gapflow.quadrature import (
 
 TOL_CLOSED_FORM = 1e-10
 SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+
+
+def _respec(**kwargs):
+    """SPEC with kwargs replaced, built through the class, which checks them."""
+    return QuadratureSpec(**{**SPEC._asdict(), **kwargs})
 
 
 def gap_volume(h, r_max):
@@ -53,7 +57,7 @@ class TestSpec:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            replace(SPEC, **kwargs)
+            _respec(**kwargs)
 
 
 class TestGradedCuts:
@@ -125,8 +129,8 @@ class TestIntegrateGap:
                 integrands.append(f)
         assert len(integrands) == 20
         for f in integrands:
-            loose = integrate_gap(f, h, r_max, replace(SPEC, rel_tol=1e-8))
-            tight = integrate_gap(f, h, r_max, replace(SPEC, rel_tol=5e-9))
+            loose = integrate_gap(f, h, r_max, _respec(rel_tol=1e-8))
+            tight = integrate_gap(f, h, r_max, _respec(rel_tol=5e-9))
             assert abs(loose.value - tight.value) <= max(loose.error, 1e-13 * abs(loose.value) + 1e-15)
 
     def test_z_reflection_symmetry(self):
@@ -153,7 +157,7 @@ class TestIntegrateGap:
 
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
         with pytest.raises(QuadratureError) as err:
-            integrate_gap(nasty, 0.1, 0.2, replace(SPEC, rel_tol=1e-12))
+            integrate_gap(nasty, 0.1, 0.2, _respec(rel_tol=1e-12))
         assert math.isfinite(err.value.value)
         assert err.value.error > 0
 
@@ -228,7 +232,7 @@ class TestStackedIntegrand:
             return np.stack([np.ones_like(r), np.abs(np.sin(1.0 / (r + 1e-12)))])
 
         monkeypatch.setattr(quadrature, "MAX_DEPTH", 3)
-        spec = replace(SPEC, rel_tol=1e-12)
+        spec = _respec(rel_tol=1e-12)
         with pytest.raises(QuadratureError, match="in component 1 ") as err:
             self.surface(f, spec)
         assert len(err.value.value) == len(err.value.error) == 2
@@ -247,8 +251,8 @@ class TestGlobalRefinement:
         [
             (lambda r: np.where(r < 0.1, 1.0, np.inf), SPEC, None, "non-finite"),
             (np.ones_like, QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18), None, "roundoff floor"),
-            (_nasty, replace(SPEC, rel_tol=1e-12), 3, "max_depth 3"),
-            (_nasty, replace(SPEC, rel_tol=1e-12), None, f"cell budget {MAX_CELLS}"),
+            (_nasty, _respec(rel_tol=1e-12), 3, "max_depth 3"),
+            (_nasty, _respec(rel_tol=1e-12), None, f"cell budget {MAX_CELLS}"),
         ],
         ids=["non-finite", "roundoff", "max-depth", "budget"],
     )

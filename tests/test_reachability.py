@@ -13,10 +13,12 @@ by keyword or by position, to the function itself (matched by name); for
 ``__init__``, to its class, to a subclass that inherits ``__init__``, or
 through ``super().__init__`` in a subclass; or by keyword to a call that
 is handed the function itself as an argument, as a tracer's
-``call(name, simulate, ..., law=law)`` is.  The fields of a dataclass are
-the parameters of its class; ``field(default=...)`` and
-``field(default_factory=...)`` give a default, ``field(repr=False)`` and
-``field(compare=False)`` do not.  A ``**mapping`` sets every parameter.
+``call(name, simulate, ..., law=law)`` is.  The fields of a NamedTuple
+record are the parameters of its class, and a field with a value has a
+default.  A record that checks its fields is a subclass of a NamedTuple
+whose ``__new__`` takes exactly those fields: the fields are then the
+parameters of the subclass, and its ``__new__`` adds no signature of its
+own.  A ``**mapping`` sets every parameter.
 
 The mirror rule: a call relies on each default it passes neither by
 position nor by keyword (a handed call, each it does not pass by
@@ -139,29 +141,88 @@ def _defaulted(fn):
     return positional, named
 
 
-def _is_dataclass(cls):
-    return any(
-        _callee(d) == "dataclass" if isinstance(d, ast.Call) else _names(d) == {"dataclass"}
-        for d in cls.decorator_list
-    )
+def _bases(cls):
+    return {b.id for b in cls.bases if isinstance(b, ast.Name)}
+
+
+def _is_namedtuple(cls):
+    return any(_names(b) == {"NamedTuple"} for b in cls.bases)
+
+
+def _record(cls, tree):
+    """The NamedTuple class of tree whose fields cls takes: cls itself when
+    no class of tree subclasses it, else the NamedTuple base cls checks;
+    None for a class that is no record."""
+    classes = [c for c in tree.body if isinstance(c, ast.ClassDef)]
+    if _is_namedtuple(cls):
+        subclassed = any(cls.name in _bases(c) for c in classes)
+        return None if subclassed else cls
+    return next((c for c in classes if c.name in _bases(cls) and _is_namedtuple(c)), None)
 
 
 def _fields(cls):
-    """(fields, names of the fields with a default) of a dataclass: a
-    field(...) value has one only through default= or default_factory=."""
+    """(fields, names of the fields with a default) of a NamedTuple class:
+    a field has a default when it has a value."""
     fields, named = [], []
     for stmt in cls.body:
-        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
-            continue
-        fields.append(stmt.target.id)
-        value = stmt.value
-        if value is None:
-            continue
-        if isinstance(value, ast.Call) and _callee(value) == "field":
-            if not any(k.arg in ("default", "default_factory") for k in value.keywords):
-                continue
-        named.append(stmt.target.id)
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            fields.append(stmt.target.id)
+            if stmt.value is not None:
+                named.append(stmt.target.id)
     return fields, named
+
+
+# every record class of the package: the field gate below must see each
+RECORDS = {
+    "RunConfig",
+    "EnergyBreakdown", "SurfaceDrag", "DragRow", "DragCurve",
+    "TerminalEvent", "Trajectory", "DragLaw", "ScanRow",
+    "FieldSample", "PressureSample", "ApertureFrame", "NavierResiduals",
+    "GapGeometry", "CutoffPair",
+    "SlipRegime", "FallParameters", "QuadratureSpec",
+    "Solution",
+    "ProfileCoefficients", "PsiPartials", "PsiHPartials",
+    "IntegralResult", "ModelFit", "SingularIntegralCase",
+}
+
+
+def _records():
+    """(class, its NamedTuple record) for each record class of the package."""
+    return [
+        (cls, record)
+        for path, tree in _modules() if path.parent == PACKAGE
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for record in [_record(cls, tree)] if record is not None
+    ]
+
+
+def test_the_field_gate_sees_every_record():
+    records = _records()
+    names = [cls.name for cls, _ in records]
+    assert len(names) == len(set(names))
+    assert set(names) == RECORDS
+    assert all(_fields(record)[0] for _, record in records)
+
+
+def test_a_checking_record_takes_exactly_its_fields():
+    """A record's subclass checks the fields in a __new__ whose parameters
+    and defaults are the NamedTuple's, so the gate reads its constructor."""
+    checking = [(cls, record) for cls, record in _records() if cls is not record]
+    assert len(checking) == 7
+    for cls, record in checking:
+        (new,) = [fn for fn in cls.body if isinstance(fn, FUNCTIONS) and fn.name == "__new__"]
+        params, named = _defaulted(new)
+        assert (params, named) == (["cls", *_fields(record)[0]], _fields(record)[1]), cls.name
+
+
+def test_no_record_is_built_past_its_checks():
+    """_replace and _make build a record without calling __new__."""
+    calls = [
+        f"{path.name}:{n.lineno}"
+        for path, tree in _modules() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("_replace", "_make")
+    ]
+    assert calls == []
 
 
 def _callees(fn, cls, classes):
@@ -170,9 +231,7 @@ def _callees(fn, cls, classes):
     that inherit it, and every subclass."""
     if fn.name != "__init__":
         return {fn.name}, set()
-    subclasses = [
-        c for c in classes if cls.name in {b.id for b in c.bases if isinstance(b, ast.Name)}
-    ]
+    subclasses = [c for c in classes if cls.name in _bases(c)]
     inheriting = {
         c.name for c in subclasses
         if not any(isinstance(m, FUNCTIONS) and m.name == "__init__" for m in c.body)
@@ -183,17 +242,19 @@ def _callees(fn, cls, classes):
 def _signatures(tree, classes):
     """(label, parameters, names with a default, skip, callees, subclasses,
     handed) for each top-level function of tree, each method of its
-    top-level classes, and the fields of its dataclasses.  skip counts the
-    parameters no positional argument fills (self); handed is the name a
-    call may be handed the function by, None for a class."""
+    top-level classes but a record's __new__, and the fields of its
+    records.  skip counts the parameters no positional argument fills
+    (self); handed is the name a call may be handed the function by, None
+    for a class."""
     for node in tree.body:
         if isinstance(node, FUNCTIONS):
             yield node.name, *_defaulted(node), 0, {node.name}, set(), node.name
         elif isinstance(node, ast.ClassDef):
-            if _is_dataclass(node):
-                yield node.name, *_fields(node), 0, {node.name}, set(), None
+            record = _record(node, tree)
+            if record is not None:
+                yield node.name, *_fields(record), 0, {node.name}, set(), None
             for fn in node.body:
-                if isinstance(fn, FUNCTIONS):
+                if isinstance(fn, FUNCTIONS) and not (record and fn.name == "__new__"):
                     static = any(_names(d) == {"staticmethod"} for d in fn.decorator_list)
                     yield (
                         f"{node.name}.{fn.name}", *_defaulted(fn), 0 if static else 1,
