@@ -21,7 +21,10 @@ regime.  fit_scaling discriminates the two laws, each stated once as a
 ``energy`` and ``surface_drag`` are the two halves of one drag row: one
 adaptive pass over one radial mesh whose stacked integrand holds every
 term of the row, the gap's three, the wall's two and with slip the
-sphere's two, from one Psi evaluation per call.
+sphere's two, from one Psi evaluation per call.  Each call also takes its
+radial geometry (r^2, s = sqrt(1 - r^2), gamma_s and H) from one
+``geometry._radial`` evaluation, which the z-rule, the Psi kernel's chain
+factors, the sphere normal and the cap measure share.
 
 Totals are aperture integrals (r < r_max) plus an h-independent O(1)
 exterior correction: the cutoff-transition ring outside the aperture does
@@ -39,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, PLANE, SPHERE_CAP, gamma_s, surface_measure
+from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, _radial, gamma_s
 from .field import _frame, _on_sphere, _residual, global_velocity
 from .profile import RegimeKind, SlipRegime, psi_partials
 from .quadrature import (
@@ -98,20 +101,23 @@ def _row(regime, h, r_max, spec, ext):
     stack: the gap's |grad u|^2, |D u|^2 and residual pairing through the
     Z_ORDER z-rule, the wall's slip^2 and traction at z = 0, and with slip
     the sphere's mismatch^2 and traction at z = H.  Each integrand call
-    evaluates Psi once, at the gap heights, 0 and H of every node, and
-    scales each term by its measure as integrate_gap and integrate_surface
-    do, so a term equals its own per-region pass bit for bit while neither
-    refines.  None does at rel_tol 1e-8 to 1e-13 (abs_tol 1e-12) and h
-    from 1e-2 to 1e-12: every row converges on its first call.  A row that
-    did refine would refine all of its terms on the shared cells.  A
-    QuadratureError names h and the failing terms.
+    evaluates the radial geometry (s, H) once and Psi once, at the gap
+    heights, 0 and H of every node, reading none of the PsiPartials
+    properties; it scales each term by its measure (r, or r / s on the
+    cap) as integrate_gap and integrate_surface do, so a term equals its
+    own per-region pass bit for bit while neither refines.  None does at
+    rel_tol 1e-8 to 1e-13 (abs_tol 1e-12) and h from 1e-2 to 1e-12: every
+    row converges on its first call.  A row that did refine would refine
+    all of its terms on the shared cells.  A QuadratureError names h and
+    the failing terms.
     """
     slip = regime.kind is RegimeKind.SLIP
 
     def g(r):
-        H, Z, W = gap_rule(h, r)
         rc = r[:, None]
-        p = psi_partials(regime, h, rc, np.column_stack((Z, np.zeros_like(H), H)))
+        s, H = _radial(h, rc)
+        Z, W = gap_rule(H)
+        p = psi_partials(regime, h, rc, np.column_stack((Z, np.zeros_like(H), H)), (s, H))
         frame = _frame(p, rc)
         f_r, f_z = _residual(regime, p, rc)
         gap = np.stack(
@@ -122,16 +128,17 @@ def _row(regime, h, r_max, spec, ext):
         # and u_z = 0 on the wall
         wall = frame.at((..., -2))
         wall = np.stack([wall.u_r**2, 2.0 * wall.d_rz * wall.u_r])
-        terms.append(2.0 * math.pi * wall * surface_measure(PLANE, r))
+        terms.append(2.0 * math.pi * wall * r)  # the plane's measure is r
         if slip:
             # |(u - e3) x n|^2 is the theta component squared, and
             # (D - qI)n . (e3 - u) loses q since n . (e3 - u) = 0
             top = frame.at((..., -1))
-            _, (dn_r, dn_z), mismatch = _on_sphere(top, r)
+            s = s[:, 0]
+            _, (dn_r, dn_z), mismatch = _on_sphere(top, r, s)
             sphere = np.stack(
                 [mismatch**2, dn_r * (-top.u_r) + dn_z * (1.0 - top.u_z)]
             )
-            terms.append(2.0 * math.pi * sphere * surface_measure(SPHERE_CAP, r))
+            terms.append(2.0 * math.pi * sphere * (r / s))  # the cap's measure
         return np.concatenate(terms)
 
     try:

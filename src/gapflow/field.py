@@ -216,8 +216,8 @@ def _g3_tail(regime, h, H_values):
     behaves like a negative power of u near u = h) and integrated by fixed
     Gauss-Legendre rules; prefix sums are accumulated with fsum.
     """
-    table = _engine(regime)[2]
-    num, den = table[0], table[4]  # N_3 and Delta H^3
+    table = _engine(regime)
+    num, den = table[0, 2], table[4, 2]  # N_3 and Delta H^3, unpadded
 
     def integrand(u):
         g3 = npoly.polyval(u, num) / npoly.polyval(u, den)
@@ -304,11 +304,12 @@ class NavierResiduals(NamedTuple):
     sphere_tangential: object
 
 
-def _on_sphere(frame, r):
+def _on_sphere(frame, r, s=None):
     """Given the frame on the sphere at radii r: the normal (n_r, n_z),
     the traction D n as (r, z) components, and (u - e3) x n, whose one
-    component is theta."""
-    n_r, n_z = sphere_normal(r)
+    component is theta.  s = sqrt(1 - r^2) is the normal's n_z, from a
+    caller that has it."""
+    n_r, n_z = sphere_normal(r) if s is None else (-r, s)
     dn = (
         frame.du_r_dr * n_r + frame.d_rz * n_z,
         frame.d_rz * n_r + frame.du_z_dz * n_z,

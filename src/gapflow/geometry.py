@@ -68,11 +68,24 @@ def gamma_s(r):
         gap height h + gamma_s must resolve gaps far below eps.
     """
     r = np.asarray(r, dtype=float)
-    # one ndarray.any() call: gamma_s runs inside every profile evaluation
+    # one ndarray.any() call; the profile takes its H from _radial
     if ((r < 0.0) | (r > 1.0)).any():
         raise ValueError("gamma_s requires 0 <= r <= 1")
     r2 = r * r
     return r2 / (1.0 + np.sqrt(1.0 - r2))
+
+
+def _radial(h, r):
+    """(s, H) at radii 0 <= r < 1, with one domain check: s = sqrt(1 - r**2)
+    and the gap height H = h + gamma_s(r), bit for bit as `gamma_s` gives
+    it.  A drag integrand call shares them between the z-rule, the profile's
+    chain factors, the sphere normal (-r, s) and the cap measure r / s."""
+    r = np.asarray(r, dtype=float)
+    if ((r < 0.0) | (r >= 1.0)).any():
+        raise ValueError("profile evaluation requires 0 <= r < 1")
+    r2 = r * r
+    s = np.sqrt(1.0 - r2)
+    return s, h + r2 / (1.0 + s)
 
 
 def sphere_normal(r):

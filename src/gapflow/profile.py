@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import gamma_s
+from .geometry import _radial
 from .model import DELTA_DEFAULT, RegimeKind, ScalingModel, SlipRegime
 
 __all__ = [
@@ -50,14 +50,6 @@ class ProfileCoefficients(NamedTuple):
     p1: float
     p2: float
     p3: float
-
-
-def _radius(r):
-    """r as an array, checked against the profile's domain 0 <= r < 1."""
-    r = np.asarray(r, dtype=float)
-    if ((r < 0.0) | (r >= 1.0)).any():
-        raise ValueError("profile evaluation requires 0 <= r < 1")
-    return r
 
 
 def _poly(*coefs):
@@ -122,7 +114,7 @@ def _coefficients(kind, beta_S, beta_Omega, h, r):
     h = np.asarray(h, dtype=float)
     if (h <= 0.0).any():
         raise ValueError("coefficients require h > 0")
-    H = h + gamma_s(_radius(r))
+    _, H = _radial(h, r)
     delta, n1, n2, n3 = _family(kind, beta_S, beta_Omega)
     den = npoly.polyval(H, delta, tensor=False)
     p1, p2, p3 = (npoly.polyval(H, n, tensor=False) / den for n in (n1, n2, n3))
@@ -136,64 +128,64 @@ def _coefficients(kind, beta_S, beta_Omega, h, r):
 
 @lru_cache(maxsize=32)
 def _engine(regime):
-    """Per-regime polynomial tables, one for each i = 1, 2, 3: an (8, L)
-    array whose rows are N_i and its first three derivatives, then
-    Delta * H^i and its first three, low-to-high coefficients zero-padded
-    to the length L of Delta * H^i."""
-    delta, n1, n2, n3 = _family(regime.kind, regime.beta_S, regime.beta_Omega)
-    tables = []
-    for i, num in ((1, n1), (2, n2), (3, n3)):
+    """The regime's polynomial table: an (8, 3, L) array whose [:, i - 1]
+    rows are N_i and its first three derivatives, then Delta * H^i and its
+    first three, low-to-high coefficients zero-padded to the length L of
+    Delta * H^3, the longest."""
+    delta, *nums = _family(regime.kind, regime.beta_S, regime.beta_Omega)
+    table = np.zeros((8, 3, delta.size + 3))
+    for i, num in enumerate(nums, start=1):
         den = np.concatenate([np.zeros(i), delta])  # Delta(H) * H^i
         rows = [npoly.polyder(c, k) for c in (num, den) for k in range(4)]
-        table = np.zeros((8, den.size))
-        for row, c in zip(table, rows):
+        for row, c in zip(table[:, i - 1], rows):
             row[: c.size] = c
-        tables.append(table)
-    return tuple(tables)
+    table.flags.writeable = False  # every caller shares the cached table
+    return table
 
 
 def _g_derivs(regime, H):
     """G_i, G_i', G_i'', G_i''' for i = 1, 2, 3 at the given H values, as
     an array of shape (4, 3) + H.shape indexed [order, i - 1].
 
-    One Horner pass, in place on 8 rows, evaluates each table of `_engine`;
-    the zeros above a row's degree leave every bit as polyval gives it.
-    G_i = N_i / (Delta H^i) is differentiated by the quotient-rule
-    recursion R' = (n' - R d') / d and its higher-order analogues.
+    One Horner pass, in place on the 8 x 3 rows, evaluates the table of
+    `_engine`; the zeros above a row's degree leave every bit as polyval
+    gives it (while v is 0, v * H + 0 stays 0, and 0 + c is c).  One
+    quotient-rule recursion, R' = (n' - R d') / d and its higher-order
+    analogues, differentiates G_i = N_i / (Delta H^i) for all three i.
     """
     H = np.asarray(H)
-    g = np.empty((4, 3) + H.shape)
-    v = np.empty((8,) + H.shape)
-    for i, table in enumerate(_engine(regime)):
-        table = table.reshape((8,) + (1,) * H.ndim + (-1,))
-        v[...] = table[..., -1]
-        for k in range(table.shape[-1] - 2, -1, -1):
-            v *= H
-            v += table[..., k]
-        # the N_i rows become R_k = G_i^(k) in place, as views (also for a
-        # 0-d H): R_k = (n_k - sum_j C(k, j) R_(k-j) d_j) / d_0, j = 1..k
-        r0, r1, r2, r3, d0, d1, d2, d3 = (v[k, ...] for k in range(8))
-        r0 /= d0
-        r1 -= r0 * d1
-        r1 /= d0
-        r2 -= 2.0 * r1 * d1
-        r2 -= r0 * d2
-        r2 /= d0
-        r3 -= 3.0 * r2 * d1
-        r3 -= 3.0 * r1 * d2
-        r3 -= r0 * d3
-        r3 /= d0
-        g[:, i] = v[:4]
-    return g
+    table = _engine(regime)
+    table = table.reshape(table.shape[:2] + (1,) * H.ndim + table.shape[-1:])
+    v = np.empty(table.shape[:2] + H.shape)
+    v[...] = table[..., -1]
+    for k in range(table.shape[-1] - 2, -1, -1):
+        v *= H
+        v += table[..., k]
+    # the N_i rows become R_k = G_i^(k) in place, as views:
+    # R_k = (n_k - sum_j C(k, j) R_(k-j) d_j) / d_0, j = 1..k
+    r0, r1, r2, r3, d0, d1, d2, d3 = v
+    r0 /= d0
+    r1 -= r0 * d1
+    r1 /= d0
+    r2 -= 2.0 * r1 * d1
+    r2 -= r0 * d2
+    r2 /= d0
+    r3 -= 3.0 * r2 * d1
+    r3 -= 3.0 * r1 * d2
+    r3 -= r0 * d3
+    r3 /= d0
+    return v[:4]
 
 
 class PsiPartials(NamedTuple):
     """All partials of Psi in (r, z) up to total order three.
 
-    The fields `dr_by_r`, `drz_by_r`, `drzz_by_r` hold the exact quotients
-    (d_r Psi)/r etc., which stay finite on the axis, and `rad2` holds
-    (d_rr Psi - d_r Psi / r) / r^2, the combination entering cartesian
-    Hessians.  Fields broadcast with the evaluation arrays.
+    `dr_by_r` and the properties `drz_by_r`, `drzz_by_r` hold the exact
+    quotients (d_r Psi)/r etc., which stay finite on the axis, and `rad2`
+    holds (d_rr Psi - d_r Psi / r) / r^2, the combination entering
+    cartesian Hessians.  The three properties are computed from `kernel`,
+    the `_Kernel` of the evaluation, each time they are read: a drag row
+    reads none of them.  Fields broadcast with the evaluation arrays.
     """
 
     value: object
@@ -207,21 +199,34 @@ class PsiPartials(NamedTuple):
     drzz: object
     dzzz: object
     dr_by_r: object
-    drz_by_r: object
-    drzz_by_r: object
-    rad2: object
     H: object
+    kernel: object
+
+    @property
+    def drz_by_r(self):
+        return self.kernel.d_r_by_r(self.kernel.f[1, 1])
+
+    @property
+    def drzz_by_r(self):
+        return self.kernel.d_r_by_r(self.kernel.f[1, 2])
+
+    @property
+    def rad2(self):
+        k = self.kernel
+        return k.f[2, 0] / (k.s * k.s) + k.f[1, 0] / (k.s ** 3.0)
 
 
-def _check_gap_point(h, r, z):
+def _check_gap_point(h, r, z, radial):
+    """r, z and the (s, H) of `geometry._radial`, checked; a caller that
+    passes its own radial geometry has checked r with it."""
     if h <= 0.0:
         raise ValueError("profile evaluation requires h > 0")
-    r = _radius(r)
+    r = np.asarray(r, dtype=float)
+    s, H = _radial(h, r) if radial is None else radial
     z = np.asarray(z, dtype=float)
-    H = h + gamma_s(r)
     if ((z < 0.0) | (z > H * (1.0 + 1e-12) + 1e-300)).any():
         raise ValueError("z outside the gap [0, h + gamma_s(r)]")
-    return r, z, H
+    return r, z, s, H
 
 
 class _Kernel:
@@ -231,7 +236,9 @@ class _Kernel:
     the a-th H-derivatives of (G1, G2, G3).  Every r-derivative follows
     from the chain rule through H(r) = h + gamma_s(r), whose derivatives
     are h1 = r/s, h2 = s^-3 and h3 = 3 r s^-5 with s = sqrt(1 - r^2); the
-    h-derivative at fixed (r, z) is d_H, one step up the same table.
+    h-derivative at fixed (r, z) is d_H, one step up the same table.  s and
+    H come from one `geometry._radial` call, the caller's when it passes
+    its own (as a drag row's integrand does).
 
     The table is stacked by z-order: one evaluation of
     d_z^b (G1 z + G2 z^2 + G3 z^3) per b covers every a <= 3 - b, reading
@@ -244,9 +251,8 @@ class _Kernel:
 
     __slots__ = ("H", "s", "h1", "h2", "h3", "f")
 
-    def __init__(self, regime, h, r, z):
-        r, z, self.H = _check_gap_point(h, r, z)
-        s = np.sqrt(1.0 - r * r)
+    def __init__(self, regime, h, r, z, radial=None):
+        r, z, s, self.H = _check_gap_point(h, r, z, radial)
         self.s = s
         self.h1 = r / s
         self.h2 = s ** -3.0
@@ -294,10 +300,8 @@ def _partials(k):
         drzz=k.d_r(f[1, 2]),
         dzzz=f[0, 3],
         dr_by_r=k.d_r_by_r(f[1, 0]),
-        drz_by_r=k.d_r_by_r(f[1, 1]),
-        drzz_by_r=k.d_r_by_r(f[1, 2]),
-        rad2=f[2, 0] / (k.s * k.s) + f[1, 0] / (k.s ** 3.0),
         H=k.H,
+        kernel=k,
     )
 
 
@@ -314,7 +318,7 @@ def _h_partials(k):
     )
 
 
-def psi_partials(regime, h, r, z):
+def psi_partials(regime, h, r, z, radial=None):
     """Closed-form partial derivatives of Psi(r, z) up to total order three.
 
     Parameters
@@ -323,12 +327,15 @@ def psi_partials(regime, h, r, z):
     h : float
     r, z : float or ndarray
         Broadcastable; 0 <= r < 1 and 0 <= z <= h + gamma_s(r).
+    radial : (s, H), optional
+        `geometry._radial(h, r)`, from a caller that shares it with its
+        other radial factors; computed here when absent.
 
     Returns
     -------
     PsiPartials
     """
-    return _partials(_Kernel(regime, h, r, z))
+    return _partials(_Kernel(regime, h, r, z, radial))
 
 
 class PsiHPartials(NamedTuple):
@@ -422,9 +429,8 @@ def weighted_sups(regime, h, delta=DELTA_DEFAULT):
     r_lo = max(1e-8, math.sqrt(h) / 100.0)
     r = np.geomspace(r_lo, delta, SUP_GRID_N)[:, None]
     t = np.linspace(1.0 / SUP_GRID_N, 1.0, SUP_GRID_N)[None, :]
-    H = h + gamma_s(r)
-    z = t * H
-    k = _Kernel(regime, h, r, z)
+    _, H = _radial(h, r)
+    k = _Kernel(regime, h, r, t * H)
     p, q = _partials(k), _h_partials(k)
     out = {}
     for label, (extract, weight) in rows.items():

@@ -114,10 +114,12 @@ def _adaptive_1d(g, cuts, spec, names=None):
             reason = "tolerance below the roundoff floor"
         if bad.any():
             break
-        error = [math.fsum(e) for e in err]
+        # fsum over float lists: the same sums, without a numpy scalar per term
+        error = [math.fsum(e) for e in err.tolist()]
         bad = np.array(error) > tol
         if not bad.any():
-            results = tuple(IntegralResult(math.fsum(v), e, a.size) for v, e in zip(value, error))
+            value = [math.fsum(v) for v in value.tolist()]
+            results = tuple(IntegralResult(v, e, a.size) for v, e in zip(value, error))
             return results if stacked else results[0]
         ratio = np.where(depth < MAX_DEPTH, np.max(err[bad] / tol[bad, None], axis=0), -1.0)
         if ratio.max() <= 0.0:
@@ -171,7 +173,7 @@ def integrate_gap(f, h, r_max, spec):
     """
 
     def g(r):
-        _, Z, W = gap_rule(h, r)
+        Z, W = gap_rule(h + gamma_s(r[:, None]))
         inner = np.sum(np.asarray(f(r[:, None], Z)) * W, axis=-1)
         return 2.0 * math.pi * r * inner
 
@@ -186,15 +188,12 @@ def gap_cuts(h, r_max):
     return graded_cuts(r_max, math.sqrt(h))
 
 
-def gap_rule(h, r):
-    """The z-rule across the gap at radii r of shape (n,): the height
-    H = h + gamma_s(r), and the Z_ORDER Gauss-Legendre heights Z and
-    weights W on [0, H], each of shape (n, Z_ORDER)."""
+def gap_rule(H):
+    """The z-rule across the gap at heights H = h + gamma_s(r), a column of
+    shape (n, 1): the Z_ORDER Gauss-Legendre heights Z and weights W on
+    [0, H], each of shape (n, Z_ORDER)."""
     zx, zw = _gl_rule(Z_ORDER)
-    H = h + gamma_s(r)
-    Z = 0.5 * H[:, None] * (zx[None, :] + 1.0)
-    W = 0.5 * H[:, None] * zw[None, :]
-    return H, Z, W
+    return 0.5 * H * (zx + 1.0), 0.5 * H * zw
 
 
 def integrate_surface(f, surface, r_max, spec, *, scale):

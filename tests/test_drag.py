@@ -1,5 +1,6 @@
 """Tests for gap drag: energy, surface pairing, exterior policy, fits."""
 
+import hashlib
 import math
 from collections import Counter, namedtuple
 
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from gapflow import drag as drg
 from gapflow import field as fld
-from gapflow import quadrature
+from gapflow import profile, quadrature
 from gapflow.drag import (
     R_MAX_DEFAULT,
     DragCurve,
@@ -433,6 +434,40 @@ def test_default_drag_rows_are_one_pass_of_one_psi_call(name, regime, monkeypatc
     ]
 
 
+# the radial functions a module of the row can look up: the shared
+# geometry, and the public functions it stands in for inside the row
+RADIAL_FUNCTIONS = ("_radial", "gamma_s", "sphere_normal", "surface_measure")
+
+
+@pytest.mark.parametrize(
+    "regime, h",
+    [(SLIP, 1e-4), (MIXED, 1e-4), (SLIP, 1e-10), (MIXED, 1e-10)],
+    ids=["slip-1e-4", "mixed-1e-4", "slip-1e-10", "mixed-1e-10"],
+)
+def test_a_row_integrand_call_evaluates_its_radial_geometry_once(regime, h, monkeypatch):
+    # deterministic work counter: r^2, s, gamma_s and H come from one
+    # geometry._radial call per integrand call, shared by the z-rule, the
+    # Psi kernel, the sphere normal and the cap measure
+    geo = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            geo[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for module in (drg, fld, profile, quadrature):
+        for name in RADIAL_FUNCTIONS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    log = _record_passes(monkeypatch)
+    drg._row(regime, h, R_MAX_DEFAULT, SWEEP_SPEC, 0.0)
+    (one,) = log
+    assert one.calls > 0
+    assert geo == Counter(_radial=one.calls)
+
+
 def _per_region_row(regime, h, r_max, spec, ext):
     """The drag row as one adaptive pass per region, one integrate_gap and
     one or two integrate_surface passes: the reference of the fused row."""
@@ -502,6 +537,47 @@ def test_the_fused_row_equals_the_per_region_row_bit_for_bit(regime, h, rel_tol,
     fused = drg._row(regime, h, R_MAX_DEFAULT, spec, shift)
     # repr tells every bit of a float apart, the sign of a zero included
     assert repr(fused) == repr(_per_region_row(regime, h, R_MAX_DEFAULT, spec, shift))
+
+
+# the four drag-sweep regimes of perfbench's seed 1, and gaps on its grid
+# of 32 levels per decade below 1e-2
+SWEEP_REGIMES = (
+    SlipRegime.slip(1.234, 1.378),
+    SlipRegime.slip(0.6469, 0.8081),
+    SlipRegime.mixed(1.621),
+    SlipRegime.mixed(0.5452),
+)
+SWEEP_LEVELS = (0, 31, 64, 97, 128)
+
+# sha256 of the reprs of drag._row over each grid: a speed change to the
+# row, its integrand or the layers below must leave every bit alone
+ROW_DIGESTS = {
+    "sweep": "b1de49c7714dea46385d3b91584ae5e42b8757e25ce2347a26ed4c8a9ac2e275",
+    "deep": "3f025ac17f641e5799b73d7b2375ac89c133116c15f112738e352e703dc065c3",
+}
+
+
+def _row_grid(name):
+    """(regime, h, spec, exterior shift) of each row of a pinned grid."""
+    if name == "sweep":
+        return [
+            (regime, 10.0 ** (-2.0 - level / 32), SWEEP_SPEC, exterior_constant(regime))
+            for regime in SWEEP_REGIMES
+            for level in SWEEP_LEVELS
+        ]
+    return [
+        (regime, h, QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12), 0.0)
+        for regime, h, rel_tol in DEEP_ROWS
+    ]
+
+
+@pytest.mark.parametrize("name", ROW_DIGESTS)
+def test_the_drag_rows_keep_their_bits(name):
+    text = "\n".join(
+        repr(drg._row(regime, h, R_MAX_DEFAULT, spec, ext))
+        for regime, h, spec, ext in _row_grid(name)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == ROW_DIGESTS[name]
 
 
 def test_a_failed_row_names_its_gap_and_terms_and_keeps_every_estimate():
