@@ -21,10 +21,10 @@ regime.  fit_scaling discriminates the two laws, each stated once as a
 ``energy`` and ``surface_drag`` are the two halves of one drag row: one
 adaptive pass over one radial mesh whose stacked integrand holds every
 term of the row, the gap's three, the wall's two and with slip the
-sphere's two, from one Psi evaluation per call.  Each call also takes its
-radial geometry (r^2, s = sqrt(1 - r^2), gamma_s and H) from one
-``geometry._radial`` evaluation, which the z-rule, the Psi kernel's chain
-factors, the sphere normal and the cap measure share.
+sphere's two, from one Psi evaluation and one ``geometry._radial``
+evaluation per call.  The integrand's arrays carry the radial nodes on
+their last axis, so each numpy operation is one loop over the nodes, not
+one short loop per node.
 
 Totals are aperture integrals (r < r_max) plus an h-independent O(1)
 exterior correction: the cutoff-transition ring outside the aperture does
@@ -103,37 +103,38 @@ def _row(regime, h, r_max, spec, ext):
     the sphere's mismatch^2 and traction at z = H.  Each integrand call
     evaluates the radial geometry (s, H) once and Psi once, at the gap
     heights, 0 and H of every node, reading none of the PsiPartials
-    properties; it scales each term by its measure (r, or r / s on the
-    cap) as integrate_gap and integrate_surface do, so a term equals its
-    own per-region pass bit for bit while neither refines.  None does at
-    rel_tol 1e-8 to 1e-13 (abs_tol 1e-12) and h from 1e-2 to 1e-12: every
-    row converges on its first call.  A row that did refine would refine
-    all of its terms on the shared cells.  A QuadratureError names h and
-    the failing terms.
+    properties.  r, s and H have shape (n,) and z is the (Z_ORDER + 2, n)
+    stack of gap_rule's rows, 0 and H, so each numpy operation is one
+    contiguous loop over the radial nodes, and the z-sum over axis 1 adds
+    left to right as integrate_gap's does.  It scales each term by its
+    measure (r, or r / s on the cap) as integrate_gap and integrate_surface
+    do, so a term equals its own per-region pass bit for bit while neither
+    refines.  None does at rel_tol 1e-8 to 1e-13 (abs_tol 1e-12) and h from
+    1e-2 to 1e-12: every row converges on its first call.  A row that did
+    refine would refine all of its terms on the shared cells.  A
+    QuadratureError names h and the failing terms.
     """
     slip = regime.kind is RegimeKind.SLIP
 
     def g(r):
-        rc = r[:, None]
-        s, H = _radial(h, rc)
+        s, H = _radial(h, r)
         Z, W = gap_rule(H)
-        p = psi_partials(regime, h, rc, np.column_stack((Z, np.zeros_like(H), H)), (s, H))
-        frame = _frame(p, rc)
-        f_r, f_z = _residual(regime, p, rc)
+        p = psi_partials(regime, h, r, np.vstack((Z, np.zeros_like(H), H)), (s, H))
+        frame = _frame(p, r)
+        f_r, f_z = _residual(regime, p, r)
         gap = np.stack(
             [frame.grad_sq, frame.sym_grad_sq, f_r * frame.u_r + f_z * frame.u_z]
         )
-        terms = [2.0 * math.pi * r * np.sum(gap[..., :-2] * W, axis=-1)]
+        terms = [2.0 * math.pi * r * np.sum(gap[:, :-2] * W, axis=1)]
         # u_r^2 = |u x n|^2, and 2 D_rz u_r = -(2D - qI)n . u with n = -e3
         # and u_z = 0 on the wall
-        wall = frame.at((..., -2))
+        wall = frame.at(-2)
         wall = np.stack([wall.u_r**2, 2.0 * wall.d_rz * wall.u_r])
         terms.append(2.0 * math.pi * wall * r)  # the plane's measure is r
         if slip:
             # |(u - e3) x n|^2 is the theta component squared, and
             # (D - qI)n . (e3 - u) loses q since n . (e3 - u) = 0
-            top = frame.at((..., -1))
-            s = s[:, 0]
+            top = frame.at(-1)
             _, (dn_r, dn_z), mismatch = _on_sphere(top, r, s)
             sphere = np.stack(
                 [mismatch**2, dn_r * (-top.u_r) + dn_z * (1.0 - top.u_z)]

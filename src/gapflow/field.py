@@ -217,7 +217,9 @@ def _g3_tail(regime, h, H_values):
     Gauss-Legendre rules; prefix sums are accumulated with fsum.
     """
     table = _engine(regime)
-    num, den = table[0, 2], table[4, 2]  # N_3 and Delta H^3, unpadded
+    # N_3, zero-padded to the length of Delta H^3: by the argument in
+    # profile._g_derivs, the zeros leave polyval's bits alone
+    num, den = table[0, 2], table[4, 2]
 
     def integrand(u):
         g3 = npoly.polyval(u, num) / npoly.polyval(u, den)

@@ -173,8 +173,8 @@ def integrate_gap(f, h, r_max, spec):
     """
 
     def g(r):
-        Z, W = gap_rule(h + gamma_s(r[:, None]))
-        inner = np.sum(np.asarray(f(r[:, None], Z)) * W, axis=-1)
+        Z, W = gap_rule(h + gamma_s(r))
+        inner = np.sum(np.asarray(f(r[:, None], Z.T)) * W.T, axis=-1)
         return 2.0 * math.pi * r * inner
 
     return _adaptive_1d(g, gap_cuts(h, r_max), spec)
@@ -189,11 +189,12 @@ def gap_cuts(h, r_max):
 
 
 def gap_rule(H):
-    """The z-rule across the gap at heights H = h + gamma_s(r), a column of
-    shape (n, 1): the Z_ORDER Gauss-Legendre heights Z and weights W on
-    [0, H], each of shape (n, Z_ORDER)."""
+    """The z-rule across the gap at the n heights H = h + gamma_s(r): the
+    Z_ORDER Gauss-Legendre heights Z and weights W on [0, H], as
+    (Z_ORDER, n) rows, so that the drag row's arrays keep the radial
+    nodes on their last axis and each operation is one contiguous loop."""
     zx, zw = _gl_rule(Z_ORDER)
-    return 0.5 * H * (zx + 1.0), 0.5 * H * zw
+    return 0.5 * H * (zx[:, None] + 1.0), 0.5 * H * zw[:, None]
 
 
 def integrate_surface(f, surface, r_max, spec, *, scale):

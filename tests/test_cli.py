@@ -540,7 +540,7 @@ def test_draws_above_the_bound_name_it(tmp_path, capsys):
 
 # `drag fit` exits 1 on purpose: its energy_ratio_window check reads
 # E/|ln h| = 1.541 against RATIO_WINDOW = 1.5 over the default sweep
-# (ROADMAP item 2); the fix of that check flips this pin.
+# (ROADMAP item 5); the fix of that check flips this pin.
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -468,6 +468,35 @@ def test_a_row_integrand_call_evaluates_its_radial_geometry_once(regime, h, monk
     assert geo == Counter(_radial=one.calls)
 
 
+@pytest.mark.parametrize("h", [1e-2, 1e-6])
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_a_row_integrand_carries_its_radial_nodes_on_the_last_axis(regime, h, monkeypatch):
+    # the layout, gated deterministically: every Psi evaluation of a row
+    # takes a one-dimensional r and the (Z_ORDER + 2, n) stack of the gap
+    # heights, the wall and the sphere, whose z-rule rows are the
+    # transposes of the (n, Z_ORDER) rule at each node
+    calls = []
+
+    def spied(*args):
+        calls.append(args[2:4])
+        return psi_partials(*args)
+
+    monkeypatch.setattr(drg, "psi_partials", spied)
+    drg._row(regime, h, R_MAX_DEFAULT, SWEEP_SPEC, 0.0)
+    assert calls
+    zx, zw = np.polynomial.legendre.leggauss(Z_ORDER)
+    for r, z in calls:
+        assert r.ndim == 1
+        assert z.shape == (Z_ORDER + 2, r.size)
+        H = z[-1]
+        assert np.array_equal(H, h + gamma_s(r))
+        assert not z[-2].any()
+        Z, W = quadrature.gap_rule(H)
+        assert np.array_equal(Z, (0.5 * H[:, None] * (zx + 1.0)).T)
+        assert np.array_equal(W, (0.5 * H[:, None] * zw).T)
+        assert np.array_equal(z[:-2], Z)
+
+
 def _per_region_row(regime, h, r_max, spec, ext):
     """The drag row as one adaptive pass per region, one integrate_gap and
     one or two integrate_surface passes: the reference of the fused row."""
