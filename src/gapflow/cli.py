@@ -88,9 +88,10 @@ ORACLE_RTOL = 1e-8
 FD_SCALE = 2e-3
 FD_POINTS = 50
 FLUX_RADII = (0.05, 0.1, 0.15, 0.19)
-# random draws of profile check and field verify: 10**6 take 3.5 s and
-# 170 MB in profile check, 1.1 s and 290 MB in field verify, on a 2-core
-# machine; 10**9 would take an hour and tens of GB
+# random draws of profile check and field verify: 10**6 take 2.2 s and
+# 174 MB in profile check, 1.0 s and 380 MB in field verify (wall time and
+# peak RSS of the whole command, on a 2-core machine); 10**9 would take
+# over half an hour and hundreds of GB
 MAX_DRAWS = 10**6
 # raw outputs of the profile draws' generator read per block: a block's
 # ints stay small beside the draws themselves

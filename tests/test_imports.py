@@ -15,8 +15,9 @@ imports the standard library alone; every layer imports those names from
 it.  `import gapflow.cli` loads gapflow.model and nothing else of the
 package, and no numpy; each command imports its own layers when it runs.
 The fall (gapflow.dynamics) loads the model and the float steppers of
-gapflow.ode, and never numpy; neither file calls sum() or math.fsum, whose
-rounding differs from the left-to-right sums the steppers port.  `verify all` loads no drag, ode or
+gapflow.ode, and never numpy; neither file, nor the rescale code that ode
+builds at import, calls sum() or math.fsum, whose rounding differs from
+the left-to-right sums the steppers port.  `verify all` loads no drag, ode or
 dynamics, and `drag scan` no ode or dynamics.
 
 The package's records are NamedTuples, and no file imports dataclasses:
@@ -35,6 +36,7 @@ from pathlib import Path
 import pytest
 
 import gapflow
+from gapflow import ode
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gapflow"
@@ -113,9 +115,17 @@ def _numpy_imports(tree):
                 yield node.lineno
 
 
-@pytest.mark.parametrize("name", ["ode.py", "dynamics.py"])
+def _fall_source(name):
+    """A fall file's text, or for "rescale" the straight-line code that
+    ode builds at import, every order's function in one text."""
+    if name == "rescale":
+        return "".join(map(ode._rescale_source, range(1, ode.MAX_ORDER + 1)))
+    return (PACKAGE / name).read_text()
+
+
+@pytest.mark.parametrize("name", ["ode.py", "dynamics.py", "rescale"])
 def test_the_fall_sums_floats_left_to_right_without_numpy(name):
-    tree = ast.parse((PACKAGE / name).read_text(), filename=name)
+    tree = ast.parse(_fall_source(name), filename=name)
     assert list(_float_sums(tree)) == [], (
         f"{name} calls sum() or math.fsum: the steppers reproduce scipy's "
         "left-to-right float sums bit for bit, but math.fsum rounds the "

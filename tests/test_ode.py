@@ -183,6 +183,27 @@ def test_change_D_keeps_the_bits_of_the_triple_loop():
             ode._change_D(ours, order, factor)
             _change_D_reference(ref, order, factor)
             assert list(map(repr, ours)) == list(map(repr, ref)), (order, D)
+    # BDF.step also passes factors outside [MIN_FACTOR, MAX_FACTOR]: the
+    # t_bound clip |t_new - t| / h_abs, down to nearly 0, and the raise to
+    # the minimum step h_abs / self.h_abs, up to any size
+    for order in range(1, ode.MAX_ORDER + 1):
+        for factor in (1e-9, 1e-3, 1e3, 1e6):
+            for _ in range(20):
+                D = [rng.choice((0.0, -0.0, rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20, 3)))
+                     for _ in range(ode.MAX_ORDER + 3)]
+                ours, ref = list(D), list(D)
+                ode._change_D(ours, order, factor)
+                _change_D_reference(ref, order, factor)
+                assert all(map(math.isfinite, ours)), (order, factor, D)
+                assert _bits(ours) == _bits(ref), (order, factor, D)
+
+
+def test_the_rescale_code_reads_only_its_arguments_and_literals():
+    # no global, builtin or attribute; the int constants index D
+    for order, rescale in enumerate(ode._RESCALE, 1):
+        code = rescale.__code__
+        assert code.co_names == () and code.co_varnames[:2] == ("D", "factor"), order
+        assert {type(c) for c in code.co_consts} <= {float, int, type(None)}, order
 
 
 @pytest.mark.parametrize(
