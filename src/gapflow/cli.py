@@ -224,8 +224,15 @@ def validate(cfg):
         raise ConfigError("h_list entries must be positive")
     if cfg.exterior not in ("included", "excluded"):
         raise ConfigError("exterior must be 'included' or 'excluded'")
+    for key in ("draws", "seed"):
+        if type(getattr(cfg, key)) is not int:
+            raise ConfigError(f"{key} must be an integer")
     if not 1 <= cfg.draws <= MAX_DRAWS:
         raise ConfigError(f"draws must lie in [1, MAX_DRAWS = {MAX_DRAWS}]")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be nonnegative")
+    if type(cfg.stamp) is not bool:
+        raise ConfigError("stamp must be true or false")
     if not TOUCHDOWN_H < cfg.h0 < cfg.h_max:
         raise ConfigError(f"h0 must lie in ({TOUCHDOWN_H}, h_max)")
     if cfg.t_max <= 0.0:

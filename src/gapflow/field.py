@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .geometry import GapGeometry, cutoffs, gamma_s, sphere_normal
+from .geometry import GapGeometry, _radial, cutoffs, gamma_s
 from .profile import RegimeKind, _engine, psi_partials
 from .quadrature import _gl_rule, integrate_surface
 
@@ -290,7 +290,8 @@ def _residual(regime, p, r):
 
 
 class NavierResiduals(NamedTuple):
-    """Boundary-condition residuals at radius r (vectorized).
+    """Boundary-condition residuals at radius r (vectorized), read from one
+    Psi evaluation at the wall z = 0 and the sphere z = H.
 
     wall_impermeability : u_z at z = 0 (0 by construction)
     wall_tangential     : u_r - 2 beta_Omega D_rz at z = 0 (0 analytically)
@@ -306,12 +307,12 @@ class NavierResiduals(NamedTuple):
     sphere_tangential: object
 
 
-def _on_sphere(frame, r, s=None):
-    """Given the frame on the sphere at radii r: the normal (n_r, n_z),
-    the traction D n as (r, z) components, and (u - e3) x n, whose one
-    component is theta.  s = sqrt(1 - r^2) is the normal's n_z, from a
-    caller that has it."""
-    n_r, n_z = sphere_normal(r) if s is None else (-r, s)
+def _on_sphere(frame, r, s):
+    """Given the frame on the sphere at radii r and s = sqrt(1 - r^2) from
+    `geometry._radial`: the outward normal (n_r, n_z) = (-r, s), the
+    traction D n as (r, z) components, and (u - e3) x n, whose one
+    component is theta."""
+    n_r, n_z = -r, s
     dn = (
         frame.du_r_dr * n_r + frame.d_rz * n_z,
         frame.d_rz * n_r + frame.du_z_dz * n_z,
@@ -319,22 +320,20 @@ def _on_sphere(frame, r, s=None):
     return (n_r, n_z), dn, (frame.u_z - 1.0) * n_r - frame.u_r * n_z
 
 
-def _sphere_residuals(regime, h, r):
-    """(sphere_normal, sphere_tangential) of NavierResiduals at radii r."""
-    top = aperture_frame(regime, h, r, h + gamma_s(r))
-    (n_r, n_z), (dn_r, dn_z), mismatch = _on_sphere(top, r)
-    return (
-        top.u_r * n_r + (top.u_z - 1.0) * n_z,
-        2.0 * regime.beta_S * (dn_z * n_r - dn_r * n_z) + mismatch,
-    )
-
-
 def navier_residuals(regime, h, r):
-    wall = aperture_frame(regime, h, r, np.zeros_like(r))
+    """NavierResiduals at radii 0 <= r < 1.  The wall and the sphere are
+    rows -2 and -1 of one Psi evaluation at the heights (0, H), with (s, H)
+    from one `geometry._radial` call, as a drag row reads them."""
+    r = np.asarray(r, dtype=float)
+    s, H = _radial(h, r)
+    frame = _frame(psi_partials(regime, h, r, np.stack((np.zeros_like(H), H)), (s, H)), r)
+    wall, top = frame.at(-2), frame.at(-1)
+    (n_r, n_z), (dn_r, dn_z), mismatch = _on_sphere(top, r, s)
     return NavierResiduals(
         wall.u_z,
         wall.u_r - 2.0 * regime.beta_Omega * wall.d_rz,
-        *_sphere_residuals(regime, h, r),
+        top.u_r * n_r + (top.u_z - 1.0) * n_z,
+        2.0 * regime.beta_S * (dn_z * n_r - dn_r * n_z) + mismatch,
     )
 
 
@@ -342,7 +341,7 @@ def sphere_slip_l2(regime, h, r_max, spec):
     """L2 norm over the sphere cap of the tangential Navier residual."""
 
     def f(r):
-        return _sphere_residuals(regime, h, r)[1] ** 2
+        return navier_residuals(regime, h, r).sphere_tangential ** 2
 
     return math.sqrt(
         max(0.0, integrate_surface(f, "sphere-cap", r_max, spec, scale=math.sqrt(h)).value)

@@ -2,9 +2,10 @@
 
 The solid is a unit sphere whose south pole sits at height ``h`` above the
 plane wall ``{x3 = 0}``.  This module provides the gap profile ``gamma_s``,
-outward unit normals, surface measures for the two boundary pieces, and the
-smooth cutoff functions used to extend the aperture ansatz to the whole
-domain.
+the radial geometry ``_radial`` (s = sqrt(1 - r**2), so the sphere's
+outward normal is (-r, s), and the gap height H), surface measures for the
+two boundary pieces, and the smooth cutoff functions used to extend the
+aperture ansatz to the whole domain.
 
 All functions are pure and broadcast over numpy arrays, with no branch
 for scalars: a scalar in gives a numpy float or 0-d array out.
@@ -79,33 +80,14 @@ def _radial(h, r):
     """(s, H) at radii 0 <= r < 1, with one domain check: s = sqrt(1 - r**2)
     and the gap height H = h + gamma_s(r), bit for bit as `gamma_s` gives
     it.  A drag integrand call shares them between the z-rule, the profile's
-    chain factors, the sphere normal (-r, s) and the cap measure r / s."""
+    chain factors, the sphere normal (-r, s) and the cap measure r / s;
+    `field.navier_residuals` reads its boundaries with them the same way."""
     r = np.asarray(r, dtype=float)
     if ((r < 0.0) | (r >= 1.0)).any():
         raise ValueError("profile evaluation requires 0 <= r < 1")
     r2 = r * r
     s = np.sqrt(1.0 - r2)
     return s, h + r2 / (1.0 + s)
-
-
-def sphere_normal(r):
-    """Unit normal of the lower sphere surface, outward from the fluid.
-
-    Parameters
-    ----------
-    r : float or ndarray
-        Cylindrical radius of the surface point, ``0 <= r < 1``.
-
-    Returns
-    -------
-    (n_r, n_z)
-        Components in the ``(e_r, e_z)`` frame: ``(-r, sqrt(1 - r**2))``.
-    """
-    r = np.asarray(r, dtype=float)
-    # one ndarray.any() call: sphere_normal runs in every sphere pass
-    if ((r < 0.0) | (r >= 1.0)).any():
-        raise ValueError("sphere_normal requires 0 <= r < 1")
-    return -r, np.sqrt(1.0 - r * r)
 
 
 def surface_measure(surface, r):

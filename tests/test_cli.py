@@ -524,11 +524,28 @@ def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
         ["fall", "simulate", "--regime", "mixed", "--kappa", "0"],
         ["fall", "scan", "--regime", "mixed", "--kappa-list", "1,0"],
         ["profile", "check", "--draws", "1000001"],
+        ["profile", "check", "--seed", "-1"],
     ],
 )
 def test_invalid_config_exits_2(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("draws", 100.5), ("seed", 1.5), ("stamp", "no")],
+    ids=["draws-float", "seed-float", "stamp-str"],
+)
+def test_ill_typed_config_values_exit_2(key, value, tmp_path, capsys):
+    # a config file can give any JSON type; a wrong one is a config error,
+    # never a traceback (exit 1) or a silently stamped report
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    assert run(["profile", "check", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and key in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [cfg_file]  # no report written
 
 
 def test_draws_above_the_bound_name_it(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Tests for the velocity ansatz, global extension, pressure, residuals."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gapflow import field as fld
+from gapflow import profile
 from gapflow.drag import energy, surface_drag
 from gapflow.geometry import DELTA_DEFAULT, CutoffPair, GapGeometry, cutoffs, gamma_s
 from gapflow.profile import RegimeKind, SlipRegime, psi_partials
@@ -482,6 +484,28 @@ def test_mixed_sphere_tangential_residual_vanishes(rng):
         r = rng.uniform(0.0, 0.19, size=50)
         res = fld.navier_residuals(MIXED, h, r)
         assert np.max(np.abs(res.sphere_tangential)) < 1e-8
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-10])
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_navier_residuals_evaluate_psi_once(regime, h, monkeypatch):
+    # deterministic work counter: the wall and the sphere are read from one
+    # Psi evaluation on one geometry._radial call, as a drag row reads them
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for module in (fld, profile):
+        for name in ("_radial", "gamma_s", "psi_partials", "aperture_frame"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    fld.navier_residuals(regime, h, np.linspace(0.0, 0.19, 64))
+    assert calls == Counter(_radial=1, psi_partials=1)
 
 
 def test_sphere_slip_l2_bounded_across_sweep():

@@ -11,10 +11,10 @@ from gapflow.geometry import (
     H_MAX_DEFAULT,
     CutoffPair,
     GapGeometry,
+    _radial,
     cutoffs,
     gamma_s,
     smoothstep,
-    sphere_normal,
     surface_measure,
 )
 
@@ -74,28 +74,38 @@ class TestGammaS:
         assert gamma_s(r) + h > 0
 
 
-class TestSphereNormal:
+class TestRadial:
+    # _radial's s is the sphere normal's n_z, so (-r, s) is the normal the
+    # drag row and navier_residuals read the sphere with
     def test_south_pole(self):
-        assert sphere_normal(0.0) == (0.0, 1.0)
+        s, H = _radial(1e-3, 0.0)
+        assert s == 1.0 and H == 1e-3
 
     def test_exact_at_r06(self):
-        n_r, n_z = sphere_normal(0.6)
-        assert n_r == pytest.approx(-0.6, abs=TOL_EXACT)
-        assert n_z == pytest.approx(0.8, abs=TOL_EXACT)
+        s, _ = _radial(1e-3, 0.6)
+        assert s == pytest.approx(0.8, abs=TOL_EXACT)
 
     def test_unit_norm_spot_values(self):
         for r in (0.1, 0.5, 0.9):
-            n_r, n_z = sphere_normal(r)
-            assert abs(np.hypot(n_r, n_z) - 1.0) < TOL_EXACT
+            s, _ = _radial(1e-3, r)
+            assert abs(np.hypot(-r, s) - 1.0) < TOL_EXACT
 
     def test_unit_norm_random(self, rng):
         r = rng.uniform(0.0, 1.0 - 1e-9, size=10_000)
-        n_r, n_z = sphere_normal(r)
-        assert np.max(np.abs(np.hypot(n_r, n_z) - 1.0)) < TOL_EXACT
+        s, _ = _radial(1e-3, r)
+        assert np.max(np.abs(np.hypot(-r, s) - 1.0)) < TOL_EXACT
+
+    @pytest.mark.parametrize("h", [1e-12, 1e-4, 0.5])
+    def test_gap_height_is_h_plus_gamma_s_bit_for_bit(self, rng, h):
+        r = np.concatenate([[0.0], np.geomspace(1e-9, 0.999, 200), rng.uniform(0.0, 1.0, 200)])
+        _, H = _radial(h, r)
+        assert np.array_equal(H, h + gamma_s(r))
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            sphere_normal(1.0)
+            _radial(1e-3, 1.0)
+        with pytest.raises(ValueError):
+            _radial(1e-3, -0.1)
 
 
 class TestSurfaceMeasure:
