@@ -91,6 +91,8 @@ ROW_TERMS = (
     "gradient", "dissipation", "volume", "wall slip", "wall traction",
     "sphere mismatch", "sphere traction",
 )
+# the gap rows of a row's (Z_ORDER + 2, n) heights, ahead of the wall and the sphere
+_GAP = slice(-2)
 
 
 def _row(regime, h, r_max, spec, ext):
@@ -102,10 +104,15 @@ def _row(regime, h, r_max, spec, ext):
     Z_ORDER z-rule, the wall's slip^2 and traction at z = 0, and with slip
     the sphere's mismatch^2 and traction at z = H.  Each integrand call
     evaluates the radial geometry (s, H) once and Psi once, at the gap
-    heights, 0 and H of every node, reading none of the PsiPartials
-    properties.  r, s and H have shape (n,) and z is the (Z_ORDER + 2, n)
-    stack of gap_rule's rows, 0 and H, so each numpy operation is one
-    contiguous loop over the radial nodes, and the z-sum over axis 1 adds
+    heights, 0 and H of every node.  r, s and H have shape (n,) and z is
+    the (Z_ORDER + 2, n) stack of gap_rule's rows, 0 and H, so each numpy
+    operation is one contiguous loop over the radial nodes.  Every row of
+    the stack reads Psi's partials up to second order, the frame they give
+    and its d_rz, computed once; the Z_ORDER gap rows alone read the third
+    order partials and dr_by_r (through `PsiPartials.at`), the residual,
+    |grad u|^2 and |D u|^2 (sharing their common squares) and the pairing,
+    and the wall and the sphere read their two terms each.  Each term is
+    written into one row of the call's one (k, n) output; the z-sum adds
     left to right as integrate_gap's does.  It scales each term by its
     measure (r, or r / s on the cap) as integrate_gap and integrate_surface
     do, so a term equals its own per-region pass bit for bit while neither
@@ -115,32 +122,39 @@ def _row(regime, h, r_max, spec, ext):
     QuadratureError names h and the failing terms.
     """
     slip = regime.kind is RegimeKind.SLIP
+    k = len(ROW_TERMS) if slip else 5
+    two_pi = 2.0 * math.pi
 
     def g(r):
         s, H = _radial(h, r)
         Z, W = gap_rule(H)
         p = psi_partials(regime, h, r, np.vstack((Z, np.zeros_like(H), H)), (s, H))
         frame = _frame(p, r)
-        f_r, f_z = _residual(regime, p, r)
-        gap = np.stack(
-            [frame.grad_sq, frame.sym_grad_sq, f_r * frame.u_r + f_z * frame.u_z]
-        )
-        terms = [2.0 * math.pi * r * np.sum(gap[:, :-2] * W, axis=1)]
+        d_rz = frame.d_rz
+        out = np.empty((k, r.size))
+        gap = frame.at(_GAP)
+        f_r, f_z = _residual(regime, p.at(_GAP), r)
+        grad_sq, sym_grad_sq = gap.square_norms(d_rz[_GAP])
+        for row, term in zip(out, (grad_sq, sym_grad_sq, f_r * gap.u_r + f_z * gap.u_z)):
+            np.sum(term * W, axis=0, out=row)
+        out[:3] *= two_pi * r
         # u_r^2 = |u x n|^2, and 2 D_rz u_r = -(2D - qI)n . u with n = -e3
         # and u_z = 0 on the wall
         wall = frame.at(-2)
-        wall = np.stack([wall.u_r**2, 2.0 * wall.d_rz * wall.u_r])
-        terms.append(2.0 * math.pi * wall * r)  # the plane's measure is r
+        out[3] = wall.u_r**2
+        out[4] = 2.0 * d_rz[-2] * wall.u_r
         if slip:
             # |(u - e3) x n|^2 is the theta component squared, and
             # (D - qI)n . (e3 - u) loses q since n . (e3 - u) = 0
             top = frame.at(-1)
-            _, (dn_r, dn_z), mismatch = _on_sphere(top, r, s)
-            sphere = np.stack(
-                [mismatch**2, dn_r * (-top.u_r) + dn_z * (1.0 - top.u_z)]
-            )
-            terms.append(2.0 * math.pi * sphere * (r / s))  # the cap's measure
-        return np.concatenate(terms)
+            _, (dn_r, dn_z), mismatch = _on_sphere(top, d_rz[-1], r, s)
+            out[5] = mismatch**2
+            out[6] = dn_r * (-top.u_r) + dn_z * (1.0 - top.u_z)
+            out[5:] *= two_pi
+            out[5:] *= r / s  # the cap's measure
+        out[3:5] *= two_pi
+        out[3:5] *= r  # the plane's measure
+        return out
 
     try:
         parts = _adaptive_1d(g, gap_cuts(h, r_max), spec, ROW_TERMS)

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .geometry import GapGeometry, _radial, cutoffs, gamma_s
-from .profile import RegimeKind, _engine, psi_partials
+from .profile import _DELTA_H, _N, RegimeKind, _engine, psi_partials
 from .quadrature import _gl_rule, integrate_surface
 
 _J_SEGMENT_ORDER = 12
@@ -70,24 +70,26 @@ class ApertureFrame(NamedTuple):
     def d_rz(self):
         return 0.5 * (self.du_r_dz + self.du_z_dr)
 
+    def square_norms(self, d_rz):
+        """(|grad u|^2, |D u|^2), which share the squares of du_r_dr,
+        u_r_by_r and du_z_dz; d_rz is the frame's `d_rz`, from a caller
+        that reads it elsewhere too."""
+        head = self.du_r_dr**2 + self.u_r_by_r**2
+        zz = self.du_z_dz**2
+        grad_sq = head + self.du_r_dz**2
+        grad_sq += self.du_z_dr**2
+        grad_sq += zz
+        sym_grad_sq = head + zz
+        sym_grad_sq += 2.0 * d_rz**2
+        return grad_sq, sym_grad_sq
+
     @property
     def grad_sq(self):
-        return (
-            self.du_r_dr**2
-            + self.u_r_by_r**2
-            + self.du_r_dz**2
-            + self.du_z_dr**2
-            + self.du_z_dz**2
-        )
+        return self.square_norms(self.d_rz)[0]
 
     @property
     def sym_grad_sq(self):
-        return (
-            self.du_r_dr**2
-            + self.u_r_by_r**2
-            + self.du_z_dz**2
-            + 2.0 * self.d_rz**2
-        )
+        return self.square_norms(self.d_rz)[1]
 
     @property
     def div(self):
@@ -132,11 +134,12 @@ def _blended_field(regime, h, x, geometry):
         xh = x[at] * (1.0, 1.0, 0.0)
         p = psi_partials(regime, h, np.hypot(xh[:, 0], xh[:, 1]), x[at, 2])
         xe = xh[:, :, None] * _E3
+        dr_by_r = p.dr_by_r
         val[at] = p.value
-        g_psi[at] = p.dr_by_r[:, None] * xh + p.dz[:, None] * _E3
+        g_psi[at] = dr_by_r[:, None] * xh + p.dz[:, None] * _E3
         h_psi[at] = (
             p.rad2[:, None, None] * xh[:, :, None] * xh[:, None, :]
-            + p.dr_by_r[:, None, None] * np.diag((1.0, 1.0, 0.0))
+            + dr_by_r[:, None, None] * np.diag((1.0, 1.0, 0.0))
             + p.drz_by_r[:, None, None] * (xe + xe.transpose(0, 2, 1))
             + p.dzz[:, None, None] * np.outer(_E3, _E3)
         )
@@ -216,10 +219,11 @@ def _g3_tail(regime, h, H_values):
     behaves like a negative power of u near u = h) and integrated by fixed
     Gauss-Legendre rules; prefix sums are accumulated with fsum.
     """
-    table = _engine(regime)
-    # N_3, zero-padded to the length of Delta H^3: by the argument in
-    # profile._g_derivs, the zeros leave polyval's bits alone
-    num, den = table[0, 2], table[4, 2]
+    table, _, _ = _engine(regime)
+    # N_3 and Delta H^3 by their rows in the table, N_3 zero-padded to the
+    # length of Delta H^3: by the argument in profile._g_derivs, the zeros
+    # leave polyval's bits alone
+    num, den = table[_N, 2], table[_DELTA_H, 2]
 
     def integrand(u):
         g3 = npoly.polyval(u, num) / npoly.polyval(u, den)
@@ -307,15 +311,15 @@ class NavierResiduals(NamedTuple):
     sphere_tangential: object
 
 
-def _on_sphere(frame, r, s):
-    """Given the frame on the sphere at radii r and s = sqrt(1 - r^2) from
-    `geometry._radial`: the outward normal (n_r, n_z) = (-r, s), the
-    traction D n as (r, z) components, and (u - e3) x n, whose one
-    component is theta."""
+def _on_sphere(frame, d_rz, r, s):
+    """Given the frame on the sphere with its `d_rz`, at radii r and s =
+    sqrt(1 - r^2) from `geometry._radial`: the outward normal (n_r, n_z) =
+    (-r, s), the traction D n as (r, z) components, and (u - e3) x n, whose
+    one component is theta."""
     n_r, n_z = -r, s
     dn = (
-        frame.du_r_dr * n_r + frame.d_rz * n_z,
-        frame.d_rz * n_r + frame.du_z_dz * n_z,
+        frame.du_r_dr * n_r + d_rz * n_z,
+        d_rz * n_r + frame.du_z_dz * n_z,
     )
     return (n_r, n_z), dn, (frame.u_z - 1.0) * n_r - frame.u_r * n_z
 
@@ -327,11 +331,12 @@ def navier_residuals(regime, h, r):
     r = np.asarray(r, dtype=float)
     s, H = _radial(h, r)
     frame = _frame(psi_partials(regime, h, r, np.stack((np.zeros_like(H), H)), (s, H)), r)
+    d_rz = frame.d_rz
     wall, top = frame.at(-2), frame.at(-1)
-    (n_r, n_z), (dn_r, dn_z), mismatch = _on_sphere(top, r, s)
+    (n_r, n_z), (dn_r, dn_z), mismatch = _on_sphere(top, d_rz[-1], r, s)
     return NavierResiduals(
         wall.u_z,
-        wall.u_r - 2.0 * regime.beta_Omega * wall.d_rz,
+        wall.u_r - 2.0 * regime.beta_Omega * d_rz[-2],
         top.u_r * n_r + (top.u_z - 1.0) * n_z,
         2.0 * regime.beta_S * (dn_z * n_r - dn_r * n_z) + mismatch,
     )

@@ -95,7 +95,7 @@ def coefficients(regime, h, r):
     ----------
     regime : SlipRegime
     h : array_like
-        Gap widths, > 0.
+        Gap widths, finite and > 0.
     r : array_like
         Radii, 0 <= r < 1; broadcasts with h.
 
@@ -112,8 +112,8 @@ def _coefficients(kind, beta_S, beta_Omega, h, r):
     """`coefficients` with slip lengths that broadcast with h and r: one
     call covers many regimes of one kind."""
     h = np.asarray(h, dtype=float)
-    if (h <= 0.0).any():
-        raise ValueError("coefficients require h > 0")
+    if not ((0.0 < h) & (h < math.inf)).all():  # a NaN fails both
+        raise ValueError("h must be finite and > 0")
     _, H = _radial(h, r)
     delta, n1, n2, n3 = _family(kind, beta_S, beta_Omega)
     den = npoly.polyval(H, delta, tensor=False)
@@ -126,21 +126,42 @@ def _coefficients(kind, beta_S, beta_Omega, h, r):
     return ProfileCoefficients(*(map(float, fields) if np.ndim(p1) == 0 else fields))
 
 
+# the first rows of Delta * H^i and of N_i in the table of `_engine`
+_DELTA_H, _N = 0, 4
+
+
 @lru_cache(maxsize=32)
 def _engine(regime):
-    """The regime's polynomial table: an (8, 3, L) array whose [:, i - 1]
-    rows are N_i and its first three derivatives, then Delta * H^i and its
-    first three, low-to-high coefficients zero-padded to the length L of
-    Delta * H^3, the longest."""
+    """The regime's polynomial table and its Horner plan: (table, lead, steps).
+
+    table is an (8, 3, L) array whose [:, i - 1] rows are Delta * H^i and
+    its first three derivatives (from row _DELTA_H), then N_i and its first
+    three (from row _N), low-to-high coefficients zero-padded to the length
+    L of Delta * H^3, the longest.  A row kind's degree is the largest over
+    i, and in this order the degrees never increase: 5 4 3 2 2 1 0 0 with
+    slip and 4 3 2 1 1 0 0 0 mixed (a derivative that vanishes counts as
+    degree 0).  lead (8, 3) holds each kind's coefficient at its degree,
+    and steps the coefficients of the Horner steps from degree L - 2 down
+    to 0, each over the leading kinds whose degree is above the step's.
+    """
     delta, *nums = _family(regime.kind, regime.beta_S, regime.beta_Omega)
-    table = np.zeros((8, 3, delta.size + 3))
+    L = delta.size + 3
+    table = np.zeros((8, 3, L))
+    degree = [0] * 8
     for i, num in enumerate(nums, start=1):
         den = np.concatenate([np.zeros(i), delta])  # Delta(H) * H^i
-        rows = [npoly.polyder(c, k) for c in (num, den) for k in range(4)]
-        for row, c in zip(table[:, i - 1], rows):
+        rows = [npoly.polyder(c, k) for c in (den, num) for k in range(4)]
+        for j, (row, c) in enumerate(zip(table[:, i - 1], rows)):
             row[: c.size] = c
-    table.flags.writeable = False  # every caller shares the cached table
-    return table
+            degree[j] = max(degree[j], c.size - 1)
+    lead = table[range(8), :, degree]
+    # a kind of degree below L - 1 meets its lead in a pass over the whole
+    # padded table as 0 * H + c, which is c but for a -0.0
+    lead[[d < L - 1 for d in degree]] += 0.0
+    steps = tuple(table[: sum(d > k for d in degree), :, k] for k in range(L - 2, -1, -1))
+    for a in (table, lead, *steps):
+        a.flags.writeable = False  # every caller shares the cached arrays
+    return table, lead, steps
 
 
 def _g_derivs(regime, H):
@@ -148,22 +169,28 @@ def _g_derivs(regime, H):
     an array of shape (4, 3) + H.shape indexed [order, i - 1].
 
     One Horner pass, in place on the 8 x 3 rows, evaluates the table of
-    `_engine`; the zeros above a row's degree leave every bit as polyval
-    gives it (while v is 0, v * H + 0 stays 0, and 0 + c is c).  One
-    quotient-rule recursion, R' = (n' - R d') / d and its higher-order
-    analogues, differentiates G_i = N_i / (Delta H^i) for all three i.
+    `_engine`: each row kind starts at its lead, and each step updates only
+    the leading kinds whose degree it has not yet passed, 51 row-updates a
+    point with slip and 33 mixed.  Every bit is polyval's: a kind started
+    late starts where a pass over the whole padded table stands when it
+    reaches the kind's lead (while v is 0, v * H + 0 stays 0, and 0 + c is
+    c), and the zeros above a row's own degree within its kind leave its
+    bits alone the same way.  One quotient-rule recursion, R' = (n' - R d')
+    / d and its higher-order analogues, differentiates G_i = N_i / (Delta
+    H^i) for all three i in place, so the result is a view of the N rows.
     """
     H = np.asarray(H)
-    table = _engine(regime)
-    table = table.reshape(table.shape[:2] + (1,) * H.ndim + table.shape[-1:])
-    v = np.empty(table.shape[:2] + H.shape)
-    v[...] = table[..., -1]
-    for k in range(table.shape[-1] - 2, -1, -1):
-        v *= H
-        v += table[..., k]
+    _, lead, steps = _engine(regime)
+    axes = (1,) * H.ndim
+    v = np.empty(lead.shape + H.shape)
+    v[...] = lead.reshape(lead.shape + axes)
+    for c in steps:
+        w = v[: len(c)]
+        w *= H
+        w += c.reshape(c.shape + axes)
     # the N_i rows become R_k = G_i^(k) in place, as views:
     # R_k = (n_k - sum_j C(k, j) R_(k-j) d_j) / d_0, j = 1..k
-    r0, r1, r2, r3, d0, d1, d2, d3 = v
+    d0, d1, d2, d3, r0, r1, r2, r3 = v
     r0 /= d0
     r1 -= r0 * d1
     r1 /= d0
@@ -174,18 +201,21 @@ def _g_derivs(regime, H):
     r3 -= 3.0 * r1 * d2
     r3 -= r0 * d3
     r3 /= d0
-    return v[:4]
+    return v[_N:]
 
 
 class PsiPartials(NamedTuple):
     """All partials of Psi in (r, z) up to total order three.
 
-    `dr_by_r` and the properties `drz_by_r`, `drzz_by_r` hold the exact
-    quotients (d_r Psi)/r etc., which stay finite on the axis, and `rad2`
-    holds (d_rr Psi - d_r Psi / r) / r^2, the combination entering
-    cartesian Hessians.  The three properties are computed from `kernel`,
-    the `_Kernel` of the evaluation, each time they are read: a drag row
-    reads none of them.  Fields broadcast with the evaluation arrays.
+    The fields hold Psi and its partials up to second order.  The third
+    order partials are properties, and so are `dr_by_r`, `drz_by_r` and
+    `drzz_by_r`, the exact quotients (d_r Psi)/r etc., which stay finite on
+    the axis, and `rad2`, (d_rr Psi - d_r Psi / r) / r^2, the combination
+    entering cartesian Hessians.  A property is computed from `kernel`, the
+    `_Kernel` of the evaluation, each time it is read, so a caller pays
+    only for what it reads: the boundary traces read none of them, and a
+    drag row reads its few on the gap rows only, through `at`.  Fields
+    broadcast with the evaluation arrays.
     """
 
     value: object
@@ -194,13 +224,35 @@ class PsiPartials(NamedTuple):
     drr: object
     drz: object
     dzz: object
-    drrr: object
-    drrz: object
-    drzz: object
-    dzzz: object
-    dr_by_r: object
     H: object
     kernel: object
+
+    def at(self, index):
+        """The partials at one index of the axes z has ahead of H's, as a
+        drag row's gap rows are of its (Z_ORDER + 2, n) heights: views of
+        the fields, and a kernel that computes the properties there only."""
+        return PsiPartials(*(c[index] for c in self[:6]), self.H, self.kernel.at(index))
+
+    @property
+    def drrr(self):
+        f = self.kernel.f
+        return self.kernel.d_r(f[1, 0], f[2, 0], f[3, 0])
+
+    @property
+    def drrz(self):
+        return self.kernel.d_r(self.kernel.f[1, 1], self.kernel.f[2, 1])
+
+    @property
+    def drzz(self):
+        return self.kernel.d_r(self.kernel.f[1, 2])
+
+    @property
+    def dzzz(self):
+        return self.kernel.d_zzz()
+
+    @property
+    def dr_by_r(self):
+        return self.kernel.d_r_by_r(self.kernel.f[1, 0])
 
     @property
     def drz_by_r(self):
@@ -219,8 +271,8 @@ class PsiPartials(NamedTuple):
 def _check_gap_point(h, r, z, radial):
     """r, z and the (s, H) of `geometry._radial`, checked; a caller that
     passes its own radial geometry has checked r with it."""
-    if h <= 0.0:
-        raise ValueError("profile evaluation requires h > 0")
+    if not 0.0 < h < math.inf:  # a NaN fails both
+        raise ValueError("h must be finite and > 0")
     r = np.asarray(r, dtype=float)
     s, H = _radial(h, r) if radial is None else radial
     z = np.asarray(z, dtype=float)
@@ -246,19 +298,22 @@ class _Kernel:
     ahead of every axis of z, also those z has beyond H's.  Each row does
     the operations of its own (a, b) formula on the same operands (a sum
     taken in place may swap its two terms, which leaves the bits), so
-    ``f[a, b]``, row a of the b-th stack as a view, keeps every bit.
+    ``f[a, b]``, row a of the b-th stack as a view, keeps every bit.  The
+    stacks leave out d_z^3 F = 6 G3: ``f3`` holds 6 G3 at H, and `d_zzz`
+    spreads it over z when it is read.
     """
 
-    __slots__ = ("H", "s", "h1", "h2", "h3", "f")
+    __slots__ = ("H", "s", "h1", "h2", "h3", "z", "f", "f3")
 
     def __init__(self, regime, h, r, z, radial=None):
         r, z, s, self.H = _check_gap_point(h, r, z, radial)
+        self.z = z
         self.s = s
         self.h1 = r / s
         self.h2 = s ** -3.0
         self.h3 = 3.0 * r * s ** -5.0
-        g = _g_derivs(regime, self.H)
-        g = g.reshape((4, 3) + (1,) * (z.ndim - self.H.ndim) + self.H.shape)
+        g_H = _g_derivs(regime, self.H)
+        g = g_H.reshape((4, 3) + (1,) * (z.ndim - self.H.ndim) + self.H.shape)
         g1, g2, g3 = g[:, 0], g[:, 1], g[:, 2]
         z2 = z * z
         f0 = g1 * z  # g1 z + g2 z^2 + g3 z^3
@@ -269,8 +324,21 @@ class _Kernel:
         f1 += 3.0 * g3[:3] * z2
         f2 = 6.0 * g3[:2] * z  # 2 g2 + 6 g3 z
         f2 += 2.0 * g2[:2]
-        f3 = 6.0 * g3[:1] * np.ones_like(z)
-        self.f = {(a, b): fb[a] for b, fb in enumerate((f0, f1, f2, f3)) for a in range(4 - b)}
+        self.f = {(a, b): fb[a] for b, fb in enumerate((f0, f1, f2)) for a in range(4 - b)}
+        self.f3 = 6.0 * g_H[0, 2]  # last, so that it adds nothing to the peak
+
+    def at(self, index):
+        """The kernel at one index of the axes z has ahead of H's: z and
+        f indexed, as views; the radial factors and f3 shared."""
+        k = _Kernel.__new__(_Kernel)
+        k.H, k.s, k.h1, k.h2, k.h3, k.f3 = self.H, self.s, self.h1, self.h2, self.h3, self.f3
+        k.z = self.z[index]
+        k.f = {key: v[index] for key, v in self.f.items()}
+        return k
+
+    def d_zzz(self):
+        """d_z^3 F = 6 G3 at every z."""
+        return self.f3 * np.ones_like(self.z)
 
     def d_r(self, f1, f2=None, f3=None):
         """First, second or third r-derivative of a function of H(r), given
@@ -295,11 +363,6 @@ def _partials(k):
         drr=k.d_r(f[1, 0], f[2, 0]),
         drz=k.d_r(f[1, 1]),
         dzz=f[0, 2],
-        drrr=k.d_r(f[1, 0], f[2, 0], f[3, 0]),
-        drrz=k.d_r(f[1, 1], f[2, 1]),
-        drzz=k.d_r(f[1, 2]),
-        dzzz=f[0, 3],
-        dr_by_r=k.d_r_by_r(f[1, 0]),
         H=k.H,
         kernel=k,
     )
@@ -325,6 +388,7 @@ def psi_partials(regime, h, r, z, radial=None):
     ----------
     regime : SlipRegime
     h : float
+        Gap width, finite and > 0.
     r, z : float or ndarray
         Broadcastable; 0 <= r < 1 and 0 <= z <= h + gamma_s(r).
     radial : (s, H), optional

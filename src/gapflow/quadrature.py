@@ -182,9 +182,9 @@ def integrate_gap(f, h, r_max, spec):
 
 def gap_cuts(h, r_max):
     """Initial cells of a gap pass: graded_cuts on the lubrication scale
-    sqrt(h), for h > 0."""
-    if h <= 0.0:
-        raise ValueError("a gap integral requires h > 0")
+    sqrt(h), for finite h > 0."""
+    if not 0.0 < h < math.inf:  # a NaN fails both
+        raise ValueError("h must be finite and > 0")
     return graded_cuts(r_max, math.sqrt(h))
 
 

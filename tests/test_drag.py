@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -357,6 +358,20 @@ def test_surface_drag_never_evaluates_the_pressure_value(monkeypatch):
         assert n.value > 0.0
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_a_row_rejects_a_gap_that_is_not_finite_before_any_work(regime, h, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the row evaluated Psi")
+
+    monkeypatch.setattr(drg, "psi_partials", refuse)
+    for half in (energy, surface_drag):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="h must be finite and > 0"):
+                half(regime, h, spec=SWEEP_SPEC)
+
+
 # ---------------------------------------------------------------- one row
 
 
@@ -515,7 +530,7 @@ def _per_region_row(regime, h, r_max, spec, ext):
 
     def sphere(r):
         frame = aperture_frame(regime, h, r, h + gamma_s(r))
-        _, (dn_r, dn_z), mismatch = fld._on_sphere(frame, r, np.sqrt(1.0 - r * r))
+        _, (dn_r, dn_z), mismatch = fld._on_sphere(frame, frame.d_rz, r, np.sqrt(1.0 - r * r))
         return np.stack(
             [mismatch**2, dn_r * (-frame.u_r) + dn_z * (1.0 - frame.u_z)]
         )

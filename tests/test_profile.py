@@ -113,6 +113,11 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             coefficients(SLIP, 0.0, 0.0)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, [1e-3, math.nan], [math.inf, 1e-3]])
+    def test_h_must_be_finite(self, h):
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            coefficients(SLIP, h, 0.0)
+
     @pytest.mark.parametrize("regime", [SlipRegime.slip(0.03, 20.0), MIXED], ids=["slip", "mixed"])
     def test_array_call_is_the_scalar_calls_bit_for_bit(self, regime):
         rng = np.random.default_rng(13)
@@ -247,6 +252,11 @@ class TestPsi:
     def test_r_domain_error(self):
         with pytest.raises(ValueError):
             _psi(SLIP, 0.1, 1.0, 0.05)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0])
+    def test_h_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            psi_partials(SLIP, h, 0.1, 0.0)
 
 
 def _fd_ladder_points(rng, n):
@@ -427,15 +437,25 @@ class TestStackedKernel:
     """The stacked Horner pass and z-order stacks against the per-polynomial
     polyval evaluation they replace, bit for bit."""
 
-    REGIMES = [SLIP, MIXED, SlipRegime.slip(0.37, 2.5), SlipRegime.mixed(0.2)]
+    # the slip lengths 1e-3 and 1e3 are the ends of the CLI's draw range
+    REGIMES = [
+        SLIP, MIXED, SlipRegime.slip(0.37, 2.5), SlipRegime.mixed(0.2),
+        SlipRegime.slip(1e-3, 1e3), SlipRegime.slip(1e3, 1e-3),
+        SlipRegime.mixed(1e-3), SlipRegime.mixed(1e3),
+    ]
     SHAPES = ["0-d", "1-d", "column", "leading-z"]
+    # gaps whose heights H = h + gamma_s(r) reach from 1e-14 to 1e2
+    GAPS = (1e-1, 1e-4, 1e-7, 1e2, 1e-14)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("regime", REGIMES)
     def test_g_derivs_bit_identical(self, regime, shape, rng):
-        for h in (1e-1, 1e-4, 1e-7):
+        heights = []
+        for h in self.GAPS:
             r, _ = _gap_points(shape, h, rng)
-            H = h + gamma_s(r)
+            heights.append(h + gamma_s(r))
+        heights.append(np.geomspace(1e-14, 1e2, 97))
+        for H in heights:
             got, want = profile._g_derivs(regime, H), _polyval_g_derivs(regime, H)
             assert got.shape == (4, 3) + H.shape
             for i in range(3):
@@ -445,14 +465,41 @@ class TestStackedKernel:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("regime", REGIMES)
     def test_kernel_table_bit_identical(self, regime, shape, rng):
-        for h in (1e-1, 1e-4, 1e-7):
-            r, z = _gap_points(shape, h, rng)
+        cases = [(h, *_gap_points(shape, h, rng)) for h in self.GAPS]
+        # on the axis H = h, so the heights reach down to 1e-14 here too
+        cases.append((1e-14, np.zeros(4), np.linspace(0.0, 1e-14, 4)))
+        for h, r, z in cases:
             k = profile._Kernel(regime, h, r, z)
             want = _polyval_kernel_f(regime, k.H, z)
-            assert k.f.keys() == want.keys()
+            # the z-stacks leave d_z^3 F out; the kernel spreads it on demand
+            got = {**k.f, (0, 3): k.d_zzz()}
+            assert got.keys() == want.keys()
             for key, value in want.items():
-                assert np.shape(k.f[key]) == np.shape(value)
-                np.testing.assert_array_equal(_bits(k.f[key]), _bits(value))
+                assert np.shape(got[key]) == np.shape(value)
+                np.testing.assert_array_equal(_bits(got[key]), _bits(value))
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_horner_pass_updates_each_kind_only_below_its_degree(self, regime):
+        # deterministic work counter: the pass updates v[:len(c)] once per
+        # step c, c.size rows a point, and the kinds are ordered so that
+        # those it updates are a leading slice
+        table, lead, steps = profile._engine(regime)
+        kinds, _, L = table.shape
+        degree = [
+            max((k for k in range(L) if table[j, :, k].any()), default=-1) for j in range(kinds)
+        ]
+        assert degree == sorted(degree, reverse=True)
+        want = (51, 120) if regime.kind is RegimeKind.SLIP else (33, 96)
+        # against a pass over the whole zero-padded table, which updates
+        # every row at each of its L - 1 steps
+        assert (sum(c.size for c in steps), table[..., 0].size * (L - 1)) == want
+        # each kind starts at its leading coefficient, and the step at
+        # coefficient k updates exactly the kinds of degree above k
+        for j, d in enumerate(degree):
+            np.testing.assert_array_equal(lead[j], table[j, :, max(d, 0)])
+        assert [len(c) for c in steps] == [
+            sum(d > k for d in degree) for k in range(L - 2, -1, -1)
+        ]
 
 
 class TestBoundaryConditionsOnPsi:

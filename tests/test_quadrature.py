@@ -165,6 +165,11 @@ class TestIntegrateGap:
         with pytest.raises(ValueError):
             integrate_gap(lambda r, z: z, 0.0, 0.2, SPEC)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -1e-3])
+    def test_gap_cuts_reject_a_gap_that_is_not_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="h must be finite and > 0"):
+            quadrature.gap_cuts(h, 0.2)
+
 
 class TestIntegrateSurface:
     def test_disk_area(self):
