@@ -148,6 +148,7 @@ HELP = {
 }
 ECHO_EXCLUDE = ("out_dir", "stamp")
 LIST_KEYS = tuple(k for k, kind in RunConfig.__annotations__.items() if kind is tuple)
+FLOAT_KEYS = tuple(k for k, kind in RunConfig.__annotations__.items() if kind is float)
 
 
 # ---------------------------------------------------------------- config
@@ -208,6 +209,8 @@ def _spec(cfg):
 def validate(cfg):
     """Run the underlying type invariants before any computation starts."""
     for key, value in cfg._asdict().items():
+        if key in FLOAT_KEYS and type(value) not in (int, float):  # a bool is an int
+            raise ConfigError(f"{key} must be a number")
         values = value if key in LIST_KEYS else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ConfigError(f"{key} must be finite")

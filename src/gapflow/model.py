@@ -86,8 +86,8 @@ class _SlipRegime(NamedTuple):
 class SlipRegime(_SlipRegime):
     """Boundary-condition regime with its slip lengths.
 
-    Slip requires both slip lengths positive; Mixed means no-slip at the
-    sphere (beta_S = 0) and slip at the wall.  No-slip on both the sphere
+    The slip lengths are finite.  Slip requires both positive; Mixed means
+    no-slip at the sphere (beta_S = 0) and slip at the wall.  No-slip on both the sphere
     and the wall is not a regime: it is the H -> inf (alpha_P -> inf) limit
     of the mixed family in `profile._family`, which `verify all` checks.
     """
@@ -99,6 +99,8 @@ class SlipRegime(_SlipRegime):
             raise ValueError("Slip regime requires beta_S > 0 and beta_Omega > 0")
         if kind is RegimeKind.MIXED and not (beta_S == 0.0 and beta_Omega > 0.0):
             raise ValueError("Mixed regime requires beta_S = 0 and beta_Omega > 0")
+        if not (math.isfinite(beta_S) and math.isfinite(beta_Omega)):
+            raise ValueError("slip lengths must be finite")
         return super().__new__(cls, kind, beta_S, beta_Omega)
 
     @classmethod

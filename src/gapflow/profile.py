@@ -204,85 +204,20 @@ def _g_derivs(regime, H):
     return v[_N:]
 
 
-class PsiPartials(NamedTuple):
-    """All partials of Psi in (r, z) up to total order three.
+class PsiPartials:
+    """Psi(r, z) = F(H(r), z) and its partials in (r, z, h) up to total
+    order three at checked gap points, the one derivative engine.
 
-    The fields hold Psi and its partials up to second order.  The third
+    The attributes hold Psi and its partials up to second order.  The third
     order partials are properties, and so are `dr_by_r`, `drz_by_r` and
     `drzz_by_r`, the exact quotients (d_r Psi)/r etc., which stay finite on
-    the axis, and `rad2`, (d_rr Psi - d_r Psi / r) / r^2, the combination
-    entering cartesian Hessians.  A property is computed from `kernel`, the
-    `_Kernel` of the evaluation, each time it is read, so a caller pays
-    only for what it reads: the boundary traces read none of them, and a
-    drag row reads its few on the gap rows only, through `at`.  Fields
-    broadcast with the evaluation arrays.
-    """
-
-    value: object
-    dr: object
-    dz: object
-    drr: object
-    drz: object
-    dzz: object
-    H: object
-    kernel: object
-
-    def at(self, index):
-        """The partials at one index of the axes z has ahead of H's, as a
-        drag row's gap rows are of its (Z_ORDER + 2, n) heights: views of
-        the fields, and a kernel that computes the properties there only."""
-        return PsiPartials(*(c[index] for c in self[:6]), self.H, self.kernel.at(index))
-
-    @property
-    def drrr(self):
-        f = self.kernel.f
-        return self.kernel.d_r(f[1, 0], f[2, 0], f[3, 0])
-
-    @property
-    def drrz(self):
-        return self.kernel.d_r(self.kernel.f[1, 1], self.kernel.f[2, 1])
-
-    @property
-    def drzz(self):
-        return self.kernel.d_r(self.kernel.f[1, 2])
-
-    @property
-    def dzzz(self):
-        return self.kernel.d_zzz()
-
-    @property
-    def dr_by_r(self):
-        return self.kernel.d_r_by_r(self.kernel.f[1, 0])
-
-    @property
-    def drz_by_r(self):
-        return self.kernel.d_r_by_r(self.kernel.f[1, 1])
-
-    @property
-    def drzz_by_r(self):
-        return self.kernel.d_r_by_r(self.kernel.f[1, 2])
-
-    @property
-    def rad2(self):
-        k = self.kernel
-        return k.f[2, 0] / (k.s * k.s) + k.f[1, 0] / (k.s ** 3.0)
-
-
-def _check_gap_point(h, r, z, radial):
-    """r, z and the (s, H) of `geometry._radial`, checked; a caller that
-    passes its own radial geometry has checked r with it."""
-    if not 0.0 < h < math.inf:  # a NaN fails both
-        raise ValueError("h must be finite and > 0")
-    r = np.asarray(r, dtype=float)
-    s, H = _radial(h, r) if radial is None else radial
-    z = np.asarray(z, dtype=float)
-    if ((z < 0.0) | (z > H * (1.0 + 1e-12) + 1e-300)).any():
-        raise ValueError("z outside the gap [0, h + gamma_s(r)]")
-    return r, z, s, H
-
-
-class _Kernel:
-    """Psi(r, z) = F(H(r), z) at checked gap points, the one derivative engine.
+    the axis, `rad2`, (d_rr Psi - d_r Psi / r) / r^2, the combination
+    entering cartesian Hessians, and the h-derivative `dh` with its mixed
+    partials `drh`, `dzh`, `drrh`, `dzzh`, `drzh` and `drh_by_r`.  A
+    property is computed from the table each time it is read, so a caller
+    pays only for what it reads: the boundary traces read none of them, and
+    a drag row reads its few on the gap rows only, through `at`.  Every
+    member broadcasts with the evaluation arrays.
 
     ``f[a, b]`` holds the partial d_H^a d_z^b F for a + b <= 3, built from
     the a-th H-derivatives of (G1, G2, G3).  Every r-derivative follows
@@ -299,21 +234,29 @@ class _Kernel:
     the operations of its own (a, b) formula on the same operands (a sum
     taken in place may swap its two terms, which leaves the bits), so
     ``f[a, b]``, row a of the b-th stack as a view, keeps every bit.  The
-    stacks leave out d_z^3 F = 6 G3: ``f3`` holds 6 G3 at H, and `d_zzz`
+    stacks leave out d_z^3 F = 6 G3: ``f3`` holds 6 G3 at H, and `dzzz`
     spreads it over z when it is read.
     """
 
-    __slots__ = ("H", "s", "h1", "h2", "h3", "z", "f", "f3")
+    __slots__ = (
+        "value", "dr", "dz", "drr", "drz", "dzz", "H", "s", "h1", "h2", "h3", "z", "f", "f3",
+    )
 
-    def __init__(self, regime, h, r, z, radial=None):
-        r, z, s, self.H = _check_gap_point(h, r, z, radial)
-        self.z = z
-        self.s = s
-        self.h1 = r / s
-        self.h2 = s ** -3.0
+    def __init__(self, regime, h, r, z, radial):
+        if not 0.0 < h < math.inf:  # a NaN fails both
+            raise ValueError("h must be finite and > 0")
+        r = np.asarray(r, dtype=float)
+        # a caller that passes its own radial geometry has checked r with it
+        s, H = _radial(h, r) if radial is None else radial
+        z = np.asarray(z, dtype=float)
+        if ((z < 0.0) | (z > H * (1.0 + 1e-12) + 1e-300)).any():
+            raise ValueError("z outside the gap [0, h + gamma_s(r)]")
+        self.H, self.z, self.s = H, z, s
+        self.h1 = h1 = r / s
+        self.h2 = h2 = s ** -3.0
         self.h3 = 3.0 * r * s ** -5.0
-        g_H = _g_derivs(regime, self.H)
-        g = g_H.reshape((4, 3) + (1,) * (z.ndim - self.H.ndim) + self.H.shape)
+        g_H = _g_derivs(regime, H)
+        g = g_H.reshape((4, 3) + (1,) * (z.ndim - H.ndim) + H.shape)
         g1, g2, g3 = g[:, 0], g[:, 1], g[:, 2]
         z2 = z * z
         f0 = g1 * z  # g1 z + g2 z^2 + g3 z^3
@@ -324,61 +267,89 @@ class _Kernel:
         f1 += 3.0 * g3[:3] * z2
         f2 = 6.0 * g3[:2] * z  # 2 g2 + 6 g3 z
         f2 += 2.0 * g2[:2]
-        self.f = {(a, b): fb[a] for b, fb in enumerate((f0, f1, f2)) for a in range(4 - b)}
-        self.f3 = 6.0 * g_H[0, 2]  # last, so that it adds nothing to the peak
+        self.f = f = {(a, b): fb[a] for b, fb in enumerate((f0, f1, f2)) for a in range(4 - b)}
+        # f3 after the stacks, and the second-order partials after the
+        # H-derivatives are dropped, so that neither adds to the peak
+        self.f3 = 6.0 * g_H[0, 2]
+        del g_H, g, g1, g2, g3, z2
+        self.value, self.dz, self.dzz = f[0, 0], f[0, 1], f[0, 2]
+        self.dr = f[1, 0] * h1
+        self.drr = f[2, 0] * h1 * h1 + f[1, 0] * h2
+        self.drz = f[1, 1] * h1
 
     def at(self, index):
-        """The kernel at one index of the axes z has ahead of H's: z and
-        f indexed, as views; the radial factors and f3 shared."""
-        k = _Kernel.__new__(_Kernel)
-        k.H, k.s, k.h1, k.h2, k.h3, k.f3 = self.H, self.s, self.h1, self.h2, self.h3, self.f3
-        k.z = self.z[index]
-        k.f = {key: v[index] for key, v in self.f.items()}
-        return k
+        """The partials at one index of the axes z has ahead of H's, as a
+        drag row's gap rows are of its (Z_ORDER + 2, n) heights: the
+        attributes, z and f indexed, as views; H, the radial factors and
+        f3 shared."""
+        p = PsiPartials.__new__(PsiPartials)
+        p.value, p.dr, p.dz = self.value[index], self.dr[index], self.dz[index]
+        p.drr, p.drz, p.dzz = self.drr[index], self.drz[index], self.dzz[index]
+        p.H, p.s, p.h1, p.h2, p.h3, p.f3 = self.H, self.s, self.h1, self.h2, self.h3, self.f3
+        p.z = self.z[index]
+        p.f = {key: v[index] for key, v in self.f.items()}
+        return p
 
-    def d_zzz(self):
-        """d_z^3 F = 6 G3 at every z."""
+    @property
+    def drrr(self):
+        f, h1 = self.f, self.h1
+        return f[3, 0] * h1 ** 3 + 3.0 * f[2, 0] * h1 * self.h2 + f[1, 0] * self.h3
+
+    @property
+    def drrz(self):
+        return self.f[2, 1] * self.h1 * self.h1 + self.f[1, 1] * self.h2
+
+    @property
+    def drzz(self):
+        return self.f[1, 2] * self.h1
+
+    @property
+    def dzzz(self):
         return self.f3 * np.ones_like(self.z)
 
-    def d_r(self, f1, f2=None, f3=None):
-        """First, second or third r-derivative of a function of H(r), given
-        its H-derivatives f1, f2, f3 up to that order."""
-        if f2 is None:
-            return f1 * self.h1
-        if f3 is None:
-            return f2 * self.h1 * self.h1 + f1 * self.h2
-        return f3 * self.h1 ** 3 + 3.0 * f2 * self.h1 * self.h2 + f1 * self.h3
+    @property
+    def dr_by_r(self):
+        return self.f[1, 0] / self.s
 
-    def d_r_by_r(self, f1):
-        """(d_r of a function of H(r)) / r, finite on the axis."""
-        return f1 / self.s
+    @property
+    def drz_by_r(self):
+        return self.f[1, 1] / self.s
 
+    @property
+    def drzz_by_r(self):
+        return self.f[1, 2] / self.s
 
-def _partials(k):
-    f = k.f
-    return PsiPartials(
-        value=f[0, 0],
-        dr=k.d_r(f[1, 0]),
-        dz=f[0, 1],
-        drr=k.d_r(f[1, 0], f[2, 0]),
-        drz=k.d_r(f[1, 1]),
-        dzz=f[0, 2],
-        H=k.H,
-        kernel=k,
-    )
+    @property
+    def rad2(self):
+        return self.f[2, 0] / (self.s * self.s) + self.f[1, 0] / (self.s ** 3.0)
 
+    @property
+    def dh(self):
+        return self.f[1, 0]
 
-def _h_partials(k):
-    f = k.f
-    return PsiHPartials(
-        dh=f[1, 0],
-        drh=k.d_r(f[2, 0]),
-        dzh=f[1, 1],
-        drrh=k.d_r(f[2, 0], f[3, 0]),
-        dzzh=f[1, 2],
-        drzh=k.d_r(f[2, 1]),
-        drh_by_r=k.d_r_by_r(f[2, 0]),
-    )
+    @property
+    def drh(self):
+        return self.f[2, 0] * self.h1
+
+    @property
+    def dzh(self):
+        return self.f[1, 1]
+
+    @property
+    def drrh(self):
+        return self.f[3, 0] * self.h1 * self.h1 + self.f[2, 0] * self.h2
+
+    @property
+    def dzzh(self):
+        return self.f[1, 2]
+
+    @property
+    def drzh(self):
+        return self.f[2, 1] * self.h1
+
+    @property
+    def drh_by_r(self):
+        return self.f[2, 0] / self.s
 
 
 def psi_partials(regime, h, r, z, radial=None):
@@ -399,19 +370,7 @@ def psi_partials(regime, h, r, z, radial=None):
     -------
     PsiPartials
     """
-    return _partials(_Kernel(regime, h, r, z, radial))
-
-
-class PsiHPartials(NamedTuple):
-    """h-derivative of Psi and its mixed partials with r and z."""
-
-    dh: object
-    drh: object
-    dzh: object
-    drrh: object
-    dzzh: object
-    drzh: object
-    drh_by_r: object
+    return PsiPartials(regime, h, r, z, radial)
 
 
 # Envelope rows: label -> (extractor, inverse-scale weight).  The weighted
@@ -420,56 +379,56 @@ class PsiHPartials(NamedTuple):
 # bound table; weights are the reciprocals of the claimed envelopes.
 ENVELOPE_ROWS = {
     RegimeKind.SLIP: {
-        "psi": (lambda p, q: np.abs(p.value), lambda r, H: 1.0),
-        "dz*H": (lambda p, q: np.abs(p.dz), lambda r, H: H),
-        "dr*H/r": (lambda p, q: np.abs(p.dr_by_r), lambda r, H: H),
-        "drr*H": (lambda p, q: np.abs(p.drr), lambda r, H: H),
-        "dzz*H": (lambda p, q: np.abs(p.dzz), lambda r, H: H),
-        "dzzz*H^2": (lambda p, q: np.abs(p.dzzz), lambda r, H: H * H),
-        "drrz*H^2": (lambda p, q: np.abs(p.drrz), lambda r, H: H * H),
-        "drzz*H^2/r": (lambda p, q: np.abs(p.drzz_by_r), lambda r, H: H * H),
+        "psi": (lambda p: np.abs(p.value), lambda r, H: 1.0),
+        "dz*H": (lambda p: np.abs(p.dz), lambda r, H: H),
+        "dr*H/r": (lambda p: np.abs(p.dr_by_r), lambda r, H: H),
+        "drr*H": (lambda p: np.abs(p.drr), lambda r, H: H),
+        "dzz*H": (lambda p: np.abs(p.dzz), lambda r, H: H),
+        "dzzz*H^2": (lambda p: np.abs(p.dzzz), lambda r, H: H * H),
+        "drrz*H^2": (lambda p: np.abs(p.drrz), lambda r, H: H * H),
+        "drzz*H^2/r": (lambda p: np.abs(p.drzz_by_r), lambda r, H: H * H),
         "drrr/(r/H^2+1/H)": (
-            lambda p, q: np.abs(p.drrr),
+            lambda p: np.abs(p.drrr),
             lambda r, H: 1.0 / (r / (H * H) + 1.0 / H),
         ),
         "drz_cancel*H/r": (
-            lambda p, q: np.abs(p.drz_by_r + p.dz / p.H),
+            lambda p: np.abs(p.drz_by_r + p.dz / p.H),
             lambda r, H: H,
         ),
-        "dh*H": (lambda p, q: np.abs(q.dh), lambda r, H: H),
+        "dh*H": (lambda p: np.abs(p.dh), lambda r, H: H),
         "drh/(1/H+r/H^2)": (
-            lambda p, q: np.abs(q.drh),
+            lambda p: np.abs(p.drh),
             lambda r, H: 1.0 / (1.0 / H + r / (H * H)),
         ),
-        "dzh*H^2": (lambda p, q: np.abs(q.dzh), lambda r, H: H * H),
-        "dzzh*H^2": (lambda p, q: np.abs(q.dzzh), lambda r, H: H * H),
-        "drrh*H^2": (lambda p, q: np.abs(q.drrh), lambda r, H: H * H),
+        "dzh*H^2": (lambda p: np.abs(p.dzh), lambda r, H: H * H),
+        "dzzh*H^2": (lambda p: np.abs(p.dzzh), lambda r, H: H * H),
+        "drrh*H^2": (lambda p: np.abs(p.drrh), lambda r, H: H * H),
         "drzh/(1/H^2+r/H^3)": (
-            lambda p, q: np.abs(q.drzh),
+            lambda p: np.abs(p.drzh),
             lambda r, H: 1.0 / (1.0 / (H * H) + r / H ** 3),
         ),
     },
     RegimeKind.MIXED: {
-        "psi": (lambda p, q: np.abs(p.value), lambda r, H: 1.0),
-        "dz*H": (lambda p, q: np.abs(p.dz), lambda r, H: H),
-        "dr*H/r": (lambda p, q: np.abs(p.dr_by_r), lambda r, H: H),
-        "drr*H": (lambda p, q: np.abs(p.drr), lambda r, H: H),
-        "dzz*H^2": (lambda p, q: np.abs(p.dzz), lambda r, H: H * H),
-        "drz*H^2/r": (lambda p, q: np.abs(p.drz_by_r), lambda r, H: H * H),
-        "dzzz*H^3": (lambda p, q: np.abs(p.dzzz), lambda r, H: H ** 3),
-        "drrz*H^2": (lambda p, q: np.abs(p.drrz), lambda r, H: H * H),
-        "drzz*H^3/r": (lambda p, q: np.abs(p.drzz_by_r), lambda r, H: H ** 3),
+        "psi": (lambda p: np.abs(p.value), lambda r, H: 1.0),
+        "dz*H": (lambda p: np.abs(p.dz), lambda r, H: H),
+        "dr*H/r": (lambda p: np.abs(p.dr_by_r), lambda r, H: H),
+        "drr*H": (lambda p: np.abs(p.drr), lambda r, H: H),
+        "dzz*H^2": (lambda p: np.abs(p.dzz), lambda r, H: H * H),
+        "drz*H^2/r": (lambda p: np.abs(p.drz_by_r), lambda r, H: H * H),
+        "dzzz*H^3": (lambda p: np.abs(p.dzzz), lambda r, H: H ** 3),
+        "drrz*H^2": (lambda p: np.abs(p.drrz), lambda r, H: H * H),
+        "drzz*H^3/r": (lambda p: np.abs(p.drzz_by_r), lambda r, H: H ** 3),
         "drrr*H^2/r": (
-            lambda p, q: np.abs(p.drrr),
+            lambda p: np.abs(p.drrr),
             lambda r, H: H * H / r,
         ),
-        "dh*H": (lambda p, q: np.abs(q.dh), lambda r, H: H),
-        "drh*H^2/r": (lambda p, q: np.abs(q.drh_by_r), lambda r, H: H * H),
-        "drrh*H^2": (lambda p, q: np.abs(q.drrh), lambda r, H: H * H),
-        "dzh*H^2": (lambda p, q: np.abs(q.dzh), lambda r, H: H * H),
-        "dzzh*H^3": (lambda p, q: np.abs(q.dzzh), lambda r, H: H ** 3),
+        "dh*H": (lambda p: np.abs(p.dh), lambda r, H: H),
+        "drh*H^2/r": (lambda p: np.abs(p.drh_by_r), lambda r, H: H * H),
+        "drrh*H^2": (lambda p: np.abs(p.drrh), lambda r, H: H * H),
+        "dzh*H^2": (lambda p: np.abs(p.dzh), lambda r, H: H * H),
+        "dzzh*H^3": (lambda p: np.abs(p.dzzh), lambda r, H: H ** 3),
         "drzh/(r/H^3+1/H^2)": (
-            lambda p, q: np.abs(q.drzh),
+            lambda p: np.abs(p.drzh),
             lambda r, H: 1.0 / (r / H ** 3 + 1.0 / (H * H)),
         ),
     },
@@ -494,9 +453,8 @@ def weighted_sups(regime, h, delta=DELTA_DEFAULT):
     r = np.geomspace(r_lo, delta, SUP_GRID_N)[:, None]
     t = np.linspace(1.0 / SUP_GRID_N, 1.0, SUP_GRID_N)[None, :]
     _, H = _radial(h, r)
-    k = _Kernel(regime, h, r, t * H)
-    p, q = _partials(k), _h_partials(k)
+    p = psi_partials(regime, h, r, t * H)
     out = {}
     for label, (extract, weight) in rows.items():
-        out[label] = float(np.max(extract(p, q) * weight(r, H)))
+        out[label] = float(np.max(extract(p) * weight(r, H)))
     return out

@@ -533,8 +533,17 @@ def test_invalid_config_exits_2(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("draws", 100.5), ("seed", 1.5), ("stamp", "no")],
-    ids=["draws-float", "seed-float", "stamp-str"],
+    "key, value",
+    [
+        ("draws", 100.5), ("seed", 1.5), ("stamp", "no"),
+        ("v0", "0"), ("v0", "inf"), ("beta_S", "inf"), ("beta_S", "1"),
+        ("beta_Omega", "1"), ("beta_S", True),
+    ],
+    ids=[
+        "draws-float", "seed-float", "stamp-str",
+        "v0-str", "v0-str-inf", "beta_S-str-inf", "beta_S-str", "beta_Omega-str",
+        "beta_S-bool",
+    ],
 )
 def test_ill_typed_config_values_exit_2(key, value, tmp_path, capsys):
     # a config file can give any JSON type; a wrong one is a config error,
@@ -546,6 +555,11 @@ def test_ill_typed_config_values_exit_2(key, value, tmp_path, capsys):
     assert "invalid config" in err and key in err
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == [cfg_file]  # no report written
+
+
+def test_an_integer_float_key_passes():
+    # JSON writes a whole number as an int, which a float key takes
+    cli.validate(RunConfig(beta_S=2, v0=0))
 
 
 def test_draws_above_the_bound_name_it(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -73,6 +74,9 @@ class TestSlipRegime:
             (RegimeKind.MIXED, -1.0, 1.0),
             (RegimeKind.MIXED, 0.0, -1.0),
             (RegimeKind.MIXED, 0.0, math.nan),
+            (RegimeKind.SLIP, math.inf, 1.0),
+            (RegimeKind.SLIP, 1.0, math.inf),
+            (RegimeKind.MIXED, 0.0, math.inf),
         ],
     )
     def test_invalid(self, args):
@@ -215,7 +219,7 @@ def _psi(regime, h, r, z):
 
 
 def _h_partials(regime, h, r, z):
-    return profile._h_partials(profile._Kernel(regime, h, r, z))
+    return psi_partials(regime, h, r, z)
 
 
 class TestPsi:
@@ -469,10 +473,10 @@ class TestStackedKernel:
         # on the axis H = h, so the heights reach down to 1e-14 here too
         cases.append((1e-14, np.zeros(4), np.linspace(0.0, 1e-14, 4)))
         for h, r, z in cases:
-            k = profile._Kernel(regime, h, r, z)
+            k = psi_partials(regime, h, r, z)
             want = _polyval_kernel_f(regime, k.H, z)
-            # the z-stacks leave d_z^3 F out; the kernel spreads it on demand
-            got = {**k.f, (0, 3): k.d_zzz()}
+            # the z-stacks leave d_z^3 F out; dzzz spreads it on demand
+            got = {**k.f, (0, 3): k.dzzz}
             assert got.keys() == want.keys()
             for key, value in want.items():
                 assert np.shape(got[key]) == np.shape(value)
@@ -550,3 +554,77 @@ class TestEnvelopes:
             hi, lo = sup_hi[label], sup_lo[label]
             ratio = max(hi, lo) / min(hi, lo)
             assert ratio <= 10.0, f"{label}: {hi} vs {lo}"
+
+    # sha256 over every weighted_sups value at the acceptance battery's
+    # ENVELOPE_SWEEP, one "h label value.hex()" line each: the artifact
+    # digests pin only each row's max ratio over the sweep
+    SWEEP = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    SUP_DIGESTS = {
+        "slip(1, 1)": (
+            SLIP, "0baa4c4b3a9f5f3894ba4cf64bab11018f6c76f6e6cca2a93fed8239f8b06c4a"
+        ),
+        "slip(0.5, 2)": (
+            SlipRegime.slip(0.5, 2.0),
+            "8d17147ceaa8b7f715591a405e814550b1628db5682ef901ebd4f6e6bcc99bd7",
+        ),
+        "mixed(1)": (
+            MIXED, "890f71ad5752546078f12b1021798a2a75e3dd0ab95b144485a7c856e0c40d54"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SUP_DIGESTS)
+    def test_weighted_sups_keep_their_bits(self, name):
+        regime, digest = self.SUP_DIGESTS[name]
+        text = "\n".join(
+            f"{h!r} {label} {value.hex()}"
+            for h in self.SWEEP
+            for label, value in weighted_sups(regime, h).items()
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# every member of a Psi evaluation: the second-order attributes, the third
+# order partials and axis quotients, and the h-partials
+MEMBERS = (
+    "value", "dr", "dz", "drr", "drz", "dzz",
+    "drrr", "drrz", "drzz", "dzzz", "dr_by_r", "drz_by_r", "drzz_by_r", "rad2",
+    "dh", "drh", "dzh", "drrh", "dzzh", "drzh", "drh_by_r",
+)
+
+
+class TestOneEvaluation:
+    @pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+    def test_at_is_the_full_evaluation_indexed(self, regime, rng):
+        # the layout of a drag row: gap heights, then 0 and H, over radii
+        # that include the axis
+        h = 1e-4
+        r = np.concatenate(([0.0], rng.uniform(0.0, 0.2, size=15)))
+        H = h + gamma_s(r)
+        z = np.vstack((np.linspace(0.1, 0.9, 5)[:, None] * H, np.zeros_like(H), H))
+        p = psi_partials(regime, h, r, z)
+        for index in (slice(-2), -2, -1, 0):
+            q = p.at(index)
+            for name in MEMBERS:
+                got, want = getattr(q, name), getattr(p, name)[index]
+                assert np.shape(got) == np.shape(want), name
+                np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=name)
+
+    def test_one_table_per_evaluation_and_none_per_at(self, monkeypatch):
+        # deterministic work counter: _g_derivs runs the Horner pass
+        calls = []
+        g_derivs = profile._g_derivs
+
+        def counting(regime, H):
+            calls.append(regime)
+            return g_derivs(regime, H)
+
+        monkeypatch.setattr(profile, "_g_derivs", counting)
+        for regime in (SLIP, MIXED):
+            weighted_sups(regime, 1e-3)
+            assert calls == [regime]
+            p = psi_partials(regime, 1e-3, np.zeros(3), np.zeros((2, 3)))
+            q = p.at(0)
+            for name in MEMBERS:
+                getattr(q, name)
+            assert calls == [regime, regime]
+            calls.clear()

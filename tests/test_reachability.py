@@ -181,7 +181,7 @@ RECORDS = {
     "GapGeometry", "CutoffPair",
     "SlipRegime", "FallParameters", "QuadratureSpec",
     "Solution",
-    "ProfileCoefficients", "PsiPartials", "PsiHPartials",
+    "ProfileCoefficients",
     "IntegralResult", "ModelFit", "SingularIntegralCase",
 }
 
