@@ -13,11 +13,16 @@ verify all         fast battery over the profile/field/integral checks
 
 Configuration is a flat key set (see RunConfig): values come from an
 optional JSON file passed with --config, overridden by the key's flag:
---key lower-cased with "-" for "_" (out_dir is --out).  validate checks
-values from either source alike.  Every JSON report embeds a config echo
-that reproduces the run when fed back through --config, and every check
-row carries the analysis anchor label it validates (the "anchor" field),
-so reports are traceable row by row.
+--key lower-cased with "-" for "_" (out_dir is --out).  validate types
+each value by its key's annotation, whichever source gave it: a float
+key takes an int or a float, not a bool, and finite, and holds it as a
+float; a tuple key a nonempty list of such numbers, or a comma-separated
+string of them; an int key an int, not a bool; a bool key a bool; a str
+key one of its CHOICES (out_dir any string).  Any other value exits 2
+with a message naming the key, before the range checks run.  Every JSON
+report embeds a config echo that reproduces the run when fed back
+through --config, and every check row carries the analysis anchor label
+it validates (the "anchor" field), so reports are traceable row by row.
 
 Reports are deterministic: no timestamps unless --stamp is given, keys
 are sorted, and every computation runs serially in a fixed order, so a
@@ -147,21 +152,11 @@ HELP = {
     "stamp": "embed a UTC timestamp (breaks bit-identical reruns)",
 }
 ECHO_EXCLUDE = ("out_dir", "stamp")
-LIST_KEYS = tuple(k for k, kind in RunConfig.__annotations__.items() if kind is tuple)
-FLOAT_KEYS = tuple(k for k, kind in RunConfig.__annotations__.items() if kind is float)
+# the values a str key takes; out_dir takes any string, or None
+CHOICES = {"regime": ("slip", "mixed"), "exterior": ("included", "excluded")}
 
 
 # ---------------------------------------------------------------- config
-
-
-def _parse_float_list(value):
-    if isinstance(value, str):
-        parts = [s for s in value.split(",") if s.strip()]
-    else:
-        parts = list(value)
-    if not parts:
-        raise ConfigError("list values need at least one entry")
-    return tuple(float(x) for x in parts)
 
 
 def load_config(path):
@@ -178,28 +173,45 @@ def load_config(path):
 
 def effective_config(args):
     """Layer defaults, then the config file, then explicit flags."""
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides.update(load_config(args.config))
+    overrides = load_config(args.config) if args.config else {}
     for key in RunConfig._fields:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for key in LIST_KEYS:
-        if key in overrides:
-            overrides[key] = _parse_float_list(overrides[key])
-    try:
-        return RunConfig(**overrides)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
+    return RunConfig(**overrides)
+
+
+def _typed(key, kind, value):
+    """value as the rule for its annotation kind (module docstring) types
+    it, or a ConfigError that names the key."""
+    if kind is float:
+        if type(value) not in (int, float):  # a bool is an int
+            raise ConfigError(f"{key} must be a number")
+        if not abs(value) <= sys.float_info.max:  # nan, inf, or an int past it
+            raise ConfigError(f"{key} must be finite")
+        return float(value)
+    if kind is tuple:
+        if isinstance(value, str):
+            try:
+                value = [float(s) for s in value.split(",") if s.strip()]
+            except ValueError:
+                raise ConfigError(f"{key} must be comma-separated numbers") from None
+        if type(value) not in (list, tuple) or not value:  # a default is a tuple
+            raise ConfigError(f"{key} must be a nonempty list of numbers")
+        return tuple(_typed(f"{key} entry", float, x) for x in value)
+    if key in CHOICES:
+        ok, need = value in CHOICES[key], " or ".join(map(repr, CHOICES[key]))
+    else:  # out_dir's default is None
+        ok = type(value) is kind or (kind is str and value is None)
+        need = {int: "an integer", bool: "true or false", str: "a string"}[kind]
+    if not ok:
+        raise ConfigError(f"{key} must be {need}")
+    return value
 
 
 def _regime(cfg):
     if cfg.regime == "slip":
         return SlipRegime.slip(cfg.beta_S, cfg.beta_Omega)
-    if cfg.regime == "mixed":
-        return SlipRegime.mixed(cfg.beta_Omega)
-    raise ConfigError(f"regime must be 'slip' or 'mixed', not {cfg.regime!r}")
+    return SlipRegime.mixed(cfg.beta_Omega)
 
 
 def _spec(cfg):
@@ -207,13 +219,9 @@ def _spec(cfg):
 
 
 def validate(cfg):
-    """Run the underlying type invariants before any computation starts."""
-    for key, value in cfg._asdict().items():
-        if key in FLOAT_KEYS and type(value) not in (int, float):  # a bool is an int
-            raise ConfigError(f"{key} must be a number")
-        values = value if key in LIST_KEYS else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ConfigError(f"{key} must be finite")
+    """Type every value by its annotation, then check the ranges, before
+    any computation starts; return the typed config."""
+    cfg = RunConfig(*map(_typed, cfg._fields, RunConfig.__annotations__.values(), cfg))
     _regime(cfg)
     _spec(cfg)
     FallParameters(rho_S=cfg.rho_S, rho_F=cfg.rho_F, g=cfg.g, kappa=cfg.kappa)
@@ -225,17 +233,10 @@ def validate(cfg):
         raise ConfigError("h must lie in (0, h_max)")
     if any(x <= 0.0 for x in cfg.h_list):
         raise ConfigError("h_list entries must be positive")
-    if cfg.exterior not in ("included", "excluded"):
-        raise ConfigError("exterior must be 'included' or 'excluded'")
-    for key in ("draws", "seed"):
-        if type(getattr(cfg, key)) is not int:
-            raise ConfigError(f"{key} must be an integer")
     if not 1 <= cfg.draws <= MAX_DRAWS:
         raise ConfigError(f"draws must lie in [1, MAX_DRAWS = {MAX_DRAWS}]")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
-    if type(cfg.stamp) is not bool:
-        raise ConfigError("stamp must be true or false")
     if not TOUCHDOWN_H < cfg.h0 < cfg.h_max:
         raise ConfigError(f"h0 must lie in ({TOUCHDOWN_H}, h_max)")
     if cfg.t_max <= 0.0:
@@ -252,6 +253,7 @@ def validate(cfg):
         raise ConfigError("G_list entries must be positive")
     if any(not TOUCHDOWN_H < x < cfg.h_max for x in cfg.h0_list):
         raise ConfigError(f"h0_list entries must lie in ({TOUCHDOWN_H}, h_max)")
+    return cfg
 
 
 # ---------------------------------------------------------------- reports
@@ -274,8 +276,6 @@ def _echo(cfg):
     echo = cfg._asdict()
     for key in ECHO_EXCLUDE:
         echo.pop(key)
-    for key in LIST_KEYS:
-        echo[key] = list(echo[key])
     return echo
 
 
@@ -851,10 +851,9 @@ def run(argv=None):
         return int(exc.code or 0)
 
     try:
-        cfg = effective_config(args)
-        validate(cfg)
+        cfg = validate(effective_config(args))
         out = _out_dir(cfg)
-    except (ConfigError, ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError or a JSONDecodeError too
         print(f"gapflow: invalid config: {exc}", file=sys.stderr)
         return 2
 

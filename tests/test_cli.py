@@ -525,6 +525,8 @@ def test_drag_scan_delta_sets_the_exterior_aperture(tmp_path):
         ["fall", "scan", "--regime", "mixed", "--kappa-list", "1,0"],
         ["profile", "check", "--draws", "1000001"],
         ["profile", "check", "--seed", "-1"],
+        ["fall", "scan", "--kappa-list", "1,x"],
+        ["drag", "scan", "--h-list", ","],
     ],
 )
 def test_invalid_config_exits_2(argv, tmp_path, capsys):
@@ -532,34 +534,72 @@ def test_invalid_config_exits_2(argv, tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+# ill-typed values of each RunConfig annotation, as a config file can give
+# them, by case label: the domain the typing rule of cli.validate rejects
+ILL_TYPED = {
+    float: {"bool": True, "str": "1", "str-inf": "inf", "word": "x", "null": None,
+            "nested": [[1.0]], "empty": [], "object": {}, "big": 10**400},
+    tuple: {"bool": True, "number": 1.0, "str": "1,x", "blank": " , ", "null": None,
+            "nested": [[1.0]], "empty": [], "object": {"0.1": 1, "0.01": 2, "0.001": 3},
+            "bool-entry": [True, 2], "str-entry": ["0.25"], "big": [10**400]},
+    int: {"bool": True, "float": 1.5, "str": "1", "null": None, "nested": [[1]],
+          "empty": [], "object": {}},
+    bool: {"int": 1, "str": "no", "null": None, "nested": [[True]], "empty": [],
+           "object": {}, "big": 10**400},
+    str: {"bool": True, "int": 1, "str": "foo", "null": None, "nested": [["slip"]],
+          "empty": [], "object": {}, "big": 10**400},
+}
+ILL_TYPED_CASES = [
+    (key, label, value)
+    for key, kind in RunConfig.__annotations__.items()
+    for label, value in ILL_TYPED[kind].items()
+    # out_dir takes any string, or None
+    if key in cli.CHOICES or kind is not str or label not in ("str", "null")
+]
+
+
 @pytest.mark.parametrize(
     "key, value",
-    [
-        ("draws", 100.5), ("seed", 1.5), ("stamp", "no"),
-        ("v0", "0"), ("v0", "inf"), ("beta_S", "inf"), ("beta_S", "1"),
-        ("beta_Omega", "1"), ("beta_S", True),
-    ],
-    ids=[
-        "draws-float", "seed-float", "stamp-str",
-        "v0-str", "v0-str-inf", "beta_S-str-inf", "beta_S-str", "beta_Omega-str",
-        "beta_S-bool",
-    ],
+    [(key, value) for key, _, value in ILL_TYPED_CASES],
+    ids=[f"{key}-{label}" for key, label, _ in ILL_TYPED_CASES],
 )
-def test_ill_typed_config_values_exit_2(key, value, tmp_path, capsys):
-    # a config file can give any JSON type; a wrong one is a config error,
-    # never a traceback (exit 1) or a silently stamped report
+def test_ill_typed_config_values_exit_2(key, value, tmp_path, capsys, monkeypatch):
+    # a config file can give any JSON type; a wrong one is a config error
+    # that names its key, never a traceback (exit 1), a failed scan (exit 3)
+    # or a silently read value; no --out, which would override out_dir
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({key: value}))
-    assert run(["profile", "check", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    assert run(["profile", "check", "--config", str(cfg_file)]) == 2
     err = capsys.readouterr().err
-    assert "invalid config" in err and key in err
+    assert err.startswith(f"gapflow: invalid config: {key} ")
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == [cfg_file]  # no report written
 
 
-def test_an_integer_float_key_passes():
-    # JSON writes a whole number as an int, which a float key takes
-    cli.validate(RunConfig(beta_S=2, v0=0))
+def test_an_integer_float_key_passes(tmp_path):
+    # JSON writes a whole number as an int, which a float key takes and
+    # holds as a float, so the config echo writes it as one
+    cfg = cli.validate(RunConfig(beta_S=2, v0=0))
+    assert [(type(x), x) for x in (cfg.beta_S, cfg.v0)] == [(float, 2.0), (float, 0.0)]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"beta_S": 2, "v0": 0}')
+    assert run(["profile", "check", "--config", str(cfg_file), "--out", str(tmp_path), *FAST]) == 0
+    text = (tmp_path / "profile_check.json").read_text(encoding="utf-8")
+    assert '"beta_S": 2.0,' in text and '"v0": 0.0\n' in text
+
+
+@pytest.mark.parametrize(
+    "key", [key for key, kind in RunConfig.__annotations__.items() if kind is tuple]
+)
+def test_a_config_file_takes_a_comma_string_for_a_list_key(key, tmp_path):
+    # the flags' form: the same entries as the JSON list of the default
+    default = RunConfig._field_defaults[key]
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: " " + ", ".join(map(repr, default)) + ","}))
+    assert run(["profile", "check", "--config", str(cfg_file), "--out", str(tmp_path), *FAST]) == 0
+    assert _read(tmp_path / "profile_check.json")["config"][key] == list(default)
 
 
 def test_draws_above_the_bound_name_it(tmp_path, capsys):
