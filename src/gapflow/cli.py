@@ -19,7 +19,9 @@ key takes an int or a float, not a bool, and finite, and holds it as a
 float; a tuple key a nonempty list of such numbers, or a comma-separated
 string of them; an int key an int, not a bool; a bool key a bool; a str
 key one of its CHOICES (out_dir any string).  Any other value exits 2
-with a message naming the key, before the range checks run.  Every JSON
+with a message naming the key, before the range checks run; so does a
+JSON integer with more digits than int() reads (Python's limit,
+sys.get_int_max_str_digits()), under any key.  Every JSON
 report embeds a config echo that reproduces the run when fed back
 through --config, and every check row carries the analysis anchor label
 it validates (the "anchor" field), so reports are traceable row by row.
@@ -159,10 +161,22 @@ CHOICES = {"regime": ("slip", "mixed"), "exterior": ("included", "excluded")}
 # ---------------------------------------------------------------- config
 
 
+# what load_config reads for a JSON integer with more digits than int()
+# reads (sys.get_int_max_str_digits()); _typed rejects it under its key
+_LONG_INT = object()
+
+
+def _parse_int(digits):
+    try:
+        return int(digits)
+    except ValueError:
+        return _LONG_INT
+
+
 def load_config(path):
     """Read a flat JSON config file; unknown keys are an error."""
     with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+        data = json.load(f, parse_int=_parse_int)
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = sorted(set(data) - set(RunConfig._fields))
@@ -183,6 +197,8 @@ def effective_config(args):
 def _typed(key, kind, value):
     """value as the rule for its annotation kind (module docstring) types
     it, or a ConfigError that names the key."""
+    if value is _LONG_INT:
+        raise ConfigError(f"{key} must have at most {sys.get_int_max_str_digits()} digits")
     if kind is float:
         if type(value) not in (int, float):  # a bool is an int
             raise ConfigError(f"{key} must be a number")
@@ -241,6 +257,8 @@ def validate(cfg):
         raise ConfigError(f"h0 must lie in ({TOUCHDOWN_H}, h_max)")
     if cfg.t_max <= 0.0:
         raise ConfigError("t_max must be positive")
+    if cfg.out_dir is not None and "\0" in cfg.out_dir:  # no path holds one
+        raise ConfigError("out_dir must not contain a NUL character")
     if cfg.ode_rtol <= 0.0 or cfg.ode_atol <= 0.0:
         raise ConfigError("ODE tolerances must be positive")
     if cfg.p < 0.0 or cfg.q <= 0.0:

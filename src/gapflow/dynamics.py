@@ -201,27 +201,27 @@ def _equation(model, a, P, G, top, h_max, rtol):
     touchdown (log) or the tail entry (inverse) first, escape second.
     """
 
-    def speed(t, h):
-        return top - P(h) - G * t
-
     # rhs, jac and tail spell speed(t, h) out: one call fewer per evaluation
     if model is ScalingModel.LOG:
+        speed = lambda t, h: top - P(h) - G * t
         # trial stages of the step that brackets touchdown may probe h <= 0
         rhs = lambda t, y: top - P(max(y, TOUCHDOWN_H)) - G * t
         touchdown = lambda t, y: y - TOUCHDOWN_H
         escape = lambda t, y: y - h_max
         return rhs, None, ((touchdown, -1.0), (escape, 1.0)), speed
 
-    exp = math.exp
+    # and the inverse law's P(h) = a ln h too, with P's operations
+    exp, log = math.exp, math.log
+    speed = lambda t, h: top - a * log(h) - G * t
 
     def rhs(t, u):
         h = exp(u)
-        return (top - P(h) - G * t) / h
+        return (top - a * log(h) - G * t) / h
 
     def jac(t, u):
         # d/du of u' = speed / h is -u' - D(h), D(h) = a / h
         h = exp(u)
-        return -((top - P(h) - G * t) / h) - a / h
+        return -((top - a * log(h) - G * t) / h) - a / h
 
     # a coast shorter than eps t / rtol is below what BDF resolves at t
     resolution = EPS / rtol
@@ -231,7 +231,7 @@ def _equation(model, a, P, G, top, h_max, rtol):
         # <= 0 where the tail may start: h <= SWITCH_H, h' <= 0 and h'
         # slaved to gravity, or its coast too short to resolve in t
         h = exp(u)
-        v = top - P(h) - G * t
+        v = top - a * log(h) - G * t
         slaved = -v - 4.0 * G * h / a
         unresolved = h + resolution * t * v
         return max(u - u_switch, v, min(slaved, unresolved))

@@ -28,15 +28,19 @@ the run there.  Unlike ``solve_ivp`` it takes at most MAX_STEPS steps,
 so a run too stiff for its stepper fails instead of running for ever.
 
 The per-step loops are written for the interpreter: ``BDF.step`` inlines
-its Newton iterations and its sums, and ``solve`` reads its events from
-lists built once.  The rescale of BDF's differences, ``_change_D``, is
-no loop at all: each order runs straight-line code built once at import
-from the U table (``_rescale_source``), because the interpreter spends
-about 5 times as much per float operation on the loop over R, U and D as
-on the same operations written out.  Every float operation and its order
-are scipy's, so rows, events and counters keep their bits; float sums
-run from 0.0 left to right (``_sum``, or written out), never through
-``sum`` or ``math.fsum``.
+its Newton iterations, and ``solve`` reads its events from lists built
+once.  BDF's three loops over its differences D are no loops at all: at
+each order 1-5 a straight-line function does their work, because the
+interpreter spends several times as much per float operation on a loop
+over D as on the same operations written out.  ``_rescale_<k>``, the
+rescale of ``_change_D``, is written from the U table at import
+(``_rescale_source``), every order's in one text, and built by one
+``compile`` call; ``_predict_<k>`` (the predictor and the psi sum) and
+``_update_<k>`` (the differences after an accepted step) are short
+enough to be written out in this module, whose bytecode cache holds
+them.  Every float operation and its order are scipy's, so rows,
+events and counters keep their bits; float sums run from 0.0 left to
+right (``_sum``, or written out), never through ``sum`` or ``math.fsum``.
 """
 
 import math
@@ -46,7 +50,8 @@ from typing import NamedTuple
 EPS = sys.float_info.epsilon
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
-# accepted steps one solve may take: about 9 s of an RK45 fall on a 2-core machine
+# accepted steps one solve may take: 10 to 13 s of an RK45 fall (`fall simulate
+# --kappa 1e6`, which runs out of it) on a 2-core machine
 MAX_STEPS = 1_000_000
 
 
@@ -209,6 +214,10 @@ _KAPPA = (0.0, -0.1850, -1 / 9, -0.0823, -0.0415, 0.0)
 _GAMMA = (0.0, *(_sum(1 / j for j in range(1, k + 1)) for k in range(1, MAX_ORDER + 1)))
 _ALPHA = tuple((1.0 - k) * g for k, g in zip(_KAPPA, _GAMMA))
 _ERROR_CONST = tuple(k * g + 1 / (i + 1) for i, (k, g) in enumerate(zip(_KAPPA, _GAMMA)))
+# the step-size safety factor after a Newton solve that ended in iteration k
+_SAFETY = tuple(
+    0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + k + 1) for k in range(NEWTON_MAXITER)
+)
 
 
 def _compute_R(order, factor):
@@ -233,50 +242,51 @@ def _rescale_source(order):
     Each entry of R (row i from row i - 1, as scipy's cumprod), of R U and
     of the result is one expression of scipy's operands in scipy's order,
     every sum from 0.0 and left to right, with U's entries and row 0 of
-    R U as repr literals.  R's column 0 is dropped: for rows i >= 1 its
-    products R[i][0] U[0][j] are +0.0, and adding them to 0.0 changes no
-    bit.  At order 2 it reads, in part,
+    R U as repr literals.  Each entry of R U is read once, so it is
+    written in parentheses where the result reads it: a statement fewer
+    to compile at import.  R's
+    column 0 is dropped: for rows i >= 1 its products R[i][0] U[0][j] are
+    +0.0, and adding them to 0.0 changes no bit.  At order 2 it reads, in
+    part,
 
         D0, D1, D2 = D[:3]
         f1 = factor * 1.0
         ...
         R2_1 = R1_1 * ((1.0 - f1) / 2.0)
-        RU2_2 = 0.0 + R2_1 * -2.0 + R2_2 * 1.0
-        D[2] = 0.0 + 0.0 * D0 + RU1_2 * D1 + RU2_2 * D2
+        ...
+        D[2] = 0.0 + 0.0 * D0 + (0.0 + R1_1 * -2.0 + R1_2 * 1.0) * D1 + ...
     """
     U, RU0, n = _U[order], _RU0[order], range(1, order + 1)
     lines = [
         f"def _rescale_{order}(D, factor):",
         f"    {', '.join(f'D{i}' for i in range(order + 1))} = D[:{order + 1}]",
-        *(f"    f{j} = factor * {float(j)!r}" for j in n),
+        *(f"    f{j} = factor * {j}.0" for j in n),
     ]
     for i in n:
         lines += (
-            f"    R{i}_{j} = {f'R{i - 1}_{j}' if i > 1 else '1.0'}"
-            f" * (({float(i - 1)!r} - f{j}) / {float(i)!r})"
-            for j in n
-        )
-        lines += (
-            f"    RU{i}_{j} = 0.0" + "".join(f" + R{i}_{k} * {U[k][j]!r}" for k in range(1, j + 1))
+            f"    R{i}_{j} = {f'R{i - 1}_{j}' if i > 1 else '1.0'} * (({i - 1}.0 - f{j}) / {i}.0)"
             for j in n
         )
     lines.append(f"    D[0] = 0.0 + {RU0[0]!r} * D0" + "".join(f" + 0.0 * D{i}" for i in n))
-    lines += (
-        f"    D[{j}] = 0.0 + {RU0[j]!r} * D0" + "".join(f" + RU{i}_{j} * D{i}" for i in n)
-        for j in n
-    )
+    for j in n:
+        RU = "(0.0" + "".join(f" + R{{0}}_{k} * {U[k][j]!r}" for k in range(1, j + 1)) + ")"
+        lines.append(
+            f"    D[{j}] = 0.0 + {RU0[j]!r} * D0" + "".join(f" + {RU.format(i)} * D{i}" for i in n)
+        )
     return "\n".join(lines) + "\n"
 
 
-def _compile_rescale(order):
-    """The function that ``_rescale_source(order)`` defines."""
+def _compile_rescale():
+    """The functions ``_rescale_source`` defines for orders 1..MAX_ORDER,
+    compiled from one text by one ``compile`` call."""
     namespace = {}
-    exec(compile(_rescale_source(order), f"<gapflow.ode rescale, order {order}>", "exec"), namespace)
-    return namespace[f"_rescale_{order}"]
+    source = "".join(map(_rescale_source, range(1, MAX_ORDER + 1)))
+    exec(compile(source, "<gapflow.ode rescale>", "exec"), namespace)
+    return tuple(namespace[f"_rescale_{order}"] for order in range(1, MAX_ORDER + 1))
 
 
 # _rescale_<order> for orders 1..MAX_ORDER, built once
-_RESCALE = tuple(map(_compile_rescale, range(1, MAX_ORDER + 1)))
+_RESCALE = _compile_rescale()
 
 
 def _change_D(D, order, factor):
@@ -292,6 +302,99 @@ def _change_D(D, order, factor):
     from 0.0 and left to right, of scipy's products, so the result keeps
     scipy's bits."""
     _RESCALE[order - 1](D, factor)
+
+
+# BDF.step's predictor and its update of the differences at each order
+# k = 1..MAX_ORDER, written out.  _predict_<k>(D) is (y_predict, psi):
+# y_predict = D[0] + ... + D[k] and psi = gamma_1 D[1] + ... + gamma_k D[k],
+# gamma_i = _GAMMA[i] as repr literals, each summed from 0.0 and left to
+# right.  _update_<k>(D, d), after an accepted step with d = D^{k+1} y_n,
+# sets D[k + 2] = d - D[k + 1] and D[k + 1] = d, then D[i] += D[i + 1] for
+# i from k down to 0, each new D[i] also held in a local for the next.
+# The loops they replace took 2.2 to 3.6 times as long a call.  They are
+# not generated at import as the rescale is, because the bytecode cache
+# holds them here: generated, a cold `import gapflow.ode` took 5.1 ms
+# instead of 4.1 ms (medians of 40, 2-core machine).
+
+
+def _predict_1(D):
+    return 0.0 + D[0] + D[1], 0.0 + D[1] * 1.0
+
+
+def _predict_2(D):
+    return 0.0 + D[0] + D[1] + D[2], 0.0 + D[1] * 1.0 + D[2] * 1.5
+
+
+def _predict_3(D):
+    return (
+        0.0 + D[0] + D[1] + D[2] + D[3],
+        0.0 + D[1] * 1.0 + D[2] * 1.5 + D[3] * 1.8333333333333333,
+    )
+
+
+def _predict_4(D):
+    return (
+        0.0 + D[0] + D[1] + D[2] + D[3] + D[4],
+        0.0 + D[1] * 1.0 + D[2] * 1.5 + D[3] * 1.8333333333333333 + D[4] * 2.083333333333333,
+    )
+
+
+def _predict_5(D):
+    return (
+        0.0 + D[0] + D[1] + D[2] + D[3] + D[4] + D[5],
+        0.0 + D[1] * 1.0 + D[2] * 1.5 + D[3] * 1.8333333333333333 + D[4] * 2.083333333333333
+        + D[5] * 2.283333333333333,
+    )
+
+
+def _update_1(D, d):
+    D[3] = d - D[2]
+    D[2] = d
+    D[1] = D1 = D[1] + d
+    D[0] += D1
+
+
+def _update_2(D, d):
+    D[4] = d - D[3]
+    D[3] = d
+    D[2] = D2 = D[2] + d
+    D[1] = D1 = D[1] + D2
+    D[0] += D1
+
+
+def _update_3(D, d):
+    D[5] = d - D[4]
+    D[4] = d
+    D[3] = D3 = D[3] + d
+    D[2] = D2 = D[2] + D3
+    D[1] = D1 = D[1] + D2
+    D[0] += D1
+
+
+def _update_4(D, d):
+    D[6] = d - D[5]
+    D[5] = d
+    D[4] = D4 = D[4] + d
+    D[3] = D3 = D[3] + D4
+    D[2] = D2 = D[2] + D3
+    D[1] = D1 = D[1] + D2
+    D[0] += D1
+
+
+def _update_5(D, d):
+    D[7] = d - D[6]
+    D[6] = d
+    D[5] = D5 = D[5] + d
+    D[4] = D4 = D[4] + D5
+    D[3] = D3 = D[3] + D4
+    D[2] = D2 = D[2] + D3
+    D[1] = D1 = D[1] + D2
+    D[0] += D1
+
+
+# indexed by order - 1, as _RESCALE
+_PREDICT = (_predict_1, _predict_2, _predict_3, _predict_4, _predict_5)
+_UPDATE = (_update_1, _update_2, _update_3, _update_4, _update_5)
 
 
 class BDF(_Stepper):
@@ -320,7 +423,7 @@ class BDF(_Stepper):
             self.n_equal_steps = 0
         rtol, atol = self.rtol, self.atol
         J, LU, current_jac = self.J, self.LU, False
-        alpha, gamma = _ALPHA[order], _GAMMA[1:]
+        alpha, predict = _ALPHA[order], _PREDICT[order - 1]
         while True:
             if not h_abs >= min_step:  # also ends a nan step size
                 self.nfev = nfev
@@ -333,11 +436,7 @@ class BDF(_Stepper):
                 LU = None
             h = t_new - t
             h_abs = abs(h)
-            # y_predict = D[0] + ... + D[order] and psi, each summed from 0.0
-            y_predict, psi = 0.0 + D[0], 0.0
-            for Di, gamma_i in zip(D[1 : order + 1], gamma):
-                y_predict += Di
-                psi += Di * gamma_i
+            y_predict, psi = predict(D)
             scale = atol + rtol * abs(y_predict)
             psi /= alpha
             c = h / alpha
@@ -380,7 +479,7 @@ class BDF(_Stepper):
                 self.n_equal_steps = 0
                 LU = None
                 continue
-            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + k + 1)
+            safety = _SAFETY[k]
             scale = atol + rtol * abs(y_new)
             error_norm = abs(_ERROR_CONST[order] * d / scale)
             if not error_norm > 1.0:
@@ -395,10 +494,7 @@ class BDF(_Stepper):
         self.t_old, self.t, self.y = t, t_new, y_new
         self.h_abs, self.J, self.LU = h_abs, J, LU
         # D^{j+1} y_n = D^j y_n - D^j y_{n-1}, with d = D^{order+1} y_n
-        D[order + 2] = d - D[order + 1]
-        D[order + 1] = d
-        for i in range(order, -1, -1):
-            D[i] += D[i + 1]
+        _UPDATE[order - 1](D, d)
         if self.n_equal_steps < order + 1:
             return True
 

@@ -534,20 +534,26 @@ def test_invalid_config_exits_2(argv, tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+# an integer with more digits than int() reads from a string (Python's
+# default limit is 4300): a config file can hold one, json.load cannot read it
+HUGE = 10**5000
+
 # ill-typed values of each RunConfig annotation, as a config file can give
-# them, by case label: the domain the typing rule of cli.validate rejects
+# them, by case label: the domain the typing rule of cli.validate rejects,
+# and a path no directory can have ("nul")
 ILL_TYPED = {
     float: {"bool": True, "str": "1", "str-inf": "inf", "word": "x", "null": None,
-            "nested": [[1.0]], "empty": [], "object": {}, "big": 10**400},
+            "nested": [[1.0]], "empty": [], "object": {}, "big": 10**400, "huge": HUGE},
     tuple: {"bool": True, "number": 1.0, "str": "1,x", "blank": " , ", "null": None,
             "nested": [[1.0]], "empty": [], "object": {"0.1": 1, "0.01": 2, "0.001": 3},
-            "bool-entry": [True, 2], "str-entry": ["0.25"], "big": [10**400]},
+            "bool-entry": [True, 2], "str-entry": ["0.25"], "big": [10**400],
+            "huge-entry": [0.1, HUGE]},
     int: {"bool": True, "float": 1.5, "str": "1", "null": None, "nested": [[1]],
-          "empty": [], "object": {}},
+          "empty": [], "object": {}, "huge": HUGE},
     bool: {"int": 1, "str": "no", "null": None, "nested": [[True]], "empty": [],
-           "object": {}, "big": 10**400},
+           "object": {}, "big": 10**400, "huge": HUGE},
     str: {"bool": True, "int": 1, "str": "foo", "null": None, "nested": [["slip"]],
-          "empty": [], "object": {}, "big": 10**400},
+          "empty": [], "object": {}, "big": 10**400, "huge": HUGE, "nul": "a\u0000b"},
 }
 ILL_TYPED_CASES = [
     (key, label, value)
@@ -570,7 +576,12 @@ def test_ill_typed_config_values_exit_2(key, value, tmp_path, capsys, monkeypatc
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({key: value}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # to write HUGE
+    try:
+        cfg_file.write_text(json.dumps({key: value}))
+    finally:
+        sys.set_int_max_str_digits(limit)
     assert run(["profile", "check", "--config", str(cfg_file)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"gapflow: invalid config: {key} ")
@@ -600,6 +611,15 @@ def test_a_config_file_takes_a_comma_string_for_a_list_key(key, tmp_path):
     cfg_file.write_text(json.dumps({key: " " + ", ".join(map(repr, default)) + ","}))
     assert run(["profile", "check", "--config", str(cfg_file), "--out", str(tmp_path), *FAST]) == 0
     assert _read(tmp_path / "profile_check.json")["config"][key] == list(default)
+
+
+def test_an_integer_past_the_digit_limit_says_so(tmp_path, capsys):
+    # an int key takes any int, but not one json.load cannot read
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text('{"seed": ' + "9" * 5000 + "}")
+    assert run(["profile", "check", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"gapflow: invalid config: seed must have at most {limit} digits\n"
 
 
 def test_draws_above_the_bound_name_it(tmp_path, capsys):

@@ -198,11 +198,57 @@ def test_change_D_keeps_the_bits_of_the_triple_loop():
                 assert _bits(ours) == _bits(ref), (order, factor, D)
 
 
-def test_the_rescale_code_reads_only_its_arguments_and_literals():
+def _predict_reference(D, order):
+    """BDF.step's predictor as its loop over D and gamma, each sum from 0.0
+    and left to right: the form ode._PREDICT must match bit for bit."""
+    y_predict, psi = 0.0 + D[0], 0.0
+    for Di, gamma_i in zip(D[1 : order + 1], ode._GAMMA[1:]):
+        y_predict += Di
+        psi += Di * gamma_i
+    return [y_predict, psi]
+
+
+def _update_reference(D, order, d):
+    """BDF.step's update of the differences as its loop: the form
+    ode._UPDATE must match bit for bit."""
+    D[order + 2] = d - D[order + 1]
+    D[order + 1] = d
+    for i in range(order, -1, -1):
+        D[i] += D[i + 1]
+
+
+def test_the_predictor_and_update_keep_the_bits_of_their_loops():
+    rng = random.Random(20261019)
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan)
+    for order in range(1, ode.MAX_ORDER + 1):
+        for trial in range(300):
+            # +-0.0 or +-10^x, x uniform in [-20, 3]; every other trial may
+            # also draw +-inf and nan, and compares by repr: an inf or nan
+            # spreads to the same entries, but a nan's sign bit may follow
+            # the interpreter's operand order
+            finite = trial % 2 == 0
+            draws = [rng.choice((*special[: 2 if finite else 5],
+                                 rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-20, 3)))
+                     for _ in range(ode.MAX_ORDER + 4)]
+            D, d = draws[:-1], draws[-1]
+            same = _bits if finite else lambda values: list(map(repr, values))
+            assert same(ode._PREDICT[order - 1](D)) == same(_predict_reference(D, order)), D
+            ours, ref = list(D), list(D)
+            ode._UPDATE[order - 1](ours, d)
+            _update_reference(ref, order, d)
+            assert same(ours) == same(ref), (order, D, d)
+
+
+@pytest.mark.parametrize(
+    "functions, arguments",
+    [(ode._RESCALE, ("D", "factor")), (ode._PREDICT, ("D",)), (ode._UPDATE, ("D", "d"))],
+    ids=["rescale", "predict", "update"],
+)
+def test_the_straight_line_code_reads_only_its_arguments_and_literals(functions, arguments):
     # no global, builtin or attribute; the int constants index D
-    for order, rescale in enumerate(ode._RESCALE, 1):
-        code = rescale.__code__
-        assert code.co_names == () and code.co_varnames[:2] == ("D", "factor"), order
+    for order, function in enumerate(functions, 1):
+        code = function.__code__
+        assert code.co_names == () and code.co_varnames[: code.co_argcount] == arguments, order
         assert {type(c) for c in code.co_consts} <= {float, int, type(None)}, order
 
 
