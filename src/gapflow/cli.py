@@ -31,7 +31,8 @@ are sorted, and every computation runs serially in a fixed order, so a
 given config produces bit-identical artifacts.
 Artifacts are written atomically (temp file in the target directory,
 then rename).  The output directory is --out if given, else the
-GAPFLOW_OUTPUT_DIR environment variable, else the working directory.
+GAPFLOW_OUTPUT_DIR environment variable, else the working directory; one
+that cannot be made is a config error that names its source.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 invalid
 configuration, 3 numerical failure.
@@ -103,6 +104,8 @@ MAX_DRAWS = 10**6
 # raw outputs of the profile draws' generator read per block: a block's
 # ints stay small beside the draws themselves
 RAW_BLOCK = 4096
+# characters of an output directory that an error message echoes
+PATH_ECHO = 80
 
 
 class ConfigError(ValueError):
@@ -348,9 +351,19 @@ def write_csv(path, header, rows):
 
 
 def _out_dir(cfg):
-    base = cfg.out_dir or os.environ.get(ENV_OUT_DIR) or "."
+    """The report directory, made if missing; a ConfigError that names the
+    path's source (out_dir or the environment variable), echoes the path
+    cut to PATH_ECHO characters and gives the OS reason when it cannot be
+    made."""
+    key, base = "out_dir", cfg.out_dir
+    if not base:
+        key, base = ENV_OUT_DIR, os.environ.get(ENV_OUT_DIR) or "."
     path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        shown = base if len(base) <= PATH_ECHO else base[: PATH_ECHO - 3] + "..."
+        raise ConfigError(f"{key} {shown!r} cannot be made a directory: {exc.strerror}") from None
     return path
 
 

@@ -192,13 +192,14 @@ def _tail(t_s, h_s, v_s, conserved, a, G, t_max):
 
 
 def _equation(model, a, P, G, top, h_max, rtol):
-    """The fall's scalar ODE as (rhs, jac, events, speed).
+    """The fall's scalar ODE as (rhs, jac, stop, escape, speed).
 
     ``P`` is ``model.primitive(a)``, ``top`` is h' + P(h) + G t, constant
     along the fall, and speed(t, h) the h' it gives.  A log law integrates
     y = h and has no jac; an inverse law integrates y = u = ln h with the
-    analytic Jacobian.  ``events`` are (g, direction) pairs, all terminal:
-    touchdown (log) or the tail entry (inverse) first, escape second.
+    analytic Jacobian.  ``stop`` and ``escape`` are the two terminal events
+    of ``ode.solve``: ``stop`` falls through 0 at touchdown (log) or at the
+    tail entry (inverse), ``escape`` rises through 0 at h = h_max.
     """
 
     # rhs, jac and tail spell speed(t, h) out: one call fewer per evaluation
@@ -208,7 +209,7 @@ def _equation(model, a, P, G, top, h_max, rtol):
         rhs = lambda t, y: top - P(max(y, TOUCHDOWN_H)) - G * t
         touchdown = lambda t, y: y - TOUCHDOWN_H
         escape = lambda t, y: y - h_max
-        return rhs, None, ((touchdown, -1.0), (escape, 1.0)), speed
+        return rhs, None, touchdown, escape, speed
 
     # and the inverse law's P(h) = a ln h too, with P's operations
     exp, log = math.exp, math.log
@@ -237,7 +238,7 @@ def _equation(model, a, P, G, top, h_max, rtol):
         return max(u - u_switch, v, min(slaved, unresolved))
 
     escape = lambda t, u: u - u_max
-    return rhs, jac, ((tail, -1.0), (escape, 1.0)), speed
+    return rhs, jac, tail, escape, speed
 
 
 def simulate(
@@ -306,20 +307,20 @@ def simulate(
     G = params.G
     P = model.primitive(a)
     top = v0 + P(h0)
-    rhs, jac, events, speed = _equation(model, a, P, G, top, h_max, rtol)
+    rhs, jac, stop, escape, speed = _equation(model, a, P, G, top, h_max, rtol)
     stiff = jac is not None
     y0 = math.log(h0) if stiff else h0
 
     event, counts = None, {}
     try:
-        if stiff and events[0][0](0.0, y0) <= 0.0:
+        if stiff and stop(0.0, y0) <= 0.0:
             t, h, v = [0.0], [h0], [v0]
         else:
             if stiff:
                 stepper = BDF(rhs, jac, 0.0, y0, t_max, rtol, atol)
             else:
                 stepper = RK45(rhs, 0.0, y0, t_max, rtol, atol)
-            sol = solve(stepper, events)
+            sol = solve(stepper, stop, escape)
             counts = dict(steps=sol.steps, nfev=sol.nfev, njev=sol.njev, nlu=sol.nlu)
             t, h = sol.t, list(map(math.exp, sol.y)) if stiff else sol.y
             v = list(map(speed, t, h))

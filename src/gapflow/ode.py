@@ -20,16 +20,19 @@ message instead: on a nan step size (scipy's RK45 retries it forever), on
 a Newton matrix 1 - c J that is zero or not finite, and on an event whose
 sign change over a step is not one on the step's dense output.
 
-``solve`` drives either stepper as ``solve_ivp`` does with terminal
-events: one row per accepted step, and where an event function changes
-sign in its direction over a step, the root on the step's dense output by
+``solve`` drives either stepper as ``solve_ivp`` does with the fall's
+two terminal events, ``stop`` falling through 0 and ``escape`` rising
+through 0: one row per accepted step, and where an event changes sign in
+its direction over a step, the root on the step's dense output by
 Brent's method (xtol = rtol = 4 eps, as ``scipy.optimize.brentq``) ends
 the run there.  Unlike ``solve_ivp`` it takes at most MAX_STEPS steps,
 so a run too stiff for its stepper fails instead of running for ever.
 
-The per-step loops are written for the interpreter: ``BDF.step`` inlines
-its Newton iterations, and ``solve`` reads its events from lists built
-once.  BDF's three loops over its differences D are no loops at all: at
+The per-step code is written for the interpreter, with no loop where a
+step runs it.  ``solve`` evaluates its two named events once a step and
+tests each sign change by one chained comparison.  ``BDF.step`` writes
+its simplified Newton iterations k = 0..3 out one after the other.  BDF's
+three loops over its differences D are no loops at all: at
 each order 1-5 a straight-line function does their work, because the
 interpreter spends several times as much per float operation on a loop
 over D as on the same operations written out.  ``_rescale_<k>``, the
@@ -448,26 +451,76 @@ class BDF(_Stepper):
                         self.nfev = nfev
                         message = f"Newton matrix 1 - c J = {LU!r} is not invertible (J = {J!r})"
                         return self._fail(message)
-                # simplified Newton iterations on the NDF equation, in k + 1
-                # iterations; d = y_new - y_predict
-                d, y_new, converged = 0.0, y_predict, False
-                for k in range(NEWTON_MAXITER):
+                # simplified Newton iterations k = 0..NEWTON_MAXITER - 1 on
+                # the NDF equation, written out; d = y_new - y_predict.  Each
+                # break ends the solve, in iteration k.  Iteration 0 starts
+                # from d = 0.0, so its c f - psi - d is c f - psi and its d
+                # is 0.0 + dy; iteration k >= 1 tests the rate, with
+                # rate ** (NEWTON_MAXITER - k) as a literal power
+                converged = False
+                while True:
+                    k = 0
+                    f = fun(t_new, y_predict)
+                    nfev += 1
+                    if not isfinite(f):
+                        break
+                    dy = (c * f - psi) / LU
+                    dy_norm = abs(dy / scale)
+                    y_new = y_predict + dy
+                    d = 0.0 + dy
+                    if dy_norm == 0.0:
+                        converged = True
+                        break
+                    dy_norm_old = dy_norm
+
+                    k = 1
                     f = fun(t_new, y_new)
                     nfev += 1
                     if not isfinite(f):
                         break
                     dy = (c * f - psi - d) / LU
                     dy_norm = abs(dy / scale)
-                    if k:
-                        rate = dy_norm / dy_norm_old
-                        if rate >= 1.0 or rate ** (NEWTON_MAXITER - k) / (1.0 - rate) * dy_norm > tol:
-                            break
+                    rate = dy_norm / dy_norm_old
+                    if rate >= 1.0 or rate**3 / (1.0 - rate) * dy_norm > tol:
+                        break
                     y_new += dy
                     d += dy
-                    if dy_norm == 0.0 or k and rate / (1.0 - rate) * dy_norm < tol:
+                    if dy_norm == 0.0 or rate / (1.0 - rate) * dy_norm < tol:
                         converged = True
                         break
                     dy_norm_old = dy_norm
+
+                    k = 2
+                    f = fun(t_new, y_new)
+                    nfev += 1
+                    if not isfinite(f):
+                        break
+                    dy = (c * f - psi - d) / LU
+                    dy_norm = abs(dy / scale)
+                    rate = dy_norm / dy_norm_old
+                    if rate >= 1.0 or rate**2 / (1.0 - rate) * dy_norm > tol:
+                        break
+                    y_new += dy
+                    d += dy
+                    if dy_norm == 0.0 or rate / (1.0 - rate) * dy_norm < tol:
+                        converged = True
+                        break
+                    dy_norm_old = dy_norm
+
+                    k = 3
+                    f = fun(t_new, y_new)
+                    nfev += 1
+                    if not isfinite(f):
+                        break
+                    dy = (c * f - psi - d) / LU
+                    dy_norm = abs(dy / scale)
+                    rate = dy_norm / dy_norm_old
+                    if rate >= 1.0 or rate**1 / (1.0 - rate) * dy_norm > tol:
+                        break
+                    y_new += dy
+                    d += dy
+                    converged = dy_norm == 0.0 or rate / (1.0 - rate) * dy_norm < tol
+                    break
                 if converged or current_jac:
                     break
                 J = self.jac(t_new, y_predict)
@@ -580,27 +633,48 @@ def _brentq(f, a, b):
     return xcur
 
 
-def solve(stepper, events):
+def _first_root(sol, t_old, t, stop, escape, falls, rises):
+    """The earlier root on the step's dense output sol of the events that
+    changed sign over [t_old, t], as (root, 0) for stop and (root, 1) for
+    escape, stop's on a tie, as min over (root, index) takes it; None when
+    one of them changes sign over the step but not on sol.  stop's root is
+    searched first, escape's only when stop's is found."""
+    first = None
+    if falls:
+        root = _brentq(lambda s: stop(s, sol(s)), t_old, t)
+        if root is None:
+            return None
+        first = (root, 0)
+    if rises:
+        root = _brentq(lambda s: escape(s, sol(s)), t_old, t)
+        if root is None:
+            return None
+        if first is None or root < first[0]:
+            first = (root, 1)
+    return first
+
+
+def solve(stepper, stop, escape):
     """Step from the stepper's state to t_bound or the first terminal event.
 
     Parameters
     ----------
     stepper : RK45 or BDF
-    events : sequence of (g, direction)
-        Event functions g(t, y), all terminal; direction -1 fires where g
-        falls through 0, +1 where it rises through 0.
+    stop, escape : callable
+        The two terminal event functions g(t, y), each evaluated once per
+        accepted step: ``stop`` (event 0) fires where it falls through 0,
+        ``escape`` (event 1) where it rises through 0.  When both fire
+        over one step, the earlier root ends the run, ``stop`` on a tie.
 
     Returns
     -------
     Solution
         Status -1 also when MAX_STEPS steps end short of t_bound and of
-        every event.
+        both events.
     """
     t, y = stepper.t, stepper.y
     ts, ys = [t], [y]
-    functions = [event for event, _ in events]
-    falls = [direction < 0 for _, direction in events]
-    g = [event(t, y) for event in functions]
+    g_stop, g_escape = stop(t, y), escape(t, y)
     step, t_bound = stepper.step, stepper.t_bound
     status, fired, steps = None, None, 0
     while status is None:
@@ -612,31 +686,24 @@ def solve(stepper, events):
             status = -1
             break
         steps += 1
-        t_old, t, y = stepper.t_old, stepper.t, stepper.y
+        t, y = stepper.t, stepper.y
         if t >= t_bound:
             status = 0
-        g_new = [event(t, y) for event in functions]
-        active = []
-        for i in range(len(g)):
-            old, new = g[i], g_new[i]
-            if (old >= 0.0 >= new) if falls[i] else (old <= 0.0 <= new):
-                active.append(i)
-        if active:
+        new_stop, new_escape = stop(t, y), escape(t, y)
+        if g_stop >= 0.0 >= new_stop or g_escape <= 0.0 <= new_escape:
             sol = stepper.dense_output()
-            roots = []
-            for i in active:
-                event = events[i][0]
-                root = _brentq(lambda s: event(s, sol(s)), t_old, t)
-                if root is None:
-                    stepper.message = "an event changed sign over the step, not on its dense output"
-                    status = -1
-                    break
-                roots.append((root, i))
+            first = _first_root(
+                sol, stepper.t_old, t, stop, escape,
+                g_stop >= 0.0 >= new_stop, g_escape <= 0.0 <= new_escape,
+            )
+            if first is None:
+                stepper.message = "an event changed sign over the step, not on its dense output"
+                status = -1
             else:
-                t, fired = min(roots)
+                t, fired = first
                 y = sol(t)
                 status = 1
-        g = g_new
+        g_stop, g_escape = new_stop, new_escape
         if status != -1:
             ts.append(t)
             ys.append(y)

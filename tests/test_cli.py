@@ -391,6 +391,37 @@ def test_out_flag_beats_environment(tmp_path, monkeypatch):
     assert not (tmp_path / "envdir").exists()
 
 
+@pytest.mark.parametrize("source", ["config", "flag", "environment"])
+@pytest.mark.parametrize("case", ["under-a-file", "overlong"])
+def test_an_out_dir_that_cannot_be_made_exits_2(source, case, tmp_path, capsys, monkeypatch):
+    # the one-line message names where the path came from, gives the OS
+    # reason and echoes at most PATH_ECHO characters of the path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.ENV_OUT_DIR, raising=False)
+    (tmp_path / "file").write_text("")
+    if case == "under-a-file":
+        out, reason = str(tmp_path / "file" / "x"), os.strerror(20)  # ENOTDIR
+    else:
+        out, reason = str(tmp_path / ("a" * 5000)), os.strerror(36)  # ENAMETOOLONG
+    argv = ["profile", "check", *FAST]
+    key = "out_dir"
+    if source == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"out_dir": out}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    elif source == "flag":
+        argv += ["--out", out]
+    else:
+        monkeypatch.setenv(cli.ENV_OUT_DIR, out)
+        key = cli.ENV_OUT_DIR
+    files = sorted(tmp_path.iterdir())
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err) < 200
+    assert err.startswith(f"gapflow: invalid config: {key} '{out[:20]}")
+    assert err.rstrip().endswith(f": {reason}")
+    assert sorted(tmp_path.iterdir()) == files  # no report written
+
+
 def test_run_config_defaults_are_valid():
     cli.validate(RunConfig())
 

@@ -36,6 +36,8 @@ MIXED = SlipRegime.mixed(1.0)
 WORK_RTOL = 0.05
 EVENT_RTOL = 1e-8
 TOUCHDOWN_ATOL = 1e-16
+# a stop event that never falls through 0 and an escape that never rises
+NO_EVENTS = (lambda t, y: 1.0, lambda t, y: -1.0)
 
 
 def _equation_of(regime, kappa, G, h0, v0):
@@ -45,9 +47,9 @@ def _equation_of(regime, kappa, G, h0, v0):
 
 
 def _scipy(regime, kappa, G, h0, v0, t_max):
-    rhs, jac, events, _ = _equation_of(regime, kappa, G, h0, v0)
+    rhs, jac, stop, escape, _ = _equation_of(regime, kappa, G, h0, v0)
     wrapped = []
-    for g, direction in events:
+    for g, direction in ((stop, -1.0), (escape, 1.0)):
         event = lambda t, y, g=g: g(t, y[0])
         event.terminal, event.direction = True, direction
         wrapped.append(event)
@@ -62,13 +64,18 @@ def _scipy(regime, kappa, G, h0, v0, t_max):
     )
 
 
-def _ported(regime, kappa, G, h0, v0, t_max):
-    rhs, jac, events, _ = _equation_of(regime, kappa, G, h0, v0)
+def _stepper(regime, kappa, G, h0, v0, t_max):
+    """The fall's stepper at its initial state, with its two events."""
+    rhs, jac, stop, escape, _ = _equation_of(regime, kappa, G, h0, v0)
     if jac is None:
         stepper = RK45(rhs, 0.0, h0, t_max, RTOL_DEFAULT, ATOL_DEFAULT)
     else:
         stepper = BDF(rhs, jac, 0.0, math.log(h0), t_max, RTOL_DEFAULT, ATOL_DEFAULT)
-    return solve(stepper, events)
+    return stepper, stop, escape
+
+
+def _ported(*case):
+    return solve(*_stepper(*case))
 
 
 # (regime, kappa, G, h0, v0, t_max): slip touchdowns and an escape; mixed
@@ -303,9 +310,255 @@ def test_free_fall_is_exact_for_the_embedded_pair():
 def test_a_nan_jacobian_fails_the_step():
     # the Newton matrix 1 - c J is nan at the first step
     stepper = BDF(lambda t, y: -y, lambda t, y: math.nan, 0.0, 1.0, 1.0, 1e-6, 1e-9)
-    sol = solve(stepper, ())
+    sol = solve(stepper, *NO_EVENTS)
     assert (sol.status, sol.steps, sol.nlu) == (-1, 0, 1)
     assert "Newton matrix" in sol.message and sol.t == [0.0]
+
+
+# ------------------------------------------------- named events of solve
+
+
+class _Walk:
+    """A stepper for solve: y = t in unit steps from 0 to t_bound, with
+    the dense output ``sol`` over every step."""
+
+    def __init__(self, t_bound, sol=lambda s: s):
+        self.t = self.y = 0.0
+        self.t_old, self.t_bound, self.sol = None, t_bound, sol
+        self.message, self.nfev, self.njev, self.nlu = "", 0, 0, 0
+
+    def step(self):
+        self.t_old, self.t = self.t, self.t + 1.0
+        self.y = self.t
+        return True
+
+    def dense_output(self):
+        return self.sol
+
+
+@pytest.mark.parametrize(
+    "stop_at, escape_at, fired",
+    [(0.25, 0.75, 0), (0.75, 0.25, 1), (0.5, 0.5, 0)],
+    ids=["stop-first", "escape-first", "tie"],
+)
+def test_two_events_over_one_step_end_at_the_earlier_root(stop_at, escape_at, fired):
+    # both change sign over the first step; the earlier root ends the run,
+    # stop's on a tie, as min over (root, index)
+    stop, escape = (lambda t, y: stop_at - y), (lambda t, y: y - escape_at)
+    roots = (_brentq(lambda s: stop(s, s), 0.0, 1.0), _brentq(lambda s: escape(s, s), 0.0, 1.0))
+    assert roots == (stop_at, escape_at)
+    sol = solve(_Walk(10.0), stop, escape)
+    assert (sol.status, sol.event, sol.steps, sol.message) == (1, fired, 1, "")
+    assert sol.t == sol.y == [0.0, min(roots)]
+
+
+@pytest.mark.parametrize("event", ["stop", "escape"])
+def test_a_sign_change_off_the_dense_output_fails_the_run(event):
+    # y crosses 0.5 over the first step, but the dense output stays at 0
+    stop, escape = NO_EVENTS
+    if event == "stop":
+        stop = lambda t, y: 0.5 - y
+    else:
+        escape = lambda t, y: y - 0.5
+    sol = solve(_Walk(10.0, sol=lambda s: 0.0), stop, escape)
+    assert (sol.status, sol.event, sol.steps, sol.t) == (-1, None, 1, [0.0])
+    assert sol.message == "an event changed sign over the step, not on its dense output"
+
+
+# (steps, nfev, njev, nlu) of two falls that FALL_DIGESTS pins
+FALL_WORK = {"mixed-default": (228, 702, 64, 104), "slip": (51, 476, 0, 0)}
+
+
+@pytest.mark.parametrize("case", FALL_WORK)
+def test_solve_evaluates_each_event_once_a_step(case, monkeypatch):
+    # a deterministic work gate: outside the root search, stop and escape
+    # run once at the start and once per accepted step
+    calls = {"stop": 0, "escape": 0}
+    searching = []
+
+    def counted(name, g):
+        def event(t, y):
+            if not searching:
+                calls[name] += 1
+            return g(t, y)
+        return event
+
+    def brentq(*args):
+        searching.append(True)
+        try:
+            return _brentq(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(ode, "_brentq", brentq)
+    stepper, stop, escape = _stepper(*CASES[case])
+    sol = solve(stepper, counted("stop", stop), counted("escape", escape))
+    assert (sol.status, sol.event) == (1, 0)
+    assert calls == {"stop": sol.steps + 1, "escape": sol.steps + 1}
+    assert (sol.steps, sol.nfev, sol.njev, sol.nlu) == FALL_WORK[case]
+
+
+# ------------------------------------------- BDF's written-out Newton
+
+
+class _LoopNewtonBDF(BDF):
+    """BDF with its step as it was before its Newton iterations were
+    written out: one loop over k = 0..NEWTON_MAXITER - 1.  It records in
+    ``exits`` each way a Newton solve ended."""
+
+    def __init__(self, *args):
+        self.exits = set()
+        super().__init__(*args)
+
+    def step(self):
+        t, D, order = self.t, self.D, self.order
+        fun, isfinite, nfev, tol = self.fun, math.isfinite, self.nfev, self.newton_tol
+        # the step size to try first, raised to 10 float spacings at t
+        min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(self.h_abs, min_step)
+        if h_abs != self.h_abs:
+            ode._change_D(D, order, h_abs / self.h_abs)
+            self.n_equal_steps = 0
+        rtol, atol = self.rtol, self.atol
+        J, LU, current_jac = self.J, self.LU, False
+        alpha, predict = ode._ALPHA[order], ode._PREDICT[order - 1]
+        while True:
+            if not h_abs >= min_step:  # also ends a nan step size
+                self.nfev = nfev
+                return self._fail("required step size is less than spacing between numbers")
+            t_new = t + h_abs
+            if t_new > self.t_bound:
+                t_new = self.t_bound
+                ode._change_D(D, order, abs(t_new - t) / h_abs)
+                self.n_equal_steps = 0
+                LU = None
+            h = t_new - t
+            h_abs = abs(h)
+            y_predict, psi = predict(D)
+            scale = atol + rtol * abs(y_predict)
+            psi /= alpha
+            c = h / alpha
+            while True:
+                if LU is None:
+                    LU = 1.0 - c * J
+                    self.nlu += 1
+                    if not (LU and isfinite(LU)):
+                        self.nfev = nfev
+                        message = f"Newton matrix 1 - c J = {LU!r} is not invertible (J = {J!r})"
+                        return self._fail(message)
+                # simplified Newton iterations on the NDF equation, in k + 1
+                # iterations; d = y_new - y_predict; each exit is recorded
+                d, y_new, converged = 0.0, y_predict, False
+                for k in range(ode.NEWTON_MAXITER):
+                    f = fun(t_new, y_new)
+                    nfev += 1
+                    if not isfinite(f):
+                        self.exits.add("non-finite f at k = 0" if k == 0 else "non-finite f")
+                        break
+                    dy = (c * f - psi - d) / LU
+                    dy_norm = abs(dy / scale)
+                    if k:
+                        rate = dy_norm / dy_norm_old
+                        if rate >= 1.0 or (
+                            rate ** (ode.NEWTON_MAXITER - k) / (1.0 - rate) * dy_norm > tol
+                        ):
+                            self.exits.add(("rate >= 1" if rate >= 1.0 else "slow rate", k))
+                            break
+                    y_new += dy
+                    d += dy
+                    if dy_norm == 0.0 or k and rate / (1.0 - rate) * dy_norm < tol:
+                        converged = True
+                        self.exits.add(("converged", k))
+                        break
+                    dy_norm_old = dy_norm
+                if converged or current_jac:
+                    break
+                J = self.jac(t_new, y_predict)
+                self.njev += 1
+                LU, current_jac = None, True
+            if not converged:
+                self.exits.add("halved")
+                h_abs *= 0.5
+                ode._change_D(D, order, 0.5)
+                self.n_equal_steps = 0
+                LU = None
+                continue
+            safety = ode._SAFETY[k]
+            scale = atol + rtol * abs(y_new)
+            error_norm = abs(ode._ERROR_CONST[order] * d / scale)
+            if not error_norm > 1.0:
+                break
+            factor = max(ode.MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
+            h_abs *= factor
+            ode._change_D(D, order, factor)
+            self.n_equal_steps = 0
+
+        self.nfev = nfev
+        self.n_equal_steps += 1
+        self.t_old, self.t, self.y = t, t_new, y_new
+        self.h_abs, self.J, self.LU = h_abs, J, LU
+        # D^{j+1} y_n = D^j y_n - D^j y_{n-1}, with d = D^{order+1} y_n
+        ode._UPDATE[order - 1](D, d)
+        if self.n_equal_steps < order + 1:
+            return True
+
+        # the order among order - 1, order, order + 1 that allows the
+        # largest next step, the first of equals; an error norm of 0
+        # allows any step, an order outside 1..MAX_ORDER none
+        best, change = 0.0, -1  # at order 1, inf ** -1.0
+        if order > 1:
+            norm = abs(ode._ERROR_CONST[order - 1] * D[order] / scale)
+            best = norm ** (-1 / order) if norm else math.inf
+        factor = error_norm ** (-1 / (order + 1)) if error_norm else math.inf
+        if factor > best:
+            best, change = factor, 0
+        if order < ode.MAX_ORDER:
+            norm = abs(ode._ERROR_CONST[order + 1] * D[order + 2] / scale)
+            factor = norm ** (-1 / (order + 2)) if norm else math.inf
+            if factor > best:
+                best, change = factor, 1
+        self.order = order = order + change
+        factor = min(ode.MAX_FACTOR, safety * best)
+        self.h_abs *= factor
+        ode._change_D(D, order, factor)
+        self.n_equal_steps = 0
+        self.LU = None
+        return True
+
+
+# (fun, jac, y0, t_bound) of stiff scalar ODEs, at rtol 1e-6 and atol 1e-9;
+# between them their Newton solves end in every way the loop has
+NEWTON_CASES = {
+    # f = -0.0: dy is +-0.0 in iteration 0, where d = 0.0 + dy is +0.0
+    # as the loop's d += dy makes it, and D shows the sign of d
+    "constant": (lambda t, y: -0.0, lambda t, y: 0.0, 1.0, 1.0),
+    # a ripple of slope 1e5 beside a Jacobian of -1e3: the rate of each
+    # iteration varies, and Newton converges slowly or not at all
+    "rough": (lambda t, y: -1e3 * (y - math.cos(t)) + math.sin(1e5 * y),
+              lambda t, y: -1e3, 1.0, 0.1),
+    # f is nan below y = 0, where a long step's iterates overshoot
+    "decay-to-a-wall": (lambda t, y: -100.0 * y if y > 0.0 else math.nan,
+                        lambda t, y: -10.0, 1.0, 1.0),
+}
+NEWTON_EXITS = {
+    *(("converged", k) for k in range(ode.NEWTON_MAXITER)),
+    *(("slow rate", k) for k in range(1, ode.NEWTON_MAXITER)),
+    ("rate >= 1", 1), ("rate >= 1", 2), "non-finite f", "halved",
+}
+
+
+def test_the_written_out_newton_keeps_the_bits_of_its_loop():
+    exits = set()
+    for name, (fun, jac, y0, t_bound) in NEWTON_CASES.items():
+        loop = _LoopNewtonBDF(fun, jac, 0.0, y0, t_bound, 1e-6, 1e-9)
+        ours = BDF(fun, jac, 0.0, y0, t_bound, 1e-6, 1e-9)
+        ref, sol = solve(loop, *NO_EVENTS), solve(ours, *NO_EVENTS)
+        assert ref.status == 0, name
+        assert _bits(sol.t) == _bits(ref.t) and _bits(sol.y) == _bits(ref.y), name
+        assert (sol.steps, sol.nfev, sol.njev, sol.nlu) == (ref.steps, ref.nfev, ref.njev, ref.nlu)
+        assert _bits(ours.D) == _bits(loop.D) and ours.order == loop.order, name
+        exits |= loop.exits
+    assert exits >= NEWTON_EXITS
 
 
 # ----------------------------------------------------------- step budget
