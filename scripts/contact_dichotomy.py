@@ -29,8 +29,8 @@ def main():
     ap.add_argument("--t-max", type=float, default=50.0)
     args = ap.parse_args()
 
-    # rho_S = 2, rho_F = 1 make G = g / 2
-    params = FallParameters(rho_S=2.0, rho_F=1.0, g=2.0 * args.g_eff,
+    # rho_S = 1, rho_F = 0 make G = g, exactly for every finite g
+    params = FallParameters(rho_S=1.0, rho_F=0.0, g=args.g_eff,
                             kappa=args.kappa)
     print(f"h0 = {args.h0}, G = {params.G}, kappa = {params.kappa}")
 

@@ -13,10 +13,9 @@ import argparse
 import csv
 
 from gapflow.drag import drag_curve, fit_scaling
+from gapflow.model import DEFAULT_H_LIST
 from gapflow.profile import ScalingModel, SlipRegime
 from gapflow.quadrature import QuadratureSpec
-
-DEFAULT_SWEEP = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 
 
 def report(regime, name, h_list, spec):
@@ -54,7 +53,7 @@ def main():
     h_list = (
         tuple(float(x) for x in args.h_list.split(","))
         if args.h_list
-        else DEFAULT_SWEEP
+        else DEFAULT_H_LIST
     )
     spec = QuadratureSpec(rel_tol=args.rel_tol, abs_tol=1e-12)
 

@@ -363,7 +363,7 @@ class ScanRow(NamedTuple):
 
 def _scan_cell(regime, kappa, G, h0, t_max, rtol, atol, h_max):
     try:
-        params = FallParameters(rho_S=2.0, rho_F=1.0, g=2.0 * G, kappa=kappa)
+        params = FallParameters(rho_S=1.0, rho_F=0.0, g=G, kappa=kappa)
         traj = simulate(
             params, regime, h0, t_max=t_max, rtol=rtol, atol=atol, h_max=h_max
         )
@@ -390,10 +390,10 @@ def touchdown_scan(
 ):
     """Simulate every (kappa, G, h0) cell and tabulate the outcomes.
 
-    Effective gravity G is realized through g = 2 G at rho_S = 2,
-    rho_F = 1, and h_max is simulate's escape height.  Cells run one after
-    another in the input grid order; failures become Error rows and the
-    scan continues.
+    Effective gravity G is realized as g = G at rho_S = 1, rho_F = 0,
+    exact for every finite G; h_max is simulate's escape height.  Cells
+    run one after another in the input grid order; failures become Error
+    rows and the scan continues.
     """
     return tuple(
         _scan_cell(regime, k, G, h0, t_max, rtol, atol, h_max)

@@ -3,9 +3,9 @@
 The solid is a unit sphere whose south pole sits at height ``h`` above the
 plane wall ``{x3 = 0}``.  This module provides the gap profile ``gamma_s``,
 the radial geometry ``_radial`` (s = sqrt(1 - r**2), so the sphere's
-outward normal is (-r, s), and the gap height H), surface measures for the
-two boundary pieces, and the smooth cutoff functions used to extend the
-aperture ansatz to the whole domain.
+outward normal is (-r, s) and its cap measure is r / s, and the gap height
+H), and the smooth cutoff functions used to extend the aperture ansatz to
+the whole domain.
 
 All functions are pure and broadcast over numpy arrays, with no branch
 for scalars: a scalar in gives a numpy float or 0-d array out.
@@ -17,9 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import D_DELTA_DEFAULT, DELTA_DEFAULT, H_MAX_DEFAULT
-
-PLANE = "plane"
-SPHERE_CAP = "sphere-cap"
 
 
 class _GapGeometry(NamedTuple):
@@ -80,42 +77,15 @@ def _radial(h, r):
     """(s, H) at radii 0 <= r < 1, with one domain check: s = sqrt(1 - r**2)
     and the gap height H = h + gamma_s(r), bit for bit as `gamma_s` gives
     it.  A drag integrand call shares them between the z-rule, the profile's
-    chain factors, the sphere normal (-r, s) and the cap measure r / s;
-    `field.navier_residuals` reads its boundaries with them the same way."""
+    chain factors, the sphere normal (-r, s) and the cap measure r / s, which
+    `quadrature.integrate_surface` also takes from s; `field.navier_residuals`
+    reads its boundaries with them the same way."""
     r = np.asarray(r, dtype=float)
     if ((r < 0.0) | (r >= 1.0)).any():
-        raise ValueError("profile evaluation requires 0 <= r < 1")
+        raise ValueError("the radial geometry requires 0 <= r < 1")
     r2 = r * r
     s = np.sqrt(1.0 - r2)
     return s, h + r2 / (1.0 + s)
-
-
-def surface_measure(surface, r):
-    """Area density of a boundary piece with respect to ``dr dtheta``.
-
-    Parameters
-    ----------
-    surface : str
-        Either ``"plane"`` or ``"sphere-cap"``.
-    r : float or ndarray
-        Cylindrical radius; must satisfy ``r < 1`` on the sphere cap.
-
-    Returns
-    -------
-    float or ndarray
-        ``r`` on the plane, ``r / sqrt(1 - r**2)`` on the sphere cap.
-    """
-    r = np.asarray(r, dtype=float)
-    # one ndarray.any() call per surface: every surface pass runs this
-    if surface == PLANE:
-        if (r < 0.0).any():
-            raise ValueError("surface_measure requires r >= 0")
-        return r
-    if surface == SPHERE_CAP:
-        if ((r < 0.0) | (r >= 1.0)).any():
-            raise ValueError("sphere-cap measure requires 0 <= r < 1")
-        return r / np.sqrt(1.0 - r * r)
-    raise ValueError(f"unknown surface {surface!r}")
 
 
 def smoothstep(s):

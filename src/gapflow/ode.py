@@ -455,8 +455,10 @@ class BDF(_Stepper):
                 # the NDF equation, written out; d = y_new - y_predict.  Each
                 # break ends the solve, in iteration k.  Iteration 0 starts
                 # from d = 0.0, so its c f - psi - d is c f - psi and its d
-                # is 0.0 + dy; iteration k >= 1 tests the rate, with
-                # rate ** (NEWTON_MAXITER - k) as a literal power
+                # is 0.0 + dy; iterations 1 and 2 test the rate, with
+                # rate ** (NEWTON_MAXITER - k) as a literal power.  Iteration
+                # 3 needs no rate test: its convergence test fails wherever
+                # that would break, and a failed solve reads no y_new or d
                 converged = False
                 while True:
                     k = 0
@@ -515,11 +517,10 @@ class BDF(_Stepper):
                     dy = (c * f - psi - d) / LU
                     dy_norm = abs(dy / scale)
                     rate = dy_norm / dy_norm_old
-                    if rate >= 1.0 or rate**1 / (1.0 - rate) * dy_norm > tol:
-                        break
                     y_new += dy
                     d += dy
-                    converged = dy_norm == 0.0 or rate / (1.0 - rate) * dy_norm < tol
+                    converged = rate < 1.0 and (
+                        dy_norm == 0.0 or rate / (1.0 - rate) * dy_norm < tol)
                     break
                 if converged or current_jac:
                     break

@@ -452,8 +452,8 @@ def weighted_sups(regime, h, delta=DELTA_DEFAULT):
     r_lo = max(1e-8, math.sqrt(h) / 100.0)
     r = np.geomspace(r_lo, delta, SUP_GRID_N)[:, None]
     t = np.linspace(1.0 / SUP_GRID_N, 1.0, SUP_GRID_N)[None, :]
-    _, H = _radial(h, r)
-    p = psi_partials(regime, h, r, t * H)
+    s, H = _radial(h, r)
+    p = psi_partials(regime, h, r, t * H, (s, H))
     out = {}
     for label, (extract, weight) in rows.items():
         out[label] = float(np.max(extract(p) * weight(r, H)))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import gamma_s, surface_measure
+from .geometry import _radial, gamma_s
 from .model import (
     DEFAULT_H_LIST,
     ClassificationError,
@@ -200,16 +200,23 @@ def gap_rule(H):
 def integrate_surface(f, surface, r_max, spec, *, scale):
     """Surface integral int 2 pi f(r) measure(r) dr over a boundary piece.
 
-    `surface` is "plane" or "sphere-cap"; the measure is r on the plane and
-    r / sqrt(1 - r^2) on the cap.  `scale` is the grading length of the
-    initial cells (graded_cuts), sqrt(h) for the drag rows.  f may stack
-    components, as in integrate_gap.
+    The measure is r on the "plane" and r / s on the "sphere-cap", with s
+    from `geometry._radial` as in a drag row.  Any other surface, or a cap
+    with r_max >= 1 (`_radial`'s domain check), raises ValueError before f
+    is called.  `scale` grades the initial cells (graded_cuts), sqrt(h) for
+    the drag rows.  f may stack components, as in integrate_gap.
     """
-    def g(r):
-        return 2.0 * math.pi * np.asarray(f(r)) * surface_measure(surface, r)
+    cap = surface == "sphere-cap"
+    if cap:
+        _radial(0.0, r_max)
+    elif surface != "plane":
+        raise ValueError(f"unknown surface {surface!r}")
 
-    cuts = graded_cuts(r_max, scale)
-    return _adaptive_1d(g, cuts, spec)
+    def g(r):
+        # the measure after f, so that f's peak memory does not hold it
+        return 2.0 * math.pi * np.asarray(f(r)) * (r / _radial(0.0, r)[0] if cap else r)
+
+    return _adaptive_1d(g, graded_cuts(r_max, scale), spec)
 
 
 class Classification(Enum):
@@ -225,37 +232,31 @@ class ModelFit(NamedTuple):
     r_squared: float
 
 
-class _SingularIntegralCase(NamedTuple):
+class SingularIntegralCase(NamedTuple):
+    """Small-gap behavior of I(h) = int_0^delta r^p / (h + r^2)^q dr: the
+    computed (h, I(h)) pairs and the least-squares fits, one per candidate
+    behavior, that validate the call.  The classification, exponent and
+    selected fit are read from (p, q) by `_classify`: power law with
+    exponent (p+1)/2 - q when p + 1 < 2q, logarithmic when equal, bounded
+    when p + 1 > 2q."""
+
     p: float
     q: float
     delta: float
-    classification: Classification
-    exponent: float
     values: tuple
     fits: dict
-    selected: ModelFit
 
+    @property
+    def classification(self):
+        return _classify(self.p, self.q)[0]
 
-class SingularIntegralCase(_SingularIntegralCase):
-    """Small-gap behavior of I(h) = int_0^delta r^p / (h + r^2)^q dr.
+    @property
+    def exponent(self):
+        return _classify(self.p, self.q)[1]
 
-    The classification is decided by the arithmetic invariant: power law
-    with exponent (p+1)/2 - q when p + 1 < 2q, logarithmic when equal,
-    bounded when p + 1 > 2q.  Least-squares fits against each candidate
-    behavior validate the call on the computed values.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p, q, delta, classification, exponent, values, fits, selected):
-        expected, expected_exponent, _ = _classify(p, q)
-        if classification is not expected:
-            raise ValueError("classification inconsistent with (p, q)")
-        if classification is Classification.POWER_LAW and exponent != expected_exponent:
-            raise ValueError("power-law exponent must be (p+1)/2 - q")
-        return super().__new__(
-            cls, p, q, delta, classification, exponent, values, fits, selected
-        )
+    @property
+    def selected(self):
+        return self.fits[_classify(self.p, self.q)[2]]
 
 
 def _classify(p, q):
@@ -338,20 +339,10 @@ def classify_singular(p, q, delta, h_list=None, *, spec):
         bounded_reg = hs
     fits["bounded"] = ModelFit("bounded", *_ols(bounded_reg, ys))
 
-    classification, exponent, key = _classify(p, q)
     if all(f.r_squared < FIT_R2_FLOOR for f in fits.values()):
         raise ClassificationError(
             f"no candidate model fits I(h) for (p, q) = ({p}, {q}); "
             f"best R^2 = {max(f.r_squared for f in fits.values()):.4f}"
         )
 
-    return SingularIntegralCase(
-        p=p,
-        q=q,
-        delta=delta,
-        classification=classification,
-        exponent=exponent,
-        values=tuple(zip(h_list, values)),
-        fits=fits,
-        selected=fits[key],
-    )
+    return SingularIntegralCase(p, q, delta, tuple(zip(h_list, values)), fits)

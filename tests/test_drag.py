@@ -451,7 +451,7 @@ def test_default_drag_rows_are_one_pass_of_one_psi_call(name, regime, monkeypatc
 
 # the radial functions a module of the row can look up: the shared
 # geometry, and the public functions it stands in for inside the row
-RADIAL_FUNCTIONS = ("_radial", "gamma_s", "surface_measure")
+RADIAL_FUNCTIONS = ("_radial", "gamma_s")
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 import scipy.integrate
 
+from gapflow import dynamics
 from gapflow.dynamics import (
     RTOL_DEFAULT,
     SWITCH_H,
@@ -503,3 +504,19 @@ def test_touchdown_scan_turns_float_overflow_into_an_error_row():
     assert "OverflowError" in rows[0].error and "h0=0.25" in rows[0].error
     assert rows[1].outcome == "NoContact"
 
+
+
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_every_scan_cell_runs_at_exactly_its_G(regime, monkeypatch):
+    # G = 1e308 overflowed a gravity built as g = 2 G; 5e-324 is subnormal
+    seen = []
+
+    def spied(params, *args, **kwargs):
+        seen.append(params.G)
+        return simulate(params, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "simulate", spied)
+    Gs = (1e308, 5e-324, 1.0)
+    rows = touchdown_scan(regime, (1.0,), Gs, (0.25,), t_max=10.0)
+    assert seen == list(Gs)
+    assert not any("nan" in row.error for row in rows)

@@ -15,7 +15,6 @@ from gapflow.geometry import (
     cutoffs,
     gamma_s,
     smoothstep,
-    surface_measure,
 )
 
 TOL_EXACT = 1e-12
@@ -106,33 +105,6 @@ class TestRadial:
             _radial(1e-3, 1.0)
         with pytest.raises(ValueError):
             _radial(1e-3, -0.1)
-
-
-class TestSurfaceMeasure:
-    def test_plane(self):
-        assert surface_measure("plane", 0.3) == pytest.approx(0.3, abs=TOL_EXACT)
-
-    def test_cap_axis(self):
-        assert surface_measure("sphere-cap", 0.0) == 0.0
-
-    def test_cap_exact(self):
-        assert surface_measure("sphere-cap", 0.6) == pytest.approx(0.75, abs=TOL_EXACT)
-
-    def test_cap_domain_error(self):
-        with pytest.raises(ValueError):
-            surface_measure("sphere-cap", 1.0)
-
-    def test_unknown_surface(self):
-        with pytest.raises(ValueError):
-            surface_measure("torus", 0.1)
-
-    def test_cap_area_quadrature(self):
-        # integral of the measure reproduces the spherical cap area
-        # 2 pi (1 - sqrt(1 - r^2))
-        r_max = 0.6
-        r = np.linspace(0.0, r_max, 20_001)
-        area = 2.0 * np.pi * np.trapezoid(surface_measure("sphere-cap", r), r)
-        assert area == pytest.approx(2.0 * np.pi * (1.0 - 0.8), rel=1e-8)
 
 
 class TestGapGeometry:

@@ -561,6 +561,23 @@ def test_the_written_out_newton_keeps_the_bits_of_its_loop():
     assert exits >= NEWTON_EXITS
 
 
+def test_the_last_newton_iteration_fails_at_a_rate_of_one_or_more():
+    # a faint ripple of slope 1e5 beside a Jacobian of -10: some solves
+    # reach iteration 3 with a rate >= 1, which only its convergence test
+    # now rejects
+    def fun(t, y):
+        return -10.0 * (y - math.cos(t)) + 0.01 * math.sin(1e7 * y)
+
+    loop = _LoopNewtonBDF(fun, lambda t, y: -10.0, 0.0, 1.0, 1e-3, 1e-6, 1e-9)
+    ours = BDF(fun, lambda t, y: -10.0, 0.0, 1.0, 1e-3, 1e-6, 1e-9)
+    ref, sol = solve(loop, *NO_EVENTS), solve(ours, *NO_EVENTS)
+    assert ("rate >= 1", 3) in loop.exits
+    assert ref.status == 0
+    assert _bits(sol.t) == _bits(ref.t) and _bits(sol.y) == _bits(ref.y)
+    assert (sol.steps, sol.nfev, sol.njev, sol.nlu) == (ref.steps, ref.nfev, ref.njev, ref.nlu)
+    assert _bits(ours.D) == _bits(loop.D) and ours.order == loop.order
+
+
 # ----------------------------------------------------------- step budget
 
 

@@ -9,6 +9,7 @@ from gapflow.quadrature import (
     Classification,
     ClassificationError,
     IntegralResult,
+    ModelFit,
     QuadratureError,
     QuadratureSpec,
     SingularIntegralCase,
@@ -171,6 +172,10 @@ class TestIntegrateGap:
             quadrature.gap_cuts(h, 0.2)
 
 
+def _never_called(r):
+    raise AssertionError("the integrand was called")
+
+
 class TestIntegrateSurface:
     def test_disk_area(self):
         res = integrate_surface(lambda r: np.ones_like(r), "plane", 0.4, SPEC, scale=0.4 * 2.0**-16)
@@ -183,9 +188,37 @@ class TestIntegrateSurface:
         assert res.value == pytest.approx(2.0 * math.pi * (1.0 - 0.8), rel=TOL_CLOSED_FORM)
 
     def test_unknown_surface(self):
-        # surface_measure names it at the first integrand call
+        # named before the integrand is called
         with pytest.raises(ValueError, match="unknown surface 'cone'"):
-            integrate_surface(lambda r: r, "cone", 0.2, SPEC, scale=1.0)
+            integrate_surface(_never_called, "cone", 0.2, SPEC, scale=1.0)
+
+    @pytest.mark.parametrize("r_max", [1.0, 1.5])
+    def test_a_cap_past_the_unit_radius_raises(self, r_max):
+        # the cap's domain is _radial's, checked at r_max before any call
+        with pytest.raises(ValueError, match="requires 0 <= r < 1"):
+            integrate_surface(_never_called, "sphere-cap", r_max, SPEC, scale=0.1)
+
+    def test_the_cap_measure_is_r_over_s(self):
+        # int 2 pi s (r / s) dr over [0, 0.6] is the disk area pi 0.36
+        res = integrate_surface(
+            lambda r: np.sqrt(1.0 - r * r), "sphere-cap", 0.6, SPEC, scale=0.6 * 2.0**-16
+        )
+        assert res.value == pytest.approx(math.pi * 0.36, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "surface, measure",
+        [("plane", lambda r: r), ("sphere-cap", lambda r: r / np.sqrt(1.0 - r * r))],
+        ids=["plane", "sphere-cap"],
+    )
+    def test_each_measure_keeps_the_bits_of_its_closed_form(self, surface, measure):
+        def f(r):
+            return np.exp(-r / 0.01)
+
+        res = integrate_surface(f, surface, 0.6, SPEC, scale=0.01)
+        ref = quadrature._adaptive_1d(
+            lambda r: 2.0 * math.pi * f(r) * measure(r), graded_cuts(0.6, 0.01), SPEC
+        )
+        assert res == ref
 
 
 class TestStackedIntegrand:
@@ -356,15 +389,21 @@ class TestClassifySingular:
         with pytest.raises(ValueError):
             classify_singular(1, 1, 0.2, h_list=(1e-9,), spec=SPEC)
 
-    def test_case_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            SingularIntegralCase(
-                p=0,
-                q=1,
-                delta=0.2,
-                classification=Classification.BOUNDED,
-                exponent=0.0,
-                values=(),
-                fits={},
-                selected=None,
-            )
+    @pytest.mark.parametrize(
+        "p, q, expected, exponent, key",
+        [
+            (0, 1, Classification.POWER_LAW, -0.5, "power"),
+            (1, 1, Classification.LOGARITHMIC, 0.0, "log"),
+            (2, 1, Classification.BOUNDED, 0.0, "bounded"),
+        ],
+        ids=["power-law", "logarithmic", "bounded"],
+    )
+    def test_a_case_reads_its_classification_from_p_and_q(self, p, q, expected, exponent, key):
+        # a case holds its inputs and results only, so none can disagree
+        # with (p, q): p + 1 < 2q, p + 1 = 2q and p + 1 > 2q
+        fits = {name: ModelFit(name, 1.0, 0.0, 1.0) for name in ("power", "log", "bounded")}
+        case = SingularIntegralCase(p=p, q=q, delta=0.2, values=(), fits=fits)
+        assert case.classification is expected
+        assert case.exponent == exponent
+        assert case.selected is fits[key]
+        assert SingularIntegralCase._fields == ("p", "q", "delta", "values", "fits")
