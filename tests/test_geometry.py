@@ -16,6 +16,7 @@ from gapflow.geometry import (
     gamma_s,
     smoothstep,
 )
+from gapflow.quadrature import QuadratureSpec, integrate_surface
 
 TOL_EXACT = 1e-12
 TOL_FD = 1e-6
@@ -105,6 +106,27 @@ class TestRadial:
             _radial(1e-3, 1.0)
         with pytest.raises(ValueError):
             _radial(1e-3, -0.1)
+
+
+class TestSurfaceMeasure:
+    """The boundary measures of `quadrature.integrate_surface`: r on the
+    plane, r / s on the cap with s from `_radial`."""
+
+    def test_unknown_surface(self):
+        def f(r):
+            raise AssertionError("the integrand was called")
+
+        with pytest.raises(ValueError):
+            integrate_surface(f, "torus", 0.1, QuadratureSpec(1e-10, 1e-13), scale=1.0)
+
+    def test_cap_area_quadrature(self):
+        # integral of the cap measure r / s reproduces the spherical cap
+        # area 2 pi (1 - sqrt(1 - r^2))
+        r_max = 0.6
+        r = np.linspace(0.0, r_max, 20_001)
+        s, _ = _radial(0.0, r)
+        area = 2.0 * np.pi * np.trapezoid(r / s, r)
+        assert area == pytest.approx(2.0 * np.pi * (1.0 - 0.8), rel=1e-8)
 
 
 class TestGapGeometry:
