@@ -40,10 +40,14 @@ configuration, 3 numerical failure.
 A command loads only the layers it runs: this module imports the standard
 library and the numpy-free `gapflow.model`, and each command imports its
 own layers when it runs, so the fall commands start without numpy.
+A process ends with gc.freeze() after its command returns: every object
+left, most of them numpy's, is garbage it never reuses, and the frozen
+ones are skipped by the collections the interpreter runs at shutdown.
 """
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -904,7 +908,9 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    code = run()
+    gc.freeze()  # every object is garbage now: the shutdown's collections skip it
+    sys.exit(code)
 
 
 if __name__ == "__main__":

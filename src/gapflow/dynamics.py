@@ -289,7 +289,8 @@ def simulate(
         When a step fails: its size falls below the spacing of floats at
         t, or the Newton matrix is singular or not finite; when the solve
         takes ode.MAX_STEPS steps; also when float arithmetic divides by
-        zero or overflows inside the integrator or the closed-form tail.
+        zero, overflows or leaves a math function's domain inside the
+        integrator or the closed-form tail.
     """
     if not (TOUCHDOWN_H < h0 < h_max):
         raise ValueError(f"h0 must lie in ({TOUCHDOWN_H}, {h_max})")
@@ -297,6 +298,8 @@ def simulate(
         raise ValueError("v0 must be finite")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
+    if atol < 0.0:
+        raise ValueError("atol must be nonnegative")
     if law is None:
         law = drag_law(regime, "analytic", params.kappa)
     if not isinstance(law, DragLaw):
@@ -338,7 +341,7 @@ def simulate(
                 event = TerminalEvent(EventKind.NO_CONTACT, t_end, h_end, v_end)
         if event is None:
             event = _tail(t[-1], h[-1], v[-1], top, a, G, t_max)
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise StiffnessError(
             f"float arithmetic failed from h0={h0!r}, v0={v0!r}: "
             f"{type(exc).__name__}: {exc}"

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, artifacts, determinism, config echo."""
 
+import gc
 import json
 import math
 import os
@@ -22,6 +23,18 @@ from gapflow.profile import SlipRegime, coefficients
 FAST = ("--draws", "500")
 # the sources, for fresh interpreters: the tests need no installed gapflow
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _fresh(*args, cwd=None):
+    """Python run with args in a fresh interpreter, gapflow from SRC."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=cwd,
+    )
 
 
 def _read(path):
@@ -724,18 +737,20 @@ def test_a_drag_row_failure_names_the_gap_and_the_terms(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, error",
     [
-        ["--v0=-1e300"],
-        ["--regime", "mixed", "--g", "1e-10", "--t-max", "1e300"],
+        (["--v0=-1e300"], "ZeroDivisionError"),
+        (["--regime", "mixed", "--g", "1e-10", "--t-max", "1e300"], "OverflowError"),
+        # a slip step carries h to 0 or below, where the law's log(h) fails
+        (["--g", "1.7e308", "--rho-s", "1", "--rho-f", "0"], "ValueError: math domain error"),
     ],
-    ids=["zero-division", "overflow"],
+    ids=["zero-division", "overflow", "domain"],
 )
-def test_fall_float_arithmetic_failure_exits_3(tmp_path, capsys, args):
+def test_fall_float_arithmetic_failure_exits_3(tmp_path, capsys, args, error):
     assert run(["fall", "simulate", *args, "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert "numerical failure" in err and "v0=" in err
-    assert "Traceback" not in err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("gapflow: numerical failure: float arithmetic failed from h0=0.25, v0=")
+    assert f": {error}" in line
 
 
 def test_a_tail_entered_at_rest_ends_with_a_result(tmp_path, capsys):
@@ -822,14 +837,7 @@ def test_a_non_finite_exterior_constant_exits_3_without_nan(tmp_path, capsys):
 @pytest.mark.parametrize("delta", ["1e-300", "1e-160"])
 def test_a_non_finite_exterior_constant_prints_one_line(tmp_path, delta):
     # a fresh process, since pytest captures numpy's warnings itself
-    proc = subprocess.run(
-        [sys.executable, "-m", "gapflow.cli", "drag", "scan", "--delta", delta,
-         "--out", str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _fresh("-m", "gapflow.cli", "drag", "scan", "--delta", delta, "--out", str(tmp_path))
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == [
         f"gapflow: numerical failure: the exterior constant is not finite (nan) "
@@ -883,15 +891,57 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
 
 
 def test_console_script_entry_point(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "gapflow.cli", "profile", "check",
-         "--draws", "200", "--out", str(tmp_path)],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-    )
+    proc = _fresh("-m", "gapflow.cli", "profile", "check", "--draws", "200",
+                  "--out", str(tmp_path))
     assert proc.returncode == 0
     assert (tmp_path / "profile_check.json").exists()
+
+
+def test_main_freezes_the_collector_and_run_does_not(tmp_path):
+    # main ends the process, so it freezes every object for the shutdown's
+    # collections; run, called in-process, leaves the collector as it was
+    script = (
+        "import atexit, gc, sys\n"
+        "import gapflow.cli as cli\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['gapflow', 'profile', 'check', '--draws', '10', "
+        f"'--out', {str(tmp_path / 'main')!r}]\n"
+        "cli.main()\n"
+    )
+    proc = _fresh("-c", script)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+    assert run(["profile", "check", "--draws", "10", "--out", str(tmp_path / "run")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify", "all"], 0),
+        (["drag", "scan"], 0),
+        (["drag", "scan", "--regime", "mixed"], 0),
+        (["fall", "scan", "--regime", "mixed", "--t-max", "50"], 0),
+        (["drag", "fit"], 1),
+        (["profile", "check", "--config", "ill-typed.json"], 2),
+        (["fall", "simulate", "--g", "1.7e308", "--rho-s", "1", "--rho-f", "0"], 3),
+    ],
+    ids=["verify-all", "drag-scan-slip", "drag-scan-mixed", "fall-scan-mixed", "drag-fit",
+         "ill-typed-config", "fall-domain-error"],
+)
+def test_every_exit_code_survives_main(tmp_path, monkeypatch, argv, code):
+    # python -m gapflow.cli ends each command as run returns it, and for
+    # exits 0 and 1 writes the bytes that an in-process run writes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ill-typed.json").write_text('{"seed": true}')
+    proc = _fresh("-m", "gapflow.cli", *argv, "--out", "main", cwd=tmp_path)
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) <= 1
+    if code <= 1:
+        assert run([*argv, "--out", "run"]) == code
+        written = sorted(p.name for p in (tmp_path / "main").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "run").iterdir())
+        for name in written:
+            assert (tmp_path / "main" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
 
 
 def test_falls_run_without_scipy(tmp_path):
@@ -908,13 +958,7 @@ def test_falls_run_without_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "print('numpy' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": SRC},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _fresh("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "False", ""]
     assert (tmp_path / "scan" / "fall_scan.csv").exists()

@@ -461,6 +461,9 @@ def test_simulate_validates_inputs():
         simulate(_params(), SLIP, h0=0.25, t_max=0.0)
     with pytest.raises(ValueError, match="v0"):
         simulate(_params(), SLIP, h0=0.25, v0=math.inf, t_max=10.0)
+    # an input error, not the StiffnessError a ValueError mid-solve becomes
+    with pytest.raises(ValueError, match="^atol must be nonnegative$"):
+        simulate(_params(), SLIP, h0=0.25, t_max=10.0, atol=-1.0)
     with pytest.raises(ValueError, match="leading coefficient"):
         simulate(_params(kappa=0.0), MIXED, h0=0.25, t_max=10.0)
 
@@ -491,10 +494,14 @@ def test_touchdown_scan_mixed_every_cell_avoids_contact():
 
 
 def test_touchdown_scan_keeps_going_past_bad_cells():
-    rows = touchdown_scan(SLIP, (1.0,), (1.0,), (0.9, 0.25), t_max=10.0)
-    assert rows[0].outcome == "Error"
+    # h0 = 0.9 is out of range; at G = 1.7e308 a step carries h to 0 or
+    # below, where the slip law's log(h) raises a math domain error
+    rows = touchdown_scan(SLIP, (1.0,), (1.0, 1.7e308), (0.9, 0.25), t_max=10.0)
+    assert [row.outcome for row in rows] == ["Error", EventKind.TOUCHDOWN, "Error", "Error"]
     assert "h0" in rows[0].error
-    assert rows[1].outcome == EventKind.TOUCHDOWN
+    assert rows[3].error == (
+        "float arithmetic failed from h0=0.25, v0=0.0: ValueError: math domain error"
+    )
 
 
 def test_touchdown_scan_turns_float_overflow_into_an_error_row():
