@@ -66,7 +66,6 @@ from .model import (
     H_MAX_DEFAULT,
     RTOL_DEFAULT,
     TOUCHDOWN_H,
-    ClassificationError,
     FallParameters,
     QuadratureError,
     QuadratureSpec,
@@ -575,13 +574,15 @@ def _oracle_row(case, delta):
     rel = 0.0
     for hh, value in case.values:
         oracle = log_case_oracle(hh, delta)
+        if oracle == 0.0:
+            raise ValueError(f"the log-case oracle is 0 at h = {hh!r}, delta = {delta!r}")
         rel = max(rel, abs(value - oracle) / oracle)
     return check_row("log_case_oracle", "lem:int", rel, ORACLE_RTOL)
 
 
 def _integral_rows(cfg):
     """The logarithmic showcase case against its closed form."""
-    from .quadrature import FIT_R2_FLOOR, Classification, classify_singular
+    from .quadrature import FIT_R2_FLOOR, classify_singular
 
     case = classify_singular(1.0, 1.0, cfg.delta, spec=_spec(cfg))
     return [
@@ -591,8 +592,7 @@ def _integral_rows(cfg):
             "lem:int",
             case.selected.r_squared,
             FIT_R2_FLOOR,
-            passed=case.classification is Classification.LOGARITHMIC
-            and case.selected.r_squared >= FIT_R2_FLOOR,
+            passed=case.selected.r_squared >= FIT_R2_FLOOR,
         ),
     ]
 
@@ -723,7 +723,7 @@ def cmd_integral_classify(cfg, out):
     from .quadrature import CLASSIFY_H_MIN, FIT_R2_FLOOR, classify_singular
 
     if min(cfg.h_list) < CLASSIFY_H_MIN:
-        raise ConfigError("h_list entries must be >= 1e-8 for classification")
+        raise ConfigError(f"h_list entries must be >= {CLASSIFY_H_MIN:g} for classification")
     case = classify_singular(cfg.p, cfg.q, cfg.delta, cfg.h_list, spec=_spec(cfg))
     checks = [
         check_row(
@@ -901,7 +901,7 @@ def run(argv=None):
     except ConfigError as exc:
         print(f"gapflow: invalid config: {exc}", file=sys.stderr)
         return 2
-    except (ClassificationError, QuadratureError, StiffnessError, ValueError) as exc:
+    except (QuadratureError, StiffnessError, ValueError) as exc:
         print(f"gapflow: numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0 if report["passed"] else 1

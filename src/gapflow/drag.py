@@ -359,7 +359,7 @@ def drag_curve(regime, h_list, r_max=R_MAX_DEFAULT, *, spec, exterior="included"
     return DragCurve(regime=regime, rows=tuple(rows), provenance=provenance)
 
 
-def fit_scaling(curve, model, quantity="energy"):
+def fit_scaling(curve, model, quantity):
     """Least-squares fit of a drag column against the model's regressor.
 
     Parameters

@@ -169,9 +169,5 @@ class QuadratureError(RuntimeError):
         self.cells = cells
 
 
-class ClassificationError(RuntimeError):
-    pass
-
-
 class StiffnessError(RuntimeError):
     """The step controller stalled without bracketing a terminal event."""

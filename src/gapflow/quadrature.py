@@ -23,7 +23,6 @@ import numpy as np
 from .geometry import _radial, gamma_s
 from .model import (
     DEFAULT_H_LIST,
-    ClassificationError,
     QuadratureError,
     QuadratureSpec,
     ScalingModel,
@@ -235,7 +234,7 @@ class ModelFit(NamedTuple):
 class SingularIntegralCase(NamedTuple):
     """Small-gap behavior of I(h) = int_0^delta r^p / (h + r^2)^q dr: the
     computed (h, I(h)) pairs and the least-squares fits, one per candidate
-    behavior, that validate the call.  The classification, exponent and
+    behavior, whose R^2 the report checks.  The classification, exponent and
     selected fit are read from (p, q) by `_classify`: power law with
     exponent (p+1)/2 - q when p + 1 < 2q, logarithmic when equal, bounded
     when p + 1 > 2q."""
@@ -271,8 +270,9 @@ def _classify(p, q):
 
 
 def log_case_oracle(h, delta):
-    """Closed form of the (p, q) = (1, 1) integral: (1/2) ln((h + d^2)/h)."""
-    return 0.5 * math.log((h + delta * delta) / h)
+    """Closed form of the (p, q) = (1, 1) integral: (1/2) ln((h + d^2)/h),
+    through log1p, so it stays positive while d^2 is below eps h."""
+    return 0.5 * math.log1p(delta * delta / h)
 
 
 def _ols(x, y):
@@ -301,11 +301,6 @@ def classify_singular(p, q, delta, h_list=None, *, spec):
     Returns
     -------
     SingularIntegralCase
-
-    Raises
-    ------
-    ClassificationError
-        If no candidate model reaches R^2 >= 0.99 on the computed values.
     """
     if p < 0.0 or q <= 0.0:
         raise ValueError("classify_singular requires p >= 0 and q > 0")
@@ -313,7 +308,7 @@ def classify_singular(p, q, delta, h_list=None, *, spec):
         raise ValueError("delta must be positive")
     h_list = tuple(h_list) if h_list is not None else DEFAULT_H_LIST
     if min(h_list) < CLASSIFY_H_MIN:
-        raise ValueError("h_list entries must be >= 1e-8")
+        raise ValueError(f"h_list entries must be >= {CLASSIFY_H_MIN:g}")
 
     values = []
     for h in h_list:
@@ -338,11 +333,4 @@ def classify_singular(p, q, delta, h_list=None, *, spec):
     else:
         bounded_reg = hs
     fits["bounded"] = ModelFit("bounded", *_ols(bounded_reg, ys))
-
-    if all(f.r_squared < FIT_R2_FLOOR for f in fits.values()):
-        raise ClassificationError(
-            f"no candidate model fits I(h) for (p, q) = ({p}, {q}); "
-            f"best R^2 = {max(f.r_squared for f in fits.values()):.4f}"
-        )
-
     return SingularIntegralCase(p, q, delta, tuple(zip(h_list, values)), fits)

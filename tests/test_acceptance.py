@@ -200,8 +200,8 @@ def test_criterion_5_drag_scaling_slip(slip_curve):
     log_h = np.abs(np.log(hs))
     assert _ratio(slip_curve.column("energy") / log_h) <= RATIO_WINDOW
     assert _ratio(slip_curve.column("surface") / log_h) <= RATIO_WINDOW
-    log_fit = fit_scaling(slip_curve, ScalingModel.LOG)
-    inv_fit = fit_scaling(slip_curve, ScalingModel.INVERSE)
+    log_fit = fit_scaling(slip_curve, ScalingModel.LOG, quantity="energy")
+    inv_fit = fit_scaling(slip_curve, ScalingModel.INVERSE, quantity="energy")
     assert log_fit.r_squared >= R2_FLOOR
     assert log_fit.r_squared > inv_fit.r_squared
 
@@ -210,7 +210,7 @@ def test_criterion_6_drag_scaling_mixed(mixed_curve):
     hs = mixed_curve.column("h")
     assert _ratio(mixed_curve.column("energy") * hs) <= RATIO_WINDOW
     assert _ratio(mixed_curve.column("surface") * hs) <= RATIO_WINDOW
-    inv_fit = fit_scaling(mixed_curve, ScalingModel.INVERSE)
+    inv_fit = fit_scaling(mixed_curve, ScalingModel.INVERSE, quantity="energy")
     assert inv_fit.r_squared >= R2_FLOOR
 
 

@@ -727,6 +727,55 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, report, failing",
+    [
+        (["integral", "classify", "--p", "2", "--q", "1", "--delta", "1e-3"],
+         "integral_classify.json", {"selected_fit_r2"}),
+        (["integral", "classify", "--p", "0", "--q", "0.75", "--delta", "1e-2"],
+         "integral_classify.json", {"selected_fit_r2"}),
+        # the aperture holds no lubrication region, so the weighted sups
+        # are not uniform either
+        (["verify", "all", "--delta", "1e-10"],
+         "verify_all.json", {"log_case_classified", "envelope_uniformity"}),
+    ],
+    ids=["bounded-p2-q1", "power-p0-q0.75", "verify-all-delta-1e-10"],
+)
+def test_a_converged_integral_whose_fit_fails_writes_a_failing_report(
+    argv, report, failing, tmp_path, capsys
+):
+    # every integral converges, so the fits' R^2 is a check row, not exit 3
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ""
+    checks = _read(tmp_path / report)["checks"]
+    assert {c["name"] for c in checks if not c["passed"]} == failing
+
+
+def test_the_log_case_oracle_holds_when_delta_squared_is_below_eps_h(tmp_path, capsys):
+    # (h + delta^2) / h rounds to 1 here; log1p keeps the oracle positive
+    argv = ["integral", "classify", "--p", "1", "--q", "1", "--delta", "1e-10",
+            "--h-list", "1e-2", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert _read(tmp_path / "integral_classify.json")["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "all"], ["integral", "classify", "--p", "1", "--q", "1"]],
+    ids=["verify-all", "integral-classify"],
+)
+def test_an_underflowing_log_case_oracle_names_delta(argv, tmp_path, capsys):
+    # delta^2 underflows to 0, so the oracle is 0 and no relative error exists
+    assert run([*argv, "--delta", "1e-200", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line == (
+        "gapflow: numerical failure: the log-case oracle is 0 at h = 0.01, delta = 1e-200"
+    )
+
+
 def test_a_drag_row_failure_names_the_gap_and_the_terms(tmp_path, capsys):
     code = run(["drag", "scan", "--regime", "mixed", "--h-list", "1e-2",
                 "--rel-tol", "1e-14", "--out", str(tmp_path)])

@@ -132,7 +132,7 @@ def test_fit_requires_at_least_four_rows():
     rows = tuple(_row(h) for h in (1e-2, 1e-3, 1e-4))
     curve = DragCurve(regime=SLIP, rows=rows, provenance={})
     with pytest.raises(ValueError, match="at least 4"):
-        fit_scaling(curve, ScalingModel.LOG)
+        fit_scaling(curve, ScalingModel.LOG, quantity="energy")
 
 
 def test_fit_rejects_unknown_quantity():
@@ -837,16 +837,16 @@ def test_regimes_separate_as_the_gap_closes(slip_curve, mixed_curve):
 
 
 def test_slip_curve_prefers_the_log_law(slip_curve):
-    log_fit = fit_scaling(slip_curve, ScalingModel.LOG)
-    inv_fit = fit_scaling(slip_curve, ScalingModel.INVERSE)
+    log_fit = fit_scaling(slip_curve, ScalingModel.LOG, quantity="energy")
+    inv_fit = fit_scaling(slip_curve, ScalingModel.INVERSE, quantity="energy")
     assert log_fit.r_squared >= 0.99
     assert log_fit.r_squared > inv_fit.r_squared
     assert log_fit.a > 0.0
 
 
 def test_mixed_curve_prefers_the_inverse_law(mixed_curve):
-    inv_fit = fit_scaling(mixed_curve, ScalingModel.INVERSE)
-    log_fit = fit_scaling(mixed_curve, ScalingModel.LOG)
+    inv_fit = fit_scaling(mixed_curve, ScalingModel.INVERSE, quantity="energy")
+    log_fit = fit_scaling(mixed_curve, ScalingModel.LOG, quantity="energy")
     assert inv_fit.r_squared >= 0.99
     assert inv_fit.r_squared > log_fit.r_squared
     assert inv_fit.a > 0.0

@@ -5,9 +5,10 @@ import pytest
 
 from gapflow import quadrature
 from gapflow.quadrature import (
+    DEFAULT_H_LIST,
+    FIT_R2_FLOOR,
     MAX_CELLS,
     Classification,
-    ClassificationError,
     IntegralResult,
     ModelFit,
     QuadratureError,
@@ -380,6 +381,18 @@ class TestClassifySingular:
         for h, value in case.values:
             exact = 0.02 - 0.5 * h * math.log((h + 0.04) / h)
             assert value == pytest.approx(exact, rel=1e-9)
+
+    def test_a_case_whose_fits_all_fail_is_returned(self):
+        # h_list reaches no gap with h << delta^2, so no model fits; the
+        # case still carries its values and fits for the report's rows
+        case = classify_singular(2, 1, 1e-3, spec=SPEC)
+        assert case.classification is Classification.BOUNDED
+        assert len(case.values) == len(DEFAULT_H_LIST)
+        assert all(fit.r_squared < FIT_R2_FLOOR for fit in case.fits.values())
+
+    def test_the_log_case_oracle_is_positive_below_eps_h(self):
+        # delta^2 / h = 1e-18 < eps: (h + delta^2) / h would round to 1
+        assert log_case_oracle(1e-2, 1e-10) == pytest.approx(0.5e-18, rel=1e-15)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
