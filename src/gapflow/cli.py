@@ -40,9 +40,12 @@ configuration, 3 numerical failure.
 A command loads only the layers it runs: this module imports the standard
 library and the numpy-free `gapflow.model`, and each command imports its
 own layers when it runs, so the fall commands start without numpy.
-A process ends with gc.freeze() after its command returns: every object
-left, most of them numpy's, is garbage it never reuses, and the frozen
-ones are skipped by the collections the interpreter runs at shutdown.
+A process runs its command with the collector's generation-0 threshold
+raised to GC_THRESHOLD, and ends with gc.freeze() after the command
+returns: every object left, most of them numpy's, is garbage it never
+reuses, and the frozen ones are skipped by the collections the
+interpreter runs at shutdown.  An in-process `run` leaves the collector
+as it finds it.
 """
 
 import argparse
@@ -99,14 +102,23 @@ ORACLE_RTOL = 1e-8
 FD_SCALE = 2e-3
 FD_POINTS = 50
 FLUX_RADII = (0.05, 0.1, 0.15, 0.19)
-# random draws of profile check and field verify: 10**6 take 2.2 s and
-# 174 MB in profile check, 1.0 s and 380 MB in field verify (wall time and
-# peak RSS of the whole command, on a 2-core machine); 10**9 would take
-# over half an hour and hundreds of GB
+# random draws of profile check and field verify: 10**6 take 0.6 s and
+# 41 MB in profile check, 0.3 s and 45 MB in field verify (wall time and
+# peak RSS of the whole command, on a 2-core machine), 4 and 6 MB above
+# their default draws; 10**9 would take about ten minutes
 MAX_DRAWS = 10**6
-# raw outputs of the profile draws' generator read per block: a block's
-# ints stay small beside the draws themselves
-RAW_BLOCK = 4096
+# draws that profile check and field verify draw and evaluate at a time,
+# so that their memory does not grow with draws: even, so that the two
+# draws of a profile coin word share a block, and above the default
+# draws, so that a default run is one block
+DRAW_BLOCK = 2**14
+# generation-0 threshold of the collector in a CLI process: a cold
+# verify all or drag scan allocates some 25k container objects, most of
+# them numpy's import, and frees few; the default 700 collects them 35
+# times in about 4 ms, 10k twice in about 2 ms, with the same peak RSS
+# (switching the collector off saves the 2 ms but raised the peak RSS by
+# 0.2-0.4 MB, on a 2-core machine)
+GC_THRESHOLD = 10_000
 # characters of an output directory that an error message echoes
 PATH_ECHO = 80
 
@@ -373,49 +385,72 @@ def _out_dir(cfg):
 # -------------------------------------------------------- check sections
 
 
-def _raw_words(bit_generator):
-    """The generator's 64-bit outputs as Python ints, read RAW_BLOCK at a
-    time."""
-    while True:
-        yield from bit_generator.random_raw(RAW_BLOCK).tolist()
-
-
 def _profile_draws(seed, draws):
-    """(mixed, h, r, beta_S, beta_Omega) of each draw, flat in an
-    array('d'), bit for bit as a per-draw loop of numpy Generator calls on
-    default_rng(seed) makes them: a coin rng.integers(2), then
-    rng.uniform for log10 h, r, log10 beta_S (slip draws only) and
-    log10 beta_Omega.  The coin decides how many numbers a draw takes, so
-    the stream is walked in Python, over PCG64's raw outputs read in
-    blocks:
+    """Yield the draws in blocks of at most DRAW_BLOCK, each a (5, n)
+    array of rows (mixed, h, r, beta_S, beta_Omega), bit for bit as a
+    per-draw loop of numpy Generator calls on default_rng(seed) makes
+    them: a coin rng.integers(2), then rng.uniform for log10 h, r,
+    log10 beta_S (slip draws only) and log10 beta_Omega.  They are read
+    off PCG64's raw outputs, block by block (`_profile_block`); the
+    outputs a block does not read carry over to the next.
+    """
+    import numpy as np
+
+    bit_generator = np.random.PCG64(seed)
+    words = np.empty(0, dtype=np.uint64)
+    for start in range(0, draws, DRAW_BLOCK):
+        n = min(DRAW_BLOCK, draws - start)
+        # a pair of draws reads at most 9 outputs
+        more = max(0, 9 * ((n + 1) // 2) - words.size)
+        words = np.concatenate((words, bit_generator.random_raw(more)))
+        block, used = _profile_block(words, n)
+        words = words[used:].copy()  # not a view that keeps the block's words
+        yield block
+
+
+def _profile_block(words, n):
+    """The (5, n) draws that PCG64's outputs words begin with, and how
+    many of the words they read:
 
     - a coin is bit 31 of a 32-bit draw: the low half of a fresh output,
-      whose high half PCG64 keeps for the next coin;
-    - a double is (x >> 11) 2^-53 of the next output, which leaves a kept
-      half alone;
+      whose high half PCG64 keeps for the next coin.  So a pair of draws
+      reads one coin word, bit 31 for the first and bit 63 for the
+      second, then 3 words for each mixed draw and 4 for each slip draw;
+    - the coins decide where the next coin word lies, so Python steps
+      from one coin word to the next, and numpy gathers the other words;
+    - a double is lo + (hi - lo) (x >> 11) 2^-53 of its word x;
     - 10.0 ** x stays Python's scalar pow, whose bits numpy's array power
       does not always give.
     """
     import numpy as np
 
-    word = _raw_words(np.random.PCG64(seed)).__next__
+    # bits 31 and 63 of each word, the top bits of its bytes 3 and 7
+    coins = words.astype("<u8", copy=False).view(np.uint8)[3::4] >> 7
+    step = (9 - coins[0::2] - coins[1::2]).tobytes()
+    at, pos = array("q"), 0  # the coin words: C longs, not int objects
+    for _ in range((n + 1) // 2):
+        at.append(pos)
+        pos += step[pos]
+    at = np.frombuffer(at, dtype=np.int64)
+    mixed = coins.reshape(-1, 2)[at].ravel()[:n]
+    del coins, step  # freed before the block is drawn
+    slip = mixed == 0
+    # each draw's h word, followed by r, beta_S if slip, and beta_Omega
+    h_at = np.column_stack((at + 1, at + 5 - mixed[0::2])).ravel()[:n]
 
-    def uniform(lo, hi):  # what rng.uniform(lo, hi) computes
-        return lo + (hi - lo) * ((word() >> 11) * 2.0**-53)
+    def uniform(lo, hi, i):  # what rng.uniform(lo, hi) computes
+        return lo + (hi - lo) * ((words[i] >> 11) * 2.0**-53)
 
-    out = array("d")  # flat doubles: 5 per draw, no float objects kept
-    kept = None  # the high half of the last coin's output, if unread
-    for _ in range(draws):
-        if kept is None:
-            x = word()
-            mixed, kept = x >> 31 & 1, x >> 32
-        else:
-            mixed, kept = kept >> 31, None
-        h = 10.0 ** uniform(-6.0, math.log10(0.45))
-        r = uniform(0.0, 0.9)
-        beta_S = 0.0 if mixed else 10.0 ** uniform(-3.0, 3.0)
-        out.extend((mixed, h, r, beta_S, 10.0 ** uniform(-3.0, 3.0)))
-    return out
+    def pow10(x):
+        return np.fromiter(map((10.0).__pow__, memoryview(x)), float, x.size)
+
+    block = np.zeros((5, n))
+    block[0] = mixed
+    block[1] = pow10(uniform(-6.0, math.log10(0.45), h_at))
+    block[2] = uniform(0.0, 0.9, h_at + 1)
+    block[3, slip] = pow10(uniform(-3.0, 3.0, h_at[slip] + 2))
+    block[4] = pow10(uniform(-3.0, 3.0, h_at + 2 + slip))
+    return block, pos
 
 
 def _profile_rows(cfg):
@@ -424,33 +459,33 @@ def _profile_rows(cfg):
     Draws mix both regimes and log-uniform slip lengths; the residuals
     are the constraint equations themselves, normalized by 1 + alpha so
     large slip coefficients do not inflate the scale.  The draws come from
-    `_profile_draws`; the profile is then evaluated once per regime kind.
+    `_profile_draws`, block by block; each block's profile is evaluated
+    once per regime kind, and the maxima are taken over the blocks.
     """
     import numpy as np
 
     from .profile import _coefficients
 
-    draws = _profile_draws(cfg.seed, cfg.draws)
-    is_mixed, h, r, beta_S, beta_Omega = np.frombuffer(draws).reshape(-1, 5).T
     sphere_value = wall_navier = sphere_cond = 0.0
-    for kind in (RegimeKind.SLIP, RegimeKind.MIXED):
-        m = is_mixed == (kind is RegimeKind.MIXED)
-        if not m.any():
-            continue
-        c = _coefficients(kind, beta_S[m], beta_Omega[m], h[m], r[m])
-        slope_sum = c.p1 + 2.0 * c.p2 + 3.0 * c.p3
-        if kind is RegimeKind.MIXED:
-            res = np.abs(slope_sum)
-        else:
-            res = np.abs(2.0 * c.p2 + 6.0 * c.p3 + c.alpha_S * slope_sum) / (
-                1.0 + c.alpha_S
+    for is_mixed, h, r, beta_S, beta_Omega in _profile_draws(cfg.seed, cfg.draws):
+        for kind in (RegimeKind.SLIP, RegimeKind.MIXED):
+            m = is_mixed == (kind is RegimeKind.MIXED)
+            if not m.any():
+                continue
+            c = _coefficients(kind, beta_S[m], beta_Omega[m], h[m], r[m])
+            slope_sum = c.p1 + 2.0 * c.p2 + 3.0 * c.p3
+            if kind is RegimeKind.MIXED:
+                res = np.abs(slope_sum)
+            else:
+                res = np.abs(2.0 * c.p2 + 6.0 * c.p3 + c.alpha_S * slope_sum) / (
+                    1.0 + c.alpha_S
+                )
+            sphere_value = max(sphere_value, np.max(np.abs(c.p1 + c.p2 + c.p3 - 1.0)))
+            wall_navier = max(
+                wall_navier,
+                np.max(np.abs(2.0 * c.p2 - c.alpha_P * c.p1) / (1.0 + c.alpha_P)),
             )
-        sphere_value = max(sphere_value, np.max(np.abs(c.p1 + c.p2 + c.p3 - 1.0)))
-        wall_navier = max(
-            wall_navier,
-            np.max(np.abs(2.0 * c.p2 - c.alpha_P * c.p1) / (1.0 + c.alpha_P)),
-        )
-        sphere_cond = max(sphere_cond, np.max(res))
+            sphere_cond = max(sphere_cond, np.max(res))
     return [
         # the cubic carries no constant term, so the wall value is exact
         # by representation; the row records that the identity is covered
@@ -482,24 +517,31 @@ def _limit_rows():
 
 
 def _field_rows(cfg):
-    """Divergence, flux, and boundary residuals of the gap field at cfg.h."""
+    """Divergence, flux, and boundary residuals of the gap field at cfg.h;
+    the random points are drawn and evaluated DRAW_BLOCK at a time."""
     import numpy as np
 
     from .field import aperture_frame, navier_residuals, sphere_slip_l2
     from .geometry import gamma_s
 
     regime, h = _regime(cfg), cfg.h
-    rng = np.random.default_rng(cfg.seed + 1)
-
-    r = rng.uniform(0.0, 0.9, size=cfg.draws)
-    z = rng.uniform(0.0, 1.0, size=cfg.draws) * (h + gamma_s(r))
-    frame = aperture_frame(regime, h, r, z)
-    # gradient entries grow like 1/h near the axis, so the exactness of
-    # the cancellation is measured relative to the local term scale
-    term_scale = (
-        np.abs(frame.du_r_dr) + np.abs(frame.u_r_by_r) + np.abs(frame.du_z_dz)
-    )
-    div_max = float(np.max(np.abs(frame.div) / term_scale))
+    # the points' r and z/H, block by block, are the bits of two
+    # rng.uniform(size=draws) calls on default_rng(seed + 1): z/H comes
+    # from a second generator on the seed, advanced past the draws of r
+    r_rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed + 1).advance(cfg.draws))
+    div_max = 0.0
+    for start in range(0, cfg.draws, DRAW_BLOCK):
+        n = min(DRAW_BLOCK, cfg.draws - start)
+        r = r_rng.uniform(0.0, 0.9, size=n)
+        z = rng.uniform(0.0, 1.0, size=n) * (h + gamma_s(r))
+        frame = aperture_frame(regime, h, r, z)
+        # gradient entries grow like 1/h near the axis, so the exactness of
+        # the cancellation is measured relative to the local term scale
+        term_scale = (
+            np.abs(frame.du_r_dr) + np.abs(frame.u_r_by_r) + np.abs(frame.du_z_dz)
+        )
+        div_max = max(div_max, float(np.max(np.abs(frame.div) / term_scale)))
 
     # FD_POINTS (r, z/H) pairs, each r drawn just before its z/H
     rr, z_frac = rng.uniform((0.05, 0.3), (0.5, 0.7), size=(FD_POINTS, 2)).T
@@ -908,6 +950,7 @@ def run(argv=None):
 
 
 def main():
+    gc.set_threshold(GC_THRESHOLD)
     code = run()
     gc.freeze()  # every object is garbage now: the shutdown's collections skip it
     sys.exit(code)

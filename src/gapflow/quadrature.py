@@ -281,7 +281,9 @@ def _ols(x, y):
     resid = y - A @ coef
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else 1.0 - ss_res / ss_tot
+    # a constant y (one gap, or one gap repeated) has an exact fit of
+    # slope 0, whatever residual lstsq's roundoff leaves
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(coef[0]), float(coef[1]), r2
 
 

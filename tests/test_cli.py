@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,14 @@ import gapflow
 import gapflow.cli as cli
 from gapflow.cli import RunConfig, run
 from gapflow.drag import exterior_constant
-from gapflow import ode, profile
-from gapflow.profile import SlipRegime, coefficients
+from gapflow import field, ode, profile
+from gapflow.profile import RegimeKind, SlipRegime, coefficients
 
 # keep the random-draw sections small; the full-size battery is exercised
 # by the acceptance suite
 FAST = ("--draws", "500")
+# the draws profile check and field verify evaluate at a time
+BLOCK = cli.DRAW_BLOCK
 # the sources, for fresh interpreters: the tests need no installed gapflow
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -267,7 +270,7 @@ def _profile_maxima_reference(seed, draws):
     return sphere_value, wall_navier, sphere_cond
 
 
-@pytest.mark.parametrize("draws", [1, 2, 3, 500])
+@pytest.mark.parametrize("draws", [1, 2, 3, 500, BLOCK + 1])
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_profile_rows_match_the_scalar_loop(seed, draws):
     # small draws leave one regime kind without draws; the rows still match
@@ -297,31 +300,117 @@ def _profile_draws_reference(seed, draws):
 
 
 @pytest.mark.parametrize(
-    "draws", [1, 2, 3, cli.RAW_BLOCK - 1, cli.RAW_BLOCK + 1, 10**4]
+    "draws", [1, 2, 3, 4095, 4097, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 10**4]
 )
 @pytest.mark.parametrize("seed", [0, 1, 12345, RunConfig._field_defaults["seed"]])
 def test_profile_draws_match_the_generator_loop(seed, draws):
-    # PCG64's raw stream, read in blocks, gives the Generator calls' bits
-    block = np.frombuffer(cli._profile_draws(seed, draws))
+    # PCG64's raw stream, walked block by block, gives the Generator
+    # calls' bits, across the blocks' boundaries too
+    blocks = list(cli._profile_draws(seed, draws))
+    assert [b.shape for b in blocks[:-1]] == [(5, BLOCK)] * (len(blocks) - 1)
+    flat = np.concatenate([b.T.ravel() for b in blocks])
     reference = _profile_draws_reference(seed, draws)
-    assert block.shape == (5 * draws,)
-    assert np.array_equal(block.view(np.int64), reference.view(np.int64))
+    assert flat.shape == (5 * draws,)
+    assert np.array_equal(flat.view(np.int64), reference.view(np.int64))
+
+
+def _field_measured_reference(cfg):
+    """The measured values of _field_rows with its random points drawn
+    and evaluated in one piece, from one generator."""
+    from gapflow.field import aperture_frame, navier_residuals, sphere_slip_l2
+    from gapflow.geometry import gamma_s
+
+    regime, h = cli._regime(cfg), cfg.h
+    rng = np.random.default_rng(cfg.seed + 1)
+    r = rng.uniform(0.0, 0.9, size=cfg.draws)
+    z = rng.uniform(0.0, 1.0, size=cfg.draws) * (h + gamma_s(r))
+    frame = aperture_frame(regime, h, r, z)
+    term_scale = np.abs(frame.du_r_dr) + np.abs(frame.u_r_by_r) + np.abs(frame.du_z_dz)
+    div_max = float(np.max(np.abs(frame.div) / term_scale))
+
+    rr, z_frac = rng.uniform((0.05, 0.3), (0.5, 0.7), size=(cli.FD_POINTS, 2)).T
+    H = h + gamma_s(rr)
+    zz = z_frac * H
+    e = cli.FD_SCALE * H
+    steps = np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * e
+    u_r = aperture_frame(regime, h, rr + steps, zz).u_r
+    u_z = aperture_frame(regime, h, rr, zz + steps).u_z
+    dur_dr = (u_r[0] - 8 * u_r[1] + 8 * u_r[2] - u_r[3]) / (12 * e)
+    duz_dz = (u_z[0] - 8 * u_z[1] + 8 * u_z[2] - u_z[3]) / (12 * e)
+    centre = aperture_frame(regime, h, rr, zz).u_r
+    fd_worst = float(np.max(np.abs(dur_dr + centre / rr + duz_dz)))
+
+    x, w = np.polynomial.legendre.leggauss(24)
+    flux_worst = 0.0
+    for rr in cli.FLUX_RADII:
+        H = h + gamma_s(rr)
+        zz = 0.5 * H * (x + 1.0)
+        u_r = aperture_frame(regime, h, np.full_like(zz, rr), zz).u_r
+        flux_worst = max(flux_worst, abs(0.5 * H * float(np.sum(w * u_r)) + rr / 2.0))
+
+    res = navier_residuals(regime, h, rng.uniform(0.0, 0.9, size=256))
+    residuals = (res.wall_impermeability, res.wall_tangential, res.sphere_normal)
+    return [div_max, fd_worst, flux_worst,
+            *(float(np.max(np.abs(x))) for x in residuals),
+            sphere_slip_l2(regime, h, cfg.delta, cli._spec(cfg))]
+
+
+@pytest.mark.parametrize("draws", [1, BLOCK + 1])
+@pytest.mark.parametrize("regime", ["slip", "mixed"])
+def test_field_rows_match_the_one_piece_draws(regime, draws):
+    # the points' two streams, drawn in blocks, leave the FD and Navier
+    # draws where one generator leaves them
+    cfg = RunConfig(regime=regime, draws=draws)
+    measured = [row["measured"] for row in cli._field_rows(cfg)]
+    assert measured == _field_measured_reference(cfg)
+
+
+def _kernel_calls(tmp_path, monkeypatch, draws):
+    """(regime kind, points) of each _coefficients call of profile check,
+    and the points of each aperture_frame call of field verify."""
+    kernel, frame = profile._coefficients, field.aperture_frame
+    kernel_calls, frame_calls = [], []
+
+    def counted_kernel(kind, beta_S, beta_Omega, h, r):
+        kernel_calls.append((kind, np.size(h)))
+        return kernel(kind, beta_S, beta_Omega, h, r)
+
+    def counted_frame(regime, h, r, z):
+        frame_calls.append(np.broadcast(r, z).size)
+        return frame(regime, h, r, z)
+
+    # the CLI imports both from their modules when the rows run
+    monkeypatch.setattr(profile, "_coefficients", counted_kernel)
+    monkeypatch.setattr(field, "aperture_frame", counted_frame)
+    for argv in (["profile", "check"], ["field", "verify"]):
+        assert run([*argv, "--draws", str(draws), "--out", str(tmp_path)]) == 0
+    return kernel_calls, frame_calls
+
+
+# the points of field verify's aperture_frame calls after its random
+# points: the FD stencils in r and z, their centres, and the flux radii
+FD_AND_FLUX_CALLS = [4 * cli.FD_POINTS, 4 * cli.FD_POINTS, cli.FD_POINTS] + [24] * 4
 
 
 def test_profile_check_makes_one_kernel_call_per_regime_kind(tmp_path, monkeypatch):
-    calls = []
-    kernel = profile._coefficients
+    draws = RunConfig().draws
+    assert draws == 10000 <= BLOCK
+    kernel_calls, frame_calls = _kernel_calls(tmp_path, monkeypatch, draws)
+    assert Counter(kind for kind, _ in kernel_calls) == {RegimeKind.SLIP: 1, RegimeKind.MIXED: 1}
+    assert sum(points for _, points in kernel_calls) == draws
+    assert frame_calls == [draws] + FD_AND_FLUX_CALLS
 
-    def counted(*args):
-        calls.append(args[0])
-        return kernel(*args)
 
-    # the CLI imports the kernel from the profile when the rows run
-    monkeypatch.setattr(profile, "_coefficients", counted)
-    assert RunConfig().draws == 10000
-    assert run(["profile", "check", "--out", str(tmp_path)]) == 0
-    assert len(calls) <= 2
-    assert len(set(calls)) == len(calls)
+def test_the_draw_block_bounds_each_kernel_call(tmp_path, monkeypatch):
+    # three blocks, the last of one draw: one call per regime kind and
+    # block, and one aperture_frame call per block, none past the block
+    draws = 2 * BLOCK + 1
+    kernel_calls, frame_calls = _kernel_calls(tmp_path, monkeypatch, draws)
+    per_kind = Counter(kind for kind, _ in kernel_calls)
+    assert sorted(per_kind.values()) == [2, 3]
+    assert max(points for _, points in kernel_calls) <= BLOCK
+    assert sum(points for _, points in kernel_calls) == draws
+    assert frame_calls == [BLOCK, BLOCK, 1] + FD_AND_FLUX_CALLS
 
 
 def test_drag_scan_reruns_are_bit_identical(tmp_path):
@@ -947,19 +1036,30 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_main_freezes_the_collector_and_run_does_not(tmp_path):
-    # main ends the process, so it freezes every object for the shutdown's
-    # collections; run, called in-process, leaves the collector as it was
+    # main runs its command with automatic collection rarer than the
+    # default, and ends the process, so it freezes every object for the
+    # shutdown's collections; run, called in-process, leaves the collector
+    # as it was
     script = (
         "import atexit, gc, sys\n"
         "import gapflow.cli as cli\n"
+        "command, report = cli.COMMANDS['profile', 'check']\n"
+        "def seen(cfg, out):\n"
+        "    print(gc.isenabled(), gc.get_threshold()[0])\n"
+        "    return command(cfg, out)\n"
+        "cli.COMMANDS['profile', 'check'] = (seen, report)\n"
         "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
         f"sys.argv = ['gapflow', 'profile', 'check', '--draws', '10', "
         f"'--out', {str(tmp_path / 'main')!r}]\n"
         "cli.main()\n"
     )
     proc = _fresh("-c", script)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+    during = f"True {cli.GC_THRESHOLD}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, during + "True\n", "")
+    assert cli.GC_THRESHOLD > gc.get_threshold()[0]
+    collector = (gc.isenabled(), gc.get_threshold())
     assert run(["profile", "check", "--draws", "10", "--out", str(tmp_path / "run")]) == 0
+    assert (gc.isenabled(), gc.get_threshold()) == collector
     assert gc.get_freeze_count() == 0
 
 
@@ -971,11 +1071,14 @@ def test_main_freezes_the_collector_and_run_does_not(tmp_path):
         (["drag", "scan", "--regime", "mixed"], 0),
         (["fall", "scan", "--regime", "mixed", "--t-max", "50"], 0),
         (["drag", "fit"], 1),
+        (["integral", "classify", "--p", "0", "--q", "2", "--h-list", "1e-8,1e-8"], 0),
+        (["integral", "classify", "--h-list", "1e-6,1e-6,1e-6"], 0),
         (["profile", "check", "--config", "ill-typed.json"], 2),
         (["fall", "simulate", "--g", "1.7e308", "--rho-s", "1", "--rho-f", "0"], 3),
     ],
     ids=["verify-all", "drag-scan-slip", "drag-scan-mixed", "fall-scan-mixed", "drag-fit",
-         "ill-typed-config", "fall-domain-error"],
+         "repeated-gap-classify-p0-q2", "repeated-gap-classify", "ill-typed-config",
+         "fall-domain-error"],
 )
 def test_every_exit_code_survives_main(tmp_path, monkeypatch, argv, code):
     # python -m gapflow.cli ends each command as run returns it, and for
