@@ -102,8 +102,8 @@ ORACLE_RTOL = 1e-8
 FD_SCALE = 2e-3
 FD_POINTS = 50
 FLUX_RADII = (0.05, 0.1, 0.15, 0.19)
-# random draws of profile check and field verify: 10**6 take 0.6 s and
-# 41 MB in profile check, 0.3 s and 45 MB in field verify (wall time and
+# random draws of profile check and field verify: 10**6 take 0.55 s and
+# 35 MB in profile check, 0.27 s and 40 MB in field verify (wall time and
 # peak RSS of the whole command, on a 2-core machine), 4 and 6 MB above
 # their default draws; 10**9 would take about ten minutes
 MAX_DRAWS = 10**6
@@ -296,7 +296,11 @@ def validate(cfg):
 
 
 def check_row(name, anchor, measured, threshold, passed=None):
-    """One report row; default pass criterion is measured <= threshold."""
+    """One report row; default pass criterion is measured <= threshold.
+    A measurement that is not finite is a numerical failure (ValueError)
+    that names the row."""
+    if not math.isfinite(measured):
+        raise ValueError(f"check {name} measured {float(measured)!r}")
     if passed is None:
         passed = bool(measured <= threshold)
     return {
@@ -306,6 +310,12 @@ def check_row(name, anchor, measured, threshold, passed=None):
         "threshold": float(threshold),
         "passed": bool(passed),
     }
+
+
+def _worst(*values):
+    """The largest of values, NaN if one is NaN: the builtin max keeps
+    its first argument against a NaN, and so can drop a NaN measurement."""
+    return math.nan if any(x != x for x in values) else max(values)
 
 
 def _echo(cfg):
@@ -337,6 +347,11 @@ def envelope(cfg, command, checks, extra):
 def _write_atomic(path, text):
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
+        # mkstemp makes the file 0600, and os.replace keeps the mode: give
+        # it the mode open() gives a new file
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
@@ -385,18 +400,27 @@ def _out_dir(cfg):
 # -------------------------------------------------------- check sections
 
 
+def _uniform(lo, hi, words):
+    """What numpy's Generator.uniform(lo, hi) makes of the PCG64 outputs
+    words: the top 53 bits of each as a double in [0, 1), scaled."""
+    return lo + (hi - lo) * ((words >> 11) * 2.0**-53)
+
+
 def _profile_draws(seed, draws):
     """Yield the draws in blocks of at most DRAW_BLOCK, each a (5, n)
     array of rows (mixed, h, r, beta_S, beta_Omega), bit for bit as a
     per-draw loop of numpy Generator calls on default_rng(seed) makes
     them: a coin rng.integers(2), then rng.uniform for log10 h, r,
     log10 beta_S (slip draws only) and log10 beta_Omega.  They are read
-    off PCG64's raw outputs, block by block (`_profile_block`); the
-    outputs a block does not read carry over to the next.
+    off PCG64's raw outputs (`gapflow.pcg64`), block by block
+    (`_profile_block`); the outputs a block does not read carry over to
+    the next.
     """
     import numpy as np
 
-    bit_generator = np.random.PCG64(seed)
+    from .pcg64 import PCG64
+
+    bit_generator = PCG64(seed)
     words = np.empty(0, dtype=np.uint64)
     for start in range(0, draws, DRAW_BLOCK):
         n = min(DRAW_BLOCK, draws - start)
@@ -418,7 +442,7 @@ def _profile_block(words, n):
       second, then 3 words for each mixed draw and 4 for each slip draw;
     - the coins decide where the next coin word lies, so Python steps
       from one coin word to the next, and numpy gathers the other words;
-    - a double is lo + (hi - lo) (x >> 11) 2^-53 of its word x;
+    - a double is `_uniform` of its word;
     - 10.0 ** x stays Python's scalar pow, whose bits numpy's array power
       does not always give.
     """
@@ -438,18 +462,15 @@ def _profile_block(words, n):
     # each draw's h word, followed by r, beta_S if slip, and beta_Omega
     h_at = np.column_stack((at + 1, at + 5 - mixed[0::2])).ravel()[:n]
 
-    def uniform(lo, hi, i):  # what rng.uniform(lo, hi) computes
-        return lo + (hi - lo) * ((words[i] >> 11) * 2.0**-53)
-
     def pow10(x):
         return np.fromiter(map((10.0).__pow__, memoryview(x)), float, x.size)
 
     block = np.zeros((5, n))
     block[0] = mixed
-    block[1] = pow10(uniform(-6.0, math.log10(0.45), h_at))
-    block[2] = uniform(0.0, 0.9, h_at + 1)
-    block[3, slip] = pow10(uniform(-3.0, 3.0, h_at[slip] + 2))
-    block[4] = pow10(uniform(-3.0, 3.0, h_at + 2 + slip))
+    block[1] = pow10(_uniform(-6.0, math.log10(0.45), words[h_at]))
+    block[2] = _uniform(0.0, 0.9, words[h_at + 1])
+    block[3, slip] = pow10(_uniform(-3.0, 3.0, words[h_at[slip] + 2]))
+    block[4] = pow10(_uniform(-3.0, 3.0, words[h_at + 2 + slip]))
     return block, pos
 
 
@@ -480,12 +501,12 @@ def _profile_rows(cfg):
                 res = np.abs(2.0 * c.p2 + 6.0 * c.p3 + c.alpha_S * slope_sum) / (
                     1.0 + c.alpha_S
                 )
-            sphere_value = max(sphere_value, np.max(np.abs(c.p1 + c.p2 + c.p3 - 1.0)))
-            wall_navier = max(
+            sphere_value = _worst(sphere_value, np.max(np.abs(c.p1 + c.p2 + c.p3 - 1.0)))
+            wall_navier = _worst(
                 wall_navier,
                 np.max(np.abs(2.0 * c.p2 - c.alpha_P * c.p1) / (1.0 + c.alpha_P)),
             )
-            sphere_cond = max(sphere_cond, np.max(res))
+            sphere_cond = _worst(sphere_cond, np.max(res))
     return [
         # the cubic carries no constant term, so the wall value is exact
         # by representation; the row records that the identity is covered
@@ -508,8 +529,8 @@ def _limit_rows():
     lin = [n[0] / delta[0] for n in nums]
     delta, *nums = _family(RegimeKind.MIXED, 1.0, 1.0)
     mix = [n[-1] / delta[-1] if n.size == delta.size else 0.0 for n in nums]
-    res_lin = max(abs(lin[0] - 1.0), abs(lin[1]), abs(lin[2]))
-    res_mix = max(abs(mix[0]), abs(mix[1] - 3.0), abs(mix[2] + 2.0))
+    res_lin = _worst(abs(lin[0] - 1.0), abs(lin[1]), abs(lin[2]))
+    res_mix = _worst(abs(mix[0]), abs(mix[1] - 3.0), abs(mix[2] + 2.0))
     return [
         check_row("limit_slip_linear", "(def_Phideb)", res_lin, LIMIT_TOL),
         check_row("limit_mixed_cubic", "(def_Phideb)", res_mix, LIMIT_TOL),
@@ -523,28 +544,31 @@ def _field_rows(cfg):
 
     from .field import aperture_frame, navier_residuals, sphere_slip_l2
     from .geometry import gamma_s
+    from .pcg64 import PCG64
 
     regime, h = _regime(cfg), cfg.h
     # the points' r and z/H, block by block, are the bits of two
     # rng.uniform(size=draws) calls on default_rng(seed + 1): z/H comes
-    # from a second generator on the seed, advanced past the draws of r
-    r_rng = np.random.default_rng(cfg.seed + 1)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed + 1).advance(cfg.draws))
+    # from a second stream on the seed, advanced past the draws of r,
+    # which then also gives the FD and Navier draws
+    r_stream = PCG64(cfg.seed + 1)
+    stream = PCG64(cfg.seed + 1).advance(cfg.draws)
     div_max = 0.0
     for start in range(0, cfg.draws, DRAW_BLOCK):
         n = min(DRAW_BLOCK, cfg.draws - start)
-        r = r_rng.uniform(0.0, 0.9, size=n)
-        z = rng.uniform(0.0, 1.0, size=n) * (h + gamma_s(r))
+        r = _uniform(0.0, 0.9, r_stream.random_raw(n))
+        z = _uniform(0.0, 1.0, stream.random_raw(n)) * (h + gamma_s(r))
         frame = aperture_frame(regime, h, r, z)
         # gradient entries grow like 1/h near the axis, so the exactness of
         # the cancellation is measured relative to the local term scale
         term_scale = (
             np.abs(frame.du_r_dr) + np.abs(frame.u_r_by_r) + np.abs(frame.du_z_dz)
         )
-        div_max = max(div_max, float(np.max(np.abs(frame.div) / term_scale)))
+        div_max = _worst(div_max, float(np.max(np.abs(frame.div) / term_scale)))
 
     # FD_POINTS (r, z/H) pairs, each r drawn just before its z/H
-    rr, z_frac = rng.uniform((0.05, 0.3), (0.5, 0.7), size=(FD_POINTS, 2)).T
+    words = stream.random_raw(2 * FD_POINTS).reshape(FD_POINTS, 2)
+    rr, z_frac = _uniform(np.array([0.05, 0.3]), np.array([0.5, 0.7]), words).T
     H = h + gamma_s(rr)
     zz = z_frac * H
     e = FD_SCALE * H
@@ -564,9 +588,9 @@ def _field_rows(cfg):
         zz = 0.5 * H * (x + 1.0)
         u_r = aperture_frame(regime, h, np.full_like(zz, rr), zz).u_r
         flux = 0.5 * H * float(np.sum(w * u_r))
-        flux_worst = max(flux_worst, abs(flux + rr / 2.0))
+        flux_worst = _worst(flux_worst, abs(flux + rr / 2.0))
 
-    res = navier_residuals(regime, h, rng.uniform(0.0, 0.9, size=256))
+    res = navier_residuals(regime, h, _uniform(0.0, 0.9, stream.random_raw(256)))
     slip_l2 = sphere_slip_l2(regime, h, cfg.delta, _spec(cfg))
 
     return [
@@ -604,7 +628,7 @@ def _envelope_rows(cfg):
     ratio = 0.0
     for label in sups[0]:
         values = [s[label] for s in sups]
-        ratio = max(ratio, max(values) / min(values))
+        ratio = _worst(ratio, _worst(*values) / min(values))
     anchor = "prop_Psi" if regime.kind is RegimeKind.SLIP else "prop_Psi_mix"
     return [check_row("envelope_uniformity", anchor, ratio, ENVELOPE_FACTOR)]
 
@@ -618,7 +642,7 @@ def _oracle_row(case, delta):
         oracle = log_case_oracle(hh, delta)
         if oracle == 0.0:
             raise ValueError(f"the log-case oracle is 0 at h = {hh!r}, delta = {delta!r}")
-        rel = max(rel, abs(value - oracle) / oracle)
+        rel = _worst(rel, abs(value - oracle) / oracle)
     return check_row("log_case_oracle", "lem:int", rel, ORACLE_RTOL)
 
 
@@ -647,7 +671,10 @@ def cmd_profile_check(cfg, out):
 
 
 def cmd_field_verify(cfg, out):
-    return _field_rows(cfg), {}
+    import numpy as np
+
+    with np.errstate(all="ignore"):  # check_row names a non-finite row
+        return _field_rows(cfg), {}
 
 
 def _curve(cfg):
@@ -863,15 +890,18 @@ def cmd_verify_all(cfg, out):
     # the battery's layers load before the profile draws: compiled after
     # them, field and quadrature left the peak RSS of a cold run about
     # 0.3 MB higher (39.8 against 39.5 MB on a 2-core machine)
+    import numpy as np
+
     from . import field, profile, quadrature  # noqa: F401
 
-    checks = [
-        *_profile_rows(cfg),
-        *_limit_rows(),
-        *_field_rows(cfg),
-        *_envelope_rows(cfg),
-        *_integral_rows(cfg),
-    ]
+    with np.errstate(all="ignore"):  # check_row names a non-finite row
+        checks = [
+            *_profile_rows(cfg),
+            *_limit_rows(),
+            *_field_rows(cfg),
+            *_envelope_rows(cfg),
+            *_integral_rows(cfg),
+        ]
     return checks, {}
 
 

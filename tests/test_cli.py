@@ -413,6 +413,81 @@ def test_the_draw_block_bounds_each_kernel_call(tmp_path, monkeypatch):
     assert frame_calls == [BLOCK, BLOCK, 1] + FD_AND_FLUX_CALLS
 
 
+def _nan_at_first_point(value):
+    value = np.array(value, dtype=float)
+    value.flat[0] = math.nan
+    return value
+
+
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_a_nan_in_any_profile_block_fails_its_rows(monkeypatch, block):
+    # 2 BLOCK + 1 draws: a call per regime kind in blocks 0 and 1, and
+    # one call for the last block's single draw
+    kernel, calls = profile._coefficients, []
+
+    def nan_kernel(*args):
+        c = kernel(*args)
+        calls.append(len(calls))
+        return c._replace(p1=_nan_at_first_point(c.p1)) if len(calls) - 1 == 2 * block else c
+
+    monkeypatch.setattr(profile, "_coefficients", nan_kernel)
+    with pytest.raises(ValueError, match="^check sphere_value measured nan$"):
+        cli._profile_rows(RunConfig(draws=2 * BLOCK + 1))
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize(
+    "call, row",
+    [(0, "divergence_analytic"), (1, "divergence_analytic"), (2, "divergence_analytic"),
+     (7, "flux_identity")],
+    ids=["block-0", "block-1", "block-2", "flux-radius-1"],
+)
+def test_a_nan_in_any_field_block_fails_its_row(monkeypatch, call, row):
+    # aperture_frame runs on the 3 draw blocks, the FD stencils and
+    # centres, then the FLUX_RADII columns
+    frame, calls = field.aperture_frame, []
+
+    def nan_frame(*args):
+        f = frame(*args)
+        calls.append(len(calls))
+        if len(calls) - 1 == call:
+            f = f._replace(**{k: _nan_at_first_point(v) for k, v in f._asdict().items()})
+        return f
+
+    monkeypatch.setattr(field, "aperture_frame", nan_frame)
+    with pytest.raises(ValueError, match=f"^check {row} measured nan$"):
+        cli._field_rows(RunConfig(draws=2 * BLOCK + 1))
+
+
+def test_a_nan_envelope_exits_3_and_names_the_row(tmp_path):
+    # at beta_Omega = 1e-300 the third-order quotients of weighted_sups
+    # overflow to NaN at h = 1e-4 and 1e-6; the builtin max dropped them,
+    # and verify all passed with envelope_uniformity 1.568
+    proc = _fresh("-m", "gapflow.cli", "verify", "all", "--regime", "mixed",
+                  "--beta-omega", "1e-300", "--out", str(tmp_path))
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "gapflow: numerical failure: check envelope_uniformity measured nan"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_reports_take_the_mode_open_gives_a_new_file(tmp_path, umask):
+    # the atomic write's temp file is made 0600; the report must not keep it
+    saved = os.umask(umask)
+    try:
+        assert run(["profile", "check", "--draws", "10", "--out", str(tmp_path)]) == 0
+        assert run(["fall", "scan", "--t-max", "1", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(saved)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["profile_check.json", "fall_scan.csv", "plain"],
+                                  0o666 & ~umask)
+
+
 def test_drag_scan_reruns_are_bit_identical(tmp_path):
     blobs = []
     for k in range(2):

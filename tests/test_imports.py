@@ -20,6 +20,13 @@ builds at import, calls sum() or math.fsum, whose rounding differs from
 the left-to-right sums the steppers port.  `verify all` loads no drag, ode or
 dynamics, and `drag scan` no ode or dynamics.
 
+No file of the package refers to numpy.random, by import or as np.random:
+the random checks draw from gapflow.pcg64, which makes PCG64's words in
+numpy's array arithmetic.  numpy.random loads numpy's random extension
+modules and, through secrets, hmac and hashlib, which `profile check`,
+`field verify` and `verify all` load none of.  It stays in the tests as
+the oracle of those words.
+
 The package's records are NamedTuples, and no file imports dataclasses:
 a frozen dataclass execs its generated methods when its class is built,
 and the module pulls in inspect; together they cost a cold start 15 to
@@ -74,6 +81,32 @@ def test_no_file_of_the_package_imports_scipy():
 @pytest.mark.parametrize("module", ["sympy", "mpmath"])
 def test_no_file_of_the_package_imports_a_symbolic_oracle(module):
     assert _importers(module) == []
+
+
+def _numpy_random_references(tree):
+    """Lines that import numpy.random or read an attribute random of a
+    name numpy or np."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(name == "numpy.random" or name.startswith("numpy.random.")
+                   for name in _imported(node)):
+                yield node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("numpy", "np")):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_file_of_the_package_refers_to_numpy_random(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert list(_numpy_random_references(tree)) == []
+
+
+def test_the_numpy_random_rule_sees_each_form():
+    for source in ["import numpy.random", "from numpy.random import PCG64",
+                   "from numpy import random", "np.random.default_rng(1)",
+                   "numpy.random.PCG64(1).random_raw(2)"]:
+        assert list(_numpy_random_references(ast.parse(source))) == [1], source
 
 
 def test_no_file_of_the_package_imports_importlib_metadata():
@@ -136,12 +169,12 @@ def test_the_fall_sums_floats_left_to_right_without_numpy(name):
 
 
 def _loaded(statements):
-    """The gapflow modules and the top-level package names loaded after
+    """The gapflow modules and the names of all modules loaded after
     statements ran in a fresh interpreter."""
     script = statements + (
         "\nimport sys\n"
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'gapflow')))\n"
-        "print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -151,35 +184,35 @@ def _loaded(statements):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    ours, tops = proc.stdout.splitlines()
-    return ours.split(), set(tops.split())
+    ours, modules = proc.stdout.splitlines()
+    return ours.split(), set(modules.split())
 
 
 def test_the_fall_loads_only_its_own_layers():
-    ours, tops = _loaded("import gapflow.dynamics")
+    ours, modules = _loaded("import gapflow.dynamics")
     assert ours == FALL_MODULES
-    assert "numpy" not in tops
+    assert "numpy" not in modules
 
 
 def test_the_cli_loads_only_the_model_before_it_dispatches():
-    ours, tops = _loaded("import gapflow.cli")
+    ours, modules = _loaded("import gapflow.cli")
     assert ours == CLI_MODULES
-    assert "numpy" not in tops
+    assert "numpy" not in modules
 
 
 def test_the_cli_and_the_fall_build_their_records_without_dataclasses():
-    _, tops = _loaded("import gapflow.cli, gapflow.dynamics")
-    assert "dataclasses" not in tops
-    assert "inspect" not in tops
+    _, modules = _loaded("import gapflow.cli, gapflow.dynamics")
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
 
 
 def test_a_run_without_stamp_does_not_load_datetime(tmp_path):
-    _, tops = _loaded(
+    _, modules = _loaded(
         "from gapflow.cli import run\n"
         f"assert run(['fall', 'scan', '--t-max', '1', '--out', {str(tmp_path)!r}]) == 0"
     )
-    assert "numpy" not in tops
-    assert "datetime" not in tops
+    assert "numpy" not in modules
+    assert "datetime" not in modules
 
 
 @pytest.mark.parametrize(
@@ -196,3 +229,16 @@ def test_a_command_loads_no_layer_it_does_not_run(argv, absent, tmp_path):
     )
     assert "gapflow.model" in ours
     assert [m for m in absent if m in ours] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["profile", "check"], ["field", "verify"], ["verify", "all"]],
+    ids=["profile-check", "field-verify", "verify-all"],
+)
+def test_the_random_checks_load_no_numpy_random_and_no_hashlib(argv, tmp_path):
+    _, modules = _loaded(
+        f"from gapflow.cli import run\nassert run({argv + ['--out', str(tmp_path)]!r}) == 0"
+    )
+    assert "gapflow.pcg64" in modules
+    assert [m for m in ["numpy.random", "secrets", "hmac", "hashlib"] if m in modules] == []
