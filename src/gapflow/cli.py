@@ -666,15 +666,29 @@ def _integral_rows(cfg):
 # ------------------------------------------------------------- commands
 
 
+def _numpy_quiet(command):
+    """The command run under np.errstate(all="ignore"): a non-finite value
+    ends in the check row or the one-line failure that names it, with no
+    RuntimeWarning ahead of it on stderr.  The fall commands, which load
+    no numpy, do not take it."""
+
+    def quiet(cfg, out):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return command(cfg, out)
+
+    return quiet
+
+
+@_numpy_quiet
 def cmd_profile_check(cfg, out):
     return _profile_rows(cfg) + _limit_rows(), {}
 
 
+@_numpy_quiet
 def cmd_field_verify(cfg, out):
-    import numpy as np
-
-    with np.errstate(all="ignore"):  # check_row names a non-finite row
-        return _field_rows(cfg), {}
+    return _field_rows(cfg), {}
 
 
 def _curve(cfg):
@@ -695,6 +709,7 @@ def _scaling_anchors(kind):
     return "est_m:1", "n(h) ≥ C/h"
 
 
+@_numpy_quiet
 def cmd_drag_scan(cfg, out):
     import numpy as np
 
@@ -735,6 +750,7 @@ def _fit_json(fits):
     }
 
 
+@_numpy_quiet
 def cmd_drag_fit(cfg, out):
     import numpy as np
 
@@ -788,6 +804,7 @@ def cmd_drag_fit(cfg, out):
     return checks, extra
 
 
+@_numpy_quiet
 def cmd_integral_classify(cfg, out):
     from .quadrature import CLASSIFY_H_MIN, FIT_R2_FLOOR, classify_singular
 
@@ -886,22 +903,20 @@ def cmd_fall_scan(cfg, out):
     return [], {}
 
 
+@_numpy_quiet
 def cmd_verify_all(cfg, out):
     # the battery's layers load before the profile draws: compiled after
     # them, field and quadrature left the peak RSS of a cold run about
     # 0.3 MB higher (39.8 against 39.5 MB on a 2-core machine)
-    import numpy as np
-
     from . import field, profile, quadrature  # noqa: F401
 
-    with np.errstate(all="ignore"):  # check_row names a non-finite row
-        checks = [
-            *_profile_rows(cfg),
-            *_limit_rows(),
-            *_field_rows(cfg),
-            *_envelope_rows(cfg),
-            *_integral_rows(cfg),
-        ]
+    checks = [
+        *_profile_rows(cfg),
+        *_limit_rows(),
+        *_field_rows(cfg),
+        *_envelope_rows(cfg),
+        *_integral_rows(cfg),
+    ]
     return checks, {}
 
 

@@ -105,21 +105,24 @@ def _row(regime, h, r_max, spec, ext):
     the sphere's mismatch^2 and traction at z = H.  Each integrand call
     evaluates the radial geometry (s, H) once and Psi once, at the gap
     heights, 0 and H of every node.  r, s and H have shape (n,) and z is
-    the (Z_ORDER + 2, n) stack of gap_rule's rows, 0 and H, so each numpy
-    operation is one contiguous loop over the radial nodes.  Every row of
-    the stack reads Psi's partials up to second order, the frame they give
-    and its d_rz, computed once; the Z_ORDER gap rows alone read the third
-    order partials and dr_by_r (through `PsiPartials.at`), the residual,
-    |grad u|^2 and |D u|^2 (sharing their common squares) and the pairing,
-    and the wall and the sphere read their two terms each.  Each term is
-    written into one row of the call's one (k, n) output; the z-sum adds
-    left to right as integrate_gap's does.  It scales each term by its
-    measure (r, or r / s on the cap) as integrate_gap and integrate_surface
-    do, so a term equals its own per-region pass bit for bit while neither
-    refines.  None does at rel_tol 1e-8 to 1e-13 (abs_tol 1e-12) and h from
-    1e-2 to 1e-12: every row converges on its first call.  A row that did
-    refine would refine all of its terms on the shared cells.  A
-    QuadratureError names h and the failing terms.
+    the (Z_ORDER + 2, n) array of gap_rule's rows, 0 and H, built in place,
+    so each numpy operation is one contiguous loop over the radial nodes.
+    Every row of the stack reads Psi's partials up to second order, the
+    frame they give and its d_rz, computed once; the Z_ORDER gap rows alone
+    read the third order partials and dr_by_r (through `PsiPartials.at`),
+    the residual, |grad u|^2 and |D u|^2 (sharing their common squares) and
+    the pairing, which with slip is f_z u_z alone since f_r = 0; the wall
+    reads u_r and d_rz, and the sphere its frame.  Each term is written
+    into one row of the call's one (k, n) output; the z-sum adds left to
+    right as integrate_gap's does.  It scales each term by its measure (r,
+    or r / s on the cap) as integrate_gap and integrate_surface do, so a
+    term equals its own per-region pass bit for bit while neither refines.
+    None does at rel_tol 1e-8 to 1e-13 (abs_tol 1e-12) and h from 1e-2 to
+    1e-12: every row converges on its first call, on the first mesh that
+    _adaptive_1d caches for its gap_cuts list and shares with every gap of
+    the same number of halvings.  A row that did refine would refine all
+    of its terms on the shared cells.  A QuadratureError names h and the
+    failing terms.
     """
     slip = regime.kind is RegimeKind.SLIP
     k = len(ROW_TERMS) if slip else 5
@@ -127,22 +130,26 @@ def _row(regime, h, r_max, spec, ext):
 
     def g(r):
         s, H = _radial(h, r)
-        Z, W = gap_rule(H)
-        p = psi_partials(regime, h, r, np.vstack((Z, np.zeros_like(H), H)), (s, H))
+        z, W = gap_rule(H, ends=True)
+        p = psi_partials(regime, h, r, z, (s, H))
         frame = _frame(p, r)
         d_rz = frame.d_rz
         out = np.empty((k, r.size))
         gap = frame.at(_GAP)
         f_r, f_z = _residual(regime, p.at(_GAP), r)
         grad_sq, sym_grad_sq = gap.square_norms(d_rz[_GAP])
-        for row, term in zip(out, (grad_sq, sym_grad_sq, f_r * gap.u_r + f_z * gap.u_z)):
-            np.sum(term * W, axis=0, out=row)
+        # f_r = 0 with slip, and a sum's two terms may swap
+        pairing = f_z * gap.u_z
+        if not slip:
+            pairing += f_r * gap.u_r
+        for row, term in zip(out, (grad_sq, sym_grad_sq, pairing)):
+            np.add.reduce(term * W, axis=0, out=row)
         out[:3] *= two_pi * r
         # u_r^2 = |u x n|^2, and 2 D_rz u_r = -(2D - qI)n . u with n = -e3
         # and u_z = 0 on the wall
-        wall = frame.at(-2)
-        out[3] = wall.u_r**2
-        out[4] = 2.0 * d_rz[-2] * wall.u_r
+        wall_u_r = frame.u_r[-2]
+        out[3] = wall_u_r**2
+        out[4] = 2.0 * d_rz[-2] * wall_u_r
         if slip:
             # |(u - e3) x n|^2 is the theta component squared, and
             # (D - qI)n . (e3 - u) loses q since n . (e3 - u) = 0

@@ -74,52 +74,85 @@ def graded_cuts(r_max, scale):
     return list(reversed(cuts))
 
 
+# first meshes cached by _first_mesh: one per cut list, 21 kB at most (49 cells)
+FIRST_MESHES = 24
+
+
+@lru_cache(maxsize=FIRST_MESHES)
+def _first_mesh(cuts):
+    """The first round of _adaptive_1d on the initial cells of the tuple
+    `cuts`: the cells' ends a and b, and the half-widths and nodes of the
+    rules on their coarse, left and right halves (`_nodes`), as read-only
+    arrays that every pass over the same cuts shares.  A graded_cuts list
+    depends on the gap only through its number of halvings, so a sweep
+    over h builds a few meshes and reuses them."""
+    a, b = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
+    m = 0.5 * (a + b)
+    half, nodes = _nodes(np.concatenate((a, a, m)), np.concatenate((b, m, b)))
+    for arr in (a, b, half, nodes):
+        arr.flags.writeable = False
+    return a, b, half, nodes
+
+
+def _nodes(lo, hi):
+    """The half-widths of the cells [lo_i, hi_i] and the RULE_ORDER nodes
+    of the rule on each, as one flat array."""
+    x, _ = _gl_rule(RULE_ORDER)
+    half = 0.5 * (hi - lo)
+    return half, (lo[:, None] + half[:, None] * (x + 1.0)).ravel()
+
+
+def _estimates(vals, half, parts):
+    """The rule's estimates on the cells of `half` from g's values at their
+    `_nodes`: a (k, parts, cells / parts) array, k = 1 for an unstacked g."""
+    _, w = _gl_rule(RULE_ORDER)
+    est = half * np.add.reduce(w * vals.reshape(-1, half.size, w.size), axis=-1)
+    return est.reshape(len(est), parts, -1)
+
+
 def _adaptive_1d(g, cuts, spec, names=None):
     """Global adaptive composite Gauss-Legendre integration of a vectorized g.
 
     g maps an ndarray of n abscissas to n integrand values (measure and
     angular factor included), or to a (k, n) stack of k components on one
     mesh, each held to rel_tol times its own magnitude (abs_tol floor).  A
-    leaf cell's error is its coarse estimate less its two halves'; each
-    round bisects, with one g call, every leaf below MAX_DEPTH within
-    BATCH_FACTOR of the worst error/tolerance ratio, until each component's
-    fsum of cell errors meets its tolerance.  Returns an IntegralResult, or
-    a tuple of k for a stacked g.  QuadratureError names the failing
-    components (by their `names` if given, else by index) and the reason:
-    a non-finite estimate, a tolerance below ROUNDOFF_FLOOR times
-    sum |cell values|, MAX_DEPTH, or MAX_CELLS cells.
+    leaf cell's error is its coarse estimate less its two halves'; the
+    first round evaluates g once on the cached `_first_mesh` of the cuts,
+    and each later round bisects, with one g call, every leaf below
+    MAX_DEPTH within BATCH_FACTOR of the worst error/tolerance ratio, until
+    each component's fsum of cell errors meets its tolerance.  The checks
+    of a round compare the components' sums as floats.  Returns an
+    IntegralResult, or a tuple of k for a stacked g.  QuadratureError names
+    the failing components (by their `names` if given, else by index) and
+    the reason: a non-finite estimate, a tolerance below ROUNDOFF_FLOOR
+    times sum |cell values|, MAX_DEPTH, or MAX_CELLS cells.
     """
-    x, w = _gl_rule(RULE_ORDER)
-
-    def rule(lo, hi, parts):
-        # the rule on every cell [lo_i, hi_i] from one g call: (k, parts, n)
-        half = 0.5 * (hi - lo)
-        vals = np.asarray(g((lo[:, None] + half[:, None] * (x + 1.0)).ravel()))
-        est = half * np.sum(w * vals.reshape(-1, lo.size, x.size), axis=-1)
-        return est.reshape(len(est), parts, -1), vals.ndim == 2
-
-    a, b = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
-    m = 0.5 * (a + b)
+    a, b, half, nodes = _first_mesh(tuple(cuts))
+    vals = np.asarray(g(nodes))
     # coarse, left and right estimates of every initial cell
-    est, stacked = rule(np.concatenate((a, a, m)), np.concatenate((b, m, b)), 3)
+    est, stacked = _estimates(vals, half, 3), vals.ndim == 2
     depth = np.ones(a.size, dtype=int)
-    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(np.sum(est[:, 0], axis=-1)))
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(np.add.reduce(est[:, 0], axis=-1)))
+    tols = tol.tolist()
 
     while True:
         value, err = est[:, 1] + est[:, 2], np.abs(est[:, 0] - est[:, 1] - est[:, 2])
-        bad, reason = ~np.isfinite(np.sum(np.abs(est), axis=(1, 2))), "non-finite estimate"
-        if not bad.any():
-            bad = tol < ROUNDOFF_FLOOR * np.sum(np.abs(value), axis=-1)
+        mag = np.add.reduce(np.abs(est), axis=(1, 2)).tolist()
+        bad, reason = [not math.isfinite(x) for x in mag], "non-finite estimate"
+        if not any(bad):
+            mag = np.add.reduce(np.abs(value), axis=-1).tolist()
+            bad = [t < ROUNDOFF_FLOOR * x for t, x in zip(tols, mag)]
             reason = "tolerance below the roundoff floor"
-        if bad.any():
+        if any(bad):
             break
         # fsum over float lists: the same sums, without a numpy scalar per term
         error = [math.fsum(e) for e in err.tolist()]
-        bad = np.array(error) > tol
-        if not bad.any():
+        bad = [e > t for e, t in zip(error, tols)]
+        if not any(bad):
             value = [math.fsum(v) for v in value.tolist()]
             results = tuple(IntegralResult(v, e, a.size) for v, e in zip(value, error))
             return results if stacked else results[0]
+        bad = np.array(bad)
         ratio = np.where(depth < MAX_DEPTH, np.max(err[bad] / tol[bad, None], axis=0), -1.0)
         if ratio.max() <= 0.0:
             reason = f"max_depth {MAX_DEPTH} reached"
@@ -133,7 +166,8 @@ def _adaptive_1d(g, cuts, spec, names=None):
         m = 0.5 * (a[sel] + b[sel])
         lo, hi = np.concatenate((a[sel], m)), np.concatenate((m, b[sel]))
         mid = 0.5 * (lo + hi)
-        halves, _ = rule(np.concatenate((lo, mid)), np.concatenate((mid, hi)), 2)
+        half, nodes = _nodes(np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        halves = _estimates(np.asarray(g(nodes)), half, 2)
         kids = np.concatenate([est[:, 1:, sel].reshape(len(est), 1, -1), halves], axis=1)
         est = np.concatenate([est[:, :, ~sel], kids], axis=2)
         a, b = np.concatenate((a[~sel], lo)), np.concatenate((b[~sel], hi))
@@ -187,13 +221,19 @@ def gap_cuts(h, r_max):
     return graded_cuts(r_max, math.sqrt(h))
 
 
-def gap_rule(H):
+def gap_rule(H, ends=False):
     """The z-rule across the gap at the n heights H = h + gamma_s(r): the
     Z_ORDER Gauss-Legendre heights Z and weights W on [0, H], as
     (Z_ORDER, n) rows, so that the drag row's arrays keep the radial
-    nodes on their last axis and each operation is one contiguous loop."""
+    nodes on their last axis and each operation is one contiguous loop.
+    With `ends`, Z has two more rows, the wall's 0 and the sphere's H, the
+    heights at which a drag row evaluates Psi, built in one array."""
     zx, zw = _gl_rule(Z_ORDER)
-    return 0.5 * H * (zx[:, None] + 1.0), 0.5 * H * zw[:, None]
+    Z = np.empty((Z_ORDER + 2 * ends,) + np.shape(H))
+    np.multiply(0.5 * H, zx[:, None] + 1.0, out=Z[:Z_ORDER])
+    if ends:
+        Z[-2], Z[-1] = 0.0, H
+    return Z, 0.5 * H * zw[:, None]
 
 
 def integrate_surface(f, surface, r_max, spec, *, scale):

@@ -1059,6 +1059,32 @@ def test_a_non_finite_exterior_constant_prints_one_line(tmp_path, delta):
     assert list(tmp_path.iterdir()) == []
 
 
+# a drag row whose Psi partials overflow at a slip length of 1e-300
+NAN_ROW = (
+    "drag row at h = 0.001: quadrature did not converge in volume (non-finite estimate): "
+    "estimate nan, error nan against tol nan on 4 cells"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["drag", "scan", "--beta-s", "1e-300"], NAN_ROW),
+        (["drag", "scan", "--beta-omega", "1e-300"], NAN_ROW),
+        (["drag", "fit", "--regime", "mixed", "--beta-omega", "1e-300"], NAN_ROW),
+        (["integral", "classify", "--p", "0", "--q", "1e300"], "quadrature did not converge "
+         "(non-finite estimate): estimate inf, error nan against tol inf on 2 cells"),
+    ],
+    ids=["drag-scan-beta-s", "drag-scan-beta-omega", "drag-fit-mixed", "classify-q-1e300"],
+)
+def test_numpy_warnings_stay_off_stderr(tmp_path, argv, line):
+    # a fresh process, since pytest captures numpy's warnings itself: the
+    # overflows of these inputs end in one line, with no RuntimeWarning
+    proc = _fresh("-m", "gapflow.cli", *argv, "--out", str(tmp_path))
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [f"gapflow: numerical failure: {line}"]
+
+
 def test_write_json_refuses_non_finite_values(tmp_path):
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError):

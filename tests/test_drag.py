@@ -449,6 +449,25 @@ def test_default_drag_rows_are_one_pass_of_one_psi_call(name, regime, monkeypatc
     ]
 
 
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_rows_build_one_first_mesh_per_cut_list(regime):
+    # deterministic cache counter: gaps that share a gap_cuts list share
+    # their first mesh, energy and surface_drag as much as drag_curve
+    hs = (1.2e-4, 1.1e-4, 1e-4)
+    assert len({tuple(gap_cuts(h, R_MAX_DEFAULT)) for h in hs}) == 1
+    quadrature._first_mesh.cache_clear()
+    drag_curve(regime, hs, spec=SWEEP_SPEC)
+    energy(regime, hs[0], spec=SWEEP_SPEC)
+    surface_drag(regime, hs[0], spec=SWEEP_SPEC)
+    info = quadrature._first_mesh.cache_info()
+    assert (info.misses, info.hits) == (1, len(hs) + 1)
+    # the drag-sweep range at the default aperture: one mesh per number of
+    # halvings of graded_cuts
+    quadrature._first_mesh.cache_clear()
+    drag_curve(regime, np.geomspace(1e-2, 1e-6, 43).tolist(), spec=SWEEP_SPEC)
+    assert quadrature._first_mesh.cache_info().misses <= 8
+
+
 # the radial functions a module of the row can look up: the shared
 # geometry, and the public functions it stands in for inside the row
 RADIAL_FUNCTIONS = ("_radial", "gamma_s")

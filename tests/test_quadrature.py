@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -394,6 +395,25 @@ class TestClassifySingular:
         # delta^2 / h = 1e-18 < eps: (h + delta^2) / h would round to 1
         assert log_case_oracle(1e-2, 1e-10) == pytest.approx(0.5e-18, rel=1e-15)
 
+    @pytest.mark.parametrize("delta", [0.2, 0.05])
+    def test_values_match_the_hypergeometric_closed_form(self, delta):
+        # I(h) = delta^(p+1)/(p+1) h^-q 2F1(q, (p+1)/2; (p+3)/2; -delta^2/h),
+        # at 30 digits, over the default h_list in all three classes
+        grid = [(0, 0.75), (2, 2), (1, 1.5), (1, 1), (0, 0.5), (3.5, 2.25), (2, 1), (1, 0.5)]
+        seen = set()
+        with mpmath.workdps(30):
+            for p, q in grid:
+                case = classify_singular(p, q, delta, spec=SPEC)
+                seen.add(case.classification)
+                P, Q, D = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(delta)
+                for h, value in case.values:
+                    H = mpmath.mpf(h)
+                    exact = D ** (P + 1) / (P + 1) * H**-Q * mpmath.hyp2f1(
+                        Q, (P + 1) / 2, (P + 3) / 2, -D * D / H
+                    )
+                    assert abs(value / exact - 1) <= SPEC.rel_tol, (p, q, h)
+        assert seen == set(Classification)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             classify_singular(-1, 1, 0.2, spec=SPEC)
@@ -420,3 +440,160 @@ class TestClassifySingular:
         assert case.exponent == exponent
         assert case.selected is fits[key]
         assert SingularIntegralCase._fields == ("p", "q", "delta", "values", "fits")
+
+
+def _reference_adaptive_1d(g, cuts, spec, names=None):
+    """_adaptive_1d as it was before its first mesh was cached and its
+    checks compared floats: the bit-for-bit reference of the faster body.
+    It reads the refinement bounds from the module, as the body does, so
+    that a test's monkeypatch holds for both."""
+    x, w = quadrature._gl_rule(quadrature.RULE_ORDER)
+    MAX_DEPTH, BATCH_FACTOR = quadrature.MAX_DEPTH, quadrature.BATCH_FACTOR
+    MAX_CELLS, ROUNDOFF_FLOOR = quadrature.MAX_CELLS, quadrature.ROUNDOFF_FLOOR
+
+    def rule(lo, hi, parts):
+        half = 0.5 * (hi - lo)
+        vals = np.asarray(g((lo[:, None] + half[:, None] * (x + 1.0)).ravel()))
+        est = half * np.sum(w * vals.reshape(-1, lo.size, x.size), axis=-1)
+        return est.reshape(len(est), parts, -1), vals.ndim == 2
+
+    a, b = np.array(cuts[:-1], dtype=float), np.array(cuts[1:], dtype=float)
+    m = 0.5 * (a + b)
+    est, stacked = rule(np.concatenate((a, a, m)), np.concatenate((b, m, b)), 3)
+    depth = np.ones(a.size, dtype=int)
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(np.sum(est[:, 0], axis=-1)))
+
+    while True:
+        value, err = est[:, 1] + est[:, 2], np.abs(est[:, 0] - est[:, 1] - est[:, 2])
+        bad, reason = ~np.isfinite(np.sum(np.abs(est), axis=(1, 2))), "non-finite estimate"
+        if not bad.any():
+            bad = tol < ROUNDOFF_FLOOR * np.sum(np.abs(value), axis=-1)
+            reason = "tolerance below the roundoff floor"
+        if bad.any():
+            break
+        error = [math.fsum(e) for e in err.tolist()]
+        bad = np.array(error) > tol
+        if not bad.any():
+            value = [math.fsum(v) for v in value.tolist()]
+            results = tuple(IntegralResult(v, e, a.size) for v, e in zip(value, error))
+            return results if stacked else results[0]
+        ratio = np.where(depth < MAX_DEPTH, np.max(err[bad] / tol[bad, None], axis=0), -1.0)
+        if ratio.max() <= 0.0:
+            reason = f"max_depth {MAX_DEPTH} reached"
+            break
+        sel = ratio >= ratio.max() / BATCH_FACTOR
+        if a.size + np.count_nonzero(sel) > MAX_CELLS:
+            reason = f"cell budget {MAX_CELLS} reached"
+            break
+        m = 0.5 * (a[sel] + b[sel])
+        lo, hi = np.concatenate((a[sel], m)), np.concatenate((m, b[sel]))
+        mid = 0.5 * (lo + hi)
+        halves, _ = rule(np.concatenate((lo, mid)), np.concatenate((mid, hi)), 2)
+        kids = np.concatenate([est[:, 1:, sel].reshape(len(est), 1, -1), halves], axis=1)
+        est = np.concatenate([est[:, :, ~sel], kids], axis=2)
+        a, b = np.concatenate((a[~sel], lo)), np.concatenate((b[~sel], hi))
+        depth = np.concatenate((depth[~sel], depth[sel] + 1, depth[sel] + 1))
+
+    failing = np.flatnonzero(bad).tolist()
+    names = names or [f"component {i}" for i in range(len(bad))]
+    where = f" in {', '.join(names[i] for i in failing)}" if stacked else ""
+    value, error, j = np.sum(value, axis=-1).tolist(), np.sum(err, axis=-1).tolist(), failing[0]
+    raise QuadratureError(
+        f"quadrature did not converge{where} ({reason}): estimate {value[j]:.6e}, "
+        f"error {error[j]:.3e} against tol {tol[j]:.3e} on {a.size} cells",
+        value=tuple(value) if stacked else value[0],
+        error=tuple(error) if stacked else error[0],
+        cells=a.size,
+    )
+
+
+def _bits(res):
+    """A result's floats as float.hex, and its cells."""
+    results = (res,) if isinstance(res, IntegralResult) else res
+    return [(r.value.hex(), r.error.hex(), r.cells) for r in results]
+
+
+def _error_bits(exc):
+    """A QuadratureError's message, floats as float.hex, and cells."""
+    value, error = (v if isinstance(v, tuple) else (v,) for v in (exc.value, exc.error))
+    return str(exc), [v.hex() for v in value], [e.hex() for e in error], exc.cells
+
+
+def _assert_same_bits(*args):
+    """_adaptive_1d(*args) and its reference return the same bits, or
+    raise the same QuadratureError; the reference's cells, or None."""
+    try:
+        want = _reference_adaptive_1d(*args)
+    except QuadratureError as exc:
+        with pytest.raises(QuadratureError) as err:
+            quadrature._adaptive_1d(*args)
+        assert _error_bits(err.value) == _error_bits(exc)
+        return None
+    assert _bits(quadrature._adaptive_1d(*args)) == _bits(want)
+    return _bits(want)[0][2]
+
+
+class TestAdaptiveReference:
+    """_adaptive_1d gives the bits of its reference on every input."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_meshes_keep_their_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            r_max = float(rng.uniform(0.05, 0.9))
+            inner = np.sort(rng.uniform(0.0, r_max, int(rng.integers(0, 24))))
+            cuts = [0.0, *inner.tolist(), r_max]
+            eps = float(10.0 ** rng.uniform(-8.0, -1.0))
+            k = int(rng.integers(1, 8))
+            rates = rng.uniform(-20.0, 20.0, k)[:, None]
+
+            def stacked(r):
+                smooth = np.exp(rates * r)
+                smooth[0] = 1.0 / (eps + r * r)  # peaked on the scale sqrt(eps)
+                return smooth
+
+            spec = QuadratureSpec(
+                rel_tol=float(10.0 ** rng.uniform(-13.0, -6.0)), abs_tol=1e-14
+            )
+            for g in (stacked, lambda r: stacked(r)[0], lambda r: np.cos(rates[0] * r)):
+                _assert_same_bits(g, cuts, spec)
+
+    @pytest.mark.parametrize("h", [1e-6, 1e-9, 1e-12])
+    def test_refining_passes_keep_their_bits(self, h):
+        # a peaked stack on a graded mesh at tight tolerances refines over
+        # several rounds
+        def g(r):
+            return np.stack([r / (h + r * r) ** 1.5, np.ones_like(r), np.exp(-r / math.sqrt(h))])
+
+        cuts = graded_cuts(0.2, 0.2)  # one cell: all of its resolution is refined
+        cells = [_assert_same_bits(g, cuts, _respec(rel_tol=tol), ("a", "b", "c"))
+                 for tol in (1e-8, 1e-11)]
+        assert all(n > 4 for n in cells)
+
+    @pytest.mark.parametrize(
+        "f, spec, max_depth",
+        [
+            (lambda r: np.stack([np.ones_like(r), np.where(r < 0.1, 1.0, np.inf)]), SPEC, None),
+            (lambda r: np.stack([np.ones_like(r), np.ones_like(r)]),
+             QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18), None),
+            (lambda r: np.stack([np.ones_like(r), _nasty(r)]), _respec(rel_tol=1e-12), 3),
+            (_nasty, _respec(rel_tol=1e-12), None),
+        ],
+        ids=["non-finite", "roundoff", "max-depth", "budget"],
+    )
+    @pytest.mark.filterwarnings("ignore:.*encountered in:RuntimeWarning")
+    def test_each_failure_keeps_its_message_and_numbers(self, monkeypatch, f, spec, max_depth):
+        if max_depth is not None:
+            monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
+        cuts = graded_cuts(0.2, 0.2 * 2.0**-16)
+        with pytest.raises(QuadratureError) as want:
+            _reference_adaptive_1d(f, cuts, spec)
+        with pytest.raises(QuadratureError) as got:
+            quadrature._adaptive_1d(f, cuts, spec)
+        assert _error_bits(got.value) == _error_bits(want.value)
+
+    def test_the_first_mesh_is_read_only(self):
+        for arr in quadrature._first_mesh(tuple(graded_cuts(0.2, 1e-3))):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
