@@ -937,31 +937,39 @@ COMMANDS = {
 # ------------------------------------------------------------ arg parsing
 
 
-def _common_parser():
-    """--config, then each RunConfig key's flag, typed by its annotation."""
-    common = argparse.ArgumentParser(add_help=False)
-    add = common.add_argument
-    add("--config", default=None, help="flat JSON config file")
-    for key, annotation in RunConfig.__annotations__.items():
-        flag = FLAGS.get(key, "--" + key.lower().replace("_", "-"))
-        kind = {"type": annotation} if annotation in (float, int) else {}
-        if annotation is bool:
-            kind = {"action": "store_const", "const": True}
-        add(flag, dest=key, default=None, help=HELP.get(key), **kind)
-    return common
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser, which takes --config and each RunConfig key's
+    flag, typed by its annotation, when it first parses: argv names one
+    subcommand, so only that one builds its thirty-odd flags."""
+
+    flagged = False
+
+    def parse_known_args(self, args, namespace):
+        if not self.flagged:
+            self.flagged = True
+            add = self.add_argument
+            add("--config", default=None, help="flat JSON config file")
+            for key, annotation in RunConfig.__annotations__.items():
+                flag = FLAGS.get(key, "--" + key.lower().replace("_", "-"))
+                kind = {"type": annotation} if annotation in (float, int) else {}
+                if annotation is bool:
+                    kind = {"action": "store_const", "const": True}
+                add(flag, dest=key, default=None, help=HELP.get(key), **kind)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser():
-    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="gapflow",
         description="checks, drag scans, and fall runs for the gap-flow model",
     )
     groups = parser.add_subparsers(dest="group", required=True)
     for group in dict.fromkeys(g for g, _ in COMMANDS):
-        sub = groups.add_parser(group).add_subparsers(dest="action", required=True)
+        sub = groups.add_parser(group).add_subparsers(
+            dest="action", required=True, parser_class=_Command
+        )
         for action in (a for g, a in COMMANDS if g == group):
-            sub.add_parser(action, parents=[common])
+            sub.add_parser(action)
     return parser
 
 

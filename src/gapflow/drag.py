@@ -21,10 +21,12 @@ regime.  fit_scaling discriminates the two laws, each stated once as a
 ``energy`` and ``surface_drag`` are the two halves of one drag row: one
 adaptive pass over one radial mesh whose stacked integrand holds every
 term of the row, the gap's three, the wall's two and with slip the
-sphere's two, from one Psi evaluation and one ``geometry._radial``
-evaluation per call.  The integrand's arrays carry the radial nodes on
-their last axis, so each numpy operation is one loop over the nodes, not
-one short loop per node.
+sphere's two, from one Psi evaluation per call.  The terms that depend on
+r alone, ``geometry.radial_factors``, are built once per node set: once
+per first mesh, shared by every gap and row on it, and once per
+refinement round.  The integrand's arrays carry the radial nodes on their
+last axis, so each numpy operation is one loop over the nodes, not one
+short loop per node.
 
 Totals are aperture integrals (r < r_max) plus an h-independent O(1)
 exterior correction: the cutoff-transition ring outside the aperture does
@@ -42,11 +44,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, _radial, gamma_s
+from .geometry import D_DELTA_DEFAULT, DELTA_DEFAULT, gamma_s, radial_factors
 from .field import _frame, _on_sphere, _residual, global_velocity
 from .profile import RegimeKind, SlipRegime, psi_partials
 from .quadrature import (
-    IntegralResult, ModelFit, QuadratureError, _adaptive_1d, _ols, gap_cuts, gap_rule,
+    FIRST_MESHES, IntegralResult, ModelFit, QuadratureError, _adaptive_1d, _ols, gap_cuts,
+    gap_rule,
 )
 
 EXTERIOR_H_REF = 1e-3
@@ -94,6 +97,27 @@ ROW_TERMS = (
 # the gap rows of a row's (Z_ORDER + 2, n) heights, ahead of the wall and the sphere
 _GAP = slice(-2)
 
+# the radial factors of first meshes by cut tuple, oldest first, for as
+# many meshes as quadrature._first_mesh keeps
+_FIRST_FACTORS = {}
+
+
+def _first_factors(cuts, nodes):
+    """`radial_factors(nodes)` for `nodes`, the first mesh of the cut tuple
+    `cuts`, as read-only arrays shared by every row over `cuts` while
+    `quadrature._first_mesh` keeps those nodes; a rebuilt mesh has its
+    factors rebuilt, and the oldest entry goes past FIRST_MESHES."""
+    factors = _FIRST_FACTORS.get(cuts)
+    if factors is None or factors.r is not nodes:
+        factors = radial_factors(nodes)
+        for a in factors[1:]:  # r is the nodes themselves
+            a.flags.writeable = False
+        _FIRST_FACTORS.pop(cuts, None)
+        _FIRST_FACTORS[cuts] = factors
+        if len(_FIRST_FACTORS) > FIRST_MESHES:
+            del _FIRST_FACTORS[next(iter(_FIRST_FACTORS))]
+    return factors
+
 
 def _row(regime, h, r_max, spec, ext):
     """(EnergyBreakdown, SurfaceDrag) of one drag row whose totals carry
@@ -102,21 +126,26 @@ def _row(regime, h, r_max, spec, ext):
     One adaptive pass over gap_cuts(h, r_max) integrates ROW_TERMS as one
     stack: the gap's |grad u|^2, |D u|^2 and residual pairing through the
     Z_ORDER z-rule, the wall's slip^2 and traction at z = 0, and with slip
-    the sphere's mismatch^2 and traction at z = H.  Each integrand call
-    evaluates the radial geometry (s, H) once and Psi once, at the gap
-    heights, 0 and H of every node.  r, s and H have shape (n,) and z is
-    the (Z_ORDER + 2, n) array of gap_rule's rows, 0 and H, built in place,
-    so each numpy operation is one contiguous loop over the radial nodes.
-    Every row of the stack reads Psi's partials up to second order, the
-    frame they give and its d_rz, computed once; the Z_ORDER gap rows alone
-    read the third order partials and dr_by_r (through `PsiPartials.at`),
-    the residual, |grad u|^2 and |D u|^2 (sharing their common squares) and
-    the pairing, which with slip is f_z u_z alone since f_r = 0; the wall
-    reads u_r and d_rz, and the sphere its frame.  Each term is written
-    into one row of the call's one (k, n) output; the z-sum adds left to
-    right as integrate_gap's does.  It scales each term by its measure (r,
-    or r / s on the cap) as integrate_gap and integrate_surface do, so a
-    term equals its own per-region pass bit for bit while neither refines.
+    the sphere's mismatch^2 and traction at z = H.  The factors that depend
+    on r alone (`geometry.radial_factors`: s, gamma_s, the chain factors,
+    r / 2 and the measures) come from `_first_factors` on the first call,
+    which is on the first mesh of the cuts, and are built afresh for each
+    refinement round; each integrand call adds h to their gamma for H and
+    evaluates Psi once, at the gap heights, 0 and H of every node.  r, H
+    and the factors have shape (n,) and z is the (Z_ORDER + 2, n) array of
+    gap_rule's rows, 0 and H, built in place, so each numpy operation is
+    one contiguous loop over the radial nodes.  Every row of the stack
+    reads Psi's partials up to second order, the frame they give and its
+    d_rz, computed once; the Z_ORDER gap rows alone read the third order
+    partials and dr_by_r (through `PsiPartials.at`), the residual, |grad
+    u|^2 and |D u|^2 (sharing their common squares) and the pairing, which
+    with slip is f_z u_z alone since f_r = 0 (`field._residual` gives no
+    f_r then); the wall reads u_r and d_rz, and the sphere its frame.
+    Each term is written into one row of the call's one (k, n) output; the
+    z-sum adds left to right as integrate_gap's does.  It scales each term
+    by its measure (2 pi r, r, or r / s on the cap) as integrate_gap and
+    integrate_surface do, so a term equals its own per-region pass bit for
+    bit while neither refines.
     None does at rel_tol 1e-8 to 1e-13 (abs_tol 1e-12) and h from 1e-2 to
     1e-12: every row converges on its first call, on the first mesh that
     _adaptive_1d caches for its gap_cuts list and shares with every gap of
@@ -127,16 +156,21 @@ def _row(regime, h, r_max, spec, ext):
     slip = regime.kind is RegimeKind.SLIP
     k = len(ROW_TERMS) if slip else 5
     two_pi = 2.0 * math.pi
+    cuts = tuple(gap_cuts(h, r_max))
+    first = True
 
     def g(r):
-        s, H = _radial(h, r)
+        nonlocal first
+        rf = _first_factors(cuts, r) if first else radial_factors(r)
+        first = False
+        H = h + rf.gamma
         z, W = gap_rule(H, ends=True)
-        p = psi_partials(regime, h, r, z, (s, H))
-        frame = _frame(p, r)
+        p = psi_partials(regime, h, r, z, (rf, H))
+        frame = _frame(p)
         d_rz = frame.d_rz
         out = np.empty((k, r.size))
         gap = frame.at(_GAP)
-        f_r, f_z = _residual(regime, p.at(_GAP), r)
+        f_r, f_z = _residual(regime, p.at(_GAP))
         grad_sq, sym_grad_sq = gap.square_norms(d_rz[_GAP])
         # f_r = 0 with slip, and a sum's two terms may swap
         pairing = f_z * gap.u_z
@@ -144,7 +178,7 @@ def _row(regime, h, r_max, spec, ext):
             pairing += f_r * gap.u_r
         for row, term in zip(out, (grad_sq, sym_grad_sq, pairing)):
             np.add.reduce(term * W, axis=0, out=row)
-        out[:3] *= two_pi * r
+        out[:3] *= rf.two_pi_r
         # u_r^2 = |u x n|^2, and 2 D_rz u_r = -(2D - qI)n . u with n = -e3
         # and u_z = 0 on the wall
         wall_u_r = frame.u_r[-2]
@@ -154,17 +188,17 @@ def _row(regime, h, r_max, spec, ext):
             # |(u - e3) x n|^2 is the theta component squared, and
             # (D - qI)n . (e3 - u) loses q since n . (e3 - u) = 0
             top = frame.at(-1)
-            _, (dn_r, dn_z), mismatch = _on_sphere(top, d_rz[-1], r, s)
+            _, (dn_r, dn_z), mismatch = _on_sphere(top, d_rz[-1], r, rf.s)
             out[5] = mismatch**2
             out[6] = dn_r * (-top.u_r) + dn_z * (1.0 - top.u_z)
             out[5:] *= two_pi
-            out[5:] *= r / s  # the cap's measure
+            out[5:] *= rf.h1  # the cap's measure r / s
         out[3:5] *= two_pi
         out[3:5] *= r  # the plane's measure
         return out
 
     try:
-        parts = _adaptive_1d(g, gap_cuts(h, r_max), spec, ROW_TERMS)
+        parts = _adaptive_1d(g, cuts, spec, ROW_TERMS)
     except QuadratureError as exc:
         raise QuadratureError(
             f"drag row at h = {h!r}: {exc}", exc.value, exc.error, exc.cells

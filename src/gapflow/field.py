@@ -98,20 +98,21 @@ class ApertureFrame(NamedTuple):
 
 def aperture_frame(regime, h, r, z):
     """Velocity components and first derivatives at (r, z), vectorized."""
-    return _frame(psi_partials(regime, h, r, z), r)
+    return _frame(psi_partials(regime, h, r, z))
 
 
-def _frame(p, r):
-    """The ApertureFrame of the Psi partials p taken at radius r."""
-    r = np.asarray(r, dtype=float)
+def _frame(p):
+    """The ApertureFrame of the Psi partials p, at the radii r of their
+    radial factors, whose r / 2 it reads (-r / 2 is its negation, exact)."""
+    r, half_r = p.radial.r, p.radial.half_r
     return ApertureFrame(
-        u_r=-0.5 * r * p.dz,
-        u_z=p.value + 0.5 * r * p.dr,
+        u_r=-half_r * p.dz,
+        u_z=p.value + half_r * p.dr,
         du_r_dr=-0.5 * (p.dz + r * p.drz),
         u_r_by_r=-0.5 * p.dz,
-        du_r_dz=-0.5 * r * p.dzz,
-        du_z_dr=1.5 * p.dr + 0.5 * r * p.drr,
-        du_z_dz=p.dz + 0.5 * r * p.drz,
+        du_r_dz=-half_r * p.dzz,
+        du_z_dr=1.5 * p.dr + half_r * p.drr,
+        du_z_dz=p.dz + half_r * p.drz,
     )
 
 
@@ -279,16 +280,19 @@ def stokes_residual(regime, h, r, z):
     -------
     (f_r, f_z)
     """
-    return _residual(regime, psi_partials(regime, h, r, z), np.asarray(r, dtype=float))
+    f_r, f_z = _residual(regime, psi_partials(regime, h, r, z))
+    # [()] keeps a numpy float for scalar input
+    return (np.zeros_like(f_z)[()] if f_r is None else f_r), f_z
 
 
-def _residual(regime, p, r):
-    """(f_r, f_z) of stokes_residual from the Psi partials p at radius r."""
-    f_z = 2.5 * p.drr + 0.5 * r * p.drrr + 1.5 * p.dr_by_r
+def _residual(regime, p):
+    """(f_r, f_z) of stokes_residual from the Psi partials p, at the radii
+    of their radial factors; f_r is None with slip, where it vanishes."""
+    r = p.radial.r
+    f_z = 2.5 * p.drr + p.radial.half_r * p.drrr + 1.5 * p.dr_by_r
     if regime.kind is RegimeKind.SLIP:
-        # the pressure balances lap_r exactly and doubles the z-derivatives;
-        # [()] keeps a numpy float for scalar input
-        return np.zeros_like(f_z)[()], f_z + 2.0 * p.dzz + r * p.drzz
+        # the pressure balances lap_r exactly and doubles the z-derivatives
+        return None, f_z + 2.0 * p.dzz + r * p.drzz
     # the pressure cancels the d_zz terms of lap_z and the d_zzz term of lap_r
     return -(3.0 * p.drz + r * p.drrz), f_z
 
@@ -313,9 +317,9 @@ class NavierResiduals(NamedTuple):
 
 def _on_sphere(frame, d_rz, r, s):
     """Given the frame on the sphere with its `d_rz`, at radii r and s =
-    sqrt(1 - r^2) from `geometry._radial`: the outward normal (n_r, n_z) =
-    (-r, s), the traction D n as (r, z) components, and (u - e3) x n, whose
-    one component is theta."""
+    sqrt(1 - r^2) from `geometry.radial_factors`: the outward normal
+    (n_r, n_z) = (-r, s), the traction D n as (r, z) components, and
+    (u - e3) x n, whose one component is theta."""
     n_r, n_z = -r, s
     dn = (
         frame.du_r_dr * n_r + d_rz * n_z,
@@ -326,14 +330,14 @@ def _on_sphere(frame, d_rz, r, s):
 
 def navier_residuals(regime, h, r):
     """NavierResiduals at radii 0 <= r < 1.  The wall and the sphere are
-    rows -2 and -1 of one Psi evaluation at the heights (0, H), with (s, H)
-    from one `geometry._radial` call, as a drag row reads them."""
-    r = np.asarray(r, dtype=float)
-    s, H = _radial(h, r)
-    frame = _frame(psi_partials(regime, h, r, np.stack((np.zeros_like(H), H)), (s, H)), r)
+    rows -2 and -1 of one Psi evaluation at the heights (0, H), with the
+    radial factors and H from one `geometry._radial` call, as a drag row
+    reads them."""
+    rf, H = _radial(h, r)
+    frame = _frame(psi_partials(regime, h, r, np.stack((np.zeros_like(H), H)), (rf, H)))
     d_rz = frame.d_rz
     wall, top = frame.at(-2), frame.at(-1)
-    (n_r, n_z), (dn_r, dn_z), mismatch = _on_sphere(top, d_rz[-1], r, s)
+    (n_r, n_z), (dn_r, dn_z), mismatch = _on_sphere(top, d_rz[-1], rf.r, rf.s)
     return NavierResiduals(
         wall.u_z,
         wall.u_r - 2.0 * regime.beta_Omega * d_rz[-2],

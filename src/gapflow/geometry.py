@@ -2,16 +2,18 @@
 
 The solid is a unit sphere whose south pole sits at height ``h`` above the
 plane wall ``{x3 = 0}``.  This module provides the gap profile ``gamma_s``,
-the radial geometry ``_radial`` (s = sqrt(1 - r**2), so the sphere's
-outward normal is (-r, s) and its cap measure is r / s, and the gap height
-H), and the smooth cutoff functions used to extend the aperture ansatz to
-the whole domain.
+the radial factors ``radial_factors`` (s = sqrt(1 - r**2), so the sphere's
+outward normal is (-r, s) and its cap measure is r / s, gamma_s, the chain
+factors of H(r) and the measures), ``_radial``, which adds the gap height H
+to them, and the smooth cutoff functions used to extend the aperture
+ansatz to the whole domain.
 
 All functions are pure and broadcast over numpy arrays, with no branch
 for scalars: a scalar in gives a numpy float or 0-d array out.
 ``cutoffs`` takes an (n, 3) array of points.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -73,19 +75,54 @@ def gamma_s(r):
     return r2 / (1.0 + np.sqrt(1.0 - r2))
 
 
-def _radial(h, r):
-    """(s, H) at radii 0 <= r < 1, with one domain check: s = sqrt(1 - r**2)
-    and the gap height H = h + gamma_s(r), bit for bit as `gamma_s` gives
-    it.  A drag integrand call shares them between the z-rule, the profile's
-    chain factors, the sphere normal (-r, s) and the cap measure r / s, which
-    `quadrature.integrate_surface` also takes from s; `field.navier_residuals`
-    reads its boundaries with them the same way."""
+class RadialFactors(NamedTuple):
+    """The factors of the gap geometry that depend on the radius alone, at
+    radial nodes 0 <= r < 1, for every gap h.
+
+    ``s`` = sqrt(1 - r**2), so the sphere's outward normal is (-r, s);
+    ``gamma`` = gamma_s(r), bit for bit as `gamma_s` gives it; ``h1`` =
+    r / s, ``h2`` = s**-3 and ``h3`` = 3 r s**-5, the derivatives of
+    H(r) = h + gamma_s(r) that the profile's chain rule reads, ``h1`` also
+    being the cap's measure r / s, with ``h1_cubed`` = h1**3; ``half_r`` =
+    r / 2 of the stream construction and ``two_pi_r`` = 2 pi r, the gap's
+    measure.
+    """
+
+    r: np.ndarray
+    s: np.ndarray
+    gamma: np.ndarray
+    h1: np.ndarray
+    h2: np.ndarray
+    h3: np.ndarray
+    h1_cubed: np.ndarray
+    half_r: np.ndarray
+    two_pi_r: np.ndarray
+
+
+def radial_factors(r):
+    """The RadialFactors at radii 0 <= r < 1, with one domain check: the
+    one place they are computed, so a drag row that builds them once per
+    mesh shares them with every gap on it."""
     r = np.asarray(r, dtype=float)
     if ((r < 0.0) | (r >= 1.0)).any():
         raise ValueError("the radial geometry requires 0 <= r < 1")
     r2 = r * r
     s = np.sqrt(1.0 - r2)
-    return s, h + r2 / (1.0 + s)
+    h1 = r / s
+    return RadialFactors(
+        r=r, s=s, gamma=r2 / (1.0 + s), h1=h1, h2=s ** -3.0, h3=3.0 * r * s ** -5.0,
+        h1_cubed=h1 ** 3, half_r=0.5 * r, two_pi_r=2.0 * math.pi * r,
+    )
+
+
+def _radial(h, r):
+    """(radial_factors(r), H) at radii 0 <= r < 1: the gap height H = h +
+    gamma_s(r) is h plus the factors' gamma.  `field.navier_residuals`, the
+    envelope sweep and every Psi evaluation without factors of its caller's
+    take their radial geometry here; a drag row adds h to the factors of
+    its mesh itself."""
+    factors = radial_factors(r)
+    return factors, h + factors.gamma
 
 
 def smoothstep(s):

@@ -158,7 +158,10 @@ def _engine(regime):
     # a kind of degree below L - 1 meets its lead in a pass over the whole
     # padded table as 0 * H + c, which is c but for a -0.0
     lead[[d < L - 1 for d in degree]] += 0.0
-    steps = tuple(table[: sum(d > k for d in degree), :, k] for k in range(L - 2, -1, -1))
+    # each step shaped (kinds, 3, 1), to broadcast over the flat nodes
+    steps = tuple(
+        table[: sum(d > k for d in degree), :, k, None] for k in range(L - 2, -1, -1)
+    )
     for a in (table, lead, *steps):
         a.flags.writeable = False  # every caller shares the cached arrays
     return table, lead, steps
@@ -178,16 +181,18 @@ def _g_derivs(regime, H):
     bits alone the same way.  One quotient-rule recursion, R' = (n' - R d')
     / d and its higher-order analogues, differentiates G_i = N_i / (Delta
     H^i) for all three i in place, so the result is a view of the N rows.
+    The pass runs over H flattened, so that the steps keep the one shape
+    `_engine` gives them.
     """
     H = np.asarray(H)
     _, lead, steps = _engine(regime)
-    axes = (1,) * H.ndim
-    v = np.empty(lead.shape + H.shape)
-    v[...] = lead.reshape(lead.shape + axes)
+    flat = H.reshape(-1)
+    v = np.empty(lead.shape + flat.shape)
+    v[...] = lead[..., None]
     for c in steps:
         w = v[: len(c)]
-        w *= H
-        w += c.reshape(c.shape + axes)
+        w *= flat
+        w += c
     # the N_i rows become R_k = G_i^(k) in place, as views:
     # R_k = (n_k - sum_j C(k, j) R_(k-j) d_j) / d_0, j = 1..k
     d0, d1, d2, d3, r0, r1, r2, r3 = v
@@ -201,7 +206,7 @@ def _g_derivs(regime, H):
     r3 -= 3.0 * r1 * d2
     r3 -= r0 * d3
     r3 /= d0
-    return v[_N:]
+    return v[_N:].reshape((4, 3) + H.shape)
 
 
 class PsiPartials:
@@ -223,9 +228,12 @@ class PsiPartials:
     the a-th H-derivatives of (G1, G2, G3).  Every r-derivative follows
     from the chain rule through H(r) = h + gamma_s(r), whose derivatives
     are h1 = r/s, h2 = s^-3 and h3 = 3 r s^-5 with s = sqrt(1 - r^2); the
-    h-derivative at fixed (r, z) is d_H, one step up the same table.  s and
-    H come from one `geometry._radial` call, the caller's when it passes
-    its own (as a drag row's integrand does).
+    h-derivative at fixed (r, z) is d_H, one step up the same table.  These
+    factors, with h1^3, are the `geometry.RadialFactors` in ``radial``,
+    computed by `geometry.radial_factors` and nowhere here: from one
+    `geometry._radial` call, or the caller's factors and H when it passes
+    its own (as a drag row's integrand passes those of its mesh).  The
+    z-range check runs on every evaluation.
 
     The table is stacked by z-order: one evaluation of
     d_z^b (G1 z + G2 z^2 + G3 z^3) per b covers every a <= 3 - b, reading
@@ -239,22 +247,19 @@ class PsiPartials:
     """
 
     __slots__ = (
-        "value", "dr", "dz", "drr", "drz", "dzz", "H", "s", "h1", "h2", "h3", "z", "f", "f3",
+        "value", "dr", "dz", "drr", "drz", "dzz", "H", "radial", "z", "f", "f3",
     )
 
     def __init__(self, regime, h, r, z, radial):
         if not 0.0 < h < math.inf:  # a NaN fails both
             raise ValueError("h must be finite and > 0")
-        r = np.asarray(r, dtype=float)
         # a caller that passes its own radial geometry has checked r with it
-        s, H = _radial(h, r) if radial is None else radial
+        rf, H = _radial(h, r) if radial is None else radial
         z = np.asarray(z, dtype=float)
         if ((z < 0.0) | (z > H * (1.0 + 1e-12) + 1e-300)).any():
             raise ValueError("z outside the gap [0, h + gamma_s(r)]")
-        self.H, self.z, self.s = H, z, s
-        self.h1 = h1 = r / s
-        self.h2 = h2 = s ** -3.0
-        self.h3 = 3.0 * r * s ** -5.0
+        self.H, self.z, self.radial = H, z, rf
+        h1 = rf.h1
         g_H = _g_derivs(regime, H)
         g = g_H.reshape((4, 3) + (1,) * (z.ndim - H.ndim) + H.shape)
         g1, g2, g3 = g[:, 0], g[:, 1], g[:, 2]
@@ -274,7 +279,7 @@ class PsiPartials:
         del g_H, g, g1, g2, g3, z2
         self.value, self.dz, self.dzz = f[0, 0], f[0, 1], f[0, 2]
         self.dr = f[1, 0] * h1
-        self.drr = f[2, 0] * h1 * h1 + f[1, 0] * h2
+        self.drr = f[2, 0] * h1 * h1 + f[1, 0] * rf.h2
         self.drz = f[1, 1] * h1
 
     def at(self, index):
@@ -285,23 +290,24 @@ class PsiPartials:
         p = PsiPartials.__new__(PsiPartials)
         p.value, p.dr, p.dz = self.value[index], self.dr[index], self.dz[index]
         p.drr, p.drz, p.dzz = self.drr[index], self.drz[index], self.dzz[index]
-        p.H, p.s, p.h1, p.h2, p.h3, p.f3 = self.H, self.s, self.h1, self.h2, self.h3, self.f3
+        p.H, p.radial, p.f3 = self.H, self.radial, self.f3
         p.z = self.z[index]
         p.f = {key: v[index] for key, v in self.f.items()}
         return p
 
     @property
     def drrr(self):
-        f, h1 = self.f, self.h1
-        return f[3, 0] * h1 ** 3 + 3.0 * f[2, 0] * h1 * self.h2 + f[1, 0] * self.h3
+        f, rf = self.f, self.radial
+        return f[3, 0] * rf.h1_cubed + 3.0 * f[2, 0] * rf.h1 * rf.h2 + f[1, 0] * rf.h3
 
     @property
     def drrz(self):
-        return self.f[2, 1] * self.h1 * self.h1 + self.f[1, 1] * self.h2
+        h1 = self.radial.h1
+        return self.f[2, 1] * h1 * h1 + self.f[1, 1] * self.radial.h2
 
     @property
     def drzz(self):
-        return self.f[1, 2] * self.h1
+        return self.f[1, 2] * self.radial.h1
 
     @property
     def dzzz(self):
@@ -309,19 +315,20 @@ class PsiPartials:
 
     @property
     def dr_by_r(self):
-        return self.f[1, 0] / self.s
+        return self.f[1, 0] / self.radial.s
 
     @property
     def drz_by_r(self):
-        return self.f[1, 1] / self.s
+        return self.f[1, 1] / self.radial.s
 
     @property
     def drzz_by_r(self):
-        return self.f[1, 2] / self.s
+        return self.f[1, 2] / self.radial.s
 
     @property
     def rad2(self):
-        return self.f[2, 0] / (self.s * self.s) + self.f[1, 0] / (self.s ** 3.0)
+        s = self.radial.s
+        return self.f[2, 0] / (s * s) + self.f[1, 0] / (s ** 3.0)
 
     @property
     def dh(self):
@@ -329,7 +336,7 @@ class PsiPartials:
 
     @property
     def drh(self):
-        return self.f[2, 0] * self.h1
+        return self.f[2, 0] * self.radial.h1
 
     @property
     def dzh(self):
@@ -337,7 +344,8 @@ class PsiPartials:
 
     @property
     def drrh(self):
-        return self.f[3, 0] * self.h1 * self.h1 + self.f[2, 0] * self.h2
+        h1 = self.radial.h1
+        return self.f[3, 0] * h1 * h1 + self.f[2, 0] * self.radial.h2
 
     @property
     def dzzh(self):
@@ -345,11 +353,11 @@ class PsiPartials:
 
     @property
     def drzh(self):
-        return self.f[2, 1] * self.h1
+        return self.f[2, 1] * self.radial.h1
 
     @property
     def drh_by_r(self):
-        return self.f[2, 0] / self.s
+        return self.f[2, 0] / self.radial.s
 
 
 def psi_partials(regime, h, r, z, radial=None):
@@ -362,9 +370,10 @@ def psi_partials(regime, h, r, z, radial=None):
         Gap width, finite and > 0.
     r, z : float or ndarray
         Broadcastable; 0 <= r < 1 and 0 <= z <= h + gamma_s(r).
-    radial : (s, H), optional
-        `geometry._radial(h, r)`, from a caller that shares it with its
-        other radial factors; computed here when absent.
+    radial : (RadialFactors, H), optional
+        `geometry._radial(h, r)`, or the factors of r with h added to their
+        gamma, from a caller that shares them with its other radial terms;
+        computed here when absent.
 
     Returns
     -------
@@ -452,8 +461,8 @@ def weighted_sups(regime, h, delta=DELTA_DEFAULT):
     r_lo = max(1e-8, math.sqrt(h) / 100.0)
     r = np.geomspace(r_lo, delta, SUP_GRID_N)[:, None]
     t = np.linspace(1.0 / SUP_GRID_N, 1.0, SUP_GRID_N)[None, :]
-    s, H = _radial(h, r)
-    p = psi_partials(regime, h, r, t * H, (s, H))
+    rf, H = _radial(h, r)
+    p = psi_partials(regime, h, r, t * H, (rf, H))
     out = {}
     for label, (extract, weight) in rows.items():
         out[label] = float(np.max(extract(p) * weight(r, H)))

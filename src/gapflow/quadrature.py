@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import _radial, gamma_s
+from .geometry import gamma_s, radial_factors
 from .model import (
     DEFAULT_H_LIST,
     QuadratureError,
@@ -58,6 +58,17 @@ def _gl_rule(order):
     return np.polynomial.legendre.leggauss(order)
 
 
+@lru_cache(maxsize=None)
+def _z_rule(order):
+    """The `order`-point rule's nodes plus 1 and its weights, as read-only
+    (order, 1) columns: the z-rule of `gap_rule` on [0, 2]."""
+    zx, zw = _gl_rule(order)
+    columns = (zx + 1.0)[:, None], zw[:, None]
+    for c in columns:
+        c.flags.writeable = False
+    return columns
+
+
 def graded_cuts(r_max, scale):
     """Breakpoints [0, ..., r_max/4, r_max/2, r_max] geometric toward 0.
 
@@ -74,7 +85,9 @@ def graded_cuts(r_max, scale):
     return list(reversed(cuts))
 
 
-# first meshes cached by _first_mesh: one per cut list, 21 kB at most (49 cells)
+# first meshes cached by _first_mesh, one per cut list: 21 kB at most (49
+# cells), and drag._first_factors keeps as many meshes' radial factors,
+# 151 kB more at 49 cells (3.5 kB an array at drag-sweep's 432 nodes)
 FIRST_MESHES = 24
 
 
@@ -228,32 +241,33 @@ def gap_rule(H, ends=False):
     nodes on their last axis and each operation is one contiguous loop.
     With `ends`, Z has two more rows, the wall's 0 and the sphere's H, the
     heights at which a drag row evaluates Psi, built in one array."""
-    zx, zw = _gl_rule(Z_ORDER)
+    x1, w = _z_rule(Z_ORDER)
+    half = 0.5 * H
     Z = np.empty((Z_ORDER + 2 * ends,) + np.shape(H))
-    np.multiply(0.5 * H, zx[:, None] + 1.0, out=Z[:Z_ORDER])
+    np.multiply(half, x1, out=Z[:Z_ORDER])
     if ends:
         Z[-2], Z[-1] = 0.0, H
-    return Z, 0.5 * H * zw[:, None]
+    return Z, half * w
 
 
 def integrate_surface(f, surface, r_max, spec, *, scale):
     """Surface integral int 2 pi f(r) measure(r) dr over a boundary piece.
 
-    The measure is r on the "plane" and r / s on the "sphere-cap", with s
-    from `geometry._radial` as in a drag row.  Any other surface, or a cap
-    with r_max >= 1 (`_radial`'s domain check), raises ValueError before f
-    is called.  `scale` grades the initial cells (graded_cuts), sqrt(h) for
+    The measure is r on the "plane" and r / s on the "sphere-cap", the h1
+    of `geometry.radial_factors` as in a drag row.  Any other surface, or a
+    cap with r_max >= 1 (the factors' domain check), raises ValueError
+    before f is called.  `scale` grades the initial cells (graded_cuts), sqrt(h) for
     the drag rows.  f may stack components, as in integrate_gap.
     """
     cap = surface == "sphere-cap"
     if cap:
-        _radial(0.0, r_max)
+        radial_factors(r_max)
     elif surface != "plane":
         raise ValueError(f"unknown surface {surface!r}")
 
     def g(r):
         # the measure after f, so that f's peak memory does not hold it
-        return 2.0 * math.pi * np.asarray(f(r)) * (r / _radial(0.0, r)[0] if cap else r)
+        return 2.0 * math.pi * np.asarray(f(r)) * (radial_factors(r).h1 if cap else r)
 
     return _adaptive_1d(g, graded_cuts(r_max, scale), spec)
 

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, artifacts, determinism, config echo."""
 
+import argparse
 import gc
 import json
 import math
@@ -604,8 +605,27 @@ def test_run_config_defaults_are_valid():
 
 
 def test_flags_and_config_keys_are_one_set():
-    dests = {action.dest for action in cli._common_parser()._actions}
-    assert dests - {"config"} == set(RunConfig._fields)
+    dests = vars(cli.build_parser().parse_args(["drag", "scan"]))
+    assert dests.keys() - {"config", "group", "action"} == set(RunConfig._fields)
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_only_the_named_subcommand_builds_its_flags():
+    # deterministic work counter: argv names one subcommand, and the
+    # parser builds the thirty-odd flags of that one alone
+    parser = cli.build_parser()
+    parser.parse_args(["fall", "scan", "--regime", "mixed"])
+    built = [
+        (group, action)
+        for group, sub in _subparsers(parser).items()
+        for action, leaf in _subparsers(sub).items()
+        if len(leaf._actions) > 1  # beyond --help
+    ]
+    assert built == [("fall", "scan")]
 
 
 # the CLI's flags, listed literally so that deriving them from RunConfig

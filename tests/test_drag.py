@@ -14,6 +14,7 @@ from gapflow import field as fld
 from gapflow import profile, quadrature
 from gapflow.drag import (
     R_MAX_DEFAULT,
+    ROW_TERMS,
     DragCurve,
     DragRow,
     drag_curve,
@@ -468,20 +469,15 @@ def test_rows_build_one_first_mesh_per_cut_list(regime):
     assert quadrature._first_mesh.cache_info().misses <= 8
 
 
-# the radial functions a module of the row can look up: the shared
-# geometry, and the public functions it stands in for inside the row
-RADIAL_FUNCTIONS = ("_radial", "gamma_s")
+# the radial functions a module of the row can look up: the factor
+# builder, the geometry that adds H to it, and the public function it
+# stands in for inside the row
+RADIAL_FUNCTIONS = ("radial_factors", "_radial", "gamma_s")
 
 
-@pytest.mark.parametrize(
-    "regime, h",
-    [(SLIP, 1e-4), (MIXED, 1e-4), (SLIP, 1e-10), (MIXED, 1e-10)],
-    ids=["slip-1e-4", "mixed-1e-4", "slip-1e-10", "mixed-1e-10"],
-)
-def test_a_row_integrand_call_evaluates_its_radial_geometry_once(regime, h, monkeypatch):
-    # deterministic work counter: r^2, s, gamma_s and H come from one
-    # geometry._radial call per integrand call, shared by the z-rule, the
-    # Psi kernel, the sphere normal and the cap measure
+def _count_radial(monkeypatch):
+    """Count the calls of RADIAL_FUNCTIONS through every module of the row,
+    with the first-mesh factors emptied."""
     geo = Counter()
 
     def counting(name, fn):
@@ -495,11 +491,184 @@ def test_a_row_integrand_call_evaluates_its_radial_geometry_once(regime, h, monk
         for name in RADIAL_FUNCTIONS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    monkeypatch.setattr(drg, "_FIRST_FACTORS", {})
+    return geo
+
+
+@pytest.mark.parametrize(
+    "regime, h",
+    [(SLIP, 1e-4), (MIXED, 1e-4), (SLIP, 1e-10), (MIXED, 1e-10)],
+    ids=["slip-1e-4", "mixed-1e-4", "slip-1e-10", "mixed-1e-10"],
+)
+def test_a_row_integrand_call_evaluates_its_radial_geometry_once(regime, h, monkeypatch):
+    # deterministic work counter: r^2, s, gamma_s, the chain factors and
+    # the measures come from one radial_factors call per node set, shared
+    # by the z-rule, the Psi kernel, the frame, the sphere normal and the
+    # measures, and the first mesh's call by every later row on it
+    geo = _count_radial(monkeypatch)
     log = _record_passes(monkeypatch)
     drg._row(regime, h, R_MAX_DEFAULT, SWEEP_SPEC, 0.0)
-    (one,) = log
-    assert one.calls > 0
-    assert geo == Counter(_radial=one.calls)
+    drg._row(regime, h, R_MAX_DEFAULT, SWEEP_SPEC, 0.0)
+    cold, warm = log
+    assert cold.calls > 0 and warm.calls > 0
+    assert geo == Counter(radial_factors=cold.calls + warm.calls - 1)
+
+
+# gaps and tolerances at which a row over a wide aperture refines: its
+# integrands steepen as r -> 1, where s -> 0
+REFINING_R_MAX = 0.99
+REFINING_REGIMES = {"slip(1, 1)": SLIP, "slip(0.5, 2)": SLIP_B, "mixed(1)": MIXED}
+REFINING_ROWS = [
+    (name, h, rel_tol)
+    for name in REFINING_REGIMES
+    for h in (1e-2, 1e-4)
+    for rel_tol in (1e-8, 1e-12)
+]
+
+
+@pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
+def test_a_sweep_builds_its_radial_factors_once_per_node_set(regime, monkeypatch):
+    # deterministic work counter: once per distinct gap_cuts list, whose
+    # first mesh every gap on it shares, and once per refinement round
+    geo = _count_radial(monkeypatch)
+    log = _record_passes(monkeypatch)
+    hs = np.geomspace(1e-2, 1e-6, 43).tolist()
+    drag_curve(regime, hs, spec=SWEEP_SPEC)
+    for _, h, rel_tol in REFINING_ROWS[:4]:
+        spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12)
+        drg._row(regime, h, REFINING_R_MAX, spec, 0.0)
+    cut_lists = {tuple(gap_cuts(h, R_MAX_DEFAULT)) for h in hs}
+    cut_lists |= {tuple(gap_cuts(h, REFINING_R_MAX)) for _, h, _ in REFINING_ROWS[:4]}
+    rounds = sum(p.calls - 1 for p in log)
+    assert rounds > 0
+    assert geo == Counter(radial_factors=len(cut_lists) + rounds)
+
+
+def _reference_integrand(regime, h, slip):
+    """The drag row's integrand as it was before the radial factors were
+    shared: s and H, the z-rule, the frame and the residual computed on
+    every call from r alone, the measures by their own products."""
+    two_pi = 2.0 * math.pi
+
+    def g(r):
+        r2 = r * r
+        s = np.sqrt(1.0 - r2)
+        H = h + r2 / (1.0 + s)
+        zx, zw = np.polynomial.legendre.leggauss(Z_ORDER)
+        z = np.empty((Z_ORDER + 2, r.size))
+        np.multiply(0.5 * H, zx[:, None] + 1.0, out=z[:Z_ORDER])
+        z[-2], z[-1] = 0.0, H
+        W = 0.5 * H * zw[:, None]
+        p = psi_partials(regime, h, r, z)
+        frame = fld.ApertureFrame(
+            u_r=-0.5 * r * p.dz,
+            u_z=p.value + 0.5 * r * p.dr,
+            du_r_dr=-0.5 * (p.dz + r * p.drz),
+            u_r_by_r=-0.5 * p.dz,
+            du_r_dz=-0.5 * r * p.dzz,
+            du_z_dr=1.5 * p.dr + 0.5 * r * p.drr,
+            du_z_dz=p.dz + 0.5 * r * p.drz,
+        )
+        d_rz = frame.d_rz
+        out = np.empty((len(ROW_TERMS) if slip else 5, r.size))
+        gap, q = frame.at(slice(-2)), p.at(slice(-2))
+        f_z = 2.5 * q.drr + 0.5 * r * q.drrr + 1.5 * q.dr_by_r
+        if slip:
+            f_r, f_z = np.zeros_like(f_z), f_z + 2.0 * q.dzz + r * q.drzz
+        else:
+            f_r = -(3.0 * q.drz + r * q.drrz)
+        grad_sq, sym_grad_sq = gap.square_norms(d_rz[:-2])
+        pairing = f_z * gap.u_z
+        if not slip:
+            pairing += f_r * gap.u_r
+        for row, term in zip(out, (grad_sq, sym_grad_sq, pairing)):
+            np.add.reduce(term * W, axis=0, out=row)
+        out[:3] *= two_pi * r
+        wall_u_r = frame.u_r[-2]
+        out[3] = wall_u_r**2
+        out[4] = 2.0 * d_rz[-2] * wall_u_r
+        if slip:
+            top = frame.at(-1)
+            _, (dn_r, dn_z), mismatch = fld._on_sphere(top, d_rz[-1], r, s)
+            out[5] = mismatch**2
+            out[6] = dn_r * (-top.u_r) + dn_z * (1.0 - top.u_z)
+            out[5:] *= two_pi
+            out[5:] *= r / s
+        out[3:5] *= two_pi
+        out[3:5] *= r
+        return out
+
+    return g
+
+
+def _hex(results):
+    return [(x.value.hex(), x.error.hex(), x.cells) for x in results]
+
+
+@pytest.mark.parametrize("name, h, rel_tol", REFINING_ROWS)
+def test_a_refining_row_keeps_the_bits_of_the_unshared_integrand(name, h, rel_tol, monkeypatch):
+    # every IntegralResult of the row, once on cold first-mesh factors and
+    # once on warm ones, against the integrand that shares nothing, by
+    # float.hex: the rounds whose factors are built afresh keep their bits
+    regime, spec = REFINING_REGIMES[name], QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12)
+    cuts = gap_cuts(h, REFINING_R_MAX)
+    names = ROW_TERMS if regime.kind is RegimeKind.SLIP else ROW_TERMS[:5]
+    reference, calls = _reference_integrand(regime, h, regime.kind is RegimeKind.SLIP), []
+
+    def counted(r):
+        calls.append(r.size)
+        return reference(r)
+
+    want = _hex(_adaptive_1d(counted, cuts, spec, names))
+    assert len(calls) > 1
+    results = []
+
+    def recorded(g, *args):
+        results.append(_adaptive_1d(g, *args))
+        return results[-1]
+
+    monkeypatch.setattr(drg, "_FIRST_FACTORS", {})
+    monkeypatch.setattr(drg, "_adaptive_1d", recorded)
+    for _ in range(2):
+        drg._row(regime, h, REFINING_R_MAX, spec, 0.0)
+    assert [_hex(res) for res in results] == [want, want]
+
+
+def test_a_first_mesh_entry_is_bounded_and_read_only():
+    # the largest entry graded_cuts makes, 49 cells: its first mesh and
+    # its radial factors, the nodes shared, under ENTRY_KB
+    cuts = tuple(quadrature.graded_cuts(R_MAX_DEFAULT, 0.0))
+    assert len(cuts) - 1 == 49
+    mesh = quadrature._first_mesh(cuts)
+    factors = drg._first_factors(cuts, mesh[3])
+    assert drg._first_factors(cuts, mesh[3]) is factors
+    assert factors.r is mesh[3]
+    arrays = {id(a): a for a in (*mesh, *factors)}
+    assert sum(a.nbytes for a in arrays.values()) < ENTRY_KB * 1000
+    for name, a in zip(factors._fields, factors):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+# a 49-cell first mesh, 21 kB, plus its eight radial factor arrays, 151 kB
+ENTRY_KB = 175
+
+
+def test_the_first_mesh_factors_keep_as_many_meshes_as_quadrature(monkeypatch):
+    # the oldest entry goes first, and a rebuilt mesh has its factors rebuilt
+    monkeypatch.setattr(drg, "_FIRST_FACTORS", {})
+    lists = [tuple(quadrature.graded_cuts(R_MAX_DEFAULT, 2.0 ** -k)) for k in range(30)]
+    lists = list(dict.fromkeys(lists))[: quadrature.FIRST_MESHES + 1]
+    assert len(lists) == quadrature.FIRST_MESHES + 1
+    for cuts in lists:
+        drg._first_factors(cuts, quadrature._first_mesh(cuts)[3])
+    assert list(drg._FIRST_FACTORS) == lists[1:]
+    cuts = lists[-1]
+    stale = drg._FIRST_FACTORS[cuts]
+    nodes = quadrature._first_mesh.__wrapped__(cuts)[3]
+    fresh = drg._first_factors(cuts, nodes)
+    assert fresh is not stale and fresh.r is nodes
+    assert np.array_equal(fresh.h2, stale.h2)
 
 
 @pytest.mark.parametrize("h", [1e-2, 1e-6])
@@ -536,9 +705,8 @@ def _per_region_row(regime, h, r_max, spec, ext):
     one or two integrate_surface passes: the reference of the fused row."""
 
     def gap(r, z):
-        p = psi_partials(regime, h, r, z)
-        frame = fld._frame(p, r)
-        f_r, f_z = fld._residual(regime, p, r)
+        frame = fld._frame(psi_partials(regime, h, r, z))
+        f_r, f_z = stokes_residual(regime, h, r, z)
         return np.stack(
             [frame.grad_sq, frame.sym_grad_sq, f_r * frame.u_r + f_z * frame.u_z]
         )
@@ -742,7 +910,7 @@ def test_gap_z_rule_matches_the_16_point_rule_per_node(
 
     def magnitude(r, z):
         p = psi_partials(regime, h, r, z)
-        frame = fld._frame(p, r)
+        frame = fld._frame(p)
         if regime.kind is RegimeKind.SLIP:
             lap, dq = laplacian_and_pressure_gradient(regime, p, r)
             f_r, f_z = (np.abs(a) + np.abs(b) for a, b in zip(lap, dq))

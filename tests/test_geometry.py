@@ -78,21 +78,21 @@ class TestRadial:
     # _radial's s is the sphere normal's n_z, so (-r, s) is the normal the
     # drag row and navier_residuals read the sphere with
     def test_south_pole(self):
-        s, H = _radial(1e-3, 0.0)
-        assert s == 1.0 and H == 1e-3
+        factors, H = _radial(1e-3, 0.0)
+        assert factors.s == 1.0 and H == 1e-3
 
     def test_exact_at_r06(self):
-        s, _ = _radial(1e-3, 0.6)
+        s = _radial(1e-3, 0.6)[0].s
         assert s == pytest.approx(0.8, abs=TOL_EXACT)
 
     def test_unit_norm_spot_values(self):
         for r in (0.1, 0.5, 0.9):
-            s, _ = _radial(1e-3, r)
+            s = _radial(1e-3, r)[0].s
             assert abs(np.hypot(-r, s) - 1.0) < TOL_EXACT
 
     def test_unit_norm_random(self, rng):
         r = rng.uniform(0.0, 1.0 - 1e-9, size=10_000)
-        s, _ = _radial(1e-3, r)
+        s = _radial(1e-3, r)[0].s
         assert np.max(np.abs(np.hypot(-r, s) - 1.0)) < TOL_EXACT
 
     @pytest.mark.parametrize("h", [1e-12, 1e-4, 0.5])
@@ -124,7 +124,7 @@ class TestSurfaceMeasure:
         # area 2 pi (1 - sqrt(1 - r^2))
         r_max = 0.6
         r = np.linspace(0.0, r_max, 20_001)
-        s, _ = _radial(0.0, r)
+        s = _radial(0.0, r)[0].s
         area = 2.0 * np.pi * np.trapezoid(r / s, r)
         assert area == pytest.approx(2.0 * np.pi * (1.0 - 0.8), rel=1e-8)
 

@@ -178,7 +178,7 @@ RECORDS = {
     "EnergyBreakdown", "SurfaceDrag", "DragRow", "DragCurve",
     "TerminalEvent", "Trajectory", "DragLaw", "ScanRow",
     "FieldSample", "PressureSample", "ApertureFrame", "NavierResiduals",
-    "GapGeometry", "CutoffPair",
+    "GapGeometry", "CutoffPair", "RadialFactors",
     "SlipRegime", "FallParameters", "QuadratureSpec",
     "Solution",
     "ProfileCoefficients",
