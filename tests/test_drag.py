@@ -517,13 +517,9 @@ def test_a_row_integrand_call_evaluates_its_radial_geometry_once(regime, h, monk
 # gaps and tolerances at which a row over a wide aperture refines: its
 # integrands steepen as r -> 1, where s -> 0
 REFINING_R_MAX = 0.99
+REFINING_GAPS = [(h, rel_tol) for h in (1e-2, 1e-4) for rel_tol in (1e-8, 1e-12)]
 REFINING_REGIMES = {"slip(1, 1)": SLIP, "slip(0.5, 2)": SLIP_B, "mixed(1)": MIXED}
-REFINING_ROWS = [
-    (name, h, rel_tol)
-    for name in REFINING_REGIMES
-    for h in (1e-2, 1e-4)
-    for rel_tol in (1e-8, 1e-12)
-]
+REFINING_ROWS = [(name, *gap) for name in REFINING_REGIMES for gap in REFINING_GAPS]
 
 
 @pytest.mark.parametrize("regime", [SLIP, MIXED], ids=["slip", "mixed"])
@@ -534,11 +530,11 @@ def test_a_sweep_builds_its_radial_factors_once_per_node_set(regime, monkeypatch
     log = _record_passes(monkeypatch)
     hs = np.geomspace(1e-2, 1e-6, 43).tolist()
     drag_curve(regime, hs, spec=SWEEP_SPEC)
-    for _, h, rel_tol in REFINING_ROWS[:4]:
+    for h, rel_tol in REFINING_GAPS:
         spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=1e-12)
         drg._row(regime, h, REFINING_R_MAX, spec, 0.0)
     cut_lists = {tuple(gap_cuts(h, R_MAX_DEFAULT)) for h in hs}
-    cut_lists |= {tuple(gap_cuts(h, REFINING_R_MAX)) for _, h, _ in REFINING_ROWS[:4]}
+    cut_lists |= {tuple(gap_cuts(h, REFINING_R_MAX)) for h, _ in REFINING_GAPS}
     rounds = sum(p.calls - 1 for p in log)
     assert rounds > 0
     assert geo == Counter(radial_factors=len(cut_lists) + rounds)
@@ -634,9 +630,14 @@ def test_a_refining_row_keeps_the_bits_of_the_unshared_integrand(name, h, rel_to
     assert [_hex(res) for res in results] == [want, want]
 
 
-def test_a_first_mesh_entry_is_bounded_and_read_only():
+# a 49-cell first mesh, 21 kB, plus its eight radial factor arrays, 151 kB
+ENTRY_KB = 175
+
+
+def test_a_first_mesh_entry_is_bounded_and_read_only(monkeypatch):
     # the largest entry graded_cuts makes, 49 cells: its first mesh and
     # its radial factors, the nodes shared, under ENTRY_KB
+    monkeypatch.setattr(drg, "_FIRST_FACTORS", {})
     cuts = tuple(quadrature.graded_cuts(R_MAX_DEFAULT, 0.0))
     assert len(cuts) - 1 == 49
     mesh = quadrature._first_mesh(cuts)
@@ -645,13 +646,9 @@ def test_a_first_mesh_entry_is_bounded_and_read_only():
     assert factors.r is mesh[3]
     arrays = {id(a): a for a in (*mesh, *factors)}
     assert sum(a.nbytes for a in arrays.values()) < ENTRY_KB * 1000
-    for name, a in zip(factors._fields, factors):
+    for a in factors:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
-
-
-# a 49-cell first mesh, 21 kB, plus its eight radial factor arrays, 151 kB
-ENTRY_KB = 175
 
 
 def test_the_first_mesh_factors_keep_as_many_meshes_as_quadrature(monkeypatch):
